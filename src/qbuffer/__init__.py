@@ -37,6 +37,7 @@ from .engine import (
     simulate,
     storage_period,
     storage_retrieval_schedule,
+    stored_states,
     validate_schedule,
 )
 from .errors import (
@@ -78,7 +79,8 @@ __all__ = [
     "ClickSet", "DetectorModel", "Histogram", "click_probability",
     "expected_counts", "histogram", "sample_clicks",
     "DriveSchedule", "SimLimits", "SimulationResult", "simulate",
-    "storage_period", "storage_retrieval_schedule", "validate_schedule",
+    "storage_period", "storage_retrieval_schedule", "stored_states",
+    "validate_schedule",
     "CalibrationError", "ConfigError", "ContractViolationError",
     "InputDomainError", "QBufferError", "ScheduleError",
     "ExperimentConfig", "VisibilityResult", "apply_calibration", "calibrate",

@@ -143,12 +143,12 @@ def _run_custom(plan):
     exp = plan.experiment
     inputs = generate_pulse_train(exp.rep_rate_hz, exp.pulse_width_s,
                                   exp.mu_source, 1, STATE_H)
+    result = simulate(plan.topology, plan.schedule, inputs, plan.limits)
     violations = validate_schedule(plan.topology, plan.schedule, inputs,
-                                   plan.limits)
+                                   plan.limits, result=result)
     errors = [v for v in violations if v.severity == "error"]
     if errors:
         raise ScheduleError("custom schedule is unsafe", violations)
-    result = simulate(plan.topology, plan.schedule, inputs, plan.limits)
     summary = {
         "preset": "custom-schedule",
         "seed": plan.seed,

@@ -230,7 +230,16 @@ def validate_config(cfg: dict) -> None:
         _check_number(v, f"calibration.targets.{key}", lo=0, hi=1)
 
     sched = cfg.get("schedule")
-    if sched is not None:
+    if sched is None:
+        # A preset sweep stores each pulse for eta - 1 cycles, calibration
+        # targets included; the cycle limit must let the longest one out.
+        etas = list(exp["eta_list"])
+        if PRESETS[preset][1] == "hwp-sweep" and cal["mode"] != "none":
+            etas += [int(key) for key in cal["targets"]]
+        need = max(etas) - 1
+        _require(lim["max_cycles"] >= need, "limits.max_cycles",
+                 f"must be >= {need}, the storage cycles of eta={need + 1}")
+    else:
         _require(isinstance(sched, list), "schedule",
                  "expected a list of drive windows")
         for i, d in enumerate(sched):

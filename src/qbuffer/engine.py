@@ -329,8 +329,29 @@ def _audit_conservation(result: SimulationResult) -> None:
                 f"{total} != {ref}")
 
 
+def stored_states(topology: BufferTopology, pol, max_cycles: int) -> list:
+    """Polarization of a pulse launched as ``pol`` after 0..max_cycles cycles.
+
+    Entry ``k`` is the state :func:`simulate` gives a record that has
+    completed ``k`` storage cycles: the same depolarizing channels in the
+    same order (``prep_error_depol`` at the input, then
+    ``depol_for_cycle(k)`` for k = 1..max_cycles), so the states are
+    bit-identical to a propagation launched with ``pol``. Routing never
+    depends on polarization, so one run per schedule plus this replay
+    covers every launch state.
+    """
+    if max_cycles < 0:
+        raise InputDomainError("cycle count must be >= 0")
+    states = [apply_depolarizing(pol, topology.prep_error_depol)]
+    for k in range(1, max_cycles + 1):
+        states.append(apply_depolarizing(states[-1],
+                                         topology.depol_for_cycle(k)))
+    return states
+
+
 def validate_schedule(topology: BufferTopology, schedule: DriveSchedule,
-                      inputs: list, limits: SimLimits | None = None
+                      inputs: list, limits: SimLimits | None = None,
+                      result: SimulationResult | None = None
                       ) -> list[Violation]:
     """Diagnose a drive schedule against the pulses it will act on.
 
@@ -343,10 +364,19 @@ def validate_schedule(topology: BufferTopology, schedule: DriveSchedule,
     * ``both-directions`` (error): the window covers both counter-propagating
       passages of one traversal, cancelling its own switching phase.
     * ``no-op-drive`` (warning): the window overlaps no optical passage.
+
+    ``result``, when given, is an existing :func:`simulate` run of exactly
+    these inputs under this schedule and limits; it is checked instead of
+    propagating again. A run of other input records is rejected.
     """
     if not isinstance(schedule, DriveSchedule):
         schedule = DriveSchedule(tuple(schedule))
-    result = simulate(topology, schedule, inputs, limits)
+    if result is None:
+        result = simulate(topology, schedule, inputs, limits)
+    elif len(result.inputs) != len(inputs) or any(
+            a is not b for a, b in zip(result.inputs, inputs)):
+        raise InputDomainError(
+            "result is a simulation of other input pulses")
     by_drive: dict[int, list[ModulatorPassage]] = {i: [] for i in
                                                    range(len(schedule))}
     for m in result.passages:

@@ -43,6 +43,7 @@ from .engine import (
     simulate,
     storage_period,
     storage_retrieval_schedule,
+    stored_states,
     validate_schedule,
 )
 from .errors import CalibrationError, InputDomainError, ScheduleError
@@ -266,24 +267,33 @@ def _source_pulse(config: ExperimentConfig, pol) -> PulseRecord:
                        mu=config.mu_source, pol=pol)
 
 
-def _checked_schedule(topology, config, eta, limits):
-    """Build and validate the store/retrieve schedule for one setting."""
-    probe = _source_pulse(config, STATE_H)
+def _hwp_grid(config: ExperimentConfig) -> np.ndarray:
+    """The HWP angles; at least 4 distinct ones spanning pi/2 are needed."""
+    angles = np.asarray(config.hwp_angles, dtype=np.float64)
+    if np.unique(angles).size < 4 or \
+            angles.max() - angles.min() < math.pi / 2.0 - 1e-9:
+        raise InputDomainError(
+            "need at least 4 distinct HWP angles spanning a full fringe "
+            "period (pi/2)")
+    return angles
+
+
+def _propagate(topology, config, eta, limits):
+    """Run the H-launched source pulse through the schedule of setting
+    ``eta`` once, check the schedule on that run, and return
+    (retained pulse, result)."""
+    inputs = [_source_pulse(config, STATE_H)]
     sched = storage_retrieval_schedule(
-        topology, probe, eta - 1, drive_width=config.drive_width_s,
+        topology, inputs[0], eta - 1, drive_width=config.drive_width_s,
         guard=config.drive_guard_s)
-    violations = validate_schedule(topology, sched, [probe], limits)
+    res = simulate(topology, sched, inputs, limits)
+    violations = validate_schedule(topology, sched, inputs, limits,
+                                   result=res)
     errors = [v for v in violations if v.severity == "error"]
     if errors:
         raise ScheduleError(
             f"schedule for eta={eta} is unsafe: "
             + "; ".join(v.message for v in errors), violations)
-    return sched
-
-
-def _retrieve(topology, config, eta, pol, schedule, limits):
-    """Run one pulse through the buffer; return (retained pulse, result)."""
-    res = simulate(topology, schedule, [_source_pulse(config, pol)], limits)
     main = res.retrieved_with_cycles(eta - 1)
     if len(main) != 1:
         raise ScheduleError(
@@ -322,8 +332,7 @@ def run_retrieval_sweep(config: ExperimentConfig, topology: BufferTopology,
     clicks: dict[int, ClickSet] = {}
     sims: dict[int, object] = {}
     for eta in config.eta_list:
-        sched = _checked_schedule(topology, config, eta, limits)
-        main, sim = _retrieve(topology, config, eta, STATE_H, sched, limits)
+        main, sim = _propagate(topology, config, eta, limits)
         sims[eta] = sim
         retrieved = sim.retrieved
         if main.t + window >= period:
@@ -362,38 +371,42 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
 
     ``detectors`` is the pair of port detectors (a single model is accepted
     and used for both ports).
+
+    Routing never depends on polarization, so each setting is propagated
+    once with an H launch; the state at each HWP angle is replayed onto its
+    retrieved records with :func:`stored_states`, bit-identical to a run
+    launched with the rotated state.
     """
+    angles = _hwp_grid(config)
     limits = limits or SimLimits()
     if isinstance(detectors, DetectorModel):
         detectors = (detectors, detectors)
     det0, det1 = detectors
-
-    angles = np.asarray(config.hwp_angles, dtype=np.float64)
-    if np.unique(angles).size < 4 or \
-            angles.max() - angles.min() < math.pi / 2.0 - 1e-9:
-        raise InputDomainError(
-            "need at least 4 distinct HWP angles spanning a full fringe "
-            "period (pi/2)")
 
     period = 1.0 / config.rep_rate_hz
     n = config.n_triggers
     window = config.count_window_s
     results: list[VisibilityResult] = []
 
-    for eta in config.eta_list:
-        sched = _checked_schedule(topology, config, eta, limits)
-        # Propagation is independent of the measurement basis: run the
-        # engine once per angle and project the same retrieved pulse twice.
-        retained = []
-        for theta in angles:
-            pol = apply_unitary(STATE_H, hwp_matrix(float(theta)))
-            retained.append(_retrieve(topology, config, eta, pol, sched,
-                                      limits))
+    runs = [_propagate(topology, config, eta, limits)
+            for eta in config.eta_list]
+    max_cycles = max(p.cycles for _, sim in runs for p in sim.retrieved)
+    states = [stored_states(topology,
+                            apply_unitary(STATE_H, hwp_matrix(float(theta))),
+                            max_cycles)
+              for theta in angles]
+
+    for eta, (h_main, h_sim) in zip(config.eta_list, runs):
+        # The same retrieved records at every angle, each with the state of
+        # its cycle count; both bases project the same records.
+        retained = [([replace(p, pol=st[p.cycles]) for p in h_sim.retrieved],
+                     replace(h_main, pol=st[h_main.cycles]))
+                    for st in states]
         for basis in config.bases:
             u = BASES[basis]
             expected = np.zeros((2, angles.size))
             counts = np.zeros((2, angles.size))
-            for i, (main, sim) in enumerate(retained):
+            for i, (retrieved, main) in enumerate(retained):
                 ports = pbs_project(main, u)
                 for port, (det, pulse) in enumerate(
                         zip((det0, det1), ports)):
@@ -401,7 +414,7 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
                         pulse.mu, det, window)
                     if config.mode == "monte-carlo":
                         port_pulses = [pbs_project(s, u)[port]
-                                       for s in sim.retrieved]
+                                       for s in retrieved]
                         cs = sample_clicks(
                             _trigger_pulses(port_pulses, config), det,
                             config.acquisition_s,
@@ -494,6 +507,7 @@ def calibrate(targets: dict, topology: BufferTopology,
     preparation error. Physical mode fits a single per-cycle probability by
     least squares in the log domain and reports the per-target residuals.
     """
+    _hwp_grid(config)
     if mode not in ("table", "physical"):
         raise InputDomainError(f"unknown calibration mode {mode!r}")
     targets = {int(eta): float(v) for eta, v in targets.items()}
@@ -509,8 +523,7 @@ def calibrate(targets: dict, topology: BufferTopology,
     bloch: dict[int, float] = {}
     mu_ret: dict[int, float] = {}
     for eta in sorted(targets):
-        sched = _checked_schedule(base, config, eta, limits)
-        main, _ = _retrieve(base, config, eta, STATE_H, sched, limits)
+        main, _ = _propagate(base, config, eta, limits)
         mu_ret[eta] = main.mu
         bloch[eta] = _solve_bloch(targets[eta], main.mu, config, det)
 

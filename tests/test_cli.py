@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from qbuffer import cli, engine
 from qbuffer.cli import main
 from qbuffer.components import fiber_delay
 from qbuffer.kernels import available_backends
@@ -24,6 +25,12 @@ def small_run(out_dir, *extra):
     return run_cli("run", "--preset", "fig2-main", "--seed", "7",
                    "--set", "experiment.n_triggers=2000",
                    "--out", str(out_dir), *extra)
+
+
+def one_json_error(capsys):
+    """The single JSON line a failed run writes to stderr."""
+    (line,) = capsys.readouterr().err.splitlines()
+    return json.loads(line)
 
 
 class TestPresets:
@@ -136,7 +143,7 @@ class TestRun:
         assert any(v["code"] == "unintended-readout"
                    for v in report["violations"])
 
-    def test_custom_schedule_run(self, tmp_path, capsys):
+    def test_custom_schedule_run(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
             "preset": "fig2-main",
@@ -148,11 +155,51 @@ class TestRun:
                  "voltage": 900.0},
             ],
         }))
+        # Every engine run, also one inside validate_schedule.
+        calls = []
+        for module in (cli, engine):
+            def counted(*args, _run=module.simulate, **kwargs):
+                calls.append(1)
+                return _run(*args, **kwargs)
+            monkeypatch.setattr(module, "simulate", counted)
         out = tmp_path / "o"
         assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 0
         summary = json.load(open(out / "summary.json"))
         assert summary["n_retrieved"] >= 1
         assert (out / "event_log.csv").exists()
+        assert len(calls) == 1
+
+
+class TestContractOnBadSweeps:
+    """Sweep inputs the run cannot use exit 2 with one JSON line on
+    stderr."""
+
+    @pytest.mark.parametrize("angles", ["[]", "[0,0.5,1.5708]"])
+    def test_short_hwp_grid(self, tmp_path, capsys, angles):
+        code = run_cli("run", "--preset", "fig2-insets",
+                       "--set", f"experiment.hwp_angles={angles}",
+                       "--out", str(tmp_path / "o"))
+        assert code == 2
+        report = one_json_error(capsys)
+        assert "HWP angles" in report["message"]
+
+    @pytest.mark.parametrize("preset, extra, need", [
+        ("fig2-main", (), 7),
+        # The eta=5 calibration target is propagated too.
+        ("fig2-insets", ("--set", "experiment.eta_list=[1]"), 4),
+    ])
+    def test_cycle_limit_below_longest_setting(self, tmp_path, capsys,
+                                               preset, extra, need):
+        code = run_cli("run", "--preset", preset, *extra,
+                       "--set", f"limits.max_cycles={need - 1}",
+                       "--out", str(tmp_path / "o"))
+        assert code == 2
+        report = one_json_error(capsys)
+        assert report["error"] == "schema"
+        assert report["path"] == "limits.max_cycles"
+
+    def test_cycle_limit_at_longest_setting_runs(self, tmp_path, capsys):
+        assert small_run(tmp_path / "o", "--set", "limits.max_cycles=7") == 0
 
 
 class TestSeedResolution:

@@ -1,6 +1,7 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +19,7 @@ from qbuffer.engine import (
     simulate,
     storage_period,
     storage_retrieval_schedule,
+    stored_states,
     train_schedule,
     validate_schedule,
 )
@@ -271,6 +273,57 @@ class TestValidateSchedule:
 
     def test_empty_schedule_is_silent(self, topo, pulse):
         assert validate_schedule(topo, DriveSchedule(), [pulse]) == []
+
+    @pytest.mark.parametrize("make", [
+        lambda topo, p: DriveSchedule(),
+        lambda topo, p: DriveSchedule((DrivePulse(0.5, 180e-9, 900.0),)),
+        lambda topo, p: storage_retrieval_schedule(topo, p, 3),
+        lambda topo, p: storage_retrieval_schedule(topo, p, 3,
+                                                   drive_width=1.2e-6),
+        lambda topo, p: DriveSchedule((DrivePulse(
+            topo.near_passage_delay_s() - 20e-9,
+            topo.far_passage_delay_s() + 200e-9, 900.0),)),
+    ], ids=["empty", "no-op", "operating-point", "long", "both-directions"])
+    def test_existing_run_gives_same_violations(self, topo, pulse, make):
+        sched = make(topo, pulse)
+        inputs = [pulse]
+        run = simulate(topo, sched, inputs)
+        assert validate_schedule(topo, sched, inputs, result=run) == \
+            validate_schedule(topo, sched, inputs)
+
+    def test_run_of_other_inputs_rejected(self, topo, pulse):
+        sched = storage_retrieval_schedule(topo, pulse, 3)
+        run = simulate(topo, sched, [pulse])
+        twin = PulseRecord(id=pulse.id, t=pulse.t, width=pulse.width,
+                           mu=pulse.mu, pol=pulse.pol)
+        for inputs in ([twin], [pulse, pulse], []):
+            with pytest.raises(InputDomainError):
+                validate_schedule(topo, sched, inputs, result=run)
+
+
+class TestStoredStates:
+    @pytest.mark.parametrize("drive_width", [180e-9, 40e-9])
+    def test_replay_matches_propagated_states(self, drive_width):
+        # A partial drive leaves records at cycles 0 and 3.
+        topo = BufferTopology(prep_error_depol=0.05,
+                              depol_per_cycle=(0.1, 0.02, 0.3))
+        d_pulse = PulseRecord(id=0, t=0.0, width=50e-9, mu=0.1, pol=STATE_D)
+        sched = storage_retrieval_schedule(topo, d_pulse, 3,
+                                           drive_width=drive_width)
+        res = simulate(topo, sched, [d_pulse])
+        states = stored_states(topo, STATE_D, 3)
+        assert len(states) == 4
+        for p in res.retrieved:
+            assert np.array_equal(p.pol.rho, states[p.cycles].rho)
+
+    def test_entry_zero_is_preparation_error_only(self):
+        topo = BufferTopology(prep_error_depol=0.2, depol_per_cycle=0.5)
+        (state,) = stored_states(topo, STATE_H, 0)
+        assert state.bloch_length == pytest.approx(0.8, rel=1e-12)
+
+    def test_negative_cycles_rejected(self, topo):
+        with pytest.raises(InputDomainError):
+            stored_states(topo, STATE_H, -1)
 
 
 class TestEventLog:

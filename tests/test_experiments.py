@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qbuffer.components import BufferTopology, db_to_transmission
+from qbuffer import engine, experiments
+from qbuffer.components import (
+    BufferTopology,
+    PulseRecord,
+    db_to_transmission,
+    pbs_project,
+)
 from qbuffer.detection import DetectorModel, expected_counts
-from qbuffer.engine import storage_period
+from qbuffer.engine import simulate, storage_period, storage_retrieval_schedule
 from qbuffer.errors import CalibrationError, InputDomainError, ScheduleError
 from qbuffer.experiments import (
     ExperimentConfig,
@@ -20,6 +27,7 @@ from qbuffer.experiments import (
     visibility,
     visibility_from_curve,
 )
+from qbuffer.polarization import STATE_H, apply_unitary, hwp_matrix
 
 DET = DetectorModel()
 QUIET = DetectorModel(dark_rate_hz=0.0, jitter_sigma_s=0.0)
@@ -231,6 +239,88 @@ class TestHwpSweep:
         assert avg[1] == pytest.approx(1.0, abs=1e-9)
 
 
+class TestReplayedSweep:
+    """The fringe sweep propagates each setting once with an H launch and
+    replays each HWP angle's state onto the retrieved records."""
+
+    @given(prep=st.floats(0.0, 1.0),
+           table=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+           etas=st.lists(st.integers(1, 6), min_size=1, max_size=3,
+                         unique=True),
+           inner=st.lists(st.floats(0.01, math.pi / 2 - 0.01), min_size=2,
+                          max_size=4, unique=True),
+           drive_width=st.sampled_from([180e-9, 40e-9]),
+           mode=st.sampled_from(["analytic", "monte-carlo"]))
+    @settings(max_examples=30)
+    def test_records_equal_direct_propagation(self, prep, table, etas,
+                                              inner, drive_width, mode):
+        # A 40 ns drive switches only part of the pulse, so settings past
+        # eta = 1 also retrieve a record at zero cycles.
+        topo = BufferTopology(prep_error_depol=prep,
+                              depol_per_cycle=tuple(table))
+        angles = (0.0, *inner, math.pi / 2)
+        cfg = ExperimentConfig(preset="t", eta_list=tuple(etas),
+                               hwp_angles=angles, basis="computational",
+                               mode=mode, n_triggers=2000,
+                               drive_width_s=drive_width)
+        measured = []
+
+        def recording_project(pulse, u):
+            measured.append(pulse)
+            return pbs_project(pulse, u)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "pbs_project", recording_project)
+            run_hwp_sweep(cfg, topo, QUIET)
+
+        # Loop order of the sweep: per setting and angle the retained
+        # record, then (monte-carlo) every retrieved record once per port.
+        direct = []
+        for eta in cfg.eta_list:
+            for theta in angles:
+                source = PulseRecord(
+                    id=0, t=0.0, width=cfg.pulse_width_s, mu=cfg.mu_source,
+                    pol=apply_unitary(STATE_H, hwp_matrix(theta)))
+                sched = storage_retrieval_schedule(
+                    topo, source, eta - 1, drive_width=drive_width,
+                    guard=cfg.drive_guard_s)
+                res = simulate(topo, sched, [source])
+                direct += res.retrieved_with_cycles(eta - 1)
+                if mode == "monte-carlo":
+                    direct += res.retrieved * 2
+        assert len(measured) == len(direct)
+        for got, want in zip(measured, direct):
+            assert (got.t, got.mu, got.cycles, got.id) == \
+                (want.t, want.mu, want.cycles, want.id)
+            assert np.array_equal(got.pol.rho, want.pol.rho)
+
+
+class TestOnePropagationPerSetting:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts every engine run, also those inside validate_schedule."""
+        calls = []
+        for module in (experiments, engine):
+            def counted(*args, _run=module.simulate, **kwargs):
+                calls.append(1)
+                return _run(*args, **kwargs)
+            monkeypatch.setattr(module, "simulate", counted)
+        return calls
+
+    def test_hwp_sweep(self, calls):
+        run_hwp_sweep(analytic_config(), BufferTopology(), QUIET)
+        assert len(calls) == 3
+
+    def test_retrieval_sweep(self, calls):
+        run_retrieval_sweep(analytic_config(eta_list=(1, 2, 3, 4)),
+                            BufferTopology(), QUIET)
+        assert len(calls) == 4
+
+    def test_calibrate(self, calls):
+        calibrate(PAPER_TARGETS, BufferTopology(), analytic_config(), DET)
+        assert len(calls) == 3
+
+
 class TestCalibration:
     def test_perfect_targets_need_no_depolarization(self):
         topo = BufferTopology()
@@ -290,6 +380,12 @@ class TestCalibration:
     def test_targets_domain(self):
         with pytest.raises(CalibrationError):
             calibrate({1: 0.0}, BufferTopology(), analytic_config(), DET)
+
+    @pytest.mark.parametrize("angles", [(), (0.0, 0.5, math.pi / 2)])
+    def test_hwp_grid_checked_first(self, angles):
+        with pytest.raises(InputDomainError, match="HWP angles"):
+            calibrate(PAPER_TARGETS, BufferTopology(),
+                      analytic_config(hwp_angles=angles), DET)
 
 
 class TestMonteCarloInsets:

@@ -110,3 +110,11 @@ class TestBackendSelection:
             capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "python"
+
+    def test_env_unknown_backend_rejected(self):
+        out = subprocess.run(
+            [sys.executable, "-c", "from qbuffer import kernels"],
+            env=dict(os.environ, QBUF_KERNELS="bogus"),
+            capture_output=True, text=True)
+        assert out.returncode != 0
+        assert "unknown kernel backend" in out.stderr
