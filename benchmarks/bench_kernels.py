@@ -1,10 +1,14 @@
-"""Benchmark the compiled detection kernels against the pure-Python fallback.
+"""Time the detection kernels on click streams shaped like the presets'.
 
 Run:  python benchmarks/bench_kernels.py [n_clicks]
 
-Times the two hot kernels (non-paralyzable dead-time filtering and fixed-bin
-time-tag histogramming) on a synthetic click stream, then times an
-end-to-end Monte Carlo click sampling through whichever backend is active.
+The preset stream has clicks on a 1 kHz trigger grid in eight pulse slots
+one storage period (5.876 us) apart, plus 100 Hz of dark clicks: almost
+every gap is far above the 50 ns dead time, so the dead-time filter keeps
+those clicks without a scan. The dense stream (every gap below the dead
+time) is the filter's worst case: each click goes through the sequential
+scan, at Python-loop speed. The last row times Monte Carlo click sampling
+end to end, dead-time filter included.
 """
 
 import sys
@@ -14,6 +18,9 @@ import numpy as np
 
 from qbuffer import kernels
 from qbuffer.detection import DetectorModel, sample_clicks
+
+DEAD_TIME_S = 50e-9
+STORAGE_PERIOD_S = 5.876e-6
 
 
 def timeit(fn, repeats=5):
@@ -25,48 +32,40 @@ def timeit(fn, repeats=5):
     return best
 
 
+def preset_stream(n_clicks, rng):
+    """About n_clicks sorted click times shaped like a retrieval sweep."""
+    n_triggers = max(1, n_clicks // 2)
+    triggers = np.arange(n_triggers) * 1e-3
+    p = n_clicks / (8 * n_triggers)
+    signal = [triggers[rng.random(n_triggers) < p] + slot * STORAGE_PERIOD_S
+              for slot in range(1, 9)]
+    acquisition = n_triggers * 1e-3
+    dark = rng.random(rng.poisson(100.0 * acquisition)) * acquisition
+    times = np.concatenate(signal + [dark])
+    return np.sort(times + rng.normal(0.0, 50e-12, times.size))
+
+
 def main():
-    n = int(sys.argv[1]) if len(sys.argv) > 1 else 2_000_000
+    n = int(sys.argv[1]) if len(sys.argv) > 1 else 1_000_000
     rng = np.random.default_rng(42)
-    times = np.sort(rng.random(n) * 10.0)
-    dead = 5.0 / n  # suppresses a few percent of clicks
+    times = preset_stream(n, rng)
+    dense = np.cumsum(rng.uniform(0.0, DEAD_TIME_S, 200_000))
 
-    backends = kernels.available_backends()
-    print(f"active backend: {kernels.BACKEND}")
-    print(f"synthetic stream: {n} sorted clicks over 10 s\n")
-    print(f"{'kernel':24s} " + " ".join(f"{name:>12s}" for name in backends)
-          + f" {'speedup':>9s}")
+    print(f"{'kernel / stream':52s} {'clicks':>9s} {'kept':>7s} {'time':>10s}")
+    for label, stream in (("dead_time_filter, preset stream", times),
+                          ("dead_time_filter, dense worst case", dense)):
+        kept = kernels.dead_time_filter(stream, DEAD_TIME_S).mean()
+        dt = timeit(lambda s=stream: kernels.dead_time_filter(s, DEAD_TIME_S))
+        print(f"{label:52s} {stream.size:9d} {kept:7.1%} {dt * 1e3:8.2f}ms")
+    dt = timeit(lambda: kernels.bin_counts(times, 0.0, 1e-4, 100_000))
+    print(f"{'bin_counts (1e5 bins), preset stream':52s} {times.size:9d} "
+          f"{'':7s} {dt * 1e3:8.2f}ms")
 
-    results = {}
-    for label, call in (
-        ("dead_time_filter",
-         lambda impl: impl.dead_time_filter(times, dead)),
-        ("bin_counts (1e5 bins)",
-         lambda impl: impl.bin_counts(times, 0.0, 1e-4, 100_000)),
-    ):
-        row = {name: timeit(lambda impl=impl: call(impl))
-               for name, impl in backends.items()}
-        results[label] = row
-        speed = (f"{row['python'] / row['compiled']:8.1f}x"
-                 if "compiled" in row else "      n/a")
-        print(f"{label:24s} " + " ".join(f"{row[name] * 1e3:10.2f}ms"
-                                         for name in backends) + f" {speed}")
-
-    # Parity check while we are here.
-    for name, impl in backends.items():
-        m = impl.dead_time_filter(times, dead)
-        c, o = impl.bin_counts(times, 0.0, 1e-4, 100_000)
-        results.setdefault("_parity", {})[name] = (m.sum(), c.sum(), o)
-    if len({v for v in results["_parity"].values()}) != 1:
-        raise SystemExit("backend results differ!")
-    print("\nbackend parity: identical results")
-
-    det = DetectorModel()
-    pulses = (np.sort(rng.random(500_000) * 500.0),
-              np.full(500_000, 0.05))
+    det = DetectorModel(dead_time_s=DEAD_TIME_S)
+    pulses = (np.sort(rng.random(500_000) * 500.0), np.full(500_000, 0.05))
     dt = timeit(lambda: sample_clicks(pulses, det, 500.0, 1), repeats=3)
-    print(f"sample_clicks end-to-end (500k pulses, {kernels.BACKEND} "
-          f"backend): {dt * 1e3:.1f} ms")
+    print(f"{'sample_clicks end to end (500k pulses)':52s} {500_000:9d} "
+          f"{'':7s} {dt * 1e3:8.2f}ms")
 
 
 if __name__ == "__main__":

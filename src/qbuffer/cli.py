@@ -38,7 +38,6 @@ from .experiments import (
     write_peaks_csv,
     write_sweep_csv,
 )
-from .kernels import BACKEND
 from .polarization import STATE_H
 
 
@@ -234,7 +233,6 @@ def cmd_run(args) -> int:
         "schema_version": cfg["schema_version"],
         "preset": plan.preset,
         "seed": plan.seed,
-        "kernel_backend": BACKEND,
         "outputs": outputs,
         "duration_s": time.perf_counter() - started,
         "config": plan.snapshot,

@@ -34,9 +34,11 @@ class DetectorModel:
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise InputDomainError("efficiency must lie in [0, 1]")
-        if self.dark_rate_hz < 0 or self.dead_time_s < 0 \
-                or self.jitter_sigma_s < 0:
-            raise InputDomainError("detector parameters must be >= 0")
+        for name in ("dark_rate_hz", "dead_time_s", "jitter_sigma_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InputDomainError(
+                    f"detector {name} {value} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -135,6 +137,8 @@ def _pulse_arrays(pulses) -> tuple[np.ndarray, np.ndarray]:
         t, mu = arr[:, 0], arr[:, 1]
     if t.shape != mu.shape:
         raise InputDomainError("pulse times and amplitudes must align")
+    if not (np.isfinite(t).all() and np.isfinite(mu).all()):
+        raise InputDomainError("pulse times and amplitudes must be finite")
     if (mu < 0).any():
         raise InputDomainError("mean photon numbers must be >= 0")
     return t, mu
@@ -151,8 +155,8 @@ def sample_clicks(pulses, det: DetectorModel, acquisition: float, seed,
     yields the same click set.
     """
     t, mu = _pulse_arrays(pulses)
-    if acquisition < 0:
-        raise InputDomainError("acquisition must be >= 0")
+    if not (math.isfinite(acquisition) and acquisition >= 0):
+        raise InputDomainError("acquisition must be finite and >= 0")
     if t.size and (t.min() < 0 or t.max() > acquisition):
         raise InputDomainError("acquisition must cover all pulse times")
     rng = np.random.default_rng(seed)

@@ -303,14 +303,28 @@ def _propagate(topology, config, eta, limits):
 
 
 def _trigger_pulses(retrieved, config: ExperimentConfig):
-    """(times, mus) of every retrieved pulse repeated over all triggers."""
+    """(times, mus) of every retrieved pulse repeated over all triggers,
+    in time order; equal times keep the order of ``retrieved``.
+
+    When the offsets span less than a trigger period, trigger-major
+    broadcasting of the sorted offsets is already in that order, which
+    one pass over neighbouring pairs confirms. Otherwise the stream is
+    argsorted.
+    """
     period = 1.0 / config.rep_rate_hz
     triggers = np.arange(config.n_triggers, dtype=np.float64) * period
-    times = np.concatenate([triggers + p.t for p in retrieved])
-    mus = np.concatenate([np.full(config.n_triggers, p.mu)
-                          for p in retrieved])
+    offsets = np.array([p.t for p in retrieved], dtype=np.float64)
+    mus = np.array([p.mu for p in retrieved], dtype=np.float64)
+    order = np.argsort(offsets, kind="stable")
+    times = (triggers[:, None] + offsets[order]).ravel()
+    if (times[1:] >= times[:-1]).all():
+        # At a tie the earlier pulse in ``retrieved`` must come first.
+        tie = np.flatnonzero(times[1:] == times[:-1])
+        if (order[tie % order.size] <= order[(tie + 1) % order.size]).all():
+            return times, np.tile(mus[order], config.n_triggers)
+    times = (offsets[:, None] + triggers).ravel()
     order = np.argsort(times, kind="stable")
-    return times[order], mus[order]
+    return times[order], np.repeat(mus, config.n_triggers)[order]
 
 
 def run_retrieval_sweep(config: ExperimentConfig, topology: BufferTopology,

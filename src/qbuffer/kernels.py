@@ -1,52 +1,17 @@
-"""Backend dispatch for the hot detection kernels.
+"""Hot detection kernels: dead-time filtering and time-tag binning.
 
-The compiled extension is preferred when it imported cleanly; the
-pure-Python module is the fallback and the semantic reference. Set
-``QBUF_KERNELS=python`` or ``QBUF_KERNELS=compiled`` to force a backend
-(the latter raises if the extension is missing). Both backends produce
-bit-identical results, which ``tests/test_kernels.py`` asserts.
+Both are exact numpy implementations. The dead-time filter follows the
+non-paralyzable model (J. W. Müller, "Dead-time problems", Nucl. Instrum.
+Methods 112, 1973): a click is kept iff no earlier click is kept, or it
+falls at least the dead time after the previous kept click; suppressed
+clicks do not extend the dead window.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from . import _pykernels
 from .errors import InputDomainError
-
-try:
-    from . import _ckernels
-except ImportError:
-    _ckernels = None
-
-
-def available_backends() -> dict:
-    """Name -> implementation module, for benchmarks and parity tests."""
-    backends = {"python": _pykernels}
-    if _ckernels is not None:
-        backends["compiled"] = _ckernels
-    return backends
-
-
-def _select():
-    forced = os.environ.get("QBUF_KERNELS", "").strip().lower()
-    if forced == "python":
-        return "python", _pykernels
-    if forced == "compiled":
-        if _ckernels is None:
-            raise ImportError(
-                "QBUF_KERNELS=compiled but qbuffer._ckernels is not built")
-        return "compiled", _ckernels
-    if forced:
-        raise InputDomainError(f"unknown kernel backend {forced!r}")
-    if _ckernels is not None:
-        return "compiled", _ckernels
-    return "python", _pykernels
-
-
-BACKEND, _impl = _select()
 
 
 def _clean_times(times) -> np.ndarray:
@@ -55,10 +20,38 @@ def _clean_times(times) -> np.ndarray:
 
 def dead_time_filter(times, dead_time: float) -> np.ndarray:
     """Boolean keep-mask for sorted click times under non-paralyzable
-    dead time."""
-    if dead_time < 0:
+    dead time.
+
+    In a sorted stream, a click at least ``dead_time`` after the previous
+    *raw* click is also that far from the previous kept click, so it is
+    kept without a scan. Only clicks after a shorter (or NaN) gap go
+    through the sequential scan. Unsorted input is scanned click by click,
+    so the mask is the same as the plain loop for any input.
+    """
+    dead_time = float(dead_time)
+    if not dead_time >= 0:
         raise InputDomainError(f"dead time {dead_time} must be >= 0")
-    return _impl.dead_time_filter(_clean_times(times), float(dead_time))
+    t = _clean_times(times)
+    keep = np.ones(t.shape[0], dtype=bool)
+    if (t[1:] >= t[:-1]).all():
+        with np.errstate(invalid="ignore"):  # inf - inf is a short gap
+            keep[1:] = t[1:] - t[:-1] >= dead_time
+    else:
+        keep[1:] = False
+    scan = np.flatnonzero(~keep)
+    # Each run of consecutive scanned clicks follows a kept click.
+    run_start = np.ones(scan.size, dtype=bool)
+    run_start[1:] = scan[1:] != scan[:-1] + 1
+    bounds = np.flatnonzero(run_start).tolist() + [scan.size]
+    values = t[scan].tolist()
+    kept = []
+    for r, last in enumerate(t[scan[run_start] - 1].tolist()):
+        for k in range(bounds[r], bounds[r + 1]):
+            if values[k] - last >= dead_time:
+                last = values[k]
+                kept.append(k)
+    keep[scan[kept]] = True
+    return keep
 
 
 def bin_counts(times, t0: float, bin_width: float, n_bins: int):
@@ -67,5 +60,10 @@ def bin_counts(times, t0: float, bin_width: float, n_bins: int):
         raise InputDomainError(f"bin width {bin_width} must be > 0")
     if n_bins < 1:
         raise InputDomainError(f"bin count {n_bins} must be >= 1")
-    return _impl.bin_counts(_clean_times(times), float(t0),
-                            float(bin_width), int(n_bins))
+    t = _clean_times(times)
+    idx = np.floor((t - float(t0)) / float(bin_width))
+    in_range = (idx >= 0.0) & (idx < int(n_bins))
+    counts = np.bincount(idx[in_range].astype(np.int64),
+                         minlength=int(n_bins)).astype(np.int64)
+    overflow = int(t.shape[0] - np.count_nonzero(in_range))
+    return counts, overflow

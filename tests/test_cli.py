@@ -1,15 +1,12 @@
 import filecmp
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
 from qbuffer import cli, engine
 from qbuffer.cli import main
 from qbuffer.components import fiber_delay
-from qbuffer.kernels import available_backends
 
 
 def run_cli(*argv):
@@ -281,24 +278,3 @@ class TestValidate:
                        "--set", "experiment.eta_list=[1]")
         assert code == 0
         assert "no drive pulses" in capsys.readouterr().out
-
-
-@pytest.mark.skipif(len(available_backends()) < 2,
-                    reason="compiled kernels not built")
-class TestBackendIndependence:
-    def test_results_identical_across_kernel_backends(self, tmp_path):
-        outs = {}
-        for backend in ("compiled", "python"):
-            out = tmp_path / backend
-            env = dict(os.environ, QBUF_KERNELS=backend)
-            proc = subprocess.run(
-                [sys.executable, "-m", "qbuffer.cli", "run", "--preset",
-                 "fig2-main", "--seed", "7",
-                 "--set", "experiment.n_triggers=2000", "--out", str(out)],
-                env=env, capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
-            outs[backend] = out
-        names = read_manifest(outs["compiled"])["outputs"]
-        for name in names:
-            assert filecmp.cmp(outs["compiled"] / name,
-                               outs["python"] / name, shallow=False), name

@@ -117,6 +117,18 @@ class TestSampleClicks:
         with pytest.raises(InputDomainError):
             sample_clicks([(2.0, 0.1)], QUIET, 1.0, seed=1)
 
+    @pytest.mark.parametrize("pulses", [
+        [(math.nan, 0.1)], [(0.5, math.nan)], [(math.inf, 0.1)],
+        [(0.5, math.inf)], (np.array([0.1, -math.inf]), np.full(2, 0.1))])
+    def test_non_finite_pulses_rejected(self, pulses):
+        with pytest.raises(InputDomainError, match="finite"):
+            sample_clicks(pulses, QUIET, 1.0, seed=1)
+
+    @pytest.mark.parametrize("acquisition", [math.nan, math.inf])
+    def test_non_finite_acquisition_rejected(self, acquisition):
+        with pytest.raises(InputDomainError, match="finite"):
+            sample_clicks([(0.5, 0.1)], QUIET, acquisition, seed=1)
+
     def test_detector_id_tagging(self):
         det = DetectorModel(efficiency=1.0, dark_rate_hz=0.0)
         cs = sample_clicks([(0.0, 50.0)], det, 1e-3, seed=1, detector_id=3)
@@ -194,3 +206,12 @@ class TestClickSetPlumbing:
             DetectorModel(efficiency=1.2)
         with pytest.raises(InputDomainError):
             DetectorModel(dark_rate_hz=-1.0)
+        with pytest.raises(InputDomainError):
+            DetectorModel(efficiency=math.nan)
+
+    @pytest.mark.parametrize("field", [
+        "dark_rate_hz", "dead_time_s", "jitter_sigma_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_detector_model_rejects_non_finite(self, field, value):
+        with pytest.raises(InputDomainError, match=field):
+            DetectorModel(**{field: value})
