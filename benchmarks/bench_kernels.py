@@ -7,17 +7,20 @@ one storage period (5.876 us) apart, plus 100 Hz of dark clicks: almost
 every gap is far above the 50 ns dead time, so the dead-time filter keeps
 those clicks without a scan. The dense stream (every gap below the dead
 time) is the filter's worst case: each click goes through the sequential
-scan, at Python-loop speed. The last row times Monte Carlo click sampling
-end to end, dead-time filter included.
+scan, at Python-loop speed. The last rows time Monte Carlo click sampling
+end to end, dead-time filter included, and writing the preset stream as a
+``time_ps,detector_id`` click file into a temporary directory.
 """
 
+import os
 import sys
+import tempfile
 import time
 
 import numpy as np
 
 from qbuffer import kernels
-from qbuffer.detection import DetectorModel, sample_clicks
+from qbuffer.detection import ClickSet, DetectorModel, sample_clicks
 
 DEAD_TIME_S = 50e-9
 STORAGE_PERIOD_S = 5.876e-6
@@ -65,6 +68,13 @@ def main():
     pulses = (np.sort(rng.random(500_000) * 500.0), np.full(500_000, 0.05))
     dt = timeit(lambda: sample_clicks(pulses, det, 500.0, 1), repeats=3)
     print(f"{'sample_clicks end to end (500k pulses)':52s} {500_000:9d} "
+          f"{'':7s} {dt * 1e3:8.2f}ms")
+
+    clicks = ClickSet(times, np.zeros(times.size, dtype=np.int64), 1e3)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "clicks.csv")
+        dt = timeit(lambda: clicks.write_csv(path), repeats=3)
+    print(f"{'ClickSet.write_csv, preset stream':52s} {times.size:9d} "
           f"{'':7s} {dt * 1e3:8.2f}ms")
 
 

@@ -8,7 +8,7 @@ detection with dark counts, jitter and dead time, and the built-in
 measurement campaigns with their analysis.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .components import (
     BufferTopology,

@@ -41,9 +41,18 @@ class DetectorModel:
                     f"detector {name} {value} must be finite and >= 0")
 
 
+#: Picosecond tags are int64; |t| * 1e12 must stay below 2**63 (~9.22e6 s).
+_TAG_LIMIT_PS = 2.0 ** 63
+
+
 @dataclass(frozen=True)
 class ClickSet:
-    """Time-ordered detector clicks."""
+    """Detector clicks: times in seconds and the detector of each click.
+
+    ``sample_clicks`` returns them in time order; counting and binning do
+    not need any order. Every time must be finite and have an int64
+    picosecond tag, so :meth:`write_csv` can never wrap.
+    """
 
     times: np.ndarray
     detector_ids: np.ndarray
@@ -54,6 +63,11 @@ class ClickSet:
         ids = np.ascontiguousarray(self.detector_ids, dtype=np.int64)
         if t.shape != ids.shape:
             raise InputDomainError("times and detector ids must align")
+        # min and max propagate NaN, which fails both comparisons.
+        if t.size and not (-_TAG_LIMIT_PS < float(t.min()) * 1e12
+                           and float(t.max()) * 1e12 < _TAG_LIMIT_PS):
+            raise InputDomainError(
+                "click times must be finite with |t| < 2**63 ps (~9.22e6 s)")
         t.flags.writeable = False
         ids.flags.writeable = False
         object.__setattr__(self, "times", t)
@@ -63,21 +77,14 @@ class ClickSet:
         return int(self.times.shape[0])
 
     def write_csv(self, path) -> None:
+        """``time_ps,detector_id`` rows, as a hardware time tagger reports
+        them: each time rounded to the nearest picosecond, ties to even."""
+        ps = np.rint(self.times * 1e12).astype(np.int64)
+        body = "".join([f"{p},{d}\n" for p, d in
+                        zip(ps.tolist(), self.detector_ids.tolist())])
         with open(path, "w", newline="") as fh:
-            fh.write("time_s,detector_id\n")
-            for t, d in zip(self.times.tolist(), self.detector_ids.tolist()):
-                fh.write(f"{t!r},{d}\n")
-
-
-def merge_clicksets(*clicksets: ClickSet) -> ClickSet:
-    """Merge per-detector click sets into one time-ordered set."""
-    if not clicksets:
-        raise InputDomainError("need at least one click set")
-    times = np.concatenate([c.times for c in clicksets])
-    ids = np.concatenate([c.detector_ids for c in clicksets])
-    order = np.argsort(times, kind="stable")
-    acq = max(c.acquisition_s for c in clicksets)
-    return ClickSet(times[order], ids[order], acq)
+            fh.write("time_ps,detector_id\n")
+            fh.write(body)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ exponential saturation bias of raw click counts.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,7 +36,6 @@ from .detection import (
     click_probability,
     count_triggered,
     histogram,
-    merge_clicksets,
     sample_clicks,
 )
 from .engine import (
@@ -88,10 +88,20 @@ class ExperimentConfig:
     drive_guard_s: float = 20e-9
 
     def __post_init__(self):
-        if self.mu_source < 0:
-            raise InputDomainError("source mean photon number must be >= 0")
-        if self.n_triggers < 1:
-            raise InputDomainError("trigger count must be >= 1")
+        for name, positive in (("mu_source", False), ("rep_rate_hz", True),
+                               ("pulse_width_s", True),
+                               ("count_window_s", True),
+                               ("drive_width_s", True),
+                               ("drive_guard_s", False)):
+            value = getattr(self, name)
+            if not (math.isfinite(value)
+                    and (value > 0 if positive else value >= 0)):
+                raise InputDomainError(
+                    f"{name} {value} must be finite and "
+                    + ("> 0" if positive else ">= 0"))
+        if not (isinstance(self.n_triggers, numbers.Integral)
+                and self.n_triggers >= 1):
+            raise InputDomainError("trigger count must be an integer >= 1")
         etas = tuple(int(e) for e in self.eta_list)
         if not etas or any(e < 1 for e in etas):
             raise InputDomainError("eta values must be integers >= 1")
@@ -102,10 +112,6 @@ class ExperimentConfig:
             raise InputDomainError(f"unknown basis {self.basis!r}")
         if self.mode not in ("monte-carlo", "analytic"):
             raise InputDomainError(f"unknown mode {self.mode!r}")
-        if self.rep_rate_hz <= 0 or self.pulse_width_s <= 0:
-            raise InputDomainError("repetition rate and pulse width must be > 0")
-        if self.count_window_s <= 0:
-            raise InputDomainError("counting window must be > 0")
 
     @property
     def acquisition_s(self) -> float:
@@ -327,6 +333,16 @@ def _trigger_pulses(retrieved, config: ExperimentConfig):
     return times[order], np.repeat(mus, config.n_triggers)[order]
 
 
+def _folded_histogram(clicksets, period: float, n_bins: int):
+    """Histogram of every click's time within its trigger period.
+
+    Binning needs no order, so the folded times are left unsorted.
+    """
+    offsets = np.concatenate([np.mod(cs.times, period) for cs in clicksets])
+    folded = ClickSet(offsets, np.zeros(offsets.size, dtype=np.int64), period)
+    return histogram(folded, 0.0, HIST_BIN_S, n_bins)
+
+
 def run_retrieval_sweep(config: ExperimentConfig, topology: BufferTopology,
                         det: DetectorModel, limits: SimLimits | None = None
                         ) -> RetrievalSweepResult:
@@ -369,13 +385,9 @@ def run_retrieval_sweep(config: ExperimentConfig, topology: BufferTopology,
 
     hist = None
     if clicks:
-        merged = merge_clicksets(*clicks.values())
-        offsets = np.sort(np.mod(merged.times, period))
-        folded = ClickSet(offsets, np.zeros(offsets.size, dtype=np.int64),
-                          period)
         n_bins = int(math.ceil((max(r.exit_time_s for r in rows) + delta_t)
                                / HIST_BIN_S))
-        hist = histogram(folded, 0.0, HIST_BIN_S, n_bins)
+        hist = _folded_histogram(clicks.values(), period, n_bins)
     return RetrievalSweepResult(rows, delta_t, n, window, hist, clicks, sims)
 
 

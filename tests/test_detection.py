@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qbuffer.detection import (
     ClickSet,
@@ -12,7 +12,6 @@ from qbuffer.detection import (
     count_triggered,
     expected_counts,
     histogram,
-    merge_clicksets,
     sample_clicks,
 )
 from qbuffer.errors import InputDomainError
@@ -182,18 +181,11 @@ class TestHistogram:
 
 
 class TestClickSetPlumbing:
-    def test_merge_sorts_by_time(self):
-        a = ClickSet(np.array([0.1, 0.3]), np.array([0, 0]), 1.0)
-        b = ClickSet(np.array([0.2]), np.array([1]), 1.0)
-        m = merge_clicksets(a, b)
-        assert m.times.tolist() == [0.1, 0.2, 0.3]
-        assert m.detector_ids.tolist() == [0, 1, 0]
-
     def test_csv_export(self, tmp_path):
         cs = ClickSet(np.array([0.25]), np.array([1]), 1.0)
         path = tmp_path / "c.csv"
         cs.write_csv(path)
-        assert path.read_text() == "time_s,detector_id\n0.25,1\n"
+        assert path.read_text() == "time_ps,detector_id\n250000000000,1\n"
 
     def test_count_triggered_dedupes_triggers(self):
         # Two clicks inside the same trigger gate count once.
@@ -215,3 +207,64 @@ class TestClickSetPlumbing:
     def test_detector_model_rejects_non_finite(self, field, value):
         with pytest.raises(InputDomainError, match=field):
             DetectorModel(**{field: value})
+
+
+#: The largest time whose picosecond tag fits in int64, and the next float.
+TAG_MAX_S = 9223372.036854774
+TAG_OVER_S = 9223372.036854776
+
+click_time = st.one_of(
+    st.floats(-1e-3, 1.0),
+    st.floats(-TAG_MAX_S, TAG_MAX_S),
+    # half-picosecond ties, and the edges of the int64 tag range
+    st.integers(-40, 40).map(lambda k: (k + 0.5) / 1e12),
+    st.sampled_from([0.0, -0.0, 9e6, -9e6, TAG_MAX_S, -TAG_MAX_S]),
+)
+
+
+class TestClickCsvProperty:
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(click_time, st.integers(0, 3)), max_size=40))
+    def test_bytes_equal_per_line_oracle(self, tmp_path_factory, rows):
+        times = np.array([t for t, _ in rows], dtype=np.float64)
+        ids = np.array([d for _, d in rows], dtype=np.int64)
+        path = tmp_path_factory.mktemp("clicks") / "c.csv"
+        ClickSet(times, ids, 1.0).write_csv(path)
+        want = "time_ps,detector_id\n" + "".join(
+            f"{int(np.rint(t * 1e12))},{d}\n" for t, d in rows)
+        assert path.read_bytes() == want.encode()
+
+    def test_ties_round_to_even(self, tmp_path):
+        # k/2 ps for odd k: keep the values whose product is an exact tie.
+        ties = [t for t in (k / 2e12 for k in range(-41, 42, 2))
+                if (t * 1e12) % 1 == 0.5]
+        assert len(ties) > 20
+        path = tmp_path / "c.csv"
+        ClickSet(np.array(ties), np.zeros(len(ties), dtype=int),
+                 1.0).write_csv(path)
+        tags = [int(line.split(",")[0])
+                for line in path.read_text().splitlines()[1:]]
+        assert all(tag % 2 == 0 for tag in tags)
+        assert all(abs(tag - t * 1e12) == 0.5 for tag, t in zip(tags, ties))
+
+
+class TestClickSetDomain:
+    @pytest.mark.parametrize("bad", [
+        math.nan, math.inf, -math.inf, TAG_OVER_S, -TAG_OVER_S, 1e300])
+    def test_untaggable_times_rejected(self, bad):
+        with pytest.raises(InputDomainError, match="finite"):
+            ClickSet(np.array([0.1, bad, 0.2]), np.zeros(3, dtype=int), 1.0)
+
+    def test_range_edge_accepted(self, tmp_path):
+        cs = ClickSet(np.array([-TAG_MAX_S, TAG_MAX_S]), np.array([0, 1]),
+                      1.0)
+        path = tmp_path / "c.csv"
+        cs.write_csv(path)
+        assert path.read_text() == ("time_ps,detector_id\n"
+                                    "-9223372036854773760,0\n"
+                                    "9223372036854773760,1\n")
+
+    def test_empty_set_writes_header_only(self, tmp_path):
+        path = tmp_path / "c.csv"
+        ClickSet(np.array([]), np.array([]), 1.0).write_csv(path)
+        assert path.read_text() == "time_ps,detector_id\n"

@@ -11,7 +11,12 @@ from qbuffer.components import (
     db_to_transmission,
     pbs_project,
 )
-from qbuffer.detection import DetectorModel, expected_counts
+from qbuffer.detection import (
+    ClickSet,
+    DetectorModel,
+    expected_counts,
+    histogram,
+)
 from qbuffer.engine import simulate, storage_period, storage_retrieval_schedule
 from qbuffer.errors import CalibrationError, InputDomainError, ScheduleError
 from qbuffer.experiments import (
@@ -176,6 +181,86 @@ class TestRetrievalSweep:
         assert sweep.histogram is not None
         assert sweep.histogram.total >= sum(
             r.sampled_counts for r in sweep.rows)
+
+
+def merge_and_sort_histogram(clicksets, period, n_bins):
+    """The fold as it was: a stable merge of all click sets by time, then a
+    sort of the folded times."""
+    times = np.concatenate([c.times for c in clicksets])
+    ids = np.concatenate([c.detector_ids for c in clicksets])
+    order = np.argsort(times, kind="stable")
+    merged = ClickSet(times[order], ids[order],
+                      max(c.acquisition_s for c in clicksets))
+    offsets = np.sort(np.mod(merged.times, period))
+    folded = ClickSet(offsets, np.zeros(offsets.size, dtype=np.int64),
+                      period)
+    return histogram(folded, 0.0, experiments.HIST_BIN_S, n_bins)
+
+
+@st.composite
+def click_dicts(draw):
+    period = draw(st.sampled_from([1e-3, 1e-6, 3.7e-6]))
+    time = st.one_of(
+        st.floats(-2 * period, 40 * period),
+        # period multiples fold onto bin edges; negative jitter wraps
+        st.integers(-3, 40).map(lambda k: k * period),
+        st.sampled_from([-1e-12, -0.0, 5e-8, 1e-7, period - 1e-12]),
+    )
+    sets = draw(st.lists(st.lists(time, max_size=30), min_size=1,
+                         max_size=8))
+    clicksets = [ClickSet(np.array(ts, dtype=np.float64),
+                          np.full(len(ts), i), 40 * period)
+                 for i, ts in enumerate(sets)]
+    n_bins = draw(st.integers(1, int(period / experiments.HIST_BIN_S) + 2))
+    return clicksets, period, n_bins
+
+
+class TestFoldedHistogram:
+    @settings(max_examples=300)
+    @given(click_dicts())
+    def test_equals_merge_and_sort(self, case):
+        clicksets, period, n_bins = case
+        got = experiments._folded_histogram(clicksets, period, n_bins)
+        want = merge_and_sort_histogram(clicksets, period, n_bins)
+        assert got.counts.tolist() == want.counts.tolist()
+        assert got.overflow == want.overflow
+        assert (got.t0, got.bin_width) == (want.t0, want.bin_width)
+
+    def test_sweep_histogram_equals_merge_and_sort(self):
+        cfg = ExperimentConfig(preset="t", n_triggers=5000, seed=3)
+        sweep = run_retrieval_sweep(cfg, BufferTopology(), DET)
+        want = merge_and_sort_histogram(
+            list(sweep.clicks.values()), 1.0 / cfg.rep_rate_hz,
+            sweep.histogram.counts.size)
+        assert sweep.histogram.counts.tolist() == want.counts.tolist()
+        assert sweep.histogram.overflow == want.overflow
+
+
+class TestExperimentConfigDomain:
+    @pytest.mark.parametrize("field,value", [
+        ("rep_rate_hz", math.nan), ("rep_rate_hz", math.inf),
+        ("rep_rate_hz", 0.0), ("mu_source", math.nan),
+        ("mu_source", math.inf), ("mu_source", -0.1),
+        ("count_window_s", math.inf), ("count_window_s", math.nan),
+        ("count_window_s", 0.0), ("drive_width_s", -1.0),
+        ("drive_width_s", 0.0), ("drive_width_s", math.nan),
+        ("drive_width_s", math.inf), ("pulse_width_s", math.nan),
+        ("pulse_width_s", math.inf), ("pulse_width_s", -50e-9),
+        ("drive_guard_s", math.nan), ("drive_guard_s", math.inf),
+        ("drive_guard_s", -1e-9)])
+    def test_rejected(self, field, value):
+        with pytest.raises(InputDomainError, match=field):
+            ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [0, 2.5, math.nan, math.inf])
+    def test_trigger_count_rejected(self, value):
+        with pytest.raises(InputDomainError, match="trigger count"):
+            ExperimentConfig(n_triggers=value)
+
+    def test_edges_accepted(self):
+        cfg = ExperimentConfig(mu_source=0.0, drive_guard_s=0.0,
+                               n_triggers=np.int64(1))
+        assert cfg.acquisition_s == pytest.approx(1e-3)
 
 
 class TestHwpSweep:
