@@ -7,8 +7,11 @@ one storage period (5.876 us) apart, plus 100 Hz of dark clicks: almost
 every gap is far above the 50 ns dead time, so the dead-time filter keeps
 those clicks without a scan. The dense stream (every gap below the dead
 time) is the filter's worst case: each click goes through the sequential
-scan, at Python-loop speed. The last rows time Monte Carlo click sampling
-end to end, dead-time filter included, and writing the preset stream as a
+scan, at Python-loop speed. Then Monte Carlo click sampling is timed end
+to end, dead-time filter included, on one retrieved pulse per trigger of
+a 1 kHz train (60k and 1e6 triggers, 100 Hz of darks), given once as a
+``TriggerTrain`` and once as the materialized ``(times, mus)`` pair of the
+same pulses. The last row writes the preset stream as a
 ``time_ps,detector_id`` click file into a temporary directory.
 """
 
@@ -20,10 +23,14 @@ import time
 import numpy as np
 
 from qbuffer import kernels
-from qbuffer.detection import ClickSet, DetectorModel, sample_clicks
+from qbuffer.detection import (ClickSet, DetectorModel, TriggerTrain,
+                               sample_clicks)
 
 DEAD_TIME_S = 50e-9
 STORAGE_PERIOD_S = 5.876e-6
+#: Exit time and mean photon number of a fig2 setting's retrieved pulse.
+EXIT_TIME_S = 4 * STORAGE_PERIOD_S
+RETRIEVED_MU = 0.05
 
 
 def timeit(fn, repeats=5):
@@ -65,10 +72,18 @@ def main():
           f"{'':7s} {dt * 1e3:8.2f}ms")
 
     det = DetectorModel(dead_time_s=DEAD_TIME_S)
-    pulses = (np.sort(rng.random(500_000) * 500.0), np.full(500_000, 0.05))
-    dt = timeit(lambda: sample_clicks(pulses, det, 500.0, 1), repeats=3)
-    print(f"{'sample_clicks end to end (500k pulses)':52s} {500_000:9d} "
-          f"{'':7s} {dt * 1e3:8.2f}ms")
+    for n_triggers in (60_000, 1_000_000):
+        train = TriggerTrain(1e-3, n_triggers, (EXIT_TIME_S,),
+                             (RETRIEVED_MU,))
+        pair = (np.arange(n_triggers, dtype=np.float64) * 1e-3 + EXIT_TIME_S,
+                np.full(n_triggers, RETRIEVED_MU))
+        acquisition = n_triggers * 1e-3
+        for form, pulses in (("TriggerTrain", train),
+                             ("(times, mus) pair", pair)):
+            label = f"sample_clicks, {form}"
+            dt = timeit(lambda p=pulses: sample_clicks(p, det, acquisition,
+                                                       1))
+            print(f"{label:52s} {n_triggers:9d} {'':7s} {dt * 1e3:8.2f}ms")
 
     clicks = ClickSet(times, np.zeros(times.size, dtype=np.int64), 1e3)
     with tempfile.TemporaryDirectory() as tmp:

@@ -25,6 +25,7 @@ from .detection import (
     ClickSet,
     DetectorModel,
     Histogram,
+    TriggerTrain,
     click_probability,
     expected_counts,
     histogram,
@@ -76,8 +77,8 @@ __all__ = [
     "BufferTopology", "DrivePulse", "PulseRecord", "attenuate",
     "fiber_delay", "generate_pulse_train", "modulator_phase", "pbs_project",
     "sagnac_transfer",
-    "ClickSet", "DetectorModel", "Histogram", "click_probability",
-    "expected_counts", "histogram", "sample_clicks",
+    "ClickSet", "DetectorModel", "Histogram", "TriggerTrain",
+    "click_probability", "expected_counts", "histogram", "sample_clicks",
     "DriveSchedule", "SimLimits", "SimulationResult", "simulate",
     "storage_period", "storage_retrieval_schedule", "stored_states",
     "validate_schedule",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .components import BufferTopology, DrivePulse
 from .detection import DetectorModel
 from .engine import DriveSchedule, SimLimits
-from .errors import ConfigError
+from .errors import ConfigError, InputDomainError
 from .experiments import ExperimentConfig, default_hwp_grid
 
 SCHEMA_VERSION = 1
@@ -349,10 +349,22 @@ class RunPlan:
     snapshot: dict
 
 
+def _build(path: str, cls, *args, **kwargs):
+    """``cls(*args, **kwargs)``; a domain error becomes a ConfigError at
+    ``path``, the config section the values came from."""
+    try:
+        return cls(*args, **kwargs)
+    except InputDomainError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
 def plan_from_config(cfg: dict) -> RunPlan:
+    """Build a run plan; a value the dataclasses reject raises ConfigError
+    with the section as its path (``topology``, ``schedule[i]``, ...)."""
     validate_config(cfg)
     exp = cfg["experiment"]
-    experiment = ExperimentConfig(
+    experiment = _build(
+        "experiment", ExperimentConfig,
         preset=cfg["preset"],
         mu_source=exp["mu_source"],
         n_triggers=exp["n_triggers"],
@@ -369,22 +381,23 @@ def plan_from_config(cfg: dict) -> RunPlan:
     )
     topo_cfg = dict(cfg["topology"])
     depol = topo_cfg.pop("depol_per_cycle")
-    topology = BufferTopology(
+    topology = _build(
+        "topology", BufferTopology,
         depol_per_cycle=tuple(depol) if isinstance(depol, list) else depol,
         **topo_cfg)
-    det_cfg = cfg["detector"]
-    detector = DetectorModel(**det_cfg)
+    detector = _build("detector", DetectorModel, **cfg["detector"])
     lim = cfg["limits"]
-    limits = SimLimits(max_cycles=lim["max_cycles"], mu_floor=lim["mu_floor"])
+    limits = _build("limits", SimLimits, max_cycles=lim["max_cycles"],
+                    mu_floor=lim["mu_floor"])
     schedule = None
     kind = PRESETS[cfg["preset"]][1]
     if cfg.get("schedule") is not None:
         kind = "custom"
         drives = tuple(
-            DrivePulse(d["t_start_s"], d.get("width_s", 180e-9),
-                       d.get("voltage", 900.0))
-            for d in cfg["schedule"])
-        schedule = DriveSchedule(drives)
+            _build(f"schedule[{i}]", DrivePulse, d["t_start_s"],
+                   d.get("width_s", 180e-9), d.get("voltage", 900.0))
+            for i, d in enumerate(cfg["schedule"]))
+        schedule = _build("schedule", DriveSchedule, drives)
     cal = {"mode": cfg["calibration"]["mode"],
            "targets": {int(k): float(v)
                        for k, v in cfg["calibration"]["targets"].items()}}

@@ -13,7 +13,9 @@ give identical click sets.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +133,62 @@ def click_probability(mu: float, det: DetectorModel, window: float) -> float:
     return 1.0 - no_signal * no_dark
 
 
+@dataclass(frozen=True)
+class TriggerTrain:
+    """The same pulse slots repeated over a train of triggers.
+
+    Trigger j (0 <= j < n_triggers) carries slot s at time
+    ``j * period + offsets[s]`` with mean photon number ``mus[s]``. Every
+    offset lies in [0, period), so the pulses of one trigger precede the
+    next trigger. Pulses are ordered trigger-major, and within a trigger by
+    offset (a stable sort, so equal offsets keep their slot order); a train
+    iterates its ``(t, mu)`` pulses in that order, which is the order in
+    which :func:`sample_clicks` draws them.
+    """
+
+    period: float
+    n_triggers: int
+    offsets: tuple
+    mus: tuple
+
+    def __post_init__(self):
+        if not (isinstance(self.n_triggers, numbers.Integral)
+                and self.n_triggers >= 1):
+            raise InputDomainError("trigger count must be an integer >= 1")
+        if not (math.isfinite(self.period) and self.period > 0):
+            raise InputDomainError(
+                f"trigger period {self.period} must be finite and > 0")
+        offsets = tuple(float(o) for o in self.offsets)
+        mus = tuple(float(m) for m in self.mus)
+        if not offsets or len(offsets) != len(mus):
+            raise InputDomainError(
+                "a train needs one or more slots, each with an offset and "
+                "an amplitude")
+        if not all(0.0 <= o < self.period for o in offsets):
+            raise InputDomainError(
+                "pulse offsets must lie in [0, period) of the trigger")
+        if not all(0.0 <= m < math.inf for m in mus):
+            raise InputDomainError(
+                "mean photon numbers must be finite and >= 0")
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "mus", mus)
+
+    def _slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """(offsets, mus) of the slots in draw order."""
+        offsets = np.array(self.offsets, dtype=np.float64)
+        order = np.argsort(offsets, kind="stable")
+        return offsets[order], np.array(self.mus, dtype=np.float64)[order]
+
+    def __len__(self) -> int:
+        return int(self.n_triggers) * len(self.offsets)
+
+    def __iter__(self):
+        offsets, mus = self._slots()
+        triggers = np.arange(self.n_triggers, dtype=np.float64) * self.period
+        times = (triggers[:, None] + offsets).ravel()
+        return zip(times.tolist(), itertools.cycle(mus.tolist()))
+
+
 def _pulse_arrays(pulses) -> tuple[np.ndarray, np.ndarray]:
     """Accept [(t, mu), ...] or a (times, mus) pair of arrays."""
     if isinstance(pulses, tuple) and len(pulses) == 2 \
@@ -151,26 +209,48 @@ def _pulse_arrays(pulses) -> tuple[np.ndarray, np.ndarray]:
     return t, mu
 
 
+def _train_signal(train: TriggerTrain, det: DetectorModel, acquisition,
+                  rng) -> np.ndarray:
+    """Times of the fired pulses of a train, in draw order.
+
+    One uniform per pulse, compared with its slot's click probability;
+    times are built for fired pulses only, with the same IEEE operations
+    as broadcasting ``arange(n) * period`` against the offsets.
+    """
+    offsets, mus = train._slots()
+    n, k = int(train.n_triggers), offsets.size
+    if (n - 1) * train.period + offsets[-1] > acquisition:
+        raise InputDomainError("acquisition must cover all pulse times")
+    p_click = 1.0 - np.exp(-mus * det.efficiency)
+    fired = np.flatnonzero(rng.random(n * k).reshape(n, k) < p_click)
+    trigger, slot = np.divmod(fired, k)
+    return trigger.astype(np.float64) * train.period + offsets[slot]
+
+
 def sample_clicks(pulses, det: DetectorModel, acquisition: float, seed,
                   detector_id: int = 0) -> ClickSet:
     """Monte Carlo click times for a pulse sequence on one detector.
 
-    Signal clicks are Bernoulli-thinned pulses at their arrival time plus
-    Gaussian jitter; dark clicks are Poisson-distributed uniformly over the
-    acquisition; clicks within the dead time of a prior kept click on this
-    detector are suppressed. Draw order is fixed, so a given seed always
-    yields the same click set.
+    ``pulses`` is ``[(t, mu), ...]``, a ``(times, mus)`` pair of arrays, or
+    a :class:`TriggerTrain`, which is sampled from its slots without
+    building the whole pulse stream and gives the same clicks as the list
+    of its pulses. Signal clicks are Bernoulli-thinned pulses at their
+    arrival time plus Gaussian jitter; dark clicks are Poisson-distributed
+    uniformly over the acquisition; clicks within the dead time of a prior
+    kept click on this detector are suppressed. Draw order is fixed, so a
+    given seed always yields the same click set.
     """
-    t, mu = _pulse_arrays(pulses)
     if not (math.isfinite(acquisition) and acquisition >= 0):
         raise InputDomainError("acquisition must be finite and >= 0")
-    if t.size and (t.min() < 0 or t.max() > acquisition):
-        raise InputDomainError("acquisition must cover all pulse times")
     rng = np.random.default_rng(seed)
-
-    p_click = 1.0 - np.exp(-mu * det.efficiency)
-    fired = rng.random(t.shape[0]) < p_click
-    signal_times = t[fired]
+    if isinstance(pulses, TriggerTrain):
+        signal_times = _train_signal(pulses, det, acquisition, rng)
+    else:
+        t, mu = _pulse_arrays(pulses)
+        if t.size and (t.min() < 0 or t.max() > acquisition):
+            raise InputDomainError("acquisition must cover all pulse times")
+        p_click = 1.0 - np.exp(-mu * det.efficiency)
+        signal_times = t[rng.random(t.shape[0]) < p_click]
     if det.jitter_sigma_s > 0 and signal_times.size:
         signal_times = signal_times + rng.normal(
             0.0, det.jitter_sigma_s, signal_times.size)
@@ -179,10 +259,9 @@ def sample_clicks(pulses, det: DetectorModel, acquisition: float, seed,
         if det.dark_rate_hz > 0 else 0
     dark_times = rng.random(n_dark) * acquisition
 
-    times = np.concatenate([signal_times, dark_times])
-    times = times[np.argsort(times, kind="stable")]
-    keep = kernels.dead_time_filter(times, det.dead_time_s)
-    times = times[keep]
+    # One detector id for every click, so a plain value sort is enough.
+    times = np.sort(np.concatenate([signal_times, dark_times]))
+    times = times[kernels.dead_time_filter(times, det.dead_time_s)]
     return ClickSet(times, np.full(times.shape[0], detector_id,
                                    dtype=np.int64), acquisition)
 

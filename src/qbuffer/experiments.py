@@ -33,6 +33,7 @@ from .components import BufferTopology, PulseRecord, pbs_project
 from .detection import (
     ClickSet,
     DetectorModel,
+    TriggerTrain,
     click_probability,
     count_triggered,
     histogram,
@@ -102,12 +103,21 @@ class ExperimentConfig:
         if not (isinstance(self.n_triggers, numbers.Integral)
                 and self.n_triggers >= 1):
             raise InputDomainError("trigger count must be an integer >= 1")
-        etas = tuple(int(e) for e in self.eta_list)
-        if not etas or any(e < 1 for e in etas):
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise InputDomainError(f"seed {self.seed!r} must be an integer "
+                                   ">= 0")
+        etas = tuple(self.eta_list)
+        if not etas or not all(isinstance(e, numbers.Integral) and e >= 1
+                               for e in etas):
             raise InputDomainError("eta values must be integers >= 1")
-        object.__setattr__(self, "eta_list", etas)
-        object.__setattr__(self, "hwp_angles",
-                           tuple(float(a) for a in self.hwp_angles))
+        object.__setattr__(self, "eta_list", tuple(int(e) for e in etas))
+        angles = tuple(float(a) for a in self.hwp_angles)
+        # The fringe phase is 4 * theta; it must stay finite too.
+        if not all(math.isfinite(4.0 * a) for a in angles):
+            raise InputDomainError(
+                "HWP angles must be finite, with a finite fringe phase "
+                "4 * theta")
+        object.__setattr__(self, "hwp_angles", angles)
         if self.basis not in ("computational", "logical", "both"):
             raise InputDomainError(f"unknown basis {self.basis!r}")
         if self.mode not in ("monte-carlo", "analytic"):
@@ -308,29 +318,11 @@ def _propagate(topology, config, eta, limits):
     return main[0], res
 
 
-def _trigger_pulses(retrieved, config: ExperimentConfig):
-    """(times, mus) of every retrieved pulse repeated over all triggers,
-    in time order; equal times keep the order of ``retrieved``.
-
-    When the offsets span less than a trigger period, trigger-major
-    broadcasting of the sorted offsets is already in that order, which
-    one pass over neighbouring pairs confirms. Otherwise the stream is
-    argsorted.
-    """
-    period = 1.0 / config.rep_rate_hz
-    triggers = np.arange(config.n_triggers, dtype=np.float64) * period
-    offsets = np.array([p.t for p in retrieved], dtype=np.float64)
-    mus = np.array([p.mu for p in retrieved], dtype=np.float64)
-    order = np.argsort(offsets, kind="stable")
-    times = (triggers[:, None] + offsets[order]).ravel()
-    if (times[1:] >= times[:-1]).all():
-        # At a tie the earlier pulse in ``retrieved`` must come first.
-        tie = np.flatnonzero(times[1:] == times[:-1])
-        if (order[tie % order.size] <= order[(tie + 1) % order.size]).all():
-            return times, np.tile(mus[order], config.n_triggers)
-    times = (offsets[:, None] + triggers).ravel()
-    order = np.argsort(times, kind="stable")
-    return times[order], np.repeat(mus, config.n_triggers)[order]
+def _trigger_train(retrieved, config: ExperimentConfig) -> TriggerTrain:
+    """Every retrieved pulse repeated over all triggers of the run."""
+    return TriggerTrain(1.0 / config.rep_rate_hz, config.n_triggers,
+                        tuple(p.t for p in retrieved),
+                        tuple(p.mu for p in retrieved))
 
 
 def _folded_histogram(clicksets, period: float, n_bins: int):
@@ -373,7 +365,7 @@ def run_retrieval_sweep(config: ExperimentConfig, topology: BufferTopology,
         expected_lin = n * main.mu * det.efficiency
         sampled = sampled_lin = None
         if config.mode == "monte-carlo":
-            cs = sample_clicks(_trigger_pulses(retrieved, config), det,
+            cs = sample_clicks(_trigger_train(retrieved, config), det,
                                config.acquisition_s,
                                _substream(config.seed, 0, eta))
             sampled = count_triggered(cs, period, main.t, window)
@@ -442,7 +434,7 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
                         port_pulses = [pbs_project(s, u)[port]
                                        for s in retrieved]
                         cs = sample_clicks(
-                            _trigger_pulses(port_pulses, config), det,
+                            _trigger_train(port_pulses, config), det,
                             config.acquisition_s,
                             _substream(config.seed, 1, eta,
                                        BASIS_ORDER.index(basis), i, port),

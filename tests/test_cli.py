@@ -199,6 +199,27 @@ class TestContractOnBadSweeps:
         assert small_run(tmp_path / "o", "--set", "limits.max_cycles=7") == 0
 
 
+class TestDomainErrorsAreSchemaErrors:
+    """Values that pass the schema but that a constructor rejects exit 2
+    with one JSON line naming the config section."""
+
+    @pytest.mark.parametrize("command, item, path", [
+        ("run", "topology.modulator_offset_m=1000", "topology"),
+        ("validate", "topology.modulator_offset_m=0", "topology"),
+        ("run", 'schedule=[{"t_start_s":0,"width_s":-1}]', "schedule[0]"),
+        ("run", "experiment.hwp_angles=[0,0.5,1,1.6,1e308]", "experiment"),
+    ])
+    def test_exits_two_with_section_path(self, tmp_path, capsys, command,
+                                         item, path):
+        argv = [command, "--set", item]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "o")]
+        assert run_cli(*argv) == 2
+        report = one_json_error(capsys)
+        assert report["error"] == "schema"
+        assert report["path"] == path
+
+
 class TestSeedResolution:
     def test_env_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QBUF_SEED", "777")

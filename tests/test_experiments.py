@@ -257,10 +257,29 @@ class TestExperimentConfigDomain:
         with pytest.raises(InputDomainError, match="trigger count"):
             ExperimentConfig(n_triggers=value)
 
+    @pytest.mark.parametrize("eta_list", [(1.5, 2.9), (1, 2.0), (0,), ()])
+    def test_eta_list_rejected(self, eta_list):
+        with pytest.raises(InputDomainError, match="eta"):
+            ExperimentConfig(eta_list=eta_list)
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf,
+                                       1e308, -5e307])
+    def test_hwp_angle_rejected(self, angle):
+        with pytest.raises(InputDomainError, match="HWP"):
+            ExperimentConfig(hwp_angles=(0.0, 0.5, 1.0, 1.6, angle))
+
+    @pytest.mark.parametrize("seed", [math.nan, 7.0, 2.5, "7", -1])
+    def test_seed_rejected(self, seed):
+        with pytest.raises(InputDomainError, match="seed"):
+            ExperimentConfig(seed=seed)
+
     def test_edges_accepted(self):
         cfg = ExperimentConfig(mu_source=0.0, drive_guard_s=0.0,
-                               n_triggers=np.int64(1))
+                               n_triggers=np.int64(1), seed=np.int64(0),
+                               eta_list=(np.int64(2),),
+                               hwp_angles=(4e307, -4e307))
         assert cfg.acquisition_s == pytest.approx(1e-3)
+        assert cfg.eta_list == (2,) and type(cfg.eta_list[0]) is int
 
 
 class TestHwpSweep:

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbuffer import kernels
-from qbuffer.components import PulseRecord
+from qbuffer.detection import DetectorModel, TriggerTrain, sample_clicks
 from qbuffer.errors import InputDomainError
-from qbuffer.experiments import ExperimentConfig, _trigger_pulses
-from qbuffer.polarization import STATE_H
 
 
 def reference_dead_time(times, dead):
@@ -121,47 +119,106 @@ class TestDeadTimeProperty:
             got, reference_dead_time(times.tolist(), dead))
 
 
-def concat_argsort_pulses(retrieved, config):
-    """The trigger stream as built before broadcasting: one block per
-    retrieved pulse, then a stable argsort of the whole stream."""
-    period = 1.0 / config.rep_rate_hz
-    triggers = np.arange(config.n_triggers, dtype=np.float64) * period
-    times = np.concatenate([triggers + p.t for p in retrieved])
-    mus = np.concatenate([np.full(config.n_triggers, p.mu)
-                          for p in retrieved])
+def trigger_pulses(train):
+    """The materialized stream the sweeps sampled before ``TriggerTrain``:
+    (times, mus, broadcast), where ``broadcast`` tells whether the
+    trigger-major broadcast of the sorted offsets passed its order check
+    (otherwise the stream was argsorted)."""
+    period, n = train.period, train.n_triggers
+    triggers = np.arange(n, dtype=np.float64) * period
+    offsets = np.array(train.offsets, dtype=np.float64)
+    mus = np.array(train.mus, dtype=np.float64)
+    order = np.argsort(offsets, kind="stable")
+    times = (triggers[:, None] + offsets[order]).ravel()
+    if (times[1:] >= times[:-1]).all():
+        # At a tie the earlier pulse in ``retrieved`` must come first.
+        tie = np.flatnonzero(times[1:] == times[:-1])
+        if (order[tie % order.size] <= order[(tie + 1) % order.size]).all():
+            return times, np.tile(mus[order], n), True
+    times = (offsets[:, None] + triggers).ravel()
     order = np.argsort(times, kind="stable")
-    return times[order], mus[order]
+    return times[order], np.repeat(mus, n)[order], False
 
 
 @st.composite
-def trigger_cases(draw):
-    rate = draw(st.sampled_from([1000.0, 3.0, 1e5]))
-    period = 1.0 / rate
+def trains(draw):
+    """(train, detector, seed): 1-4 slots with equal offsets, sums that
+    round together, the period edge, zero mus and partial-drive splits."""
+    period = 1.0 / draw(st.sampled_from([1000.0, 3.0, 1e5]))
     offset = st.one_of(
         st.floats(0.0, period, exclude_max=True),
-        # equal offsets, sums that round together, and the period edge
         st.sampled_from([0.0, 1e-17, 2e-17, period / 3, period / 2,
-                         period * (1 - 1e-15), period]),
-        # a trigger period or more
-        st.floats(period, 3.5 * period),
-    )
-    pulses = draw(st.lists(st.tuples(offset, st.floats(0.0, 2.0)),
-                           min_size=1, max_size=6))
-    retrieved = [PulseRecord(id=i, t=t, width=50e-9, mu=mu, pol=STATE_H)
-                 for i, (t, mu) in enumerate(pulses)]
-    config = ExperimentConfig(rep_rate_hz=rate,
-                              n_triggers=draw(st.integers(1, 12)))
-    return retrieved, config
+                         period * (1 - 1e-15)]))
+    mu = st.sampled_from([0.0, 0.1]) | st.floats(0.0, 5.0)
+    slots = draw(st.lists(st.tuples(offset, mu), min_size=1, max_size=4))
+    if len(slots) < 4 and draw(st.booleans()):
+        # A partial drive splits one pulse into two, a storage period apart.
+        (t, m), share = slots.pop(), draw(st.floats(0.0, 1.0))
+        later = min(t + 5.876e-6, period * (1 - 1e-15))
+        slots += [(t, m * share), (later, m * (1.0 - share))]
+    train = TriggerTrain(period, draw(st.integers(1, 12)),
+                         tuple(t for t, _ in slots),
+                         tuple(m for _, m in slots))
+    det = DetectorModel(
+        efficiency=draw(st.sampled_from([0.9, 1.0])),
+        dark_rate_hz=draw(st.sampled_from([0.0, 100.0, 3.0 / period])),
+        dead_time_s=draw(st.sampled_from([0.0, 50e-9, period / 7])),
+        jitter_sigma_s=draw(st.sampled_from([0.0, 50e-12, period / 100])))
+    return train, det, draw(st.integers(0, 2 ** 32))
 
 
-class TestTriggerPulsesProperty:
-    @settings(max_examples=400)
-    @given(trigger_cases())
-    def test_equals_concatenate_and_argsort(self, case):
-        retrieved, config = case
-        times, mus = _trigger_pulses(retrieved, config)
-        want_times, want_mus = concat_argsort_pulses(retrieved, config)
-        assert times.dtype == want_times.dtype == np.float64
-        assert mus.dtype == want_mus.dtype == np.float64
-        assert times.tobytes() == want_times.tobytes()
-        assert mus.tobytes() == want_mus.tobytes()
+def same_clicks(a, b, directory):
+    for name, cs in (("a.csv", a), ("b.csv", b)):
+        cs.write_csv(directory / name)
+    return (np.array_equal(a.times, b.times)
+            and np.array_equal(a.detector_ids, b.detector_ids)
+            and (directory / "a.csv").read_bytes()
+            == (directory / "b.csv").read_bytes())
+
+
+class TestTriggerTrainProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(trains())
+    def test_equals_materialized_stream(self, tmp_path_factory, case):
+        train, det, seed = case
+        acquisition = (train.n_triggers + 0.5) * train.period
+        got = sample_clicks(train, det, acquisition, seed, detector_id=1)
+        assert (np.diff(got.times) >= 0).all()
+        listed = list(train)
+        assert len(listed) == len(train)
+        directory = tmp_path_factory.mktemp("clicks")
+        assert same_clicks(
+            got, sample_clicks(listed, det, acquisition, seed, 1), directory)
+        times, mus, broadcast = trigger_pulses(train)
+        if broadcast:
+            assert same_clicks(got, sample_clicks(
+                (times, mus), det, acquisition, seed, 1), directory)
+
+
+class TestTriggerTrainDomain:
+    @pytest.mark.parametrize("kwargs", [
+        dict(offsets=(-1e-9,)), dict(offsets=(1e-3,)),
+        dict(offsets=(0.0, 2e-3), mus=(0.1, 0.1)), dict(offsets=(math.nan,)),
+        dict(mus=(math.nan,)), dict(mus=(-0.1,)), dict(mus=(math.inf,)),
+        dict(n_triggers=2.5), dict(n_triggers=0), dict(n_triggers=math.nan),
+        dict(period=0.0), dict(period=math.nan), dict(period=math.inf),
+        dict(offsets=(), mus=()), dict(mus=(0.1, 0.2))])
+    def test_rejected(self, kwargs):
+        fields = dict(period=1e-3, n_triggers=10, offsets=(5e-6,),
+                      mus=(0.1,))
+        with pytest.raises(InputDomainError):
+            TriggerTrain(**{**fields, **kwargs})
+
+    def test_acquisition_must_cover_last_pulse(self):
+        train = TriggerTrain(1e-3, 10, (0.0, 5e-4), (0.1, 0.1))
+        last = 9 * 1e-3 + 5e-4
+        sample_clicks(train, DetectorModel(), last, seed=1)
+        with pytest.raises(InputDomainError, match="cover"):
+            sample_clicks(train, DetectorModel(), np.nextafter(last, 0),
+                          seed=1)
+
+    def test_time_order_and_len(self):
+        train = TriggerTrain(1e-3, 3, (5e-4, 0.0, 5e-4), (0.3, 0.1, 0.2))
+        assert len(train) == 9
+        assert list(train)[:4] == [(0.0, 0.1), (5e-4, 0.3), (5e-4, 0.2),
+                                   (1e-3, 0.1)]
