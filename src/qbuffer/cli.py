@@ -25,7 +25,12 @@ from .config import (
     preset_listing,
     resolve_config,
 )
-from .engine import DriveSchedule, simulate, storage_period, validate_schedule
+from .engine import (
+    simulate,
+    storage_period,
+    storage_retrieval_schedule,
+    validate_schedule,
+)
 from .errors import CalibrationError, ConfigError, QBufferError, ScheduleError
 from .experiments import (
     apply_calibration,
@@ -254,25 +259,26 @@ def cmd_validate(args) -> int:
         return _err("schema", 2, path=exc.path, message=exc.message)
 
     exp = plan.experiment
-    inputs = generate_pulse_train(exp.rep_rate_hz, exp.pulse_width_s,
-                                  exp.mu_source, 1, STATE_H)
-    schedules = []
-    if plan.schedule is not None:
-        schedules.append(("custom", plan.schedule))
-    else:
-        from .engine import storage_retrieval_schedule
-
-        for eta in exp.eta_list:
-            schedules.append((f"eta={eta}", storage_retrieval_schedule(
-                plan.topology, inputs[0], eta - 1,
-                drive_width=exp.drive_width_s, guard=exp.drive_guard_s)))
-
     any_error = False
+    try:
+        inputs = generate_pulse_train(exp.rep_rate_hz, exp.pulse_width_s,
+                                      exp.mu_source, 1, STATE_H)
+        schedules = []
+        if plan.schedule is not None:
+            schedules.append(("custom", plan.schedule))
+        else:
+            for eta in exp.eta_list:
+                schedules.append((f"eta={eta}", storage_retrieval_schedule(
+                    plan.topology, inputs[0], eta - 1,
+                    drive_width=exp.drive_width_s, guard=exp.drive_guard_s)))
+        for label, sched in schedules:
+            for v in validate_schedule(plan.topology, sched, inputs,
+                                       plan.limits):
+                print(f"{v.severity}: [{label}] {v.code}: {v.message}")
+                any_error = any_error or v.severity == "error"
+    except QBufferError as exc:
+        return _err("run", 2, message=str(exc))
     any_drive = any(len(s) for _, s in schedules)
-    for label, sched in schedules:
-        for v in validate_schedule(plan.topology, sched, inputs, plan.limits):
-            print(f"{v.severity}: [{label}] {v.code}: {v.message}")
-            any_error = any_error or v.severity == "error"
     if not any_drive:
         print("warning: no drive pulses; every pulse reflects directly")
     if any_error:

@@ -16,9 +16,11 @@ propagation ordering lives in :mod:`qbuffer.engine`.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
-from .errors import ContractViolationError, InputDomainError
+from .errors import ContractViolationError, InputDomainError, _checked
 from .polarization import STATE_H, STATE_V, JonesOp, PolState
 
 #: Vacuum speed of light, m/s.
@@ -72,12 +74,21 @@ class PulseRecord:
     path_transmission: float = 1.0
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise InputDomainError(f"pulse width {self.width} must be > 0")
-        if self.mu < 0:
-            raise InputDomainError(f"mean photon number {self.mu} must be >= 0")
+        # Built for every event of a run, so the checks stay inline; each
+        # chained comparison is False for NaN.
+        if not 0.0 < self.width < math.inf:
+            raise InputDomainError(
+                f"pulse width {self.width} must be finite and > 0", "width")
+        if not 0.0 <= self.mu < math.inf:
+            raise InputDomainError(
+                f"mean photon number {self.mu} must be finite and >= 0",
+                "mu")
+        if not -math.inf < self.t < math.inf:
+            raise InputDomainError(f"pulse time {self.t} must be finite",
+                                   "t")
         if self.cycles < 0:
-            raise InputDomainError(f"cycle count {self.cycles} must be >= 0")
+            raise InputDomainError(
+                f"cycle count {self.cycles} must be >= 0", "cycles")
         if self.root_id < 0:
             object.__setattr__(self, "root_id", self.id)
 
@@ -91,10 +102,9 @@ class DrivePulse:
     voltage: float = 900.0
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise InputDomainError(f"drive width {self.width} must be > 0")
-        if self.voltage < 0:
-            raise InputDomainError(f"drive voltage {self.voltage} must be >= 0")
+        _checked("t_start", self.t_start)
+        _checked("width", self.width, gt=0)
+        _checked("voltage", self.voltage, ge=0)
 
     @property
     def t_end(self) -> float:
@@ -124,40 +134,39 @@ class BufferTopology:
     prep_error_depol: float = 0.0
 
     def __post_init__(self):
-        if self.loop_length_m <= 0:
-            raise InputDomainError("loop length must be > 0")
-        if self.storage_length_m < 0:
-            raise InputDomainError("storage length must be >= 0")
-        if self.group_index < 1.0:
-            raise InputDomainError("group index must be >= 1")
-        if not 0.0 < self.modulator_offset_m < self.loop_length_m:
-            raise InputDomainError(
-                "modulator offset must lie strictly inside the loop")
-        if self.v_pi <= 0:
-            raise InputDomainError("half-wave voltage must be > 0")
-        if self.modulator_loss_db < 0:
-            raise InputDomainError("modulator loss must be >= 0")
-        if not 0.0 <= self.fbg_reflectivity <= 1.0:
-            raise InputDomainError("grating reflectivity must lie in [0, 1]")
+        _checked("loop_length_m", self.loop_length_m, gt=0)
+        _checked("storage_length_m", self.storage_length_m, ge=0)
+        _checked("group_index", self.group_index, ge=1)
+        _checked("modulator_offset_m", self.modulator_offset_m, gt=0,
+                 lt=self.loop_length_m)
+        _checked("v_pi", self.v_pi, gt=0)
+        _checked("modulator_loss_db", self.modulator_loss_db, ge=0)
+        _checked("fbg_reflectivity", self.fbg_reflectivity, ge=0, le=1)
+        _checked("prep_error_depol", self.prep_error_depol, ge=0, le=1)
+        if not isinstance(self.per_element_loss_db, Mapping):
+            raise InputDomainError("element losses must be a mapping",
+                                   "per_element_loss_db")
         losses = dict(DEFAULT_ELEMENT_LOSS_DB)
-        unknown = set(self.per_element_loss_db) - set(losses)
-        if unknown:
-            raise InputDomainError(f"unknown loss elements {sorted(unknown)}")
-        losses.update(self.per_element_loss_db)
-        if any(v < 0 for v in losses.values()):
-            raise InputDomainError("element losses must be >= 0")
+        for name, value in self.per_element_loss_db.items():
+            key = f"per_element_loss_db.{name}"
+            if name not in losses:
+                raise InputDomainError(f"unknown loss element {name!r}", key)
+            _checked(key, value, ge=0)
+            losses[name] = value
         object.__setattr__(self, "per_element_loss_db", losses)
         depol = self.depol_per_cycle
-        if isinstance(depol, (int, float)):
-            depol = (float(depol),)
-        depol = tuple(float(p) for p in depol)
-        if not depol:
-            depol = (0.0,)
-        if any(not 0.0 <= p <= 1.0 for p in depol):
-            raise InputDomainError("per-cycle depolarization must lie in [0, 1]")
-        object.__setattr__(self, "depol_per_cycle", depol)
-        if not 0.0 <= self.prep_error_depol <= 1.0:
-            raise InputDomainError("preparation depolarization must lie in [0, 1]")
+        if isinstance(depol, numbers.Real):
+            _checked("depol_per_cycle", depol, ge=0, le=1)
+            depol = (depol,)
+        elif isinstance(depol, (tuple, list)):
+            for i, p in enumerate(depol):
+                _checked(f"depol_per_cycle[{i}]", p, ge=0, le=1)
+        else:
+            raise InputDomainError(
+                "per-cycle depolarization must be a probability or a "
+                "sequence of them", "depol_per_cycle")
+        object.__setattr__(self, "depol_per_cycle",
+                           tuple(float(p) for p in depol) or (0.0,))
 
     # -- derived timing -----------------------------------------------------
 
@@ -272,8 +281,12 @@ def sagnac_transfer(delta_phi: float) -> tuple[float, float]:
     """Loop-mirror power split for a direction phase difference ``delta_phi``.
 
     Returns (R, T): R = cos^2(dphi/2) back out the entry port, T = 1 - R out
-    the opposite port, so R + T = 1 holds exactly.
+    the opposite port, so R + T = 1 holds exactly. A drive far above the
+    half-wave voltage can make the phase overflow; that is rejected.
     """
+    if not -math.inf < delta_phi < math.inf:
+        raise InputDomainError(
+            f"loop phase difference {delta_phi} must be finite")
     r = math.cos(delta_phi / 2.0) ** 2
     return r, 1.0 - r
 

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 from dataclasses import dataclass
 
 from .components import BufferTopology, DrivePulse
 from .detection import DetectorModel
 from .engine import DriveSchedule, SimLimits
-from .errors import ConfigError, InputDomainError
+from .errors import ConfigError, InputDomainError, _checked
 from .experiments import ExperimentConfig, default_hwp_grid
 
 SCHEMA_VERSION = 1
@@ -114,29 +113,10 @@ def preset_listing() -> list:
 
 # -- validation ---------------------------------------------------------------
 
-_NUM = (int, float)
-
 
 def _require(cond, path, msg):
     if not cond:
         raise ConfigError(path, msg)
-
-
-def _check_number(value, path, lo=None, hi=None):
-    _require(isinstance(value, _NUM) and not isinstance(value, bool),
-             path, f"expected a number, got {value!r}")
-    _require(math.isfinite(value), path, "must be finite")
-    if lo is not None:
-        _require(value >= lo, path, f"must be >= {lo}")
-    if hi is not None:
-        _require(value <= hi, path, f"must be <= {hi}")
-
-
-def _check_int(value, path, lo=None):
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             path, f"expected an integer, got {value!r}")
-    if lo is not None:
-        _require(value >= lo, path, f"must be >= {lo}")
 
 
 def _check_keys(section, path, allowed):
@@ -150,7 +130,12 @@ def _check_keys(section, path, allowed):
 
 
 def validate_config(cfg: dict) -> None:
-    """Validate a fully merged configuration document."""
+    """Check the structure of a fully merged configuration document.
+
+    Values are checked where they are used: the model constructors called
+    by :func:`plan_from_config` own every range. Only the ``calibration``
+    section, which no model owns, has its values checked here.
+    """
     _check_keys(cfg, "", _BASE)
     _require(cfg.get("schema_version") == SCHEMA_VERSION, "schema_version",
              f"expected {SCHEMA_VERSION}")
@@ -158,99 +143,34 @@ def validate_config(cfg: dict) -> None:
     _require(preset in PRESETS, "preset",
              f"unknown preset {preset!r}; available: "
              + ", ".join(sorted(PRESETS)))
-    _check_int(cfg.get("seed"), "seed", lo=0)
-
-    exp = cfg.get("experiment", {})
-    _check_keys(exp, "experiment", _BASE["experiment"])
-    _check_number(exp["mu_source"], "experiment.mu_source", lo=0)
-    _check_int(exp["n_triggers"], "experiment.n_triggers", lo=1)
-    _require(isinstance(exp["eta_list"], list) and exp["eta_list"],
-             "experiment.eta_list", "expected a non-empty list")
-    for i, e in enumerate(exp["eta_list"]):
-        _check_int(e, f"experiment.eta_list[{i}]", lo=1)
-    _require(isinstance(exp["hwp_angles"], list),
-             "experiment.hwp_angles", "expected a list of radians")
-    for i, a in enumerate(exp["hwp_angles"]):
-        _check_number(a, f"experiment.hwp_angles[{i}]")
-    _require(exp["basis"] in ("computational", "logical", "both"),
-             "experiment.basis", "must be computational, logical or both")
-    _require(exp["mode"] in ("monte-carlo", "analytic"),
-             "experiment.mode", "must be monte-carlo or analytic")
-    for key in ("rep_rate_hz", "pulse_width_s", "count_window_s",
-                "drive_width_s"):
-        _check_number(exp[key], f"experiment.{key}", lo=0)
-        _require(exp[key] > 0, f"experiment.{key}", "must be > 0")
-    _check_number(exp["drive_guard_s"], "experiment.drive_guard_s", lo=0)
-
-    topo = cfg.get("topology", {})
-    _check_keys(topo, "topology", _BASE["topology"])
-    for key, lo in (("loop_length_m", None), ("storage_length_m", 0),
-                    ("group_index", 1.0), ("modulator_offset_m", None),
-                    ("v_pi", None), ("modulator_loss_db", 0),
-                    ("fbg_reflectivity", 0), ("prep_error_depol", 0)):
-        _check_number(topo[key], f"topology.{key}", lo=lo)
-    _require(topo["loop_length_m"] > 0, "topology.loop_length_m",
-             "must be > 0")
-    _require(topo["v_pi"] > 0, "topology.v_pi", "must be > 0")
-    _require(topo["fbg_reflectivity"] <= 1.0, "topology.fbg_reflectivity",
-             "must be <= 1")
-    _require(topo["prep_error_depol"] <= 1.0, "topology.prep_error_depol",
-             "must be <= 1")
-    _check_keys(topo["per_element_loss_db"], "topology.per_element_loss_db",
+    for name in ("experiment", "topology", "detector", "limits",
+                 "calibration"):
+        _check_keys(cfg.get(name), name, _BASE[name])
+    for key in ("eta_list", "hwp_angles"):
+        _require(isinstance(cfg["experiment"][key], list),
+                 f"experiment.{key}", "expected a list")
+    _check_keys(cfg["topology"]["per_element_loss_db"],
+                "topology.per_element_loss_db",
                 _BASE["topology"]["per_element_loss_db"])
-    for key, v in topo["per_element_loss_db"].items():
-        _check_number(v, f"topology.per_element_loss_db.{key}", lo=0)
-    depol = topo["depol_per_cycle"]
-    if isinstance(depol, list):
-        for i, p in enumerate(depol):
-            _check_number(p, f"topology.depol_per_cycle[{i}]", lo=0, hi=1)
-    else:
-        _check_number(depol, "topology.depol_per_cycle", lo=0, hi=1)
 
-    det = cfg.get("detector", {})
-    _check_keys(det, "detector", _BASE["detector"])
-    _check_number(det["efficiency"], "detector.efficiency", lo=0, hi=1)
-    for key in ("dark_rate_hz", "dead_time_s", "jitter_sigma_s"):
-        _check_number(det[key], f"detector.{key}", lo=0)
-
-    lim = cfg.get("limits", {})
-    _check_keys(lim, "limits", _BASE["limits"])
-    _check_int(lim["max_cycles"], "limits.max_cycles", lo=0)
-    _check_number(lim["mu_floor"], "limits.mu_floor", lo=0)
-
-    cal = cfg.get("calibration", {})
-    _check_keys(cal, "calibration", _BASE["calibration"])
+    cal = cfg["calibration"]
     _require(cal["mode"] in ("none", "table", "physical"),
              "calibration.mode", "must be none, table or physical")
     _require(isinstance(cal["targets"], dict), "calibration.targets",
              "expected an object mapping eta to visibility")
     for key, v in cal["targets"].items():
-        _require(str(key).isdigit() and int(key) >= 1,
+        _require(str(key).isdecimal() and int(key) >= 1,
                  f"calibration.targets.{key}", "eta keys must be >= 1")
-        _check_number(v, f"calibration.targets.{key}", lo=0, hi=1)
+        _build(_under("calibration.targets"), _checked, key, v, ge=0, le=1,
+               label="visibility target")
 
     sched = cfg.get("schedule")
-    if sched is None:
-        # A preset sweep stores each pulse for eta - 1 cycles, calibration
-        # targets included; the cycle limit must let the longest one out.
-        etas = list(exp["eta_list"])
-        if PRESETS[preset][1] == "hwp-sweep" and cal["mode"] != "none":
-            etas += [int(key) for key in cal["targets"]]
-        need = max(etas) - 1
-        _require(lim["max_cycles"] >= need, "limits.max_cycles",
-                 f"must be >= {need}, the storage cycles of eta={need + 1}")
-    else:
+    if sched is not None:
         _require(isinstance(sched, list), "schedule",
                  "expected a list of drive windows")
         for i, d in enumerate(sched):
-            _require(isinstance(d, dict), f"schedule[{i}]",
-                     "expected an object")
             _check_keys(d, f"schedule[{i}]",
                         ("t_start_s", "width_s", "voltage"))
-            _check_number(d.get("t_start_s"), f"schedule[{i}].t_start_s")
-            _check_number(d.get("width_s", 180e-9), f"schedule[{i}].width_s")
-            _check_number(d.get("voltage", 900.0), f"schedule[{i}].voltage",
-                          lo=0)
 
 
 # -- merging and overrides ----------------------------------------------------
@@ -297,7 +217,8 @@ def apply_override(cfg: dict, path: str, value) -> None:
 def resolve_config(file_cfg: dict | None = None, overrides=(),
                    preset: str | None = None,
                    seed: int | None = None) -> dict:
-    """Merge defaults, preset overlay, file values and overrides."""
+    """Merge defaults, preset overlay, file values and overrides;
+    :func:`plan_from_config` validates the result."""
     file_cfg = dict(file_cfg or {})
     chosen = preset or file_cfg.get("preset") or _BASE["preset"]
     if chosen not in PRESETS:
@@ -313,7 +234,6 @@ def resolve_config(file_cfg: dict | None = None, overrides=(),
         apply_override(cfg, path, value)
     if seed is not None:
         cfg["seed"] = seed
-    validate_config(cfg)
     return cfg
 
 
@@ -349,57 +269,61 @@ class RunPlan:
     snapshot: dict
 
 
-def _build(path: str, cls, *args, **kwargs):
+def _build(path_of, cls, *args, **kwargs):
     """``cls(*args, **kwargs)``; a domain error becomes a ConfigError at
-    ``path``, the config section the values came from."""
+    ``path_of(field)``, the document path of the rejected field."""
     try:
         return cls(*args, **kwargs)
     except InputDomainError as exc:
-        raise ConfigError(path, str(exc)) from None
+        raise ConfigError(path_of(exc.field), str(exc)) from None
+
+
+def _under(section):
+    return lambda field: f"{section}.{field}"
+
+
+#: DrivePulse field -> schedule entry key.
+_DRIVE_KEYS = {"t_start": "t_start_s", "width": "width_s",
+               "voltage": "voltage"}
 
 
 def plan_from_config(cfg: dict) -> RunPlan:
-    """Build a run plan; a value the dataclasses reject raises ConfigError
-    with the section as its path (``topology``, ``schedule[i]``, ...)."""
+    """Validate a resolved config and build its run plan.
+
+    A value a model constructor rejects raises ConfigError with the
+    document path of the value (``topology.v_pi``,
+    ``schedule[0].width_s``, ``seed``, ...).
+    """
     validate_config(cfg)
     exp = cfg["experiment"]
     experiment = _build(
-        "experiment", ExperimentConfig,
-        preset=cfg["preset"],
-        mu_source=exp["mu_source"],
-        n_triggers=exp["n_triggers"],
-        seed=cfg["seed"],
-        eta_list=tuple(exp["eta_list"]),
-        hwp_angles=tuple(exp["hwp_angles"]),
-        basis=exp["basis"],
-        mode=exp["mode"],
-        rep_rate_hz=exp["rep_rate_hz"],
-        pulse_width_s=exp["pulse_width_s"],
-        count_window_s=exp["count_window_s"],
-        drive_width_s=exp["drive_width_s"],
-        drive_guard_s=exp["drive_guard_s"],
-    )
-    topo_cfg = dict(cfg["topology"])
-    depol = topo_cfg.pop("depol_per_cycle")
-    topology = _build(
-        "topology", BufferTopology,
-        depol_per_cycle=tuple(depol) if isinstance(depol, list) else depol,
-        **topo_cfg)
-    detector = _build("detector", DetectorModel, **cfg["detector"])
-    lim = cfg["limits"]
-    limits = _build("limits", SimLimits, max_cycles=lim["max_cycles"],
-                    mu_floor=lim["mu_floor"])
-    schedule = None
-    kind = PRESETS[cfg["preset"]][1]
-    if cfg.get("schedule") is not None:
-        kind = "custom"
-        drives = tuple(
-            _build(f"schedule[{i}]", DrivePulse, d["t_start_s"],
-                   d.get("width_s", 180e-9), d.get("voltage", 900.0))
-            for i, d in enumerate(cfg["schedule"]))
-        schedule = _build("schedule", DriveSchedule, drives)
+        lambda field: field if field == "seed" else f"experiment.{field}",
+        ExperimentConfig, preset=cfg["preset"], seed=cfg["seed"], **exp)
+    topology = _build(_under("topology"), BufferTopology, **cfg["topology"])
+    detector = _build(_under("detector"), DetectorModel, **cfg["detector"])
+    limits = _build(_under("limits"), SimLimits, **cfg["limits"])
     cal = {"mode": cfg["calibration"]["mode"],
            "targets": {int(k): float(v)
                        for k, v in cfg["calibration"]["targets"].items()}}
+    schedule = None
+    kind = PRESETS[cfg["preset"]][1]
+    if cfg["schedule"] is not None:
+        kind = "custom"
+        drives = tuple(
+            _build(lambda field, i=i: f"schedule[{i}].{_DRIVE_KEYS[field]}",
+                   DrivePulse, d.get("t_start_s"), d.get("width_s", 180e-9),
+                   d.get("voltage", 900.0))
+            for i, d in enumerate(cfg["schedule"]))
+        schedule = _build(lambda field: "schedule" + field.removeprefix(
+            "pulses"), DriveSchedule, drives)
+    else:
+        # A preset sweep stores each pulse for eta - 1 cycles, calibration
+        # targets included; the cycle limit must let the longest one out.
+        etas = list(experiment.eta_list)
+        if kind == "hwp-sweep" and cal["mode"] != "none":
+            etas += list(cal["targets"])
+        need = max(etas) - 1
+        _require(limits.max_cycles >= need, "limits.max_cycles",
+                 f"must be >= {need}, the storage cycles of eta={need + 1}")
     return RunPlan(kind, cfg["preset"], cfg["seed"], experiment, topology,
                    detector, limits, cal, schedule, copy.deepcopy(cfg))

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .errors import InputDomainError
+from .errors import InputDomainError, _checked
 
 
 @dataclass(frozen=True)
@@ -34,17 +33,16 @@ class DetectorModel:
     jitter_sigma_s: float = 50e-12
 
     def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise InputDomainError("efficiency must lie in [0, 1]")
+        _checked("efficiency", self.efficiency, ge=0, le=1)
         for name in ("dark_rate_hz", "dead_time_s", "jitter_sigma_s"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise InputDomainError(
-                    f"detector {name} {value} must be finite and >= 0")
+            _checked(name, getattr(self, name), ge=0)
 
 
 #: Picosecond tags are int64; |t| * 1e12 must stay below 2**63 (~9.22e6 s).
 _TAG_LIMIT_PS = 2.0 ** 63
+
+#: An array of 8-byte click times holds fewer than 2**60 elements.
+_MAX_CLICKS = 2.0 ** 60
 
 
 @dataclass(frozen=True)
@@ -152,26 +150,19 @@ class TriggerTrain:
     mus: tuple
 
     def __post_init__(self):
-        if not (isinstance(self.n_triggers, numbers.Integral)
-                and self.n_triggers >= 1):
-            raise InputDomainError("trigger count must be an integer >= 1")
-        if not (math.isfinite(self.period) and self.period > 0):
-            raise InputDomainError(
-                f"trigger period {self.period} must be finite and > 0")
-        offsets = tuple(float(o) for o in self.offsets)
-        mus = tuple(float(m) for m in self.mus)
+        _checked("n_triggers", self.n_triggers, ge=1, integer=True,
+                 label="trigger count")
+        _checked("period", self.period, gt=0)
+        offsets, mus = tuple(self.offsets), tuple(self.mus)
         if not offsets or len(offsets) != len(mus):
             raise InputDomainError(
                 "a train needs one or more slots, each with an offset and "
-                "an amplitude")
-        if not all(0.0 <= o < self.period for o in offsets):
-            raise InputDomainError(
-                "pulse offsets must lie in [0, period) of the trigger")
-        if not all(0.0 <= m < math.inf for m in mus):
-            raise InputDomainError(
-                "mean photon numbers must be finite and >= 0")
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "mus", mus)
+                "an amplitude", "offsets")
+        for i, (offset, mu) in enumerate(zip(offsets, mus)):
+            _checked(f"offsets[{i}]", offset, ge=0, lt=self.period)
+            _checked(f"mus[{i}]", mu, ge=0)
+        object.__setattr__(self, "offsets", tuple(float(o) for o in offsets))
+        object.__setattr__(self, "mus", tuple(float(m) for m in mus))
 
     def _slots(self) -> tuple[np.ndarray, np.ndarray]:
         """(offsets, mus) of the slots in draw order."""
@@ -242,6 +233,10 @@ def sample_clicks(pulses, det: DetectorModel, acquisition: float, seed,
     """
     if not (math.isfinite(acquisition) and acquisition >= 0):
         raise InputDomainError("acquisition must be finite and >= 0")
+    if not det.dark_rate_hz * acquisition < _MAX_CLICKS:
+        raise InputDomainError(
+            f"{det.dark_rate_hz * acquisition} expected dark clicks exceed "
+            "the 2**60 click times one array can hold")
     rng = np.random.default_rng(seed)
     if isinstance(pulses, TriggerTrain):
         signal_times = _train_signal(pulses, det, acquisition, rng)

@@ -38,7 +38,7 @@ from .components import (
     overlap_fraction,
     sagnac_transfer,
 )
-from .errors import ContractViolationError, InputDomainError
+from .errors import ContractViolationError, InputDomainError, _checked
 from .polarization import apply_depolarizing
 
 
@@ -73,15 +73,18 @@ class DriveSchedule:
         pulses = tuple(self.pulses)
         prev_end = -math.inf
         prev_start = -math.inf
-        for d in pulses:
+        for i, d in enumerate(pulses):
             if not isinstance(d, DrivePulse):
-                raise InputDomainError("schedule entries must be DrivePulse")
+                raise InputDomainError("schedule entries must be DrivePulse",
+                                       f"pulses[{i}]")
             if d.t_start <= prev_start:
                 raise InputDomainError(
-                    "drive start times must be strictly increasing")
+                    "drive start times must be strictly increasing",
+                    f"pulses[{i}]")
             if d.t_start < prev_end:
                 raise InputDomainError(
-                    f"drive at t={d.t_start} overlaps the previous one")
+                    f"drive at t={d.t_start} overlaps the previous one",
+                    f"pulses[{i}]")
             prev_start, prev_end = d.t_start, d.t_end
         object.__setattr__(self, "pulses", pulses)
 
@@ -102,8 +105,8 @@ class SimLimits:
     mu_floor: float = 1e-12
 
     def __post_init__(self):
-        if self.max_cycles < 0 or self.mu_floor < 0:
-            raise InputDomainError("limits must be non-negative")
+        _checked("max_cycles", self.max_cycles, ge=0, integer=True)
+        _checked("mu_floor", self.mu_floor, ge=0)
 
 
 @dataclass
@@ -314,10 +317,11 @@ def _audit_conservation(result: SimulationResult) -> None:
     sum must reproduce the source mu exactly (to rounding).
     """
     per_root: dict[int, float] = {}
-    for p in result.retrieved:
-        per_root[p.root_id] = per_root.get(p.root_id, 0.0) + \
-            p.mu / p.path_transmission
-    for p, _ in result.discarded:
+    for p in result.retrieved + [p for p, _ in result.discarded]:
+        if not p.path_transmission:
+            raise ContractViolationError(
+                f"power audit failed for source pulse {p.root_id}: its path "
+                "transmission underflowed to 0")
         per_root[p.root_id] = per_root.get(p.root_id, 0.0) + \
             p.mu / p.path_transmission
     for src in result.inputs:

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the value check behind
+every model constructor."""
+
+import math
+import numbers
+import operator
 
 
 class QBufferError(Exception):
@@ -6,7 +11,42 @@ class QBufferError(Exception):
 
 
 class InputDomainError(QBufferError, ValueError):
-    """An argument lies outside the documented domain of an operation."""
+    """An argument lies outside the documented domain of an operation.
+
+    ``field`` names the rejected constructor field when there is one, e.g.
+    ``v_pi``, ``per_element_loss_db.circulator`` or ``eta_list[2]``.
+    """
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
+
+
+_BOUNDS = ((">", operator.gt), (">=", operator.ge), ("<", operator.lt),
+           ("<=", operator.le))
+
+
+def _checked(field, value, *, gt=None, ge=None, lt=None, le=None,
+             integer=False, label=None):
+    """Raise InputDomainError naming ``field`` unless ``value`` is a real
+    number (an integer if ``integer``), not a bool, finite as a float, and
+    ``> gt``, ``>= ge``, ``< lt`` and ``<= le`` for each bound given.
+    ``label`` replaces the field name in the message."""
+    bounds = [(sym, op, b) for (sym, op), b in zip(_BOUNDS, (gt, ge, lt, le))
+              if b is not None]
+    ok = (isinstance(value, numbers.Integral if integer else numbers.Real)
+          and not isinstance(value, bool))
+    try:
+        ok = ok and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if ok and all(op(value, b) for _, op, b in bounds):
+        return
+    rule = " and ".join(f"{sym} {b}" for sym, _, b in bounds)
+    raise InputDomainError(
+        f"{label or field} {value!r} must be "
+        + ("an integer" if integer else "a finite number")
+        + (f" {rule}" if rule else ""), field)
 
 
 class ContractViolationError(QBufferError, ValueError):

@@ -24,7 +24,6 @@ exponential saturation bias of raw click counts.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,7 +46,12 @@ from .engine import (
     stored_states,
     validate_schedule,
 )
-from .errors import CalibrationError, InputDomainError, ScheduleError
+from .errors import (
+    CalibrationError,
+    InputDomainError,
+    ScheduleError,
+    _checked,
+)
 from .polarization import STATE_H, JonesOp, apply_unitary, hwp_matrix
 
 #: Measurement-basis rotations in front of the beamsplitter.
@@ -89,39 +93,38 @@ class ExperimentConfig:
     drive_guard_s: float = 20e-9
 
     def __post_init__(self):
-        for name, positive in (("mu_source", False), ("rep_rate_hz", True),
-                               ("pulse_width_s", True),
-                               ("count_window_s", True),
-                               ("drive_width_s", True),
-                               ("drive_guard_s", False)):
-            value = getattr(self, name)
-            if not (math.isfinite(value)
-                    and (value > 0 if positive else value >= 0)):
-                raise InputDomainError(
-                    f"{name} {value} must be finite and "
-                    + ("> 0" if positive else ">= 0"))
-        if not (isinstance(self.n_triggers, numbers.Integral)
-                and self.n_triggers >= 1):
-            raise InputDomainError("trigger count must be an integer >= 1")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise InputDomainError(f"seed {self.seed!r} must be an integer "
-                                   ">= 0")
+        for name in ("rep_rate_hz", "pulse_width_s", "count_window_s",
+                     "drive_width_s"):
+            _checked(name, getattr(self, name), gt=0)
+        for name in ("mu_source", "drive_guard_s"):
+            _checked(name, getattr(self, name), ge=0)
+        _checked("n_triggers", self.n_triggers, ge=1, integer=True,
+                 label="trigger count")
+        _checked("seed", self.seed, ge=0, integer=True)
         etas = tuple(self.eta_list)
-        if not etas or not all(isinstance(e, numbers.Integral) and e >= 1
-                               for e in etas):
-            raise InputDomainError("eta values must be integers >= 1")
-        object.__setattr__(self, "eta_list", tuple(int(e) for e in etas))
-        angles = tuple(float(a) for a in self.hwp_angles)
-        # The fringe phase is 4 * theta; it must stay finite too.
-        if not all(math.isfinite(4.0 * a) for a in angles):
+        if not etas:
             raise InputDomainError(
-                "HWP angles must be finite, with a finite fringe phase "
-                "4 * theta")
-        object.__setattr__(self, "hwp_angles", angles)
+                "eta_list must name at least one retrieval setting",
+                "eta_list")
+        for i, e in enumerate(etas):
+            _checked(f"eta_list[{i}]", e, ge=1, integer=True)
+        object.__setattr__(self, "eta_list", tuple(int(e) for e in etas))
+        angles = tuple(self.hwp_angles)
+        for i, a in enumerate(angles):
+            # The fringe phase is 4 * theta; it must stay finite too.
+            _checked(f"hwp_angles[{i}]", a, label="HWP angle")
+            if not math.isfinite(4.0 * a):
+                raise InputDomainError(
+                    f"HWP angle {a!r} must have a finite fringe phase "
+                    "4 * theta", f"hwp_angles[{i}]")
+        object.__setattr__(self, "hwp_angles", tuple(float(a) for a in angles))
         if self.basis not in ("computational", "logical", "both"):
-            raise InputDomainError(f"unknown basis {self.basis!r}")
+            raise InputDomainError(
+                f"basis {self.basis!r} must be computational, logical or "
+                "both", "basis")
         if self.mode not in ("monte-carlo", "analytic"):
-            raise InputDomainError(f"unknown mode {self.mode!r}")
+            raise InputDomainError(
+                f"mode {self.mode!r} must be monte-carlo or analytic", "mode")
 
     @property
     def acquisition_s(self) -> float:
@@ -260,8 +263,9 @@ def fit_decay(peaks) -> DecayFit:
     cycle. Non-positive counts are excluded.
     """
     pts = [(int(eta) - 1, float(c)) for eta, c in peaks if c > 0]
-    if len(pts) < 2:
-        raise InputDomainError("need at least 2 peaks with positive counts")
+    if len({k for k, _ in pts}) < 2:
+        raise InputDomainError("need at least 2 peaks with positive counts, "
+                               "at distinct settings")
     x = np.array([k for k, _ in pts], dtype=np.float64)
     y = np.log10([c for _, c in pts])
     slope, intercept = np.polyfit(x, y, 1)

@@ -1,12 +1,16 @@
 import filecmp
 import json
+import math
 import os
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qbuffer import cli, engine
 from qbuffer.cli import main
 from qbuffer.components import fiber_delay
+from qbuffer.config import resolve_config
 
 
 def run_cli(*argv):
@@ -28,6 +32,20 @@ def one_json_error(capsys):
     """The single JSON line a failed run writes to stderr."""
     (line,) = capsys.readouterr().err.splitlines()
     return json.loads(line)
+
+
+#: A config document with one rejected value, keyed by the path reported.
+REJECTED_DOCS = {
+    "topology.storage_length_m":
+        '{"topology": {"storage_length_m": "very long"}}',
+    "topology.loop_length_m": '{"topology": {"loop_length_m": 1e400}}',
+    "topology.v_pi": '{"topology": {"v_pi": NaN}}',
+    "topology.group_index": '{"topology": {"group_index": Infinity}}',
+    "limits.max_cycles": '{"limits": {"max_cycles": 2.5}}',
+    "limits.mu_floor": '{"limits": {"mu_floor": NaN}}',
+    "schedule[0].t_start_s": '{"schedule": [{"t_start_s": NaN}]}',
+    "seed": '{"seed": -1}',
+}
 
 
 class TestPresets:
@@ -114,14 +132,16 @@ class TestRun:
         assert report["error"] == "schema"
         assert "fig2-main" in report["message"]
 
-    def test_schema_violation_reports_field_path(self, tmp_path, capsys):
+    @pytest.mark.parametrize("path", list(REJECTED_DOCS))
+    def test_schema_violation_reports_field_path(self, tmp_path, capsys,
+                                                 path):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(
-            {"topology": {"storage_length_m": "very long"}}))
+        cfg.write_text(REJECTED_DOCS[path])
         assert run_cli("run", "--config", str(cfg),
                        "--out", str(tmp_path / "o")) == 2
-        report = json.loads(capsys.readouterr().err)
-        assert report["path"] == "topology.storage_length_m"
+        report = one_json_error(capsys)
+        assert report["error"] == "schema"
+        assert report["path"] == path
 
     def test_unknown_key_reports_field_path(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -201,13 +221,17 @@ class TestContractOnBadSweeps:
 
 class TestDomainErrorsAreSchemaErrors:
     """Values that pass the schema but that a constructor rejects exit 2
-    with one JSON line naming the config section."""
+    with one JSON line naming the rejected field's document path."""
 
     @pytest.mark.parametrize("command, item, path", [
-        ("run", "topology.modulator_offset_m=1000", "topology"),
-        ("validate", "topology.modulator_offset_m=0", "topology"),
-        ("run", 'schedule=[{"t_start_s":0,"width_s":-1}]', "schedule[0]"),
-        ("run", "experiment.hwp_angles=[0,0.5,1,1.6,1e308]", "experiment"),
+        ("run", "topology.modulator_offset_m=1000",
+         "topology.modulator_offset_m"),
+        ("validate", "topology.modulator_offset_m=0",
+         "topology.modulator_offset_m"),
+        ("run", 'schedule=[{"t_start_s":0,"width_s":-1}]',
+         "schedule[0].width_s"),
+        ("run", "experiment.hwp_angles=[0,0.5,1,1.6,1e308]",
+         "experiment.hwp_angles[4]"),
     ])
     def test_exits_two_with_section_path(self, tmp_path, capsys, command,
                                          item, path):
@@ -218,6 +242,36 @@ class TestDomainErrorsAreSchemaErrors:
         report = one_json_error(capsys)
         assert report["error"] == "schema"
         assert report["path"] == path
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_underflowed_transmission_fails_the_audit(self, tmp_path, capsys,
+                                                      command):
+        # 1e308 dB of loss leaves a transmission of exactly 0, which no
+        # power audit can divide by.
+        argv = [command, "--set", "topology.per_element_loss_db.circulator"
+                "=1e308", "--set", "experiment.n_triggers=100"]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "o")]
+        assert run_cli(*argv) == 2
+        report = one_json_error(capsys)
+        assert report["error"] == "run"
+        assert "source pulse 0" in report["message"]
+
+    @pytest.mark.parametrize("items, message", [
+        # V / V_pi overflows, so the loop phase is inf.
+        (("topology.v_pi=5e-324", 'schedule=[{"t_start_s":0}]'), "phase"),
+        (("experiment.eta_list=[1,1]",), "distinct settings"),
+        (("detector.dark_rate_hz=1e308",), "dark clicks"),
+    ])
+    def test_run_time_domain_errors(self, tmp_path, capsys, items, message):
+        argv = ["run", "--set", "experiment.n_triggers=100",
+                "--out", str(tmp_path / "o")]
+        for item in items:
+            argv += ["--set", item]
+        assert run_cli(*argv) == 2
+        report = one_json_error(capsys)
+        assert report["error"] == "run"
+        assert message in report["message"]
 
 
 class TestSeedResolution:
@@ -299,3 +353,87 @@ class TestValidate:
                        "--set", "experiment.eta_list=[1]")
         assert code == 0
         assert "no drive pulses" in capsys.readouterr().out
+
+
+#: Signed zeros, a subnormal, huge, non-finite and negative numbers, a
+#: fractional integer, bools, a string and an empty list.
+EDGE_VALUES = [0, -0.0, 5e-324, 1e308, -1e308, math.nan, math.inf,
+               -math.inf, -1, 2.5, True, False, "x", []]
+
+
+def _leaf_paths(node, prefix=""):
+    for key, value in node.items():
+        path = f"{prefix}{key}"
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, path + ".")
+        elif key not in ("schema_version", "preset"):
+            yield path
+
+
+LEAF_PATHS = sorted(_leaf_paths(resolve_config({})))
+
+edge = st.sampled_from(EDGE_VALUES)
+mutation = st.one_of(
+    st.tuples(st.sampled_from(LEAF_PATHS), edge),
+    st.tuples(st.just("experiment.eta_list"), edge.map(lambda v: [1, v])),
+    st.tuples(st.just("experiment.hwp_angles"),
+              edge.map(lambda v: [0.0, 0.5, 1.0, 1.6, v])),
+    st.tuples(st.just("topology.depol_per_cycle"), edge.map(lambda v: [v])),
+    st.tuples(st.just("calibration.targets"),
+              st.one_of(edge.map(lambda v: {"1": v, "3": 0.9}),
+                        st.sampled_from(["0", "x", "\u00b2", "01"]).map(
+                            lambda k: {"1": 0.95, k: 0.9}))),
+    st.tuples(st.just("schedule"), st.tuples(
+        st.sampled_from(["t_start_s", "width_s", "voltage"]), edge).map(
+            lambda kv: [{"t_start_s": 4.8277e-6, kv[0]: kv[1]}])),
+)
+
+
+def _set_path(doc, path, value):
+    *sections, key = path.split(".")
+    for name in sections:
+        doc = doc.setdefault(name, {})
+    doc[key] = value
+
+
+class TestCliContractFuzz:
+    """Any config value, from a file or ``--set``, exits 0, or 2/3 with
+    exactly one JSON line on stderr; nothing escapes as a traceback or a
+    warning."""
+
+    @settings(max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(["run", "validate"]),
+           preset=st.sampled_from(["fig2-main", "fig2-insets",
+                                   "ideal-system"]),
+           mutations=st.lists(mutation, min_size=1, max_size=3),
+           from_file=st.booleans())
+    def test_exit_code_and_one_json_line(self, tmp_path_factory, capfd,
+                                         command, preset, mutations,
+                                         from_file):
+        out = tmp_path_factory.mktemp("fuzz")
+        argv = [command, "--preset", preset,
+                "--set", "experiment.n_triggers=200"]
+        if from_file:
+            doc = {}
+            for path, value in mutations:
+                _set_path(doc, path, value)
+            (out / "c.json").write_text(json.dumps(doc))
+            argv += ["--config", str(out / "c.json")]
+        else:
+            for path, value in mutations:
+                argv += ["--set", f"{path}={json.dumps(value)}"]
+        if command == "run":
+            argv += ["--out", str(out / "o")]
+        capfd.readouterr()  # the fixture is shared by every example
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(*argv)
+        assert [str(w.message) for w in caught] == []
+        err = capfd.readouterr().err.splitlines()
+        if code == 0:
+            assert err == []
+        else:
+            assert code in (2, 3)
+            (line,) = err
+            assert json.loads(line)["error"]

@@ -17,7 +17,10 @@ from qbuffer.components import (
     pbs_project,
     sagnac_transfer,
 )
+from qbuffer.detection import DetectorModel
+from qbuffer.engine import DriveSchedule, SimLimits
 from qbuffer.errors import ContractViolationError, InputDomainError
+from qbuffer.experiments import ExperimentConfig
 from qbuffer.polarization import (
     AXIS_H,
     AXIS_V,
@@ -286,3 +289,45 @@ class TestPulseRecordValidation:
     def test_root_defaults_to_own_id(self):
         p = PulseRecord(id=7, t=0.0, width=1e-9, mu=0.1, pol=STATE_H)
         assert p.root_id == 7
+
+
+def _pulse(**kwargs):
+    return PulseRecord(**{**dict(id=0, t=0.0, width=50e-9, mu=0.1,
+                                 pol=STATE_H), **kwargs})
+
+
+class TestConstructorDomain:
+    """Every model constructor rejects a non-number, a bool, NaN, inf or an
+    out-of-range value with InputDomainError naming the field."""
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: BufferTopology(loop_length_m=math.inf), "loop_length_m"),
+        (lambda: BufferTopology(group_index=math.inf), "group_index"),
+        (lambda: BufferTopology(v_pi=math.nan), "v_pi"),
+        (lambda: BufferTopology(modulator_loss_db=True),
+         "modulator_loss_db"),
+        (lambda: BufferTopology(storage_length_m="x"), "storage_length_m"),
+        (lambda: BufferTopology(per_element_loss_db={"circulator": math.nan}),
+         "per_element_loss_db.circulator"),
+        (lambda: DrivePulse(math.nan), "t_start"),
+        (lambda: DriveSchedule((DrivePulse(math.nan), DrivePulse(math.nan))),
+         "t_start"),
+        (lambda: SimLimits(max_cycles=2.5), "max_cycles"),
+        (lambda: SimLimits(mu_floor=math.nan), "mu_floor"),
+        (lambda: _pulse(t=math.nan), "t"),
+        (lambda: _pulse(mu=math.nan), "mu"),
+        (lambda: ExperimentConfig(hwp_angles=("0", 0.5, 1.0, 1.6)),
+         "hwp_angles[0]"),
+        (lambda: ExperimentConfig(eta_list=(1, 2, 2.5)), "eta_list[2]"),
+        (lambda: DetectorModel(efficiency="0.5"), "efficiency"),
+    ], ids=[
+        "topology-inf-loop", "topology-inf-group-index", "topology-nan-v-pi",
+        "topology-bool-loss", "topology-str-length", "topology-nan-element",
+        "drive-nan", "schedule-nan-drives", "limits-fractional-cycles",
+        "limits-nan-floor", "record-nan-t", "record-nan-mu",
+        "experiment-str-angle", "experiment-fractional-eta",
+        "detector-str-efficiency"])
+    def test_rejected_with_field(self, build, field):
+        with pytest.raises(InputDomainError) as info:
+            build()
+        assert info.value.field == field
