@@ -1,0 +1,141 @@
+"""Check that two source trees write byte-identical result files.
+
+Run:  python benchmarks/compare_outputs.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are ``src`` directories (each holding the ``qbuffer``
+package), for example a checkout of the parent commit and this one. Each
+run is a fresh ``python -m qbuffer.cli run`` process with PYTHONPATH set to
+one tree. The runs are every preset at seeds 0, 1 and 2, once with
+``--format csv`` and once with ``--format json``, plus the argv of each
+workload in ``perfbench/run.py`` (seed 0), taken from its ``WORKLOADS``.
+
+Every output file except ``manifest.json`` (it records wall times) is
+compared byte for byte. The script prints each run and file that differs,
+a file that only one tree wrote, or a run that failed, and exits 1 if
+there is any; otherwise it exits 0. Only the standard library is used.
+"""
+
+import filecmp
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (0, 1, 2)
+FORMATS = ("csv", "json")
+
+
+def load_workloads() -> dict:
+    """``WORKLOADS`` of perfbench/run.py, which imports its sibling probe."""
+    perfbench = ROOT / "perfbench"
+    sys.path.insert(0, str(perfbench))
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  perfbench / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look it up there
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def child_env(src: Path) -> dict:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("QBUF_")}
+    env["PYTHONPATH"] = str(src)
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    return env
+
+
+def qbuffer(src: Path, argv: list) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "qbuffer.cli", *argv],
+                          env=child_env(src), stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True)
+
+
+def preset_names(src: Path) -> list:
+    proc = qbuffer(src, ["presets", "--format", "json"])
+    if proc.returncode != 0:
+        raise SystemExit(f"{src}: `qbuffer presets` failed:\n{proc.stderr}")
+    return [entry["name"] for entry in json.loads(proc.stdout)]
+
+
+def cases(presets: list, workloads: dict) -> list:
+    """(label, argv builder taking the output directory)."""
+    out = []
+    for preset in presets:
+        for seed in SEEDS:
+            for fmt in FORMATS:
+                out.append((f"{preset}-seed{seed}-{fmt}",
+                            lambda d, p=preset, s=seed, f=fmt: [
+                                "run", "--preset", p, "--seed", str(s),
+                                "--format", f, "--out", str(d)]))
+    for name, workload in workloads.items():
+        out.append((f"workload-{name}",
+                    lambda d, w=workload: w.argv(0, d)))
+    return out
+
+
+def result_files(out: Path) -> set:
+    if not out.is_dir():
+        return set()
+    return {p.name for p in out.iterdir()
+            if p.is_file() and p.name != "manifest.json"}
+
+
+def compare(label: str, old: Path, new: Path, codes: tuple) -> list:
+    """Problems of one run: failed runs, missing or differing files."""
+    if codes != (0, 0):
+        return [f"{label}: exit codes {codes[0]} (old) and {codes[1]} (new)"]
+    old_files, new_files = result_files(old), result_files(new)
+    problems = [f"{label}/{name}: only in the {side} tree"
+                for side, names in (("old", old_files - new_files),
+                                    ("new", new_files - old_files))
+                for name in sorted(names)]
+    for name in sorted(old_files & new_files):
+        if not filecmp.cmp(old / name, new / name, shallow=False):
+            problems.append(f"{label}/{name}: differs")
+    return problems
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: python benchmarks/compare_outputs.py OLD_SRC NEW_SRC",
+              file=sys.stderr)
+        return 2
+    trees = [Path(a).resolve() for a in args]
+    for tree in trees:
+        if not (tree / "qbuffer").is_dir():
+            print(f"{tree} holds no qbuffer package", file=sys.stderr)
+            return 2
+    presets = preset_names(trees[0])
+    if preset_names(trees[1]) != presets:
+        print("the two trees list different presets", file=sys.stderr)
+        return 1
+
+    problems: list = []
+    n_files = 0
+    with tempfile.TemporaryDirectory(prefix="qbuffer-compare-") as tmp:
+        for label, build in cases(presets, load_workloads()):
+            dirs = [Path(tmp) / side / label for side in ("old", "new")]
+            codes = []
+            for tree, out in zip(trees, dirs):
+                proc = qbuffer(tree, build(out))
+                codes.append(proc.returncode)
+                if proc.returncode != 0:
+                    sys.stderr.write(f"{label} ({tree}):\n{proc.stderr}")
+            found = compare(label, *dirs, tuple(codes))
+            n_files += len(result_files(dirs[0]) & result_files(dirs[1]))
+            print(f"{label}: {'ok' if not found else 'DIFFERS'}",
+                  flush=True)
+            problems += found
+    for line in problems:
+        print(line)
+    print(f"{n_files} result files compared, {len(problems)} problems")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,12 +14,12 @@ from .components import (
     BufferTopology,
     DrivePulse,
     PulseRecord,
-    attenuate,
     fiber_delay,
     generate_pulse_train,
     modulator_phase,
     pbs_project,
     sagnac_transfer,
+    stored_states,
 )
 from .detection import (
     ClickSet,
@@ -38,7 +38,6 @@ from .engine import (
     simulate,
     storage_period,
     storage_retrieval_schedule,
-    stored_states,
     validate_schedule,
 )
 from .errors import (
@@ -74,14 +73,13 @@ from .polarization import (
 
 __all__ = [
     "__version__",
-    "BufferTopology", "DrivePulse", "PulseRecord", "attenuate",
-    "fiber_delay", "generate_pulse_train", "modulator_phase", "pbs_project",
-    "sagnac_transfer",
+    "BufferTopology", "DrivePulse", "PulseRecord", "fiber_delay",
+    "generate_pulse_train", "modulator_phase", "pbs_project",
+    "sagnac_transfer", "stored_states",
     "ClickSet", "DetectorModel", "Histogram", "TriggerTrain",
     "click_probability", "expected_counts", "histogram", "sample_clicks",
     "DriveSchedule", "SimLimits", "SimulationResult", "simulate",
-    "storage_period", "storage_retrieval_schedule", "stored_states",
-    "validate_schedule",
+    "storage_period", "storage_retrieval_schedule", "validate_schedule",
     "CalibrationError", "ConfigError", "ContractViolationError",
     "InputDomainError", "QBufferError", "ScheduleError",
     "ExperimentConfig", "VisibilityResult", "apply_calibration", "calibrate",

@@ -43,7 +43,6 @@ from .experiments import (
     write_peaks_csv,
     write_sweep_csv,
 )
-from .polarization import STATE_H
 
 
 def _err(kind: str, exit_code: int, **detail) -> int:
@@ -146,7 +145,7 @@ def _run_hwp(plan):
 def _run_custom(plan):
     exp = plan.experiment
     inputs = generate_pulse_train(exp.rep_rate_hz, exp.pulse_width_s,
-                                  exp.mu_source, 1, STATE_H)
+                                  exp.mu_source, 1)
     result = simulate(plan.topology, plan.schedule, inputs, plan.limits)
     violations = validate_schedule(plan.topology, plan.schedule, inputs,
                                    plan.limits, result=result)
@@ -232,6 +231,9 @@ def cmd_run(args) -> int:
         return _err("calibration", 2, message=str(exc))
     except QBufferError as exc:
         return _err("run", 2, message=str(exc))
+    except MemoryError as exc:
+        # A trigger count or dark rate whose draws do not fit in memory.
+        return _err("run", 2, message=f"workload too large: {exc}")
 
     manifest = {
         "artifact_version": __version__,
@@ -262,7 +264,7 @@ def cmd_validate(args) -> int:
     any_error = False
     try:
         inputs = generate_pulse_train(exp.rep_rate_hz, exp.pulse_width_s,
-                                      exp.mu_source, 1, STATE_H)
+                                      exp.mu_source, 1)
         schedules = []
         if plan.schedule is not None:
             schedules.append(("custom", plan.schedule))

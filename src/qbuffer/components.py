@@ -10,7 +10,11 @@ by a grating mirror. Balanced, the loop reflects; a pi phase difference
 between the counter-propagating directions routes the pulse across.
 
 Everything here is a pure transfer rule acting on immutable pulse records;
-propagation ordering lives in :mod:`qbuffer.engine`.
+propagation ordering lives in :mod:`qbuffer.engine`. Routing never depends on
+polarization, so records carry route and power only: the polarization of a
+record is ``stored_states(topology, launch, max_cycles)[record.cycles]``, the
+only place that applies the preparation error and the per-cycle
+depolarization.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import ContractViolationError, InputDomainError, _checked
-from .polarization import STATE_H, STATE_V, JonesOp, PolState
+from .polarization import JonesOp, PolState, apply_depolarizing
 
 #: Vacuum speed of light, m/s.
 C_VACUUM = 299_792_458.0
@@ -67,7 +71,6 @@ class PulseRecord:
     t: float
     width: float
     mu: float
-    pol: PolState
     port: str = "routing.in"
     cycles: int = 0
     root_id: int = -1
@@ -223,11 +226,29 @@ class BufferTopology:
         return table[min(cycle, len(table)) - 1]
 
 
+def stored_states(topology: BufferTopology, pol: PolState,
+                  max_cycles: int) -> list:
+    """Polarization of a pulse launched as ``pol`` after 0..max_cycles cycles.
+
+    Entry ``k`` is the state of a record that has completed ``k`` storage
+    cycles: ``prep_error_depol`` at the input, then ``depol_for_cycle(j)``
+    for j = 1..k. Routing never depends on polarization, so one engine run
+    per schedule plus this table covers every launch state.
+    """
+    if max_cycles < 0:
+        raise InputDomainError("cycle count must be >= 0")
+    states = [apply_depolarizing(pol, topology.prep_error_depol)]
+    for k in range(1, max_cycles + 1):
+        states.append(apply_depolarizing(states[-1],
+                                         topology.depol_for_cycle(k)))
+    return states
+
+
 # -- transfer rules ---------------------------------------------------------
 
 
 def generate_pulse_train(rep_rate: float, pulse_width: float, mu: float,
-                         n: int, pol: PolState) -> list[PulseRecord]:
+                         n: int) -> list[PulseRecord]:
     """``n`` identical pulses at times k / rep_rate, k = 0..n-1."""
     if rep_rate <= 0:
         raise InputDomainError(f"repetition rate {rep_rate} must be > 0")
@@ -238,18 +259,9 @@ def generate_pulse_train(rep_rate: float, pulse_width: float, mu: float,
     if mu < 0:
         raise InputDomainError(f"mean photon number {mu} must be >= 0")
     return [
-        PulseRecord(id=k, t=k / rep_rate, width=pulse_width, mu=mu, pol=pol)
+        PulseRecord(id=k, t=k / rep_rate, width=pulse_width, mu=mu)
         for k in range(n)
     ]
-
-
-def attenuate(pulse: PulseRecord, loss_db: float) -> PulseRecord:
-    """Scale mean photon number by 10^(-loss_db/10); polarization unchanged."""
-    if loss_db < 0:
-        raise InputDomainError(f"loss {loss_db} dB must be >= 0")
-    tr = db_to_transmission(loss_db)
-    return replace(pulse, mu=pulse.mu * tr,
-                   path_transmission=pulse.path_transmission * tr)
 
 
 def overlap_fraction(drive: DrivePulse, passage_start: float,
@@ -291,19 +303,17 @@ def sagnac_transfer(delta_phi: float) -> tuple[float, float]:
     return r, 1.0 - r
 
 
-def pbs_project(pulse: PulseRecord, basis_unitary: JonesOp
-                ) -> tuple[PulseRecord, PulseRecord]:
-    """Split a pulse on a polarizing beamsplitter after a basis rotation.
+def pbs_project(state: PolState, basis_unitary: JonesOp
+                ) -> tuple[float, float]:
+    """Port shares of a polarizing beamsplitter after a basis rotation.
 
-    The returned pair carries mu * P(H) and mu * P(V) in the rotated frame;
-    each output is purely polarized along its port axis.
+    Returns (P(H), P(V)) = (p, 1 - p) in the rotated frame, p clipped to
+    [0, 1]; a pulse of mean photon number mu sends mu * P(H) and mu * P(V)
+    to the two ports.
     """
     if not basis_unitary.is_unitary():
         raise ContractViolationError("basis rotation is not unitary within 1e-9")
     u = basis_unitary.m
-    rho = u @ pulse.pol.rho @ u.conj().T
+    rho = u @ state.rho @ u.conj().T
     p_h = min(max(float(rho[0, 0].real), 0.0), 1.0)
-    p_v = 1.0 - p_h
-    out_h = replace(pulse, mu=pulse.mu * p_h, pol=STATE_H, port="pbs.h")
-    out_v = replace(pulse, mu=pulse.mu * p_v, pol=STATE_V, port="pbs.v")
-    return out_h, out_v
+    return p_h, 1.0 - p_h

@@ -13,8 +13,12 @@ schedule:
   R = cos^2(dphi/2) back out the entry port, T = 1 - R out the other port.
 * The external port leads through the circulator to the measurement stage;
   the internal port leads down the storage line to the grating mirror and
-  back, which increments the cycle counter and applies the per-cycle
-  depolarization.
+  back, which increments the cycle counter.
+
+Records carry route and power only. Polarization never steers a pulse, so
+the engine applies no depolarization; the state of a record that has
+completed ``k`` cycles is entry ``k`` of
+:func:`qbuffer.components.stored_states`.
 
 Events are processed in strict global time order with a monotonic sequence
 number as tie-breaker, so results are bit-for-bit reproducible. Every pure
@@ -35,11 +39,11 @@ from .components import (
     DrivePulse,
     PulseRecord,
     db_to_transmission,
+    modulator_phase,
     overlap_fraction,
     sagnac_transfer,
 )
 from .errors import ContractViolationError, InputDomainError, _checked
-from .polarization import apply_depolarizing
 
 
 class EventLogEntry(NamedTuple):
@@ -149,7 +153,7 @@ def _drive_phases(schedule: DriveSchedule, start: float, width: float,
     for i, d in enumerate(schedule.pulses):
         f = overlap_fraction(d, start, width)
         if f > 0.0:
-            phi += math.pi * (d.voltage / v_pi) * f
+            phi += modulator_phase(d, start, width, v_pi)
             parts.append((i, f))
     return phi, parts
 
@@ -212,9 +216,7 @@ def simulate(topology: BufferTopology, schedule: DriveSchedule,
 
     for p in inputs:
         log.append(EventLogEntry(p.t, p.id, "routing", "in", p.mu, p.cycles))
-        pol = apply_depolarizing(p.pol, topology.prep_error_depol)
-        entered = replace(p, t=p.t + d_in, mu=p.mu * tr_in, pol=pol,
-                          port="coupler.a",
+        entered = replace(p, t=p.t + d_in, mu=p.mu * tr_in, port="coupler.a",
                           path_transmission=p.path_transmission * tr_in)
         push(entered.t, "coupler.a", entered)
 
@@ -242,9 +244,8 @@ def simulate(topology: BufferTopology, schedule: DriveSchedule,
                                      pulse.mu, pulse.cycles))
             t_back = t + 2.0 * d_storage
             cyc = pulse.cycles + 1
-            pol = apply_depolarizing(pulse.pol, topology.depol_for_cycle(cyc))
             back = replace(pulse, t=t_back, mu=pulse.mu * tr_storage_rt,
-                           pol=pol, cycles=cyc, port="coupler.b",
+                           cycles=cyc, port="coupler.b",
                            path_transmission=(pulse.path_transmission
                                               * tr_storage_rt))
             if cyc > limits.max_cycles:
@@ -331,26 +332,6 @@ def _audit_conservation(result: SimulationResult) -> None:
             raise ContractViolationError(
                 f"power audit failed for source pulse {src.id}: "
                 f"{total} != {ref}")
-
-
-def stored_states(topology: BufferTopology, pol, max_cycles: int) -> list:
-    """Polarization of a pulse launched as ``pol`` after 0..max_cycles cycles.
-
-    Entry ``k`` is the state :func:`simulate` gives a record that has
-    completed ``k`` storage cycles: the same depolarizing channels in the
-    same order (``prep_error_depol`` at the input, then
-    ``depol_for_cycle(k)`` for k = 1..max_cycles), so the states are
-    bit-identical to a propagation launched with ``pol``. Routing never
-    depends on polarization, so one run per schedule plus this replay
-    covers every launch state.
-    """
-    if max_cycles < 0:
-        raise InputDomainError("cycle count must be >= 0")
-    states = [apply_depolarizing(pol, topology.prep_error_depol)]
-    for k in range(1, max_cycles + 1):
-        states.append(apply_depolarizing(states[-1],
-                                         topology.depol_for_cycle(k)))
-    return states
 
 
 def validate_schedule(topology: BufferTopology, schedule: DriveSchedule,

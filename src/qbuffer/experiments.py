@@ -28,7 +28,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .components import BufferTopology, PulseRecord, pbs_project
+from .components import (
+    BufferTopology,
+    generate_pulse_train,
+    pbs_project,
+    stored_states,
+)
 from .detection import (
     ClickSet,
     DetectorModel,
@@ -43,7 +48,6 @@ from .engine import (
     simulate,
     storage_period,
     storage_retrieval_schedule,
-    stored_states,
     validate_schedule,
 )
 from .errors import (
@@ -282,11 +286,6 @@ def _substream(seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(seed)] + [int(k) for k in key])
 
 
-def _source_pulse(config: ExperimentConfig, pol) -> PulseRecord:
-    return PulseRecord(id=0, t=0.0, width=config.pulse_width_s,
-                       mu=config.mu_source, pol=pol)
-
-
 def _hwp_grid(config: ExperimentConfig) -> np.ndarray:
     """The HWP angles; at least 4 distinct ones spanning pi/2 are needed."""
     angles = np.asarray(config.hwp_angles, dtype=np.float64)
@@ -299,10 +298,10 @@ def _hwp_grid(config: ExperimentConfig) -> np.ndarray:
 
 
 def _propagate(topology, config, eta, limits):
-    """Run the H-launched source pulse through the schedule of setting
-    ``eta`` once, check the schedule on that run, and return
-    (retained pulse, result)."""
-    inputs = [_source_pulse(config, STATE_H)]
+    """Run the source pulse through the schedule of setting ``eta`` once,
+    check the schedule on that run, and return (retained pulse, result)."""
+    inputs = generate_pulse_train(config.rep_rate_hz, config.pulse_width_s,
+                                  config.mu_source, 1)
     sched = storage_retrieval_schedule(
         topology, inputs[0], eta - 1, drive_width=config.drive_width_s,
         guard=config.drive_guard_s)
@@ -322,11 +321,14 @@ def _propagate(topology, config, eta, limits):
     return main[0], res
 
 
-def _trigger_train(retrieved, config: ExperimentConfig) -> TriggerTrain:
-    """Every retrieved pulse repeated over all triggers of the run."""
+def _trigger_train(retrieved, config: ExperimentConfig,
+                   share=None) -> TriggerTrain:
+    """Every retrieved pulse repeated over all triggers of the run; with
+    ``share``, each pulse's mu times ``share[its cycle count]``."""
     return TriggerTrain(1.0 / config.rep_rate_hz, config.n_triggers,
                         tuple(p.t for p in retrieved),
-                        tuple(p.mu for p in retrieved))
+                        tuple(p.mu if share is None else p.mu * share[p.cycles]
+                              for p in retrieved))
 
 
 def _folded_histogram(clicksets, period: float, n_bins: int):
@@ -395,9 +397,9 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
     and used for both ports).
 
     Routing never depends on polarization, so each setting is propagated
-    once with an H launch; the state at each HWP angle is replayed onto its
-    retrieved records with :func:`stored_states`, bit-identical to a run
-    launched with the rotated state.
+    once. The state at each HWP angle and cycle count comes from
+    :func:`stored_states`, and its two port shares are projected once per
+    basis; a retrieved record sends ``mu * share[record.cycles]`` to a port.
     """
     angles = _hwp_grid(config)
     limits = limits or SimLimits()
@@ -413,32 +415,28 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
     runs = [_propagate(topology, config, eta, limits)
             for eta in config.eta_list]
     max_cycles = max(p.cycles for _, sim in runs for p in sim.retrieved)
-    states = [stored_states(topology,
-                            apply_unitary(STATE_H, hwp_matrix(float(theta))),
-                            max_cycles)
-              for theta in angles]
-
-    for eta, (h_main, h_sim) in zip(config.eta_list, runs):
-        # The same retrieved records at every angle, each with the state of
-        # its cycle count; both bases project the same records.
-        retained = [([replace(p, pol=st[p.cycles]) for p in h_sim.retrieved],
-                     replace(h_main, pol=st[h_main.cycles]))
-                    for st in states]
+    # shares[basis][i][port][k]: the port's share of the state at HWP angle
+    # i after k cycles; one projection per (basis, angle, cycle count).
+    shares = {basis: [] for basis in config.bases}
+    for theta in angles:
+        launch = apply_unitary(STATE_H, hwp_matrix(float(theta)))
+        states = stored_states(topology, launch, max_cycles)
         for basis in config.bases:
-            u = BASES[basis]
+            shares[basis].append(tuple(zip(
+                *(pbs_project(s, BASES[basis]) for s in states))))
+
+    for eta, (main, sim) in zip(config.eta_list, runs):
+        for basis in config.bases:
             expected = np.zeros((2, angles.size))
             counts = np.zeros((2, angles.size))
-            for i, (retrieved, main) in enumerate(retained):
-                ports = pbs_project(main, u)
-                for port, (det, pulse) in enumerate(
-                        zip((det0, det1), ports)):
+            for i, by_port in enumerate(shares[basis]):
+                for port, (det, share) in enumerate(
+                        zip((det0, det1), by_port)):
                     expected[port, i] = n * click_probability(
-                        pulse.mu, det, window)
+                        main.mu * share[main.cycles], det, window)
                     if config.mode == "monte-carlo":
-                        port_pulses = [pbs_project(s, u)[port]
-                                       for s in retrieved]
                         cs = sample_clicks(
-                            _trigger_train(port_pulses, config), det,
+                            _trigger_train(sim.retrieved, config, share), det,
                             config.acquisition_s,
                             _substream(config.seed, 1, eta,
                                        BASIS_ORDER.index(basis), i, port),
@@ -541,11 +539,10 @@ def calibrate(targets: dict, topology: BufferTopology,
             "error")
     limits = limits or SimLimits()
 
-    base = replace(topology, prep_error_depol=0.0, depol_per_cycle=(0.0,))
     bloch: dict[int, float] = {}
     mu_ret: dict[int, float] = {}
     for eta in sorted(targets):
-        main, _ = _propagate(base, config, eta, limits)
+        main, _ = _propagate(topology, config, eta, limits)
         mu_ret[eta] = main.mu
         bloch[eta] = _solve_bloch(targets[eta], main.mu, config, det)
 

@@ -27,7 +27,6 @@ from qbuffer.engine import (
 from qbuffer.errors import InputDomainError
 from qbuffer.experiments import fit_decay
 from qbuffer.polarization import (
-    STATE_H,
     PolState,
     apply_depolarizing,
     apply_unitary,
@@ -106,7 +105,7 @@ def test_c3_sagnac_switching():
     # Full-overlap 900 V / 180 ns storage drive: the fraction leaving the
     # coupler toward the storage line must be >= 99.999 %.
     topo = BufferTopology()
-    pulse = generate_pulse_train(1000.0, 50e-9, 0.1, 1, STATE_H)[0]
+    pulse = generate_pulse_train(1000.0, 50e-9, 0.1, 1)[0]
     store_only = DriveSchedule(
         storage_retrieval_schedule(topo, pulse, 1).pulses[:1])
     res = simulate(topo, store_only, [pulse])
@@ -187,7 +186,7 @@ def test_c5_loss_budget_fit():
 
 def test_c6_timing_guard():
     topo = BufferTopology()
-    pulse = generate_pulse_train(1000.0, 50e-9, 0.1, 1, STATE_H)[0]
+    pulse = generate_pulse_train(1000.0, 50e-9, 0.1, 1)[0]
     ok_accept = validate_schedule(
         topo, storage_retrieval_schedule(topo, pulse, 3), [pulse]) == []
     long_drive = storage_retrieval_schedule(topo, pulse, 3,

@@ -12,6 +12,7 @@ from qbuffer.components import (
     db_to_transmission,
     fiber_delay,
     generate_pulse_train,
+    stored_states,
 )
 from qbuffer.engine import (
     DriveSchedule,
@@ -19,12 +20,18 @@ from qbuffer.engine import (
     simulate,
     storage_period,
     storage_retrieval_schedule,
-    stored_states,
     train_schedule,
     validate_schedule,
 )
 from qbuffer.errors import InputDomainError
 from qbuffer.polarization import STATE_D, STATE_H
+
+
+def closed_form_bloch(prep, table, cycles):
+    """Bloch length after the preparation error and ``cycles`` cycles of a
+    per-cycle table whose last entry repeats: (1 - prep) * prod(1 - p_k)."""
+    per_cycle = [table[min(k, len(table)) - 1] for k in range(1, cycles + 1)]
+    return (1.0 - prep) * math.prod(1.0 - p for p in per_cycle)
 
 
 @pytest.fixture
@@ -34,7 +41,7 @@ def topo():
 
 @pytest.fixture
 def pulse():
-    return generate_pulse_train(1000.0, 50e-9, 0.1, 1, STATE_H)[0]
+    return generate_pulse_train(1000.0, 50e-9, 0.1, 1)[0]
 
 
 def mirror_run(topology, pulses):
@@ -87,7 +94,7 @@ class TestMirrorBehavior:
         assert res.discarded == []
 
     def test_vacuum_pulse_keeps_timing(self, topo):
-        vac = generate_pulse_train(1000.0, 50e-9, 0.0, 1, STATE_H)[0]
+        vac = generate_pulse_train(1000.0, 50e-9, 0.0, 1)[0]
         res = mirror_run(topo, [vac])
         assert len(res.retrieved) == 1
         assert res.retrieved[0].mu == 0.0
@@ -129,21 +136,25 @@ class TestStoreAndRetrieve:
         assert out.mu == pytest.approx(0.1 * chain, rel=1e-12)
 
     def test_depolarization_applied_per_cycle(self, pulse):
+        # The state of a record retrieved after 3 cycles is entry 3 of the
+        # stored-state table: the preparation error, then 3 cycles.
         topo = BufferTopology(depol_per_cycle=0.1, prep_error_depol=0.05)
-        d_pulse = PulseRecord(id=0, t=0.0, width=50e-9, mu=0.1, pol=STATE_D)
-        sched = storage_retrieval_schedule(topo, d_pulse, 3)
-        (out,) = simulate(topo, sched, [d_pulse]).retrieved_with_cycles(3)
-        assert out.pol.bloch_length == pytest.approx(
-            0.95 * 0.9 ** 3, rel=1e-12)
+        sched = storage_retrieval_schedule(topo, pulse, 3)
+        (out,) = simulate(topo, sched, [pulse]).retrieved_with_cycles(3)
+        state = stored_states(topo, STATE_D, 3)[out.cycles]
+        assert state.bloch_length == pytest.approx(0.95 * 0.9 ** 3,
+                                                   rel=1e-12)
 
-    def test_purity_monotone_in_cycles(self, pulse):
-        topo = BufferTopology(depol_per_cycle=0.07)
-        lengths = []
-        for k in range(0, 5):
-            sched = storage_retrieval_schedule(topo, pulse, k)
-            (out,) = simulate(topo, sched, [pulse]).retrieved_with_cycles(k)
-            lengths.append(out.pol.bloch_length)
+    def test_purity_monotone_in_cycles(self):
+        topo = BufferTopology(depol_per_cycle=(0.07, 0.0, 0.2))
+        states = stored_states(topo, STATE_H, 5)
+        lengths = [s.bloch_length for s in states]
+        assert lengths == pytest.approx(
+            [closed_form_bloch(0.0, (0.07, 0.0, 0.2), k) for k in range(6)],
+            rel=1e-12)
         assert all(a >= b - 1e-12 for a, b in zip(lengths, lengths[1:]))
+        purities = [s.purity for s in states]
+        assert all(a >= b - 1e-12 for a, b in zip(purities, purities[1:]))
 
     def test_retrieval_convention_eta_is_cycles_plus_one(self, topo, pulse):
         # Retrieval setting 1 is the direct reflection: zero storage cycles.
@@ -169,7 +180,7 @@ class TestLimits:
         assert any(r == "negligible" for _, r in res.discarded)
 
     def test_unordered_inputs_rejected(self, topo):
-        train = generate_pulse_train(1000.0, 50e-9, 0.1, 2, STATE_H)
+        train = generate_pulse_train(1000.0, 50e-9, 0.1, 2)
         with pytest.raises(InputDomainError):
             simulate(topo, DriveSchedule(), list(reversed(train)))
 
@@ -192,7 +203,7 @@ class TestConservation:
         # Slide a drive across the far passage; every split must keep the
         # per-lineage power audit closed (simulate raises otherwise).
         topo = BufferTopology()
-        pulse = generate_pulse_train(1000.0, 50e-9, 0.1, 1, STATE_H)[0]
+        pulse = generate_pulse_train(1000.0, 50e-9, 0.1, 1)[0]
         d_far = topo.far_passage_delay_s()
         start = d_far - 180e-9 + frac * 360e-9
         sched = DriveSchedule((DrivePulse(start, 180e-9, voltage),))
@@ -218,7 +229,7 @@ class TestConservation:
 
 class TestMultiPulseTrains:
     def test_two_pulse_packet_stored_and_retrieved(self, topo):
-        train = generate_pulse_train(1000.0, 50e-9, 0.1, 2, STATE_H)
+        train = generate_pulse_train(1000.0, 50e-9, 0.1, 2)
         sched = train_schedule(topo, train, 2)
         res = simulate(topo, sched, train)
         outs = res.retrieved_with_cycles(2)
@@ -295,7 +306,7 @@ class TestValidateSchedule:
         sched = storage_retrieval_schedule(topo, pulse, 3)
         run = simulate(topo, sched, [pulse])
         twin = PulseRecord(id=pulse.id, t=pulse.t, width=pulse.width,
-                           mu=pulse.mu, pol=pulse.pol)
+                           mu=pulse.mu)
         for inputs in ([twin], [pulse, pulse], []):
             with pytest.raises(InputDomainError):
                 validate_schedule(topo, sched, inputs, result=run)
@@ -303,18 +314,24 @@ class TestValidateSchedule:
 
 class TestStoredStates:
     @pytest.mark.parametrize("drive_width", [180e-9, 40e-9])
-    def test_replay_matches_propagated_states(self, drive_width):
-        # A partial drive leaves records at cycles 0 and 3.
-        topo = BufferTopology(prep_error_depol=0.05,
-                              depol_per_cycle=(0.1, 0.02, 0.3))
-        d_pulse = PulseRecord(id=0, t=0.0, width=50e-9, mu=0.1, pol=STATE_D)
-        sched = storage_retrieval_schedule(topo, d_pulse, 3,
+    def test_replay_matches_propagated_states(self, drive_width, pulse):
+        # A 40 ns drive switches part of the pulse, which leaves records at
+        # cycles 0 and 3. Each record's state is the table entry of its
+        # cycle count: the launch Bloch vector shrunk by the closed form.
+        prep, table = 0.05, (0.1, 0.02, 0.3)
+        topo = BufferTopology(prep_error_depol=prep, depol_per_cycle=table)
+        sched = storage_retrieval_schedule(topo, pulse, 3,
                                            drive_width=drive_width)
-        res = simulate(topo, sched, [d_pulse])
+        res = simulate(topo, sched, [pulse])
         states = stored_states(topo, STATE_D, 3)
         assert len(states) == 4
+        assert {p.cycles for p in res.retrieved} == \
+            ({3} if drive_width == 180e-9 else {0, 3})
         for p in res.retrieved:
-            assert np.array_equal(p.pol.rho, states[p.cycles].rho)
+            b = closed_form_bloch(prep, table, p.cycles)
+            np.testing.assert_allclose(states[p.cycles].bloch_vector,
+                                       [b, 0.0, 0.0], rtol=1e-12,
+                                       atol=1e-15)
 
     def test_entry_zero_is_preparation_error_only(self):
         topo = BufferTopology(prep_error_depol=0.2, depol_per_cycle=0.5)

@@ -7,15 +7,16 @@ from hypothesis import given, settings, strategies as st
 from qbuffer import engine, experiments
 from qbuffer.components import (
     BufferTopology,
-    PulseRecord,
     db_to_transmission,
-    pbs_project,
+    generate_pulse_train,
 )
 from qbuffer.detection import (
     ClickSet,
     DetectorModel,
+    click_probability,
     expected_counts,
     histogram,
+    sample_clicks,
 )
 from qbuffer.engine import simulate, storage_period, storage_retrieval_schedule
 from qbuffer.errors import CalibrationError, InputDomainError, ScheduleError
@@ -32,7 +33,6 @@ from qbuffer.experiments import (
     visibility,
     visibility_from_curve,
 )
-from qbuffer.polarization import STATE_H, apply_unitary, hwp_matrix
 
 DET = DetectorModel()
 QUIET = DetectorModel(dark_rate_hz=0.0, jitter_sigma_s=0.0)
@@ -343,60 +343,84 @@ class TestHwpSweep:
         assert avg[1] == pytest.approx(1.0, abs=1e-9)
 
 
+def closed_form_bloch(prep, table, cycles):
+    """(1 - prep) * prod(1 - p_k) over ``cycles`` cycles of a per-cycle
+    table whose last entry repeats."""
+    return (1.0 - prep) * math.prod(
+        1.0 - table[min(k, len(table)) - 1] for k in range(1, cycles + 1))
+
+
 class TestReplayedSweep:
-    """The fringe sweep propagates each setting once with an H launch and
-    replays each HWP angle's state onto the retrieved records."""
+    """The fringe sweep propagates each setting once and projects the
+    stored-state table of each HWP angle onto the retrieved records."""
 
-    @given(prep=st.floats(0.0, 1.0),
-           table=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
-           etas=st.lists(st.integers(1, 6), min_size=1, max_size=3,
-                         unique=True),
-           inner=st.lists(st.floats(0.01, math.pi / 2 - 0.01), min_size=2,
-                          max_size=4, unique=True),
-           drive_width=st.sampled_from([180e-9, 40e-9]),
-           mode=st.sampled_from(["analytic", "monte-carlo"]))
-    @settings(max_examples=30)
-    def test_records_equal_direct_propagation(self, prep, table, etas,
-                                              inner, drive_width, mode):
-        # A 40 ns drive switches only part of the pulse, so settings past
-        # eta = 1 also retrieve a record at zero cycles.
-        topo = BufferTopology(prep_error_depol=prep,
-                              depol_per_cycle=tuple(table))
-        angles = (0.0, *inner, math.pi / 2)
-        cfg = ExperimentConfig(preset="t", eta_list=tuple(etas),
-                               hwp_angles=angles, basis="computational",
-                               mode=mode, n_triggers=2000,
-                               drive_width_s=drive_width)
-        measured = []
+    def test_expected_counts_match_closed_form(self):
+        # Oracle: an H launch through a HWP at theta, shrunk to Bloch length
+        # b_k = (1 - prep) * prod(1 - p_j) after k cycles, sends the shares
+        # (1 +- b_k cos 4 theta) / 2 of the retrieved mu to the two ports.
+        # A 40 ns drive switches only part of the pulse.
+        prep, table, drive_width = 0.05, (0.1, 0.02, 0.3), 40e-9
+        topo = BufferTopology(prep_error_depol=prep, depol_per_cycle=table)
+        cfg = analytic_config(eta_list=(1, 2, 5), basis="computational",
+                              drive_width_s=drive_width)
+        results = run_hwp_sweep(cfg, topo, DET)
+        assert [r.eta for r in results] == [1, 2, 5]
+        angles = np.asarray(cfg.hwp_angles)
+        for r in results:
+            k = r.eta - 1
+            source = generate_pulse_train(cfg.rep_rate_hz, cfg.pulse_width_s,
+                                          cfg.mu_source, 1)
+            sched = storage_retrieval_schedule(
+                topo, source[0], k, drive_width=drive_width,
+                guard=cfg.drive_guard_s)
+            (main,) = simulate(topo, sched, source).retrieved_with_cycles(k)
+            b = closed_form_bloch(prep, table, k)
+            for port, sign in ((0, 1.0), (1, -1.0)):
+                share = (1.0 + sign * b * np.cos(4.0 * angles)) / 2.0
+                want = [cfg.n_triggers * click_probability(
+                    main.mu * q, DET, cfg.count_window_s) for q in share]
+                assert r.expected[port] == pytest.approx(want, rel=1e-12)
 
-        def recording_project(pulse, u):
-            measured.append(pulse)
-            return pbs_project(pulse, u)
+    def test_monte_carlo_trains_match_closed_form(self, monkeypatch):
+        # Every retrieved record, the part a 40 ns drive leaves at zero
+        # cycles included, enters each port's train with the share of its
+        # own cycle count: mu * (1 +- b_k cos 4 theta) / 2.
+        prep, table = 0.05, (0.1, 0.02, 0.3)
+        topo = BufferTopology(prep_error_depol=prep, depol_per_cycle=table)
+        angles = (0.0, 0.3, 0.9, math.pi / 2)
+        cfg = ExperimentConfig(preset="t", eta_list=(1, 4), hwp_angles=angles,
+                               basis="computational", n_triggers=200,
+                               drive_width_s=40e-9)
+        trains = []
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(experiments, "pbs_project", recording_project)
-            run_hwp_sweep(cfg, topo, QUIET)
+        def recording(train, *args, **kwargs):
+            trains.append(train)
+            return sample_clicks(train, *args, **kwargs)
 
-        # Loop order of the sweep: per setting and angle the retained
-        # record, then (monte-carlo) every retrieved record once per port.
-        direct = []
+        monkeypatch.setattr(experiments, "sample_clicks", recording)
+        run_hwp_sweep(cfg, topo, QUIET)
+
+        want = []
         for eta in cfg.eta_list:
+            source = generate_pulse_train(cfg.rep_rate_hz, cfg.pulse_width_s,
+                                          cfg.mu_source, 1)
+            sched = storage_retrieval_schedule(
+                topo, source[0], eta - 1, drive_width=40e-9,
+                guard=cfg.drive_guard_s)
+            retrieved = simulate(topo, sched, source).retrieved
             for theta in angles:
-                source = PulseRecord(
-                    id=0, t=0.0, width=cfg.pulse_width_s, mu=cfg.mu_source,
-                    pol=apply_unitary(STATE_H, hwp_matrix(theta)))
-                sched = storage_retrieval_schedule(
-                    topo, source, eta - 1, drive_width=drive_width,
-                    guard=cfg.drive_guard_s)
-                res = simulate(topo, sched, [source])
-                direct += res.retrieved_with_cycles(eta - 1)
-                if mode == "monte-carlo":
-                    direct += res.retrieved * 2
-        assert len(measured) == len(direct)
-        for got, want in zip(measured, direct):
-            assert (got.t, got.mu, got.cycles, got.id) == \
-                (want.t, want.mu, want.cycles, want.id)
-            assert np.array_equal(got.pol.rho, want.pol.rho)
+                for sign in (1.0, -1.0):
+                    want.append((tuple(p.t for p in retrieved), tuple(
+                        p.mu * (1.0 + sign * math.cos(4.0 * theta)
+                                * closed_form_bloch(prep, table, p.cycles))
+                        / 2.0 for p in retrieved)))
+        assert {p.cycles for p in retrieved} == {0, 3}
+        got = sorted((t.offsets, t.mus) for t in trains)
+        assert len(got) == len(want)
+        for (offsets, mus), (want_offsets, want_mus) in zip(got,
+                                                            sorted(want)):
+            assert offsets == want_offsets
+            assert mus == pytest.approx(want_mus, rel=1e-12)
 
 
 class TestOnePropagationPerSetting:
