@@ -9,10 +9,12 @@ one tree. The runs are every preset at seeds 0, 1 and 2, once with
 ``--format csv`` and once with ``--format json``, plus the argv of each
 workload in ``perfbench/run.py`` (seed 0), taken from its ``WORKLOADS``.
 
-Every output file except ``manifest.json`` (it records wall times) is
-compared byte for byte. The script prints each run and file that differs,
-a file that only one tree wrote, or a run that failed, and exits 1 if
-there is any; otherwise it exits 0. Only the standard library is used.
+Every output file except ``manifest.json`` is compared byte for byte. The
+manifests are compared as parsed JSON without ``duration_s``, the one wall
+time they record, so a changed config snapshot or output list is seen too.
+The script prints each run and file that differs, a file that only one tree
+wrote, or a run that failed, and exits 1 if there is any; otherwise it
+exits 0. Only the standard library is used.
 """
 
 import filecmp
@@ -84,8 +86,19 @@ def result_files(out: Path) -> set:
             if p.is_file() and p.name != "manifest.json"}
 
 
+def manifest(out: Path):
+    """The run's manifest without its wall time; None if it has none."""
+    path = out / "manifest.json"
+    if not path.is_file():
+        return None
+    doc = json.loads(path.read_text())
+    doc.pop("duration_s", None)
+    return doc
+
+
 def compare(label: str, old: Path, new: Path, codes: tuple) -> list:
-    """Problems of one run: failed runs, missing or differing files."""
+    """Problems of one run: failed runs, missing or differing files, and
+    manifests that differ in more than their wall time."""
     if codes != (0, 0):
         return [f"{label}: exit codes {codes[0]} (old) and {codes[1]} (new)"]
     old_files, new_files = result_files(old), result_files(new)
@@ -96,6 +109,9 @@ def compare(label: str, old: Path, new: Path, codes: tuple) -> list:
     for name in sorted(old_files & new_files):
         if not filecmp.cmp(old / name, new / name, shallow=False):
             problems.append(f"{label}/{name}: differs")
+    if manifest(old) != manifest(new):
+        problems.append(f"{label}/manifest.json: differs apart from "
+                        "duration_s")
     return problems
 
 

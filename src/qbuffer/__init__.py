@@ -49,6 +49,7 @@ from .errors import (
     ScheduleError,
 )
 from .experiments import (
+    Calibration,
     ExperimentConfig,
     VisibilityResult,
     apply_calibration,
@@ -82,7 +83,8 @@ __all__ = [
     "storage_period", "storage_retrieval_schedule", "validate_schedule",
     "CalibrationError", "ConfigError", "ContractViolationError",
     "InputDomainError", "QBufferError", "ScheduleError",
-    "ExperimentConfig", "VisibilityResult", "apply_calibration", "calibrate",
+    "Calibration", "ExperimentConfig", "VisibilityResult",
+    "apply_calibration", "calibrate",
     "fit_decay", "run_hwp_sweep", "run_retrieval_sweep", "visibility",
     "JonesOp", "PolState", "STATE_A", "STATE_D", "STATE_H", "STATE_V",
     "apply_depolarizing", "apply_unitary", "hwp_matrix",

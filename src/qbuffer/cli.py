@@ -108,10 +108,10 @@ def _run_retrieval(plan):
 def _run_hwp(plan):
     cal = None
     topology = plan.topology
-    if plan.calibration["mode"] != "none":
-        cal = calibrate(plan.calibration["targets"], topology,
+    if plan.calibration.mode != "none":
+        cal = calibrate(plan.calibration.targets, topology,
                         plan.experiment, plan.detector,
-                        mode=plan.calibration["mode"], limits=plan.limits)
+                        mode=plan.calibration.mode, limits=plan.limits)
         topology = apply_calibration(topology, cal)
     results = run_hwp_sweep(plan.experiment, topology,
                             (plan.detector, plan.detector), plan.limits)
@@ -269,7 +269,7 @@ def cmd_validate(args) -> int:
         if plan.schedule is not None:
             schedules.append(("custom", plan.schedule))
         else:
-            for eta in exp.eta_list:
+            for eta in plan.propagated_etas:
                 schedules.append((f"eta={eta}", storage_retrieval_schedule(
                     plan.topology, inputs[0], eta - 1,
                     drive_width=exp.drive_width_s, guard=exp.drive_guard_s)))

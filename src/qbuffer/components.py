@@ -131,9 +131,10 @@ class BufferTopology:
     modulator_offset_m: float = 10.0
     v_pi: float = 900.0
     modulator_loss_db: float = 0.4
-    per_element_loss_db: dict = field(default_factory=dict)
+    per_element_loss_db: dict = field(
+        default_factory=DEFAULT_ELEMENT_LOSS_DB.copy)
     fbg_reflectivity: float = 1.0
-    depol_per_cycle: tuple = (0.0,)
+    depol_per_cycle: float | tuple = 0.0
     prep_error_depol: float = 0.0
 
     def __post_init__(self):

@@ -1,76 +1,48 @@
 """Run configuration: JSON schema, presets, merging and validation.
 
 A run is described by one JSON document with a versioned schema. Values are
-resolved in increasing precedence: package defaults, preset overlay, config
-file, then ``--set`` command-line overrides. The fully merged document is
-snapshotted into the run manifest so any run can be reproduced from its
-output directory alone.
+resolved in increasing precedence: package defaults (the model constructors'
+own), preset overlay, config file, then ``--set`` command-line overrides. The
+fully merged document is snapshotted into the run manifest so any run can be
+reproduced from its output directory alone.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .components import BufferTopology, DrivePulse
 from .detection import DetectorModel
 from .engine import DriveSchedule, SimLimits
-from .errors import ConfigError, InputDomainError, _checked
-from .experiments import ExperimentConfig, default_hwp_grid
+from .errors import ConfigError, InputDomainError
+from .experiments import Calibration, ExperimentConfig
 
 SCHEMA_VERSION = 1
+
+
+def _defaults(cls, *skip) -> dict:
+    """The document section of model ``cls``: the constructor default of
+    every field not in ``skip``, with tuples as lists."""
+    out = {}
+    for f in fields(cls):
+        if f.name not in skip:
+            value = f.default if f.default_factory is MISSING \
+                else f.default_factory()
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
+
 
 _BASE = {
     "schema_version": SCHEMA_VERSION,
     "preset": "fig2-main",
-    "seed": 12345,
-    "experiment": {
-        "mu_source": 0.1,
-        "n_triggers": 60_000,
-        "eta_list": list(range(1, 9)),
-        "hwp_angles": list(default_hwp_grid()),
-        "basis": "both",
-        "mode": "monte-carlo",
-        "rep_rate_hz": 1000.0,
-        "pulse_width_s": 50e-9,
-        "count_window_s": 100e-9,
-        "drive_width_s": 180e-9,
-        "drive_guard_s": 20e-9,
-    },
-    "topology": {
-        "loop_length_m": 1000.0,
-        "storage_length_m": 100.0,
-        "group_index": 1.468,
-        "modulator_offset_m": 10.0,
-        "v_pi": 900.0,
-        "modulator_loss_db": 0.4,
-        "fbg_reflectivity": 1.0,
-        "per_element_loss_db": {
-            "circulator": 0.6,
-            "coupler": 0.0,
-            "loop_fiber": 0.2,
-            "storage_fiber": 0.02,
-            "input_path": 0.0,
-            "output_path": 0.0,
-        },
-        "depol_per_cycle": 0.0,
-        "prep_error_depol": 0.0,
-    },
-    "detector": {
-        "efficiency": 0.90,
-        "dark_rate_hz": 100.0,
-        "dead_time_s": 50e-9,
-        "jitter_sigma_s": 50e-12,
-    },
-    "limits": {
-        "max_cycles": 64,
-        "mu_floor": 1e-12,
-    },
-    "calibration": {
-        "mode": "none",
-        "targets": {},
-    },
+    "seed": ExperimentConfig.seed,
+    "experiment": _defaults(ExperimentConfig, "preset", "seed"),
+    "topology": _defaults(BufferTopology),
+    "detector": _defaults(DetectorModel),
+    "limits": _defaults(SimLimits),
+    "calibration": _defaults(Calibration),
     "schedule": None,
 }
 
@@ -80,7 +52,7 @@ PRESETS = {
         "Retrieval-time sweep: eight storage settings, time-tagged peaks "
         "and per-cycle loss fit",
         "retrieval-sweep",
-        {"experiment": {"eta_list": list(range(1, 9))}},
+        {},
     ),
     "fig2-insets": (
         "Polarization fringe sweeps at three retrieval settings in two "
@@ -119,6 +91,12 @@ def _require(cond, path, msg):
         raise ConfigError(path, msg)
 
 
+def _check_preset(name):
+    _require(isinstance(name, str) and name in PRESETS, "preset",
+             f"unknown preset {name!r}; available: "
+             + ", ".join(sorted(PRESETS)))
+
+
 def _check_keys(section, path, allowed):
     _require(isinstance(section, dict), path or "document",
              f"expected an object, got {section!r}")
@@ -133,36 +111,18 @@ def validate_config(cfg: dict) -> None:
     """Check the structure of a fully merged configuration document.
 
     Values are checked where they are used: the model constructors called
-    by :func:`plan_from_config` own every range. Only the ``calibration``
-    section, which no model owns, has its values checked here.
+    by :func:`plan_from_config` own every range.
     """
     _check_keys(cfg, "", _BASE)
     _require(cfg.get("schema_version") == SCHEMA_VERSION, "schema_version",
              f"expected {SCHEMA_VERSION}")
-    preset = cfg.get("preset")
-    _require(preset in PRESETS, "preset",
-             f"unknown preset {preset!r}; available: "
-             + ", ".join(sorted(PRESETS)))
+    _check_preset(cfg.get("preset"))
     for name in ("experiment", "topology", "detector", "limits",
                  "calibration"):
         _check_keys(cfg.get(name), name, _BASE[name])
     for key in ("eta_list", "hwp_angles"):
         _require(isinstance(cfg["experiment"][key], list),
                  f"experiment.{key}", "expected a list")
-    _check_keys(cfg["topology"]["per_element_loss_db"],
-                "topology.per_element_loss_db",
-                _BASE["topology"]["per_element_loss_db"])
-
-    cal = cfg["calibration"]
-    _require(cal["mode"] in ("none", "table", "physical"),
-             "calibration.mode", "must be none, table or physical")
-    _require(isinstance(cal["targets"], dict), "calibration.targets",
-             "expected an object mapping eta to visibility")
-    for key, v in cal["targets"].items():
-        _require(str(key).isdecimal() and int(key) >= 1,
-                 f"calibration.targets.{key}", "eta keys must be >= 1")
-        _build(_under("calibration.targets"), _checked, key, v, ge=0, le=1,
-               label="visibility target")
 
     sched = cfg.get("schedule")
     if sched is not None:
@@ -221,10 +181,7 @@ def resolve_config(file_cfg: dict | None = None, overrides=(),
     :func:`plan_from_config` validates the result."""
     file_cfg = dict(file_cfg or {})
     chosen = preset or file_cfg.get("preset") or _BASE["preset"]
-    if chosen not in PRESETS:
-        raise ConfigError("preset",
-                          f"unknown preset {chosen!r}; available: "
-                          + ", ".join(sorted(PRESETS)))
+    _check_preset(chosen)
     cfg = _deep_merge(_BASE, PRESETS[chosen][2])
     cfg["preset"] = chosen
     cfg = _deep_merge(cfg, file_cfg)
@@ -264,9 +221,17 @@ class RunPlan:
     topology: BufferTopology
     detector: DetectorModel
     limits: SimLimits
-    calibration: dict
+    calibration: Calibration
     schedule: DriveSchedule | None
     snapshot: dict
+
+    @property
+    def propagated_etas(self) -> tuple:
+        """The settings a preset run propagates, calibration included."""
+        etas = self.experiment.eta_list
+        if self.kind == "hwp-sweep" and self.calibration.mode != "none":
+            etas += tuple(self.calibration.targets)
+        return tuple(dict.fromkeys(etas))
 
 
 def _build(path_of, cls, *args, **kwargs):
@@ -302,28 +267,27 @@ def plan_from_config(cfg: dict) -> RunPlan:
     topology = _build(_under("topology"), BufferTopology, **cfg["topology"])
     detector = _build(_under("detector"), DetectorModel, **cfg["detector"])
     limits = _build(_under("limits"), SimLimits, **cfg["limits"])
-    cal = {"mode": cfg["calibration"]["mode"],
-           "targets": {int(k): float(v)
-                       for k, v in cfg["calibration"]["targets"].items()}}
+    calibration = _build(_under("calibration"), Calibration,
+                         **cfg["calibration"])
     schedule = None
     kind = PRESETS[cfg["preset"]][1]
     if cfg["schedule"] is not None:
         kind = "custom"
+        # Absent keys take DrivePulse's defaults; it rejects a None start.
         drives = tuple(
             _build(lambda field, i=i: f"schedule[{i}].{_DRIVE_KEYS[field]}",
-                   DrivePulse, d.get("t_start_s"), d.get("width_s", 180e-9),
-                   d.get("voltage", 900.0))
+                   DrivePulse, **{"t_start": None} | {
+                       f: d[k] for f, k in _DRIVE_KEYS.items() if k in d})
             for i, d in enumerate(cfg["schedule"]))
         schedule = _build(lambda field: "schedule" + field.removeprefix(
             "pulses"), DriveSchedule, drives)
-    else:
-        # A preset sweep stores each pulse for eta - 1 cycles, calibration
-        # targets included; the cycle limit must let the longest one out.
-        etas = list(experiment.eta_list)
-        if kind == "hwp-sweep" and cal["mode"] != "none":
-            etas += list(cal["targets"])
-        need = max(etas) - 1
+    plan = RunPlan(kind, cfg["preset"], cfg["seed"], experiment, topology,
+                   detector, limits, calibration, schedule,
+                   copy.deepcopy(cfg))
+    if schedule is None:
+        # A preset sweep stores each pulse for eta - 1 cycles; the cycle
+        # limit must let the longest one out.
+        need = max(plan.propagated_etas) - 1
         _require(limits.max_cycles >= need, "limits.max_cycles",
                  f"must be >= {need}, the storage cycles of eta={need + 1}")
-    return RunPlan(kind, cfg["preset"], cfg["seed"], experiment, topology,
-                   detector, limits, cal, schedule, copy.deepcopy(cfg))
+    return plan

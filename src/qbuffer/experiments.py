@@ -24,6 +24,7 @@ exponential saturation bias of raw click counts.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -139,6 +140,45 @@ class ExperimentConfig:
         if self.basis == "both":
             return BASIS_ORDER
         return (self.basis,)
+
+
+@dataclass(frozen=True)
+class Calibration:
+    """The calibration a fringe sweep runs first: a mode, and visibility
+    targets in (0, 1] keyed by eta, an integer >= 1 or its decimal string
+    (stored as ``{int: float}``). Any mode but ``none`` needs eta = 1."""
+
+    mode: str = "none"  # none | table | physical
+    targets: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.mode not in ("none", "table", "physical"):
+            raise InputDomainError(
+                f"calibration mode {self.mode!r} must be none, table or "
+                "physical", "mode")
+        if not isinstance(self.targets, Mapping):
+            raise InputDomainError(
+                "targets must map eta to a visibility", "targets")
+        targets = {}
+        for key, value in self.targets.items():
+            name = f"targets.{key}"
+            try:
+                eta = int(key) if str(key).isdecimal() else 0
+            except ValueError:  # more digits than int() converts
+                eta = 0
+            if eta < 1:
+                raise InputDomainError(
+                    f"eta key {key!r} must be an integer >= 1", name)
+            if eta in targets:
+                raise InputDomainError(
+                    f"eta key {key!r} names eta={eta} twice", name)
+            _checked(name, value, gt=0, le=1, label="visibility target")
+            targets[eta] = float(value)
+        if self.mode != "none" and 1 not in targets:
+            raise InputDomainError(
+                "calibration needs an eta=1 target to anchor the preparation "
+                "error", "targets")
+        object.__setattr__(self, "targets", targets)
 
 
 @dataclass
@@ -521,22 +561,18 @@ def calibrate(targets: dict, topology: BufferTopology,
     """Choose depolarization parameters that reproduce visibility targets.
 
     ``targets`` maps retrieval setting eta to the desired average
-    visibility. Table mode solves one net Bloch shrink per target and
+    visibility, checked as a :class:`Calibration` whose mode is not
+    ``none``. Table mode solves one net Bloch shrink per target and
     spreads it over the intervening cycles, reproducing every target
-    exactly in analytic mode; it needs an eta = 1 entry to anchor the
-    preparation error. Physical mode fits a single per-cycle probability by
+    exactly in analytic mode; the eta = 1 entry anchors the preparation
+    error. Physical mode fits a single per-cycle probability by
     least squares in the log domain and reports the per-target residuals.
     """
     _hwp_grid(config)
-    if mode not in ("table", "physical"):
-        raise InputDomainError(f"unknown calibration mode {mode!r}")
-    targets = {int(eta): float(v) for eta, v in targets.items()}
-    if not targets or any(not 0.0 < v <= 1.0 for v in targets.values()):
-        raise CalibrationError("targets must be visibilities in (0, 1]")
-    if 1 not in targets:
-        raise CalibrationError(
-            "calibration needs an eta=1 target to anchor the preparation "
-            "error")
+    if mode == "none":
+        raise InputDomainError("calibrate needs mode table or physical",
+                               "mode")
+    targets = Calibration(mode, targets).targets
     limits = limits or SimLimits()
 
     bloch: dict[int, float] = {}
@@ -546,8 +582,7 @@ def calibrate(targets: dict, topology: BufferTopology,
         mu_ret[eta] = main.mu
         bloch[eta] = _solve_bloch(targets[eta], main.mu, config, det)
 
-    cycles = {eta: eta - 1 for eta in sorted(targets)}
-    ks = [cycles[eta] for eta in sorted(targets)]
+    ks = [eta - 1 for eta in sorted(targets)]
     bs = [bloch[eta] for eta in sorted(targets)]
     prep = 1.0 - bs[0]
 
@@ -564,11 +599,13 @@ def calibrate(targets: dict, topology: BufferTopology,
             for k in range(k0 + 1, k1 + 1):
                 table[k - 1] = 1.0 - retention
         depol = tuple(table)
-        achieved = {
-            eta: _analytic_visibility_of_bloch(
-                bloch_of(prep, depol, cycles[eta]), mu_ret[eta], config, det)
-            for eta in sorted(targets)
-        }
+        calibrated = apply_calibration(topology, CalibrationResult(
+            mode, prep, depol, bloch, {}, targets))
+        # Bloch length per setting, from the table stored_states reads.
+        shrink = {eta: math.prod([1.0 - calibrated.prep_error_depol]
+                                 + [1.0 - calibrated.depol_for_cycle(k)
+                                    for k in range(1, eta)])
+                  for eta in targets}
     else:
         pos = [(k, b) for k, b in zip(ks, bs) if k > 0]
         if pos and bs[0] > 0:
@@ -584,22 +621,13 @@ def calibrate(targets: dict, topology: BufferTopology,
         else:
             p = 0.0
         depol = (p,)
-        achieved = {
-            eta: _analytic_visibility_of_bloch(
-                bs[0] * (1.0 - p) ** cycles[eta], mu_ret[eta], config, det)
-            for eta in sorted(targets)
-        }
+        # The fitted closed form; a product of factors would change bits.
+        shrink = {eta: bs[0] * (1.0 - p) ** (eta - 1) for eta in targets}
 
-    residuals = {eta: achieved[eta] - targets[eta] for eta in sorted(targets)}
+    residuals = {eta: _analytic_visibility_of_bloch(
+                     shrink[eta], mu_ret[eta], config, det) - targets[eta]
+                 for eta in sorted(targets)}
     return CalibrationResult(mode, prep, depol, bloch, residuals, targets)
-
-
-def bloch_of(prep: float, depol_table: tuple, cycles: int) -> float:
-    """Net Bloch shrink after preparation error and ``cycles`` cycles."""
-    b = 1.0 - prep
-    for k in range(1, cycles + 1):
-        b *= 1.0 - depol_table[min(k, len(depol_table)) - 1]
-    return b
 
 
 def apply_calibration(topology: BufferTopology,
@@ -629,28 +657,29 @@ def write_peaks_csv(rows, path) -> None:
             fh.write(",".join(_fmt(getattr(r, c)) for c in cols) + "\n")
 
 
-def write_sweep_csv(results, path) -> None:
-    """Fringe-sweep table: one row per (eta, basis, angle, port)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("eta,basis,angle_rad,port,counts,normalized_counts\n")
-        for r in results:
-            raw = r.counts if np.any(r.counts) else r.expected
-            for i, (angle, n0, n1) in enumerate(r.curve):
-                for port, norm in ((0, n0), (1, n1)):
-                    fh.write(f"{r.eta},{r.basis},{angle!r},{port},"
-                             f"{_fmt(float(raw[port, i]))},{norm!r}\n")
+#: Columns of the fringe-sweep table.
+_SWEEP_COLUMNS = ("eta", "basis", "angle_rad", "port", "counts",
+                  "normalized_counts")
 
 
-def sweep_rows(results) -> list:
-    """The write_sweep_csv table as dicts, for JSON output."""
-    out = []
+def _sweep_table(results):
+    """The fringe-sweep rows, one tuple per (eta, basis, angle, port); raw
+    counts are the sampled ones, or in analytic mode the expected ones."""
     for r in results:
         raw = r.counts if np.any(r.counts) else r.expected
         for i, (angle, n0, n1) in enumerate(r.curve):
             for port, norm in ((0, n0), (1, n1)):
-                out.append({
-                    "eta": r.eta, "basis": r.basis, "angle_rad": angle,
-                    "port": port, "counts": float(raw[port, i]),
-                    "normalized_counts": norm,
-                })
-    return out
+                yield r.eta, r.basis, angle, port, float(raw[port, i]), norm
+
+
+def write_sweep_csv(results, path) -> None:
+    """Fringe-sweep table: one row per (eta, basis, angle, port)."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(_SWEEP_COLUMNS) + "\n")
+        for eta, basis, angle, port, counts, norm in _sweep_table(results):
+            fh.write(f"{eta},{basis},{angle!r},{port},{counts!r},{norm!r}\n")
+
+
+def sweep_rows(results) -> list:
+    """The write_sweep_csv table as dicts, for JSON output."""
+    return [dict(zip(_SWEEP_COLUMNS, row)) for row in _sweep_table(results)]

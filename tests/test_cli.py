@@ -4,13 +4,18 @@ import math
 import os
 import warnings
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qbuffer import cli, engine
 from qbuffer.cli import main
-from qbuffer.components import fiber_delay
-from qbuffer.config import resolve_config
+from qbuffer.components import BufferTopology, fiber_delay
+from qbuffer.config import PRESETS, resolve_config
+from qbuffer.detection import DetectorModel
+from qbuffer.engine import SimLimits
+from qbuffer.experiments import Calibration, ExperimentConfig
 
 
 def run_cli(*argv):
@@ -67,6 +72,27 @@ class TestPresets:
         assert {entry["name"] for entry in doc} >= {"fig2-main",
                                                     "fig2-insets"}
         assert all(entry["description"] for entry in doc)
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("section, model", [
+        ("topology", BufferTopology), ("detector", DetectorModel),
+        ("limits", SimLimits), ("calibration", Calibration)])
+    def test_sections_build_the_default_models(self, preset, section, model):
+        # Apart from what the preset overlays, the resolved document holds
+        # the constructors' own defaults.
+        cfg = resolve_config({}, preset=preset)
+        overlay = PRESETS[preset][2].get(section, {})
+        assert model(**cfg[section]) == replace(model(), **overlay)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_experiment_builds_the_default_model(self, preset):
+        cfg = resolve_config({}, preset=preset)
+        overlay = PRESETS[preset][2].get("experiment", {})
+        built = ExperimentConfig(preset=preset, seed=cfg["seed"],
+                                 **cfg["experiment"])
+        assert built == replace(ExperimentConfig(preset=preset), **overlay)
 
 
 class TestRun:
@@ -131,6 +157,14 @@ class TestRun:
         report = json.loads(err)
         assert report["error"] == "schema"
         assert "fig2-main" in report["message"]
+
+    @pytest.mark.parametrize("preset", [[1], {"a": 1}])
+    def test_unhashable_preset_is_a_schema_error(self, tmp_path, capsys,
+                                                 preset):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"preset": preset}))
+        assert run_cli("validate", "--config", str(cfg)) == 2
+        assert one_json_error(capsys)["path"] == "preset"
 
     @pytest.mark.parametrize("path", list(REJECTED_DOCS))
     def test_schema_violation_reports_field_path(self, tmp_path, capsys,
@@ -353,6 +387,31 @@ class TestManifestRoundTrip:
                                shallow=False), name
 
 
+class TestCalibrationSection:
+    """``validate`` and ``run`` reject the same calibration sections, each
+    with one JSON line naming the rejected path."""
+
+    @pytest.mark.parametrize("item, path", [
+        ('calibration.targets={"1":0}', "calibration.targets.1"),
+        ('calibration.targets={"3":0.9}', "calibration.targets"),
+        ("calibration.targets={}", "calibration.targets"),
+        ('calibration.targets={"1":0.95,"01":0.9}',
+         "calibration.targets.01"),
+        ("calibration.mode=x", "calibration.mode"),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_rejected_section_exits_two(self, tmp_path, capsys, command,
+                                        item, path):
+        argv = [command, "--preset", "fig2-insets",
+                "--set", "calibration.mode=table", "--set", item]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "o")]
+        assert run_cli(*argv) == 2
+        report = one_json_error(capsys)
+        assert report["error"] == "schema"
+        assert report["path"] == path
+
+
 class TestValidate:
     def test_default_operating_point(self, capsys):
         assert run_cli("validate", "--preset", "fig2-main") == 0
@@ -364,6 +423,17 @@ class TestValidate:
         assert code == 3
         out = capsys.readouterr()
         assert "unintended-readout" in out.out
+
+    def test_calibration_targets_are_validated(self, capsys):
+        # run propagates the eta=3 and eta=5 targets too, and exits 3 on
+        # the same drive.
+        code = run_cli("validate", "--preset", "fig2-insets",
+                       "--set", "experiment.eta_list=[1]",
+                       "--set", "experiment.drive_width_s=1.2e-6")
+        assert code == 3
+        out = capsys.readouterr().out
+        assert "[eta=3] unintended-readout" in out
+        assert "[eta=5] unintended-readout" in out
 
     def test_empty_schedule_warns(self, capsys):
         code = run_cli("validate", "--preset", "fig2-main",

@@ -21,6 +21,7 @@ from qbuffer.detection import (
 from qbuffer.engine import simulate, storage_period, storage_retrieval_schedule
 from qbuffer.errors import CalibrationError, InputDomainError, ScheduleError
 from qbuffer.experiments import (
+    Calibration,
     ExperimentConfig,
     apply_calibration,
     average_visibility_by_eta,
@@ -502,12 +503,39 @@ class TestCalibration:
                       mode="table")
 
     def test_eta_one_anchor_required(self):
-        with pytest.raises(CalibrationError):
+        with pytest.raises(InputDomainError):
             calibrate({3: 0.9}, BufferTopology(), analytic_config(), DET)
 
     def test_targets_domain(self):
-        with pytest.raises(CalibrationError):
+        with pytest.raises(InputDomainError):
             calibrate({1: 0.0}, BufferTopology(), analytic_config(), DET)
+
+    @pytest.mark.parametrize("targets, field", [
+        ({1: 0.9, "1": 0.8}, "targets.1"),
+        ({1: 0.9, False: 0.8}, "targets.False"),
+        ({1: 0.9, 3.0: 0.8}, "targets.3.0"),
+        ({1: 0.9, "\u00b2": 0.8}, "targets.\u00b2"),
+        ({1: 0.9, 0: 0.8}, "targets.0"),
+        ({1: 0.9, "9" * 5000: 0.8}, "targets." + "9" * 5000),
+        ({1: 1.5}, "targets.1"),
+        ({1: "0.9"}, "targets.1"),
+        ([0.9], "targets"),
+    ])
+    def test_section_domain_names_the_field(self, targets, field):
+        with pytest.raises(InputDomainError) as info:
+            Calibration("physical", targets)
+        assert info.value.field == field
+
+    def test_section_keys_become_integers(self):
+        cal = Calibration("table", {"1": 0.9, "05": 1})
+        assert cal.targets == {1: 0.9, 5: 1.0}
+        # Mode none needs no eta=1 anchor.
+        assert Calibration("none", {"3": 0.9}).targets == {3: 0.9}
+
+    def test_mode_none_is_not_a_calibration(self):
+        with pytest.raises(InputDomainError, match="table or physical"):
+            calibrate(PAPER_TARGETS, BufferTopology(), analytic_config(), DET,
+                      mode="none")
 
     @pytest.mark.parametrize("angles", [(), (0.0, 0.5, math.pi / 2)])
     def test_hwp_grid_checked_first(self, angles):
