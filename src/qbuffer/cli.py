@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -57,7 +58,7 @@ def _resolve(args) -> dict:
     if seed is None and "seed" not in file_cfg:
         env = os.environ.get("QBUF_SEED")
         if env is not None:
-            if not env.strip().lstrip("-").isdigit():
+            if not re.fullmatch(r"-?[0-9]+", env.strip()):
                 raise ConfigError("seed", f"QBUF_SEED={env!r} is not an "
                                   "integer")
             seed = int(env)
@@ -175,7 +176,6 @@ def cmd_run(args) -> int:
         return _err("schema", 2, path=exc.path, message=exc.message)
 
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
     started = time.perf_counter()
     outputs: list[str] = []
 
@@ -185,6 +185,7 @@ def cmd_run(args) -> int:
         outputs.append(name)
 
     try:
+        os.makedirs(out_dir, exist_ok=True)
         if plan.kind == "retrieval-sweep":
             sweep, fit, summary = _run_retrieval(plan)
             if args.format == "json":
@@ -222,6 +223,16 @@ def cmd_run(args) -> int:
             else:
                 emit("event_log.csv", result.write_event_log_csv)
                 emit("summary.json", lambda p: _write_json(p, summary))
+        manifest = {
+            "artifact_version": __version__,
+            "schema_version": cfg["schema_version"],
+            "preset": plan.preset,
+            "seed": plan.seed,
+            "outputs": outputs,
+            "duration_s": time.perf_counter() - started,
+            "config": plan.snapshot,
+        }
+        _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     except ScheduleError as exc:
         return _err("schedule", 3, message=str(exc),
                     violations=[{"severity": v.severity, "code": v.code,
@@ -234,17 +245,10 @@ def cmd_run(args) -> int:
     except MemoryError as exc:
         # A trigger count or dark rate whose draws do not fit in memory.
         return _err("run", 2, message=f"workload too large: {exc}")
-
-    manifest = {
-        "artifact_version": __version__,
-        "schema_version": cfg["schema_version"],
-        "preset": plan.preset,
-        "seed": plan.seed,
-        "outputs": outputs,
-        "duration_s": time.perf_counter() - started,
-        "config": plan.snapshot,
-    }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    except OSError as exc:
+        # --out or an output name is taken by a file or a directory, or
+        # cannot be written.
+        return _err("output", 2, message=str(exc))
     for name in outputs:
         full = os.path.join(out_dir, name)
         if not os.path.exists(full) or os.path.getsize(full) == 0:

@@ -340,6 +340,21 @@ class TestSeedResolution:
         assert small_run(out) == 0
         assert read_manifest(out)["seed"] == 7
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("env", ["\u00b2", "\u0661\u0662", "--5", "+5"])
+    def test_non_integer_env_is_a_schema_error(self, tmp_path, capsys,
+                                               monkeypatch, command, env):
+        # str.isdigit accepts superscripts and other scripts' digits, which
+        # int() then rejects or reads; only ASCII -?[0-9]+ is a seed.
+        monkeypatch.setenv("QBUF_SEED", env)
+        argv = [command, "--preset", "fig2-insets"]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "o")]
+        assert run_cli(*argv) == 2
+        report = one_json_error(capsys)
+        assert report["error"] == "schema"
+        assert report["path"] == "seed"
+
     def test_file_beats_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QBUF_SEED", "777")
         cfg = tmp_path / "c.json"
@@ -370,6 +385,27 @@ class TestSeedResolution:
                        "--config", str(cfg), "--out", str(out)) == 0
         assert read_manifest(out)["config"]["experiment"]["n_triggers"] \
             == 5000
+
+
+class TestOutputErrors:
+    """An output path that cannot be written exits 2 with one JSON line."""
+
+    def test_out_names_an_existing_file(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.write_text("")
+        assert small_run(out) == 2
+        report = one_json_error(capsys)
+        assert report["error"] == "output"
+        assert str(out) in report["message"]
+
+    @pytest.mark.parametrize("name", ["clicks_eta1.csv", "manifest.json"])
+    def test_output_name_taken_by_a_directory(self, tmp_path, capsys, name):
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        assert small_run(out) == 2
+        report = one_json_error(capsys)
+        assert report["error"] == "output"
+        assert name in report["message"]
 
 
 class TestManifestRoundTrip:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qbuffer import detection
 from qbuffer.detection import (
     ClickSet,
     DetectorModel,
     Histogram,
+    TriggerTrain,
     click_probability,
     count_triggered,
     expected_counts,
@@ -222,6 +224,27 @@ click_time = st.one_of(
 )
 
 
+#: Every decimal digit-count boundary, +-(10**k - 1) and +-10**k, with 0
+#: and both ends of int64.
+DIGIT_EDGES = sorted({sign * m for k in range(19)
+                      for m in (10 ** k - 1, 10 ** k) for sign in (1, -1)}
+                     | {-2 ** 63, 2 ** 63 - 1})
+
+int64 = st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1),
+                  st.sampled_from(DIGIT_EDGES))
+
+#: Times whose tags sit on the digit-count boundaries a ClickSet can hold.
+edge_time = st.sampled_from([tag / 1e12 for tag in DIGIT_EDGES
+                             if abs(tag) <= 10 ** 18])
+
+
+def per_line_oracle(times, ids):
+    """The click file as one f-string per row, ties rounded to even."""
+    return ("time_ps,detector_id\n" + "".join(
+        f"{round(t * 1e12)},{d}\n"
+        for t, d in zip(times.tolist(), ids.tolist()))).encode()
+
+
 class TestClickCsvProperty:
     @settings(max_examples=300)
     @given(st.lists(st.tuples(click_time, st.integers(0, 3)), max_size=40))
@@ -233,6 +256,39 @@ class TestClickCsvProperty:
         want = "time_ps,detector_id\n" + "".join(
             f"{int(np.rint(t * 1e12))},{d}\n" for t, d in rows)
         assert path.read_bytes() == want.encode()
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(int64, int64), max_size=40))
+    def test_rows_equal_per_line_oracle_over_int64(self, rows):
+        tags = np.array([t for t, _ in rows], dtype=np.int64)
+        ids = np.array([d for _, d in rows], dtype=np.int64)
+        want = "".join(f"{t},{d}\n" for t, d in rows).encode()
+        assert detection._csv_rows(tags, ids).tobytes() == want
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(detection._CSV_BLOCK_ROWS + 1,
+                       3 * detection._CSV_BLOCK_ROWS),
+           st.lists(st.tuples(st.integers(0, 3 * detection._CSV_BLOCK_ROWS),
+                              st.one_of(click_time, edge_time), int64),
+                    max_size=30))
+    def test_sets_longer_than_a_block(self, tmp_path_factory, n, rows):
+        # Zero rows with a few drawn ones scattered among them, so blocks
+        # differ in how many digits their widest value needs.
+        times = np.zeros(n)
+        ids = np.zeros(n, dtype=np.int64)
+        for pos, t, d in rows:
+            times[pos % n], ids[pos % n] = t, d
+        path = tmp_path_factory.mktemp("clicks") / "c.csv"
+        ClickSet(times, ids, 1.0).write_csv(path)
+        assert path.read_bytes() == per_line_oracle(times, ids)
+
+    def test_sampled_clicks_equal_per_line_oracle(self, tmp_path):
+        train = TriggerTrain(1e-3, 100_000, (2e-5, 5e-5), (5.0, 0.05))
+        cs = sample_clicks(train, DetectorModel(), 100.0, 11, detector_id=3)
+        assert 90_000 < len(cs) < 200_000
+        path = tmp_path / "c.csv"
+        cs.write_csv(path)
+        assert path.read_bytes() == per_line_oracle(cs.times, cs.detector_ids)
 
     def test_ties_round_to_even(self, tmp_path):
         # k/2 ps for odd k: keep the values whose product is an exact tie.
