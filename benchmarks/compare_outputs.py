@@ -14,7 +14,9 @@ manifests are compared as parsed JSON without ``duration_s``, the one wall
 time they record, so a changed config snapshot or output list is seen too.
 The script prints each run and file that differs, a file that only one tree
 wrote, or a run that failed, and exits 1 if there is any; otherwise it
-exits 0. Only the standard library is used.
+exits 0. It also prints each tree's peak RSS (``ru_maxrss`` from
+``os.wait4``) for the workload runs; that is a report only and never
+changes the exit status. Only the standard library is used.
 """
 
 import filecmp
@@ -50,21 +52,33 @@ def child_env(src: Path) -> dict:
     return env
 
 
-def qbuffer(src: Path, argv: list) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, "-m", "qbuffer.cli", *argv],
-                          env=child_env(src), stdin=subprocess.DEVNULL,
-                          capture_output=True, text=True)
+def qbuffer(src: Path, argv: list) -> tuple:
+    """(completed process, its peak RSS in MB) of one CLI run."""
+    cmd = [sys.executable, "-m", "qbuffer.cli", *argv]
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        child = subprocess.Popen(cmd, env=child_env(src),
+                                 stdin=subprocess.DEVNULL, stdout=out,
+                                 stderr=err)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        proc = subprocess.CompletedProcess(
+            cmd, child.returncode, out.read().decode(errors="replace"),
+            err.read().decode(errors="replace"))
+    return proc, usage.ru_maxrss * 1024 / 1e6
 
 
 def preset_names(src: Path) -> list:
-    proc = qbuffer(src, ["presets", "--format", "json"])
+    proc, _ = qbuffer(src, ["presets", "--format", "json"])
     if proc.returncode != 0:
         raise SystemExit(f"{src}: `qbuffer presets` failed:\n{proc.stderr}")
     return [entry["name"] for entry in json.loads(proc.stdout)]
 
 
 def cases(presets: list, workloads: dict) -> list:
-    """(label, argv builder taking the output directory)."""
+    """(label, argv builder taking the output directory, whether to report
+    peak RSS)."""
     out = []
     for preset in presets:
         for seed in SEEDS:
@@ -72,10 +86,10 @@ def cases(presets: list, workloads: dict) -> list:
                 out.append((f"{preset}-seed{seed}-{fmt}",
                             lambda d, p=preset, s=seed, f=fmt: [
                                 "run", "--preset", p, "--seed", str(s),
-                                "--format", f, "--out", str(d)]))
+                                "--format", f, "--out", str(d)], False))
     for name, workload in workloads.items():
         out.append((f"workload-{name}",
-                    lambda d, w=workload: w.argv(0, d)))
+                    lambda d, w=workload: w.argv(0, d), True))
     return out
 
 
@@ -132,14 +146,16 @@ def main(argv=None) -> int:
         return 1
 
     problems: list = []
+    rss: list = []
     n_files = 0
     with tempfile.TemporaryDirectory(prefix="qbuffer-compare-") as tmp:
-        for label, build in cases(presets, load_workloads()):
+        for label, build, report_rss in cases(presets, load_workloads()):
             dirs = [Path(tmp) / side / label for side in ("old", "new")]
-            codes = []
+            codes, peaks = [], []
             for tree, out in zip(trees, dirs):
-                proc = qbuffer(tree, build(out))
+                proc, peak_mb = qbuffer(tree, build(out))
                 codes.append(proc.returncode)
+                peaks.append(peak_mb)
                 if proc.returncode != 0:
                     sys.stderr.write(f"{label} ({tree}):\n{proc.stderr}")
             found = compare(label, *dirs, tuple(codes))
@@ -147,6 +163,11 @@ def main(argv=None) -> int:
             print(f"{label}: {'ok' if not found else 'DIFFERS'}",
                   flush=True)
             problems += found
+            if report_rss:
+                rss.append((label, *peaks))
+    for label, old_mb, new_mb in rss:
+        print(f"{label}: peak RSS {old_mb:.1f} MB (old), {new_mb:.1f} MB "
+              "(new)")
     for line in problems:
         print(line)
     print(f"{n_files} result files compared, {len(problems)} problems")

@@ -135,7 +135,9 @@ class ClickSet:
 
     def __post_init__(self):
         t = np.ascontiguousarray(self.times, dtype=np.float64)
-        ids = np.ascontiguousarray(self.detector_ids, dtype=np.int64)
+        # Not made contiguous: a one-detector set may pass a zero-stride
+        # view of its single id, which a copy would expand to full length.
+        ids = np.asarray(self.detector_ids, dtype=np.int64)
         if t.shape != ids.shape:
             raise InputDomainError("times and detector ids must align")
         # min and max propagate NaN, which fails both comparisons.
@@ -329,11 +331,12 @@ def sample_clicks(pulses, det: DetectorModel, acquisition: float, seed,
         if det.dark_rate_hz > 0 else 0
     dark_times = rng.random(n_dark) * acquisition
 
-    # One detector id for every click, so a plain value sort is enough.
+    # One detector id for every click, so a plain value sort is enough,
+    # and the id is stored once.
     times = np.sort(np.concatenate([signal_times, dark_times]))
     times = times[kernels.dead_time_filter(times, det.dead_time_s)]
-    return ClickSet(times, np.full(times.shape[0], detector_id,
-                                   dtype=np.int64), acquisition)
+    return ClickSet(times, np.broadcast_to(np.int64(detector_id),
+                                           times.shape), acquisition)
 
 
 def histogram(clicks: ClickSet, t0: float, bin_width: float,
@@ -367,4 +370,18 @@ def count_triggered(clicks: ClickSet, period: float, offset: float,
     trigger = np.floor(t / period)
     rel = t - trigger * period
     hit = (rel >= offset - window / 2.0) & (rel < offset + window / 2.0)
-    return int(np.unique(trigger[hit]).size)
+    return _n_distinct(trigger[hit])
+
+
+def _n_distinct(values: np.ndarray) -> int:
+    """Number of distinct values in a float array without NaN; -0.0 and 0.0
+    are one value. The values are sorted here, since a ClickSet does not
+    promise that its clicks are in order.
+
+    ``np.unique`` gives the same count, but its first call imports
+    ``numpy.ma``, which costs every run about 16 ms.
+    """
+    s = np.sort(values)
+    if s.size == 0:
+        return 0
+    return 1 + int(np.count_nonzero(s[1:] != s[:-1]))

@@ -38,7 +38,9 @@ from .components import (
 from .detection import (
     ClickSet,
     DetectorModel,
+    Histogram,
     TriggerTrain,
+    _n_distinct,
     click_probability,
     count_triggered,
     histogram,
@@ -111,8 +113,14 @@ class ExperimentConfig:
             raise InputDomainError(
                 "eta_list must name at least one retrieval setting",
                 "eta_list")
+        seen = set()
         for i, e in enumerate(etas):
             _checked(f"eta_list[{i}]", e, ge=1, integer=True)
+            if e in seen:
+                raise InputDomainError(
+                    f"eta {e!r} is listed twice; each retrieval setting is "
+                    "swept once", f"eta_list[{i}]")
+            seen.add(e)
         object.__setattr__(self, "eta_list", tuple(int(e) for e in etas))
         angles = tuple(self.hwp_angles)
         for i, a in enumerate(angles):
@@ -329,7 +337,7 @@ def _substream(seed: int, *key: int) -> np.random.SeedSequence:
 def _hwp_grid(config: ExperimentConfig) -> np.ndarray:
     """The HWP angles; at least 4 distinct ones spanning pi/2 are needed."""
     angles = np.asarray(config.hwp_angles, dtype=np.float64)
-    if np.unique(angles).size < 4 or \
+    if _n_distinct(angles) < 4 or \
             angles.max() - angles.min() < math.pi / 2.0 - 1e-9:
         raise InputDomainError(
             "need at least 4 distinct HWP angles spanning a full fringe "
@@ -374,11 +382,22 @@ def _trigger_train(retrieved, config: ExperimentConfig,
 def _folded_histogram(clicksets, period: float, n_bins: int):
     """Histogram of every click's time within its trigger period.
 
-    Binning needs no order, so the folded times are left unsorted.
+    Each click set is folded and binned on its own and the integer counts
+    are summed, which is exact because binning is elementwise; the memory
+    it needs above the click sets scales with the largest set, not with
+    all of them. Binning needs no order, so the folded times are left
+    unsorted.
     """
-    offsets = np.concatenate([np.mod(cs.times, period) for cs in clicksets])
-    folded = ClickSet(offsets, np.zeros(offsets.size, dtype=np.int64), period)
-    return histogram(folded, 0.0, HIST_BIN_S, n_bins)
+    counts = np.zeros(n_bins, dtype=np.int64)
+    overflow = 0
+    for cs in clicksets:
+        offsets = np.mod(cs.times, period)
+        folded = ClickSet(offsets, np.broadcast_to(np.int64(0), offsets.shape),
+                          period)
+        part = histogram(folded, 0.0, HIST_BIN_S, n_bins)
+        counts += part.counts
+        overflow += part.overflow
+    return Histogram(0.0, HIST_BIN_S, counts, overflow)
 
 
 def run_retrieval_sweep(config: ExperimentConfig, topology: BufferTopology,

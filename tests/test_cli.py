@@ -2,6 +2,8 @@ import filecmp
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 from dataclasses import replace
@@ -114,6 +116,27 @@ class TestRun:
         assert small_run(b) == 0
         for name in read_manifest(a)["outputs"]:
             assert filecmp.cmp(a / name, b / name, shallow=False), name
+
+    def test_runs_do_not_import_numpy_ma(self, tmp_path):
+        # numpy imports numpy.ma on the first np.unique call, which costs
+        # every run about 16 ms; only a fresh interpreter shows whether a
+        # run triggers it.
+        script = (
+            "import sys\n"
+            "from qbuffer.cli import main\n"
+            "for preset in ('fig2-main', 'fig2-insets'):\n"
+            "    assert main(['run', '--preset', preset, '--set',\n"
+            "                 'experiment.n_triggers=2000',\n"
+            "                 '--out', sys.argv[1] + preset]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("QBUF_")}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_insets_emits_six_visibility_records(self, tmp_path, capsys):
         out = tmp_path / "i"
@@ -266,6 +289,9 @@ class TestDomainErrorsAreSchemaErrors:
          "schedule[0].width_s"),
         ("run", "experiment.hwp_angles=[0,0.5,1,1.6,1e308]",
          "experiment.hwp_angles[4]"),
+        ("run", "experiment.eta_list=[1,1,2]", "experiment.eta_list[1]"),
+        ("validate", "experiment.eta_list=[1,1,2]",
+         "experiment.eta_list[1]"),
     ])
     def test_exits_two_with_section_path(self, tmp_path, capsys, command,
                                          item, path):
@@ -294,7 +320,7 @@ class TestDomainErrorsAreSchemaErrors:
     @pytest.mark.parametrize("items, message", [
         # V / V_pi overflows, so the loop phase is inf.
         (("topology.v_pi=5e-324", 'schedule=[{"t_start_s":0}]'), "phase"),
-        (("experiment.eta_list=[1,1]",), "distinct settings"),
+        (("experiment.eta_list=[1]",), "distinct settings"),
         (("detector.dark_rate_hz=1e308",), "dark clicks"),
     ])
     def test_run_time_domain_errors(self, tmp_path, capsys, items, message):

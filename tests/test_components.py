@@ -299,6 +299,8 @@ class TestConstructorDomain:
         (lambda: ExperimentConfig(hwp_angles=("0", 0.5, 1.0, 1.6)),
          "hwp_angles[0]"),
         (lambda: ExperimentConfig(eta_list=(1, 2, 2.5)), "eta_list[2]"),
+        (lambda: ExperimentConfig(eta_list=(3, 1, np.int64(3))),
+         "eta_list[2]"),
         (lambda: DetectorModel(efficiency="0.5"), "efficiency"),
     ], ids=[
         "topology-inf-loop", "topology-inf-group-index", "topology-nan-v-pi",
@@ -306,6 +308,7 @@ class TestConstructorDomain:
         "drive-nan", "schedule-nan-drives", "limits-fractional-cycles",
         "limits-nan-floor", "record-nan-t", "record-nan-mu",
         "experiment-str-angle", "experiment-fractional-eta",
+        "experiment-repeated-eta",
         "detector-str-efficiency"])
     def test_rejected_with_field(self, build, field):
         with pytest.raises(InputDomainError) as info:

@@ -135,6 +135,18 @@ class TestSampleClicks:
         cs = sample_clicks([(0.0, 50.0)], det, 1e-3, seed=1, detector_id=3)
         assert cs.detector_ids.tolist() == [3]
 
+    def test_one_detector_id_is_stored_once(self):
+        train = TriggerTrain(1e-3, 20_000, (2e-5, 5e-5), (5.0, 0.05))
+        cs = sample_clicks(train, DetectorModel(), 20.0, 11, detector_id=3)
+        ids = cs.detector_ids
+        assert len(cs) > 15_000
+        assert ids.dtype == np.int64 and ids.shape == cs.times.shape
+        assert ids.tolist() == [3] * len(cs)
+        assert ids.strides == (0,)
+        assert not ids.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ids[0] = 1
+
 
 class TestHistogram:
     def test_boundary_lands_left_closed(self):
@@ -289,6 +301,18 @@ class TestClickCsvProperty:
         path = tmp_path / "c.csv"
         cs.write_csv(path)
         assert path.read_bytes() == per_line_oracle(cs.times, cs.detector_ids)
+
+    def test_one_id_view_and_full_ids_write_the_same_bytes(self, tmp_path):
+        train = TriggerTrain(1e-3, 20_000, (2e-5, 5e-5), (5.0, 0.05))
+        view = sample_clicks(train, DetectorModel(), 20.0, 11, detector_id=3)
+        full = ClickSet(view.times, np.full(len(view), 3), view.acquisition_s)
+        assert (view.detector_ids.strides, full.detector_ids.strides) \
+            == ((0,), (8,))
+        want = per_line_oracle(view.times, np.full(len(view), 3))
+        for name, cs in (("view", view), ("full", full)):
+            path = tmp_path / f"{name}.csv"
+            cs.write_csv(path)
+            assert path.read_bytes() == want
 
     def test_ties_round_to_even(self, tmp_path):
         # k/2 ps for odd k: keep the values whose product is an exact tie.
