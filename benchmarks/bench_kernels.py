@@ -11,13 +11,21 @@ scan, at Python-loop speed. Then Monte Carlo click sampling is timed end
 to end, dead-time filter included, on one retrieved pulse per trigger of
 a 1 kHz train (60k and 1e6 triggers, 100 Hz of darks), given once as a
 ``TriggerTrain`` and once as the materialized ``(times, mus)`` pair of the
-same pulses. The last rows write the preset stream as a
+same pulses. The next rows write the preset stream as a
 ``time_ps,detector_id`` click file into a temporary directory: once with
 ``ClickSet.write_csv`` and once, as a reference, with the per-row f-string
-join it replaced, which must give the same bytes.
+join it replaced, which must give the same bytes. The fringe sweep's port
+share table (64 HWP angles x 24 cycle counts, both bases, on a
+depolarizing topology) is timed as the one numpy stack
+``experiments.share_table`` builds and, as a reference, one ``PolState`` at
+a time through ``apply_unitary``, ``stored_states`` and ``pbs_project``;
+the two tables must be equal to the bit. On these two rows the clicks
+column counts (angle, cycle) states. The script exits 1 if either
+reference differs.
 """
 
 import filecmp
+import math
 import os
 import sys
 import tempfile
@@ -26,8 +34,11 @@ import time
 import numpy as np
 
 from qbuffer import kernels
+from qbuffer.components import BufferTopology, pbs_project, stored_states
 from qbuffer.detection import (ClickSet, DetectorModel, TriggerTrain,
                                sample_clicks)
+from qbuffer.experiments import BASES, share_table
+from qbuffer.polarization import STATE_H, apply_unitary, hwp_matrix
 
 DEAD_TIME_S = 50e-9
 STORAGE_PERIOD_S = 5.876e-6
@@ -66,6 +77,18 @@ def write_csv_by_join(clicks, path):
     with open(path, "w", newline="") as fh:
         fh.write("time_ps,detector_id\n")
         fh.write(body)
+
+
+def share_table_per_state(topology, angles, max_cycles):
+    """The fringe sweep's share table built one PolState at a time."""
+    table = {basis: [] for basis in BASES}
+    for theta in angles:
+        launch = apply_unitary(STATE_H, hwp_matrix(float(theta)))
+        states = stored_states(topology, launch, max_cycles)
+        for basis, u in BASES.items():
+            table[basis].append(list(zip(*(pbs_project(s, u)
+                                           for s in states))))
+    return {basis: np.array(rows) for basis, rows in table.items()}
 
 
 def main():
@@ -110,6 +133,23 @@ def main():
             print(f"{label:52s} {times.size:9d} {'':7s} {dt * 1e3:8.2f}ms")
         if not filecmp.cmp(*paths, shallow=False):
             sys.exit("ClickSet.write_csv and the f-string join differ")
+
+    topology = BufferTopology(depol_per_cycle=(0.02, 0.01, 0.005),
+                              prep_error_depol=0.03)
+    angles = np.linspace(0.0, math.pi / 2.0, 64)
+    max_cycles = 23
+    tables = []
+    for label, build in (
+            ("share table, 64 angles x 24 cycle counts",
+             lambda: share_table(topology, angles, max_cycles, BASES)),
+            ("reference: per-state PolState chain",
+             lambda: share_table_per_state(topology, angles, max_cycles))):
+        tables.append(build())
+        dt = timeit(build, repeats=3)
+        print(f"{label:52s} {angles.size * (max_cycles + 1):9d} {'':7s} "
+              f"{dt * 1e3:8.2f}ms")
+    if not all(np.array_equal(tables[0][b], tables[1][b]) for b in BASES):
+        sys.exit("the share table and the per-state chain differ")
 
 
 if __name__ == "__main__":

@@ -12,9 +12,9 @@ between the counter-propagating directions routes the pulse across.
 Everything here is a pure transfer rule acting on immutable pulse records;
 propagation ordering lives in :mod:`qbuffer.engine`. Routing never depends on
 polarization, so records carry route and power only: the polarization of a
-record is ``stored_states(topology, launch, max_cycles)[record.cycles]``, the
-only place that applies the preparation error and the per-cycle
-depolarization.
+record is ``stored_rho(topology, launch.rho, max_cycles)[record.cycles]``,
+the only code that applies the preparation error and the per-cycle
+depolarization; ``stored_states`` wraps it for one ``PolState``.
 """
 
 from __future__ import annotations
@@ -24,8 +24,10 @@ import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ContractViolationError, InputDomainError, _checked
-from .polarization import JonesOp, PolState, apply_depolarizing
+from .polarization import JonesOp, PolState, conjugate, depolarize
 
 #: Vacuum speed of light, m/s.
 C_VACUUM = 299_792_458.0
@@ -227,22 +229,34 @@ class BufferTopology:
         return table[min(cycle, len(table)) - 1]
 
 
-def stored_states(topology: BufferTopology, pol: PolState,
-                  max_cycles: int) -> list:
-    """Polarization of a pulse launched as ``pol`` after 0..max_cycles cycles.
+def stored_rho(topology: BufferTopology, rho: np.ndarray,
+               max_cycles: int) -> np.ndarray:
+    """Density matrices of pulses launched as the ``(..., 2, 2)`` stack
+    ``rho`` after 0..max_cycles cycles, as a ``(..., max_cycles + 1, 2, 2)``
+    stack.
 
     Entry ``k`` is the state of a record that has completed ``k`` storage
     cycles: ``prep_error_depol`` at the input, then ``depol_for_cycle(j)``
     for j = 1..k. Routing never depends on polarization, so one engine run
-    per schedule plus this table covers every launch state.
+    per schedule plus this table covers every launch state. The result is
+    not domain-checked; :func:`qbuffer.polarization.check_density` does
+    that.
     """
     if max_cycles < 0:
         raise InputDomainError("cycle count must be >= 0")
-    states = [apply_depolarizing(pol, topology.prep_error_depol)]
+    out = np.empty(rho.shape[:-2] + (max_cycles + 1, 2, 2),
+                   dtype=np.complex128)
+    out[..., 0, :, :] = depolarize(rho, topology.prep_error_depol)
     for k in range(1, max_cycles + 1):
-        states.append(apply_depolarizing(states[-1],
-                                         topology.depol_for_cycle(k)))
-    return states
+        out[..., k, :, :] = depolarize(out[..., k - 1, :, :],
+                                       topology.depol_for_cycle(k))
+    return out
+
+
+def stored_states(topology: BufferTopology, pol: PolState,
+                  max_cycles: int) -> list:
+    """:func:`stored_rho` of one launch state, as a list of ``PolState``."""
+    return [PolState(r) for r in stored_rho(topology, pol.rho, max_cycles)]
 
 
 # -- transfer rules ---------------------------------------------------------
@@ -304,6 +318,15 @@ def sagnac_transfer(delta_phi: float) -> tuple[float, float]:
     return r, 1.0 - r
 
 
+def pbs_shares(rho: np.ndarray, basis_unitary: JonesOp) -> np.ndarray:
+    """P(H) of each state of a ``(..., 2, 2)`` stack at a polarizing
+    beamsplitter after a basis rotation, clipped to [0, 1]; P(V) is
+    ``1 - P(H)``."""
+    if not basis_unitary.is_unitary():
+        raise ContractViolationError("basis rotation is not unitary within 1e-9")
+    return np.clip(conjugate(rho, basis_unitary.m)[..., 0, 0].real, 0.0, 1.0)
+
+
 def pbs_project(state: PolState, basis_unitary: JonesOp
                 ) -> tuple[float, float]:
     """Port shares of a polarizing beamsplitter after a basis rotation.
@@ -312,9 +335,5 @@ def pbs_project(state: PolState, basis_unitary: JonesOp
     [0, 1]; a pulse of mean photon number mu sends mu * P(H) and mu * P(V)
     to the two ports.
     """
-    if not basis_unitary.is_unitary():
-        raise ContractViolationError("basis rotation is not unitary within 1e-9")
-    u = basis_unitary.m
-    rho = u @ state.rho @ u.conj().T
-    p_h = min(max(float(rho[0, 0].real), 0.0), 1.0)
+    p_h = float(pbs_shares(state.rho, basis_unitary))
     return p_h, 1.0 - p_h

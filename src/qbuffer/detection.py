@@ -134,10 +134,11 @@ class ClickSet:
     acquisition_s: float
 
     def __post_init__(self):
-        t = np.ascontiguousarray(self.times, dtype=np.float64)
+        # Views, so freezing them below leaves the caller's arrays writeable.
+        t = np.ascontiguousarray(self.times, dtype=np.float64).view()
         # Not made contiguous: a one-detector set may pass a zero-stride
         # view of its single id, which a copy would expand to full length.
-        ids = np.asarray(self.detector_ids, dtype=np.int64)
+        ids = np.asarray(self.detector_ids, dtype=np.int64).view()
         if t.shape != ids.shape:
             raise InputDomainError("times and detector ids must align")
         # min and max propagate NaN, which fails both comparisons.
@@ -176,7 +177,7 @@ class Histogram:
     def __post_init__(self):
         if self.bin_width <= 0:
             raise InputDomainError("bin width must be > 0")
-        c = np.ascontiguousarray(self.counts, dtype=np.int64)
+        c = np.ascontiguousarray(self.counts, dtype=np.int64).view()
         if (c < 0).any():
             raise InputDomainError("counts must be non-negative")
         c.flags.writeable = False

@@ -32,8 +32,8 @@ import numpy as np
 from .components import (
     BufferTopology,
     generate_pulse_train,
-    pbs_project,
-    stored_states,
+    pbs_shares,
+    stored_rho,
 )
 from .detection import (
     ClickSet,
@@ -59,7 +59,13 @@ from .errors import (
     ScheduleError,
     _checked,
 )
-from .polarization import STATE_H, JonesOp, apply_unitary, hwp_matrix
+from .polarization import (
+    STATE_H,
+    JonesOp,
+    check_density,
+    hwp_matrix,
+    rotate,
+)
 
 #: Measurement-basis rotations in front of the beamsplitter.
 BASES = {
@@ -448,6 +454,28 @@ def run_retrieval_sweep(config: ExperimentConfig, topology: BufferTopology,
     return RetrievalSweepResult(rows, delta_t, n, window, hist, clicks, sims)
 
 
+def share_table(topology: BufferTopology, angles, max_cycles: int,
+                bases) -> dict:
+    """Port shares of an H launch through a HWP at each of ``angles``.
+
+    ``table[basis][i, port, k]`` is the share the beamsplitter sends to
+    ``port`` in ``basis`` of the state at angle ``i`` after ``k`` storage
+    cycles. Every (angle, cycle) state is built, checked and projected as
+    one numpy stack; the values are those of the per-state
+    ``apply_unitary`` -> ``stored_states`` -> ``pbs_project`` chain.
+    """
+    hwps = np.stack([hwp_matrix(float(theta)).m for theta in angles])
+    launch = rotate(STATE_H.rho, hwps)
+    check_density(launch)
+    states = stored_rho(topology, launch, max_cycles)
+    check_density(states)
+    table = {}
+    for basis in bases:
+        p_h = pbs_shares(states, BASES[basis])
+        table[basis] = np.stack([p_h, 1.0 - p_h], axis=1)
+    return table
+
+
 def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
                   detectors, limits: SimLimits | None = None) -> list:
     """Polarization fringe sweep; one VisibilityResult per (eta, basis).
@@ -456,9 +484,9 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
     and used for both ports).
 
     Routing never depends on polarization, so each setting is propagated
-    once. The state at each HWP angle and cycle count comes from
-    :func:`stored_states`, and its two port shares are projected once per
-    basis; a retrieved record sends ``mu * share[record.cycles]`` to a port.
+    once. One :func:`share_table` holds the two port shares of the state
+    at each (basis, HWP angle, cycle count); a retrieved record sends
+    ``mu * share[record.cycles]`` to a port.
     """
     angles = _hwp_grid(config)
     limits = limits or SimLimits()
@@ -474,15 +502,10 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
     runs = [_propagate(topology, config, eta, limits)
             for eta in config.eta_list]
     max_cycles = max(p.cycles for _, sim in runs for p in sim.retrieved)
-    # shares[basis][i][port][k]: the port's share of the state at HWP angle
-    # i after k cycles; one projection per (basis, angle, cycle count).
-    shares = {basis: [] for basis in config.bases}
-    for theta in angles:
-        launch = apply_unitary(STATE_H, hwp_matrix(float(theta)))
-        states = stored_states(topology, launch, max_cycles)
-        for basis in config.bases:
-            shares[basis].append(tuple(zip(
-                *(pbs_project(s, BASES[basis]) for s in states))))
+    # shares[basis][i][port][k]: Python floats, so the trains and expected
+    # counts below see the same values as a per-state projection.
+    shares = {basis: table.tolist() for basis, table in share_table(
+        topology, angles, max_cycles, config.bases).items()}
 
     for eta, (main, sim) in zip(config.eta_list, runs):
         for basis in config.bases:

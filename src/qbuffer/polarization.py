@@ -7,6 +7,10 @@ representation. Optical elements act as Jones matrices by conjugation
 isotropic depolarizing channel rho -> (1-p) rho + p I/2, which shrinks the
 Bloch vector by exactly (1-p).
 
+The ``PolState`` functions wrap array forms over ``(..., 2, 2)`` stacks
+(:func:`rotate`, :func:`depolarize`, :func:`check_density`), so a whole
+table of states is built and checked with the same arithmetic as one state.
+
 Global optical phase is not tracked here; interferometric phase differences
 are handled explicitly by the loop-routing model in :mod:`qbuffer.components`.
 """
@@ -35,6 +39,60 @@ def _as_matrix(m) -> np.ndarray:
     return a
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each 2x2 matrix in a ``(..., 2, 2)`` stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def check_density(rho: np.ndarray) -> None:
+    """Reject any matrix of a ``(..., 2, 2)`` stack that is not a density
+    matrix within ``INPUT_TOL``: finite, unit trace, Hermitian, eigenvalues
+    in [0, 1]. The message names the first offending matrix as
+    :class:`PolState` would.
+    """
+    if not np.isfinite(rho).all():
+        raise InputDomainError("density matrix contains non-finite entries")
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    bad = np.abs(trace - 1.0) > INPUT_TOL
+    if bad.any():
+        raise InputDomainError(f"trace(rho) = {trace[bad].flat[0]} != 1")
+    herm = _dagger(rho)
+    if (np.abs(rho - herm).max(axis=(-2, -1)) > INPUT_TOL).any():
+        raise InputDomainError("density matrix is not Hermitian")
+    ev = np.linalg.eigvalsh(0.5 * (rho + herm))
+    bad = (ev.min(axis=-1) < -INPUT_TOL) | (ev.max(axis=-1) > 1.0 + INPUT_TOL)
+    if bad.any():
+        raise InputDomainError(f"eigenvalues {ev[bad][0]} outside [0, 1]")
+
+
+def unitary_within(m: np.ndarray, tol: float = INPUT_TOL) -> bool:
+    """Whether every matrix of a ``(..., 2, 2)`` stack is unitary within
+    ``tol``."""
+    return bool(np.abs(m @ _dagger(m) - _I2).max() <= tol)
+
+
+def conjugate(rho: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``m rho m+`` over broadcast ``(..., 2, 2)`` stacks."""
+    return m @ rho @ _dagger(m)
+
+
+def rotate(rho: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Array form of :func:`apply_unitary`: ``m rho m+``, Hermitized, for
+    stacks of states and unitaries; the result is not domain-checked."""
+    if not unitary_within(m):
+        raise ContractViolationError("element is not unitary within 1e-9")
+    rho = conjugate(rho, m)
+    return 0.5 * (rho + _dagger(rho))  # kill rounding drift off Hermitian
+
+
+def depolarize(rho: np.ndarray, p: float) -> np.ndarray:
+    """Array form of :func:`apply_depolarizing` over a ``(..., 2, 2)``
+    stack: ``(1-p) rho + p I/2``."""
+    if not (0.0 <= p <= 1.0):
+        raise InputDomainError(f"depolarization probability {p} outside [0, 1]")
+    return (1.0 - p) * rho + (p / 2.0) * _I2
+
+
 @dataclass(frozen=True)
 class PolState:
     """Polarization density matrix. Hermitian, unit trace, PSD."""
@@ -43,15 +101,7 @@ class PolState:
 
     def __post_init__(self):
         rho = _as_matrix(self.rho)
-        if not np.isfinite(rho).all():
-            raise InputDomainError("density matrix contains non-finite entries")
-        if abs(np.trace(rho) - 1.0) > INPUT_TOL:
-            raise InputDomainError(f"trace(rho) = {np.trace(rho)} != 1")
-        if np.abs(rho - rho.conj().T).max() > INPUT_TOL:
-            raise InputDomainError("density matrix is not Hermitian")
-        ev = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-        if ev.min() < -INPUT_TOL or ev.max() > 1.0 + INPUT_TOL:
-            raise InputDomainError(f"eigenvalues {ev} outside [0, 1]")
+        check_density(rho)
         rho = rho.copy()
         rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)
@@ -106,7 +156,7 @@ class JonesOp:
         object.__setattr__(self, "m", m)
 
     def is_unitary(self, tol: float = INPUT_TOL) -> bool:
-        return bool(np.abs(self.m @ self.m.conj().T - _I2).max() <= tol)
+        return unitary_within(self.m, tol)
 
     @classmethod
     def identity(cls) -> "JonesOp":
@@ -126,18 +176,12 @@ def hwp_matrix(theta: float) -> JonesOp:
 
 def apply_unitary(state: PolState, u: JonesOp) -> PolState:
     """Conjugate a state by a unitary element: rho -> U rho U+."""
-    if not u.is_unitary():
-        raise ContractViolationError("element is not unitary within 1e-9")
-    rho = u.m @ state.rho @ u.m.conj().T
-    rho = 0.5 * (rho + rho.conj().T)  # kill rounding drift off Hermitian
-    return PolState(rho)
+    return PolState(rotate(state.rho, u.m))
 
 
 def apply_depolarizing(state: PolState, p: float) -> PolState:
     """Isotropic depolarizing channel rho -> (1-p) rho + p I/2."""
-    if not (0.0 <= p <= 1.0):
-        raise InputDomainError(f"depolarization probability {p} outside [0, 1]")
-    return PolState((1.0 - p) * state.rho + (p / 2.0) * _I2)
+    return PolState(depolarize(state.rho, p))
 
 
 def projection_probability(state: PolState, axis) -> float:

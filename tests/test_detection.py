@@ -149,6 +149,15 @@ class TestSampleClicks:
 
 
 class TestHistogram:
+    def test_caller_counts_stay_writeable(self):
+        counts = np.array([3, 0, 1], dtype=np.int64)
+        h = Histogram(0.0, 0.1, counts)
+        assert counts.flags.writeable
+        assert not h.counts.flags.writeable
+        assert np.shares_memory(h.counts, counts)
+        with pytest.raises(ValueError, match="read-only"):
+            h.counts[0] = 1
+
     def test_boundary_lands_left_closed(self):
         cs = ClickSet(np.array([0.75]), np.array([0]), 1.0)
         h = histogram(cs, 0.0, 0.25, 8)
@@ -195,6 +204,20 @@ class TestHistogram:
 
 
 class TestClickSetPlumbing:
+    def test_caller_arrays_stay_writeable(self):
+        t = np.array([0.1, 0.2])
+        ids = np.array([0, 1], dtype=np.int64)
+        cs = ClickSet(t, ids, 1.0)
+        assert t.flags.writeable and ids.flags.writeable
+        assert not cs.times.flags.writeable
+        assert not cs.detector_ids.flags.writeable
+        # No copy: the set views the caller's buffers.
+        assert np.shares_memory(cs.times, t)
+        assert np.shares_memory(cs.detector_ids, ids)
+        t[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            cs.times[0] = 0.5
+
     def test_csv_export(self, tmp_path):
         cs = ClickSet(np.array([0.25]), np.array([1]), 1.0)
         path = tmp_path / "c.csv"

@@ -10,6 +10,8 @@ from qbuffer.components import (
     BufferTopology,
     db_to_transmission,
     generate_pulse_train,
+    pbs_project,
+    stored_states,
 )
 from qbuffer.detection import (
     ClickSet,
@@ -22,6 +24,7 @@ from qbuffer.detection import (
 from qbuffer.engine import simulate, storage_period, storage_retrieval_schedule
 from qbuffer.errors import CalibrationError, InputDomainError, ScheduleError
 from qbuffer.experiments import (
+    BASES,
     Calibration,
     ExperimentConfig,
     apply_calibration,
@@ -32,8 +35,17 @@ from qbuffer.experiments import (
     linearized_counts,
     run_hwp_sweep,
     run_retrieval_sweep,
+    share_table,
     visibility,
     visibility_from_curve,
+)
+from qbuffer.polarization import (
+    STATE_D,
+    STATE_H,
+    PolState,
+    apply_unitary,
+    check_density,
+    hwp_matrix,
 )
 
 DET = DetectorModel()
@@ -441,6 +453,106 @@ class TestReplayedSweep:
                                                             sorted(want)):
             assert offsets == want_offsets
             assert mus == pytest.approx(want_mus, rel=1e-12)
+
+
+def per_state_shares(topology, angles, max_cycles, basis):
+    """The (angle, port, cycle) share table built one PolState at a time,
+    as the sweep did before its table was batched: U rho U+ and Hermitize
+    per launch state, (1 - p) rho + (p/2) I per cycle, u rho u+ and a clip
+    per projection."""
+    i2 = np.eye(2, dtype=np.complex128)
+    b = BASES[basis].m
+    table = []
+    for theta in angles:
+        u = hwp_matrix(float(theta)).m
+        rho = u @ STATE_H.rho @ u.conj().T
+        state = PolState(0.5 * (rho + rho.conj().T))
+        states = []
+        for k in range(max_cycles + 1):
+            p = (topology.prep_error_depol if k == 0
+                 else topology.depol_for_cycle(k))
+            state = PolState((1.0 - p) * state.rho + (p / 2.0) * i2)
+            states.append(state)
+        p_h = [min(max(float((b @ s.rho @ b.conj().T)[0, 0].real), 0.0), 1.0)
+               for s in states]
+        table.append([p_h, [1.0 - p for p in p_h]])
+    return np.array(table)
+
+
+probability = st.floats(0.0, 1.0)
+hwp_angle = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e6, 1e6),
+                      st.sampled_from([0.0, -0.0, math.pi / 8, math.pi / 2,
+                                       -math.pi / 4]))
+# Some grids repeat their first angles.
+angle_grid = st.tuples(st.lists(hwp_angle, min_size=1, max_size=8),
+                       st.booleans()).map(
+    lambda g: g[0] + g[0][:2] if g[1] else g[0])
+
+
+class TestShareTable:
+    """The sweep's batched share table against the per-state chain."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(probability,
+                     st.lists(probability, min_size=1, max_size=6).map(tuple)),
+           probability, angle_grid, st.integers(0, 40))
+    def test_bit_equal_to_per_state_chain(self, depol, prep, angles,
+                                          max_cycles):
+        topo = BufferTopology(depol_per_cycle=depol, prep_error_depol=prep)
+        table = share_table(topo, np.asarray(angles), max_cycles, BASES)
+        for basis in BASES:
+            assert table[basis].shape == (len(angles), 2, max_cycles + 1)
+            assert np.array_equal(
+                table[basis],
+                per_state_shares(topo, angles, max_cycles, basis))
+
+    @pytest.mark.parametrize("basis", BASES)
+    def test_public_wrappers_give_the_same_shares(self, basis):
+        topo = BufferTopology(depol_per_cycle=(0.1, 0.02, 0.3),
+                              prep_error_depol=0.05)
+        angles = (0.0, 0.3, -2.0, 0.3)
+        table = share_table(topo, np.asarray(angles), 5, (basis,))[basis]
+        for i, theta in enumerate(angles):
+            launch = apply_unitary(STATE_H, hwp_matrix(theta))
+            shares = [pbs_project(s, BASES[basis])
+                      for s in stored_states(topo, launch, 5)]
+            assert table[i].T.tolist() == [list(s) for s in shares]
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[math.nan, 0.0], [0.0, 1.0]]),
+        np.eye(2),
+        np.array([[0.5, 0.5], [-0.5, 0.5]]),
+        np.array([[1.5, 0.0], [0.0, -0.5]]),
+    ], ids=["nan", "trace", "hermitian", "eigenvalue"])
+    def test_domain_check_names_the_entry_as_polstate_does(self, bad):
+        with pytest.raises(InputDomainError) as single:
+            PolState(bad)
+        stack = np.broadcast_to(STATE_D.rho, (3, 4, 2, 2)).copy()
+        stack[1, 2] = bad
+        with pytest.raises(InputDomainError) as batched:
+            check_density(stack)
+        assert str(batched.value) == str(single.value)
+
+
+class TestOneTablePerSweep:
+    """The sweep checks its stored states as one stack: the number of
+    eigenvalue solves does not grow with the angle grid or the settings."""
+
+    @pytest.mark.parametrize("n_angles", [16, 64])
+    @pytest.mark.parametrize("n_etas", [3, 12])
+    def test_eigvalsh_calls_do_not_scale(self, monkeypatch, n_angles, n_etas):
+        calls = []
+
+        def counted(*args, _run=np.linalg.eigvalsh, **kwargs):
+            calls.append(1)
+            return _run(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        cfg = analytic_config(eta_list=tuple(range(1, n_etas + 1)),
+                              hwp_angles=default_hwp_grid(n_angles))
+        run_hwp_sweep(cfg, BufferTopology(depol_per_cycle=0.01), QUIET)
+        # One for the launch stack, one for the stored stack.
+        assert len(calls) == 2
 
 
 class TestOnePropagationPerSetting:
