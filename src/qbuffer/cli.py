@@ -84,9 +84,9 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def _run_retrieval(plan):
+def _run_retrieval(plan, on_clicks=None):
     sweep = run_retrieval_sweep(plan.experiment, plan.topology,
-                                plan.detector, plan.limits)
+                                plan.detector, plan.limits, on_clicks)
     col = ("sampled_counts_linear" if plan.experiment.mode == "monte-carlo"
            else "expected_counts_linear")
     fit = fit_decay([(r.eta, getattr(r, col)) for r in sweep.rows])
@@ -187,7 +187,17 @@ def cmd_run(args) -> int:
     try:
         os.makedirs(out_dir, exist_ok=True)
         if plan.kind == "retrieval-sweep":
-            sweep, fit, summary = _run_retrieval(plan)
+            # Each click file is written as soon as its setting is sampled,
+            # and listed after the histogram.
+            click_files: list[str] = []
+
+            def write_clicks(eta, clicks):
+                name = f"clicks_eta{eta}.csv"
+                clicks.write_csv(os.path.join(out_dir, name))
+                click_files.append(name)
+
+            sweep, fit, summary = _run_retrieval(
+                plan, None if args.format == "json" else write_clicks)
             if args.format == "json":
                 doc = {"summary": summary,
                        "peaks": [vars(r) for r in sweep.rows]}
@@ -202,8 +212,7 @@ def cmd_run(args) -> int:
                      lambda p: write_peaks_csv(sweep.rows, p))
                 if sweep.histogram is not None:
                     emit("histogram.csv", sweep.histogram.write_csv)
-                for eta, cs in sweep.clicks.items():
-                    emit(f"clicks_eta{eta}.csv", cs.write_csv)
+                outputs += click_files
                 for eta, sim in sweep.sim_results.items():
                     emit(f"event_log_eta{eta}.csv", sim.write_event_log_csv)
                 emit("summary.json", lambda p: _write_json(p, summary))

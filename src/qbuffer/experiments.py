@@ -63,6 +63,7 @@ from .polarization import (
     STATE_H,
     JonesOp,
     check_density,
+    hwp_matrices,
     hwp_matrix,
     rotate,
 )
@@ -217,7 +218,6 @@ class RetrievalSweepResult:
     n_triggers: int
     window_s: float
     histogram: object | None
-    clicks: dict
     sim_results: dict = field(default_factory=dict)
 
     @property
@@ -392,28 +392,39 @@ def _folded_histogram(clicksets, period: float, n_bins: int):
     are summed, which is exact because binning is elementwise; the memory
     it needs above the click sets scales with the largest set, not with
     all of them. Binning needs no order, so the folded times are left
-    unsorted.
+    unsorted. ``clicksets`` may be a generator: no set is referenced here
+    once it is binned, so a set the generator drops is freed before the
+    next one is drawn.
     """
     counts = np.zeros(n_bins, dtype=np.int64)
     overflow = 0
     for cs in clicksets:
         offsets = np.mod(cs.times, period)
-        folded = ClickSet(offsets, np.broadcast_to(np.int64(0), offsets.shape),
-                          period)
-        part = histogram(folded, 0.0, HIST_BIN_S, n_bins)
+        del cs
+        part = histogram(
+            ClickSet(offsets, np.broadcast_to(np.int64(0), offsets.shape),
+                     period), 0.0, HIST_BIN_S, n_bins)
+        del offsets
         counts += part.counts
         overflow += part.overflow
     return Histogram(0.0, HIST_BIN_S, counts, overflow)
 
 
 def run_retrieval_sweep(config: ExperimentConfig, topology: BufferTopology,
-                        det: DetectorModel, limits: SimLimits | None = None
-                        ) -> RetrievalSweepResult:
+                        det: DetectorModel, limits: SimLimits | None = None,
+                        on_clicks=None) -> RetrievalSweepResult:
     """Timing sweep over the configured retrieval settings.
 
     Each setting runs its own schedule; expected counts come from the click
     model, sampled counts (monte-carlo mode) from per-trigger sampling and
     gated counting around the known exit time.
+
+    Every setting is propagated and checked before any is sampled, so an
+    input error raises before ``on_clicks`` sees a click set. The settings
+    are then sampled one at a time: each click set is counted, passed to
+    ``on_clicks(eta, clicks)`` (once per setting, in ``eta_list`` order),
+    folded into the histogram and dropped. A caller that wants the sets
+    keeps them, e.g. ``on_clicks=sets.__setitem__``.
     """
     limits = limits or SimLimits()
     delta_t = storage_period(topology)
@@ -422,36 +433,37 @@ def run_retrieval_sweep(config: ExperimentConfig, topology: BufferTopology,
     window = config.count_window_s
 
     rows: list[PeakRow] = []
-    clicks: dict[int, ClickSet] = {}
     sims: dict[int, object] = {}
     for eta in config.eta_list:
-        main, sim = _propagate(topology, config, eta, limits)
-        sims[eta] = sim
-        retrieved = sim.retrieved
+        main, sims[eta] = _propagate(topology, config, eta, limits)
         if main.t + window >= period:
             raise InputDomainError(
                 f"exit time {main.t} of eta={eta} exceeds the trigger period")
-        p = click_probability(main.mu, det, window)
-        expected = n * p
-        expected_lin = n * main.mu * det.efficiency
-        sampled = sampled_lin = None
-        if config.mode == "monte-carlo":
-            cs = sample_clicks(_trigger_train(retrieved, config), det,
-                               config.acquisition_s,
-                               _substream(config.seed, 0, eta))
-            sampled = count_triggered(cs, period, main.t, window)
-            sampled_lin = float(linearized_counts(
-                [sampled], n, det, window)[0])
-            clicks[eta] = cs
         rows.append(PeakRow(eta, eta - 1, main.t, eta * delta_t, main.mu,
-                            expected, sampled, expected_lin, sampled_lin))
+                            n * click_probability(main.mu, det, window), None,
+                            n * main.mu * det.efficiency, None))
+    trains = [(row, _trigger_train(sims[row.eta].retrieved, config))
+              for row in rows] if config.mode == "monte-carlo" else []
+
+    def sampled_sets():
+        for row, train in trains:
+            cs = sample_clicks(train, det, config.acquisition_s,
+                               _substream(config.seed, 0, row.eta))
+            row.sampled_counts = count_triggered(cs, period, row.exit_time_s,
+                                                 window)
+            row.sampled_counts_linear = float(linearized_counts(
+                [row.sampled_counts], n, det, window)[0])
+            if on_clicks is not None:
+                on_clicks(row.eta, cs)
+            yield cs
+            del cs  # freed before the next setting is drawn
 
     hist = None
-    if clicks:
+    if trains:
         n_bins = int(math.ceil((max(r.exit_time_s for r in rows) + delta_t)
                                / HIST_BIN_S))
-        hist = _folded_histogram(clicks.values(), period, n_bins)
-    return RetrievalSweepResult(rows, delta_t, n, window, hist, clicks, sims)
+        hist = _folded_histogram(sampled_sets(), period, n_bins)
+    return RetrievalSweepResult(rows, delta_t, n, window, hist, sims)
 
 
 def share_table(topology: BufferTopology, angles, max_cycles: int,
@@ -464,8 +476,7 @@ def share_table(topology: BufferTopology, angles, max_cycles: int,
     one numpy stack; the values are those of the per-state
     ``apply_unitary`` -> ``stored_states`` -> ``pbs_project`` chain.
     """
-    hwps = np.stack([hwp_matrix(float(theta)).m for theta in angles])
-    launch = rotate(STATE_H.rho, hwps)
+    launch = rotate(STATE_H.rho, hwp_matrices(angles))
     check_density(launch)
     states = stored_rho(topology, launch, max_cycles)
     check_density(states)

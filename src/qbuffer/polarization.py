@@ -8,8 +8,9 @@ isotropic depolarizing channel rho -> (1-p) rho + p I/2, which shrinks the
 Bloch vector by exactly (1-p).
 
 The ``PolState`` functions wrap array forms over ``(..., 2, 2)`` stacks
-(:func:`rotate`, :func:`depolarize`, :func:`check_density`), so a whole
-table of states is built and checked with the same arithmetic as one state.
+(:func:`rotate`, :func:`depolarize`, :func:`check_density`,
+:func:`hwp_matrices`), so a whole table of states is built and checked with
+the same arithmetic as one state.
 
 Global optical phase is not tracked here; interferometric phase differences
 are handled explicitly by the loop-routing model in :mod:`qbuffer.components`.
@@ -163,15 +164,26 @@ class JonesOp:
         return cls(_I2)
 
 
-def hwp_matrix(theta: float) -> JonesOp:
-    """Half-wave plate with its fast axis at ``theta`` radians.
+def hwp_matrices(angles) -> np.ndarray:
+    """``(len(angles), 2, 2)`` stack of half-wave plates, fast axis at each
+    angle in radians: [[cos 2t, sin 2t], [sin 2t, -cos 2t]].
 
-    Returns [[cos 2t, sin 2t], [sin 2t, -cos 2t]]; unitary and involutive.
+    Each matrix is unitary by construction, so the stack is not checked
+    for passivity here; :func:`rotate` checks its unitarity.
     """
-    if not math.isfinite(theta):
-        raise InputDomainError("HWP angle must be finite")
-    c, s = math.cos(2.0 * theta), math.sin(2.0 * theta)
-    return JonesOp(np.array([[c, s], [s, -c]], dtype=np.complex128))
+    rows = []
+    for theta in angles:
+        if not math.isfinite(theta):
+            raise InputDomainError("HWP angle must be finite")
+        c, s = math.cos(2.0 * theta), math.sin(2.0 * theta)
+        rows.append(((c, s), (s, -c)))
+    return np.array(rows, dtype=np.complex128).reshape(-1, 2, 2)
+
+
+def hwp_matrix(theta: float) -> JonesOp:
+    """Half-wave plate with its fast axis at ``theta`` radians; unitary and
+    involutive. See :func:`hwp_matrices`."""
+    return JonesOp(hwp_matrices((theta,))[0])
 
 
 def apply_unitary(state: PolState, u: JonesOp) -> PolState:

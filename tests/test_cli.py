@@ -110,6 +110,28 @@ class TestRun:
         assert "peaks.csv" in manifest["outputs"]
         assert "histogram.csv" in manifest["outputs"]
 
+    def test_manifest_lists_outputs_in_order(self, tmp_path, capsys):
+        # Click files are written during the sweep, before peaks.csv, but
+        # are listed after the histogram.
+        out = tmp_path / "o"
+        assert small_run(out, "--set", "experiment.eta_list=[2,1,3]") == 0
+        assert read_manifest(out)["outputs"] == [
+            "peaks.csv", "histogram.csv",
+            "clicks_eta2.csv", "clicks_eta1.csv", "clicks_eta3.csv",
+            "event_log_eta2.csv", "event_log_eta1.csv", "event_log_eta3.csv",
+            "summary.json"]
+
+    def test_later_invalid_setting_writes_no_click_file(self, tmp_path,
+                                                         capsys):
+        # A 25 us trigger period holds the exit times of eta = 1..4, but
+        # not eta = 5's (about 28 us).
+        out = tmp_path / "o"
+        assert small_run(out, "--set", "experiment.rep_rate_hz=40000") == 2
+        report = one_json_error(capsys)
+        assert report["error"] == "run"
+        assert "eta=5" in report["message"]
+        assert list(out.glob("clicks_eta*.csv")) == []
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         assert small_run(a) == 0

@@ -260,12 +260,81 @@ class TestFoldedHistogram:
 
     def test_sweep_histogram_equals_merge_and_sort(self):
         cfg = ExperimentConfig(preset="t", n_triggers=5000, seed=3)
-        sweep = run_retrieval_sweep(cfg, BufferTopology(), DET)
+        sets = {}
+        sweep = run_retrieval_sweep(cfg, BufferTopology(), DET,
+                                    on_clicks=sets.__setitem__)
         want = merge_and_sort_histogram(
-            list(sweep.clicks.values()), 1.0 / cfg.rep_rate_hz,
+            list(sets.values()), 1.0 / cfg.rep_rate_hz,
             sweep.histogram.counts.size)
         assert sweep.histogram.counts.tolist() == want.counts.tolist()
         assert sweep.histogram.overflow == want.overflow
+
+
+class TestStreamedSweep:
+    """The retrieval sweep hands each setting's clicks to ``on_clicks`` and
+    keeps none of them."""
+
+    def test_on_clicks_sees_each_eta_once_in_order(self):
+        cfg = ExperimentConfig(preset="t", n_triggers=2000, seed=4,
+                               eta_list=(3, 1, 8, 2))
+        seen = []
+        sweep = run_retrieval_sweep(
+            cfg, BufferTopology(), DET,
+            on_clicks=lambda eta, cs: seen.append((eta, len(cs))))
+        assert [eta for eta, _ in seen] == [3, 1, 8, 2]
+        assert all(n > 0 for _, n in seen)
+        assert [r.eta for r in sweep.rows] == [3, 1, 8, 2]
+
+    def test_sets_equal_a_direct_sample(self):
+        cfg = ExperimentConfig(preset="t", n_triggers=2000, seed=4,
+                               eta_list=(2, 5))
+        sets = {}
+        sweep = run_retrieval_sweep(cfg, BufferTopology(), DET,
+                                    on_clicks=sets.__setitem__)
+        for eta, sim in sweep.sim_results.items():
+            want = sample_clicks(experiments._trigger_train(sim.retrieved,
+                                                            cfg),
+                                 DET, cfg.acquisition_s,
+                                 experiments._substream(cfg.seed, 0, eta))
+            assert sets[eta].times.tolist() == want.times.tolist()
+
+    def test_analytic_mode_calls_nothing(self):
+        calls = []
+        run_retrieval_sweep(analytic_config(), BufferTopology(), DET,
+                            on_clicks=lambda *a: calls.append(a))
+        assert calls == []
+
+    def test_later_setting_fails_before_any_clicks(self):
+        # Exit times grow by one storage period (about 5.9 us) per setting;
+        # a 25 us trigger period holds eta = 1..4 but not eta = 5.
+        cfg = ExperimentConfig(preset="t", n_triggers=200, rep_rate_hz=4e4)
+        calls = []
+        with pytest.raises(InputDomainError, match="eta=5"):
+            run_retrieval_sweep(cfg, BufferTopology(), DET,
+                                on_clicks=lambda *a: calls.append(a))
+        assert calls == []
+
+    def test_peak_memory_is_below_the_click_sets(self):
+        # numpy reports its buffers to tracemalloc. A sweep that kept every
+        # setting's clicks would peak above their summed times; a streamed
+        # one holds one setting's at a time. The signal draw takes one
+        # uniform per trigger and slot whatever the click rate, so a high
+        # dark rate makes clicks, not that draw, the bulk of each setting.
+        cfg = ExperimentConfig(preset="t", n_triggers=2000, seed=6)
+        det = DetectorModel(dark_rate_hz=1e5)
+        nbytes = []
+        tracemalloc.start()
+        try:
+            live, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            run_retrieval_sweep(
+                cfg, BufferTopology(), det,
+                on_clicks=lambda eta, cs: nbytes.append(cs.times.nbytes))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(nbytes) == 8
+        assert peak - live < sum(nbytes)
 
 
 class TestExperimentConfigDomain:

@@ -16,6 +16,7 @@ from qbuffer.polarization import (
     PolState,
     apply_depolarizing,
     apply_unitary,
+    hwp_matrices,
     hwp_matrix,
     projection_probability,
 )
@@ -65,6 +66,27 @@ class TestHwpMatrix:
     def test_nonfinite_angle_rejected(self, theta):
         with pytest.raises(InputDomainError):
             hwp_matrix(theta)
+
+
+class TestHwpMatrices:
+    @given(st.lists(st.floats(-10.0, 10.0), max_size=70))
+    def test_stack_equals_per_angle_matrices(self, angles):
+        got = hwp_matrices(angles)
+        assert got.shape == (len(angles), 2, 2)
+        assert got.dtype == np.complex128
+        if angles:
+            assert np.array_equal(
+                got, np.stack([hwp_matrix(a).m for a in angles]))
+
+    def test_numpy_angles_match_floats(self):
+        angles = np.linspace(0.0, math.pi / 2.0, 64)
+        assert np.array_equal(hwp_matrices(angles),
+                              hwp_matrices(angles.tolist()))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_angle_rejected(self, bad):
+        with pytest.raises(InputDomainError, match="finite"):
+            hwp_matrices([0.0, 0.3, bad])
 
 
 class TestApplyUnitary:
