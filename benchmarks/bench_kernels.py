@@ -11,7 +11,12 @@ scan, at Python-loop speed. Then Monte Carlo click sampling is timed end
 to end, dead-time filter included, on one retrieved pulse per trigger of
 a 1 kHz train (60k and 1e6 triggers, 100 Hz of darks), given once as a
 ``TriggerTrain`` and once as the materialized ``(times, mus)`` pair of the
-same pulses. The next rows write the preset stream as a
+same pulses. The train's signal draw alone (1e6 triggers, one slot) is
+timed as the block draw of ``detection._train_signal`` and, as a
+reference, as one draw of all its uniforms; each row also prints its
+``tracemalloc`` peak, which counts the block draw's worst-case output
+array in full although only its fired times and one block are touched.
+The next rows write the preset stream as a
 ``time_ps,detector_id`` click file into a temporary directory: once with
 ``ClickSet.write_csv`` and once, as a reference, with the per-row f-string
 join it replaced, which must give the same bytes. The fringe sweep's port
@@ -20,7 +25,7 @@ depolarizing topology) is timed as the one numpy stack
 ``experiments.share_table`` builds and, as a reference, one ``PolState`` at
 a time through ``apply_unitary``, ``stored_states`` and ``pbs_project``;
 the two tables must be equal to the bit. On these two rows the clicks
-column counts (angle, cycle) states. The script exits 1 if either
+column counts (angle, cycle) states. The script exits 1 if any
 reference differs.
 """
 
@@ -30,10 +35,11 @@ import os
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
-from qbuffer import kernels
+from qbuffer import detection, kernels
 from qbuffer.components import BufferTopology, pbs_project, stored_states
 from qbuffer.detection import (ClickSet, DetectorModel, TriggerTrain,
                                sample_clicks)
@@ -67,6 +73,28 @@ def preset_stream(n_clicks, rng):
     dark = rng.random(rng.poisson(100.0 * acquisition)) * acquisition
     times = np.concatenate(signal + [dark])
     return np.sort(times + rng.normal(0.0, 50e-12, times.size))
+
+
+def traced_peak(fn):
+    """fn's result and the peak of the memory traced while it runs."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def train_signal_one_draw(train, det, rng):
+    """The train's signal times from one draw of all its uniforms (the
+    draw before blocks)."""
+    offsets, mus = train._slots()
+    n, k = int(train.n_triggers), offsets.size
+    p_click = 1.0 - np.exp(-mus * det.efficiency)
+    fired = np.flatnonzero(rng.random(n * k).reshape(n, k) < p_click)
+    trigger, slot = np.divmod(fired, k)
+    return trigger.astype(np.float64) * train.period + offsets[slot]
 
 
 def write_csv_by_join(clicks, path):
@@ -120,6 +148,23 @@ def main():
             dt = timeit(lambda p=pulses: sample_clicks(p, det, acquisition,
                                                        1))
             print(f"{label:52s} {n_triggers:9d} {'':7s} {dt * 1e3:8.2f}ms")
+
+    train = TriggerTrain(1e-3, 1_000_000, (EXIT_TIME_S,), (RETRIEVED_MU,))
+    acquisition = train.n_triggers * 1e-3
+    signals = []
+    for label, draw in (
+            ("train signal draw, blocks of 2**16 uniforms",
+             lambda rng: detection._train_signal(train, det, acquisition,
+                                                 rng)),
+            ("reference: one draw of every uniform",
+             lambda rng: train_signal_one_draw(train, det, rng))):
+        signal, peak = traced_peak(lambda d=draw: d(np.random.default_rng(1)))
+        signals.append(signal)
+        dt = timeit(lambda d=draw: d(np.random.default_rng(1)))
+        print(f"{label:52s} {train.n_triggers:9d} {'':7s} "
+              f"{dt * 1e3:8.2f}ms  traced peak {peak / 1e6:.2f} MB")
+    if not np.array_equal(*signals):
+        sys.exit("the block draw and the one draw differ")
 
     clicks = ClickSet(times, np.zeros(times.size, dtype=np.int64), 1e3)
     with tempfile.TemporaryDirectory() as tmp:

@@ -178,19 +178,27 @@ def cmd_run(args) -> int:
     out_dir = args.out
     started = time.perf_counter()
     outputs: list[str] = []
+    # Each click file is written as soon as its setting is sampled, and
+    # listed after the histogram.
+    click_files: list[str] = []
 
     def emit(name, writer):
         path = os.path.join(out_dir, name)
         writer(path)
         outputs.append(name)
 
+    def failed(code):
+        # A failed run leaves none of the files it has written.
+        for name in set(outputs + click_files):
+            try:
+                os.remove(os.path.join(out_dir, name))
+            except OSError:
+                pass
+        return code
+
     try:
         os.makedirs(out_dir, exist_ok=True)
         if plan.kind == "retrieval-sweep":
-            # Each click file is written as soon as its setting is sampled,
-            # and listed after the histogram.
-            click_files: list[str] = []
-
             def write_clicks(eta, clicks):
                 name = f"clicks_eta{eta}.csv"
                 clicks.write_csv(os.path.join(out_dir, name))
@@ -232,6 +240,11 @@ def cmd_run(args) -> int:
             else:
                 emit("event_log.csv", result.write_event_log_csv)
                 emit("summary.json", lambda p: _write_json(p, summary))
+        for name in outputs:
+            full = os.path.join(out_dir, name)
+            if not os.path.exists(full) or os.path.getsize(full) == 0:
+                return failed(_err("run", 2, message=f"output {name} "
+                                   "missing or empty"))
         manifest = {
             "artifact_version": __version__,
             "schema_version": cfg["schema_version"],
@@ -243,25 +256,22 @@ def cmd_run(args) -> int:
         }
         _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     except ScheduleError as exc:
-        return _err("schedule", 3, message=str(exc),
-                    violations=[{"severity": v.severity, "code": v.code,
-                                 "message": v.message}
-                                for v in exc.violations])
+        return failed(_err("schedule", 3, message=str(exc),
+                           violations=[{"severity": v.severity,
+                                        "code": v.code,
+                                        "message": v.message}
+                                       for v in exc.violations]))
     except CalibrationError as exc:
-        return _err("calibration", 2, message=str(exc))
+        return failed(_err("calibration", 2, message=str(exc)))
     except QBufferError as exc:
-        return _err("run", 2, message=str(exc))
+        return failed(_err("run", 2, message=str(exc)))
     except MemoryError as exc:
         # A trigger count or dark rate whose draws do not fit in memory.
-        return _err("run", 2, message=f"workload too large: {exc}")
+        return failed(_err("run", 2, message=f"workload too large: {exc}"))
     except OSError as exc:
         # --out or an output name is taken by a file or a directory, or
         # cannot be written.
-        return _err("output", 2, message=str(exc))
-    for name in outputs:
-        full = os.path.join(out_dir, name)
-        if not os.path.exists(full) or os.path.getsize(full) == 0:
-            return _err("run", 2, message=f"output {name} missing or empty")
+        return failed(_err("output", 2, message=str(exc)))
     print(f"wrote {len(outputs) + 1} files to {out_dir}")
     return 0
 

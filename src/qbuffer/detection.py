@@ -45,6 +45,10 @@ _TAG_LIMIT_PS = 2.0 ** 63
 #: An array of 8-byte click times holds fewer than 2**60 elements.
 _MAX_CLICKS = 2.0 ** 60
 
+#: Uniforms per block of a train's signal draw (whole triggers, at least
+#: one): a desk-scale one-slot train of 60k triggers is a single block.
+_DRAW_BLOCK_PULSES = 1 << 16
+
 #: 10**1 .. 10**19: a magnitude below 10**k has at most k decimal digits.
 _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
 
@@ -284,16 +288,37 @@ def _train_signal(train: TriggerTrain, det: DetectorModel, acquisition,
 
     One uniform per pulse, compared with its slot's click probability;
     times are built for fired pulses only, with the same IEEE operations
-    as broadcasting ``arange(n) * period`` against the offsets.
+    as broadcasting ``arange(n) * period`` against the offsets. The
+    uniforms are drawn in blocks of whole triggers: ``Generator.random``
+    takes one 64-bit output per double, so the blocks give the same values
+    and leave the same generator state as one draw of the whole train.
     """
     offsets, mus = train._slots()
     n, k = int(train.n_triggers), offsets.size
+    if not n * k < _MAX_CLICKS:
+        raise InputDomainError(
+            f"{n} triggers x {k} slots: {n * k} pulses exceed the 2**60 "
+            "click times one array can hold")
     if (n - 1) * train.period + offsets[-1] > acquisition:
         raise InputDomainError("acquisition must cover all pulse times")
     p_click = 1.0 - np.exp(-mus * det.efficiency)
-    fired = np.flatnonzero(rng.random(n * k).reshape(n, k) < p_click)
-    trigger, slot = np.divmod(fired, k)
-    return trigger.astype(np.float64) * train.period + offsets[slot]
+    # Room for every pulse to fire, so a train too large for memory fails
+    # here, before any draw. Each block's uniforms are drawn just past the
+    # times kept so far, and its fired times then overwrite them: pages
+    # beyond the fired pulses and one block are never touched.
+    times = np.empty(n * k)
+    n_fired = 0
+    step = max(1, _DRAW_BLOCK_PULSES // k)
+    for first in range(0, n, step):
+        m = min(step, n - first)
+        u = rng.random(out=times[n_fired:n_fired + m * k])
+        fired = np.flatnonzero(u.reshape(m, k) < p_click)
+        trigger, slot = np.divmod(fired, k)
+        trigger += first
+        times[n_fired:n_fired + fired.size] = (
+            trigger.astype(np.float64) * train.period + offsets[slot])
+        n_fired += fired.size
+    return times[:n_fired]
 
 
 def sample_clicks(pulses, det: DetectorModel, acquisition: float, seed,

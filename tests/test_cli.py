@@ -344,6 +344,9 @@ class TestDomainErrorsAreSchemaErrors:
         (("topology.v_pi=5e-324", 'schedule=[{"t_start_s":0}]'), "phase"),
         (("experiment.eta_list=[1]",), "distinct settings"),
         (("detector.dark_rate_hz=1e308",), "dark clicks"),
+        # 2**62 pulses, more than one array can index.
+        (("experiment.eta_list=[1]",
+          "experiment.n_triggers=4611686018427387904"), "pulses"),
     ])
     def test_run_time_domain_errors(self, tmp_path, capsys, items, message):
         argv = ["run", "--set", "experiment.n_triggers=100",
@@ -433,6 +436,27 @@ class TestSeedResolution:
                        "--config", str(cfg), "--out", str(out)) == 0
         assert read_manifest(out)["config"]["experiment"]["n_triggers"] \
             == 5000
+
+
+class TestFailedRunLeavesNoOutputs:
+    """A run that fails after sampling has begun removes the files it has
+    written and writes no manifest."""
+
+    def test_failed_loss_fit(self, tmp_path, capsys):
+        # One setting is sampled and its click file written before the
+        # loss fit finds fewer than 2 peaks.
+        out = tmp_path / "o"
+        assert small_run(out, "--set", "experiment.eta_list=[1]") == 2
+        assert "distinct settings" in one_json_error(capsys)["message"]
+        assert os.listdir(out) == []
+
+    def test_manifest_name_taken_by_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "manifest.json").mkdir(parents=True)
+        assert small_run(out) == 2
+        assert one_json_error(capsys)["error"] == "output"
+        assert os.listdir(out) == ["manifest.json"]
+        assert (out / "manifest.json").is_dir()
 
 
 class TestOutputErrors:

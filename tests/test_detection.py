@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -129,6 +133,42 @@ class TestSampleClicks:
     def test_non_finite_acquisition_rejected(self, acquisition):
         with pytest.raises(InputDomainError, match="finite"):
             sample_clicks([(0.5, 0.1)], QUIET, acquisition, seed=1)
+
+    def test_train_draw_peak_rss_is_below_one_whole_draw(self):
+        # numpy reports every buffer to tracemalloc, including the train's
+        # worst-case signal array, whose pages stay untouched unless their
+        # pulses fire; so the resident peak of a fresh process is measured.
+        # One draw of the 1e6 uniforms would touch 8 MB. Blocks of 2**16
+        # touch 0.5 MB past the few fired times, which numpy's transparent
+        # huge pages may round up by one 2 MB page.
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("needs /proc/self/status (VmRSS, VmHWM)")
+        script = textwrap.dedent("""\
+            from qbuffer.detection import (DetectorModel, TriggerTrain,
+                                           sample_clicks)
+
+            def status(key):
+                with open("/proc/self/status") as fh:
+                    for line in fh:
+                        if line.startswith(key + ":"):
+                            return int(line.split()[1]) * 1024
+
+            det = DetectorModel(dark_rate_hz=0.0, jitter_sigma_s=0.0)
+            sample_clicks(TriggerTrain(1e-6, 1000, (0.0,), (0.01,)), det,
+                          1.0, 1)
+            before = status("VmRSS")
+            clicks = sample_clicks(TriggerTrain(1e-6, 10**6, (0.0,),
+                                                (0.01,)), det, 1.0, 1)
+            assert 0 < len(clicks) < 20_000
+            print(status("VmHWM") - before)
+            """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(
+            detection.__file__))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 4_000_000
 
     def test_detector_id_tagging(self):
         det = DetectorModel(efficiency=1.0, dark_rate_hz=0.0)

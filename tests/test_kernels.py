@@ -1,10 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbuffer import kernels
+from qbuffer import detection, kernels
 from qbuffer.detection import DetectorModel, TriggerTrain, sample_clicks
 from qbuffer.errors import InputDomainError
 
@@ -176,10 +177,21 @@ def same_clicks(a, b, directory):
             == (directory / "b.csv").read_bytes())
 
 
+def single_draw_signal(train, det, acquisition, rng):
+    """The train's signal times from one draw of all its uniforms, as
+    ``detection._train_signal`` drew them before its block draw."""
+    offsets, mus = train._slots()
+    n, k = int(train.n_triggers), offsets.size
+    p_click = 1.0 - np.exp(-mus * det.efficiency)
+    fired = np.flatnonzero(rng.random(n * k).reshape(n, k) < p_click)
+    trigger, slot = np.divmod(fired, k)
+    return trigger.astype(np.float64) * train.period + offsets[slot]
+
+
 class TestTriggerTrainProperty:
     @settings(max_examples=400, deadline=None)
-    @given(trains())
-    def test_equals_materialized_stream(self, tmp_path_factory, case):
+    @given(trains(), st.integers(1, 5))
+    def test_equals_materialized_stream(self, tmp_path_factory, case, block):
         train, det, seed = case
         acquisition = (train.n_triggers + 0.5) * train.period
         got = sample_clicks(train, det, acquisition, seed, detector_id=1)
@@ -193,6 +205,27 @@ class TestTriggerTrainProperty:
         if broadcast:
             assert same_clicks(got, sample_clicks(
                 (times, mus), det, acquisition, seed, 1), directory)
+        # Blocks of a few pulses cross trigger edges, and hold one whole
+        # trigger when the train has more slots than a block has pulses.
+        with mock.patch.object(detection, "_DRAW_BLOCK_PULSES", block):
+            blocked = sample_clicks(train, det, acquisition, seed, 1)
+        assert same_clicks(got, blocked, directory)
+
+    @pytest.mark.parametrize("offsets", [(5e-6,), (5e-6, 2e-5, 2e-5)])
+    def test_block_draw_equals_one_draw(self, offsets):
+        # Three slots split the 2**16-pulse block into whole triggers of
+        # 65535 pulses. Equal times after the block draw also mean equal
+        # jitter and dark draws, which follow it from the same generator.
+        train = TriggerTrain(1e-3, 3 * detection._DRAW_BLOCK_PULSES + 5,
+                             offsets, (0.3,) * len(offsets))
+        det = DetectorModel(dark_rate_hz=100.0)
+        acquisition = train.n_triggers * 1e-3
+        got = sample_clicks(train, det, acquisition, 5)
+        with mock.patch.object(detection, "_train_signal",
+                               single_draw_signal):
+            want = sample_clicks(train, det, acquisition, 5)
+        assert len(got) > 0
+        assert np.array_equal(got.times, want.times)
 
 
 class TestTriggerTrainDomain:
