@@ -19,7 +19,11 @@ array in full although only its fired times and one block are touched.
 The next rows write the preset stream as a
 ``time_ps,detector_id`` click file into a temporary directory: once with
 ``ClickSet.write_csv`` and once, as a reference, with the per-row f-string
-join it replaced, which must give the same bytes. The fringe sweep's port
+join it replaced, which must give the same bytes. Its sorted one-detector
+blocks print every row at one width and go out as laid out; the same
+clicks permuted, on two detectors with ids 9 and 10 and with one time in
+a hundred negated, make every block mix widths, which the writer
+compresses through a per-row mask, and are written the same two ways. The fringe sweep's port
 share table (64 HWP angles x 24 cycle counts, both bases, on a
 depolarizing topology) is timed as the one numpy stack
 ``experiments.share_table`` builds and, as a reference, one ``PolState`` at
@@ -166,18 +170,28 @@ def main():
     if not np.array_equal(*signals):
         sys.exit("the block draw and the one draw differ")
 
-    clicks = ClickSet(times, np.zeros(times.size, dtype=np.int64), 1e3)
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = []
-        for label, write in (
-                ("ClickSet.write_csv, preset stream", ClickSet.write_csv),
-                ("reference: f-string join, preset stream",
-                 write_csv_by_join)):
-            paths.append(os.path.join(tmp, f"clicks{len(paths)}.csv"))
-            dt = timeit(lambda w=write, p=paths[-1]: w(clicks, p), repeats=3)
-            print(f"{label:52s} {times.size:9d} {'':7s} {dt * 1e3:8.2f}ms")
-        if not filecmp.cmp(*paths, shallow=False):
-            sys.exit("ClickSet.write_csv and the f-string join differ")
+    mixed = rng.permutation(times)
+    mixed[rng.random(mixed.size) < 0.01] *= -1
+    for stream, clicks in (
+            ("preset stream",
+             ClickSet(times, np.zeros(times.size, dtype=np.int64), 1e3)),
+            ("mixed widths",
+             ClickSet(mixed, rng.choice(np.array([9, 10]), mixed.size),
+                      1e3))):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for label, write in (("ClickSet.write_csv", ClickSet.write_csv),
+                                 ("reference: f-string join",
+                                  write_csv_by_join)):
+                paths.append(os.path.join(tmp, f"clicks{len(paths)}.csv"))
+                dt = timeit(lambda w=write, p=paths[-1]: w(clicks, p),
+                            repeats=3)
+                label = f"{label}, {stream}"
+                print(f"{label:52s} {len(clicks):9d} {'':7s} "
+                      f"{dt * 1e3:8.2f}ms")
+            if not filecmp.cmp(*paths, shallow=False):
+                sys.exit(f"ClickSet.write_csv and the f-string join differ "
+                         f"on the {stream}")
 
     topology = BufferTopology(depol_per_cycle=(0.02, 0.01, 0.005),
                               prep_error_depol=0.03)

@@ -49,7 +49,8 @@ _MAX_CLICKS = 2.0 ** 60
 #: one): a desk-scale one-slot train of 60k triggers is a single block.
 _DRAW_BLOCK_PULSES = 1 << 16
 
-#: 10**1 .. 10**19: a magnitude below 10**k has at most k decimal digits.
+#: 10**1 .. 10**19: a magnitude below 10**k has at most k decimal digits,
+#: so a column no wider than k digits searches only the first k - 1.
 _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
 
 
@@ -72,23 +73,22 @@ def _digit_groups() -> np.ndarray:
 _CSV_BLOCK_ROWS = 1 << 13
 
 
-def _decimal_field(v: np.ndarray):
-    """Sign flags, digit counts and zero-padded ASCII digits of int64 ``v``.
+def _digits(u: np.ndarray, width: int) -> np.ndarray:
+    """``(len(u), width)`` ASCII digits of uint64 ``u``, right-aligned and
+    zero-padded.
 
-    The digits come right-aligned in ``(len(v), 4 * groups)`` bytes, four at
-    a time from the digit-group table (the trick of the {fmt} library's
-    integer formatter), with as many groups as the widest value needs.
+    The digits come four at a time from the digit-group table (the trick of
+    the {fmt} library's integer formatter), one ``// 10000`` pass per group;
+    the result is a view of the groups that drops their leading columns.
     """
-    u = np.abs(v).view(np.uint64)  # -2**63 wraps to itself, read as 2**63
-    n_digits = np.searchsorted(_POW10, u, side="right") + 1
-    n_groups = -(-int(n_digits.max(initial=1)) // 4)
+    n_groups = -(-width // 4)
     table = _digit_groups()
-    groups = np.empty((v.size, n_groups), np.uint32)
+    groups = np.empty((u.size, n_groups), np.uint32)
     for k in range(n_groups - 1, -1, -1):
         q = u // 10_000
         groups[:, k] = table.take(u - q * 10_000)
         u = q
-    return v < 0, n_digits, groups.view(np.uint8)
+    return groups.view(np.uint8)[:, 4 * n_groups - width:]
 
 
 def _kept_columns(width: int) -> np.ndarray:
@@ -99,28 +99,67 @@ def _kept_columns(width: int) -> np.ndarray:
     return kept
 
 
+def _field(v: np.ndarray):
+    """Decimal layout of the int64 column ``v`` at its widest value's width.
+
+    Returns ``(sign, digits, kept, state)``. ``sign`` says whether a sign
+    column leads the field (some value is negative); ``digits`` holds the
+    zero-padded ASCII digits of ``|v|``, one row per value, or a single row
+    when all values are equal. The column's extremes tell whether every
+    row prints at that full width: one sign and one digit count. If so,
+    ``kept`` is one all-true row and ``state`` is 0. Otherwise ``kept``
+    says, for each (negative, digit count) pair, which of the field's
+    columns print, and ``state`` is each row's index into it.
+    """
+    lo, hi = int(v.min()), int(v.max())
+    sign = lo < 0
+    n_lo, n_hi = len(str(abs(lo))), len(str(abs(hi)))
+    width = max(n_lo, n_hi)
+    full = np.ones((1, sign + width), bool)
+    if lo == hi:
+        return sign, np.frombuffer(str(abs(lo)).encode(), np.uint8), full, 0
+    u = np.abs(v).view(np.uint64)  # -2**63 wraps to itself, read as 2**63
+    digits = _digits(u, width)
+    if (hi < 0) == sign and n_lo == n_hi:
+        return sign, digits, full, 0
+    n_digits = np.searchsorted(_POW10[:width - 1], u, side="right") + 1
+    kept = _kept_columns(width)[..., not sign:].reshape(-1, sign + width)
+    return sign, digits, kept, (v < 0) * (width + 1) + n_digits
+
+
 def _csv_rows(ps: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """ASCII bytes of the rows ``f"{p},{d}\\n"`` for int64 ``ps`` and ``ids``.
 
-    Each row is laid out at full width, ``-<digits>,-<digits>\\n``; one
-    boolean mask then drops the unused sign and leading-zero columns. The
-    mask's rows are gathered from a table of every (sign, digit count)
-    combination, which is several times faster than comparing short rows.
+    Each column is laid out at the width of its widest value, with a sign
+    column only if a value is negative. A block whose rows all print at
+    that width, such as a sorted one-detector block within one power of
+    ten, is returned as laid out; a one-detector id is formatted once.
+    Otherwise one boolean mask drops the unused sign and leading-zero
+    columns of the narrower rows. The mask's rows are gathered from a table
+    of every (sign, digit count) combination, which is several times
+    faster than comparing short rows.
     """
-    (t_neg, t_len, t_dig), (d_neg, d_len, d_dig) = (_decimal_field(ps),
-                                                    _decimal_field(ids))
-    wt, wd = t_dig.shape[1], d_dig.shape[1]
-    width = wt + wd + 4
+    if not ps.size:
+        return np.empty(0, np.uint8)
+    (t_sign, t_dig, t_kept, t_state), (d_sign, d_dig, d_kept, d_state) = (
+        _field(ps), _field(ids))
+    wt = t_sign + t_dig.shape[-1]
+    width = wt + d_sign + d_dig.shape[-1] + 2
     buf = np.empty((ps.size, width), np.uint8)
-    buf[:, 0] = buf[:, wt + 2] = ord("-")
-    buf[:, 1:wt + 1] = t_dig
-    buf[:, wt + 1] = ord(",")
-    buf[:, wt + 3:-1] = d_dig
+    if t_sign:
+        buf[:, 0] = ord("-")
+    if d_sign:
+        buf[:, wt + 1] = ord("-")
+    buf[:, t_sign:wt] = t_dig
+    buf[:, wt] = ord(",")
+    buf[:, wt + 1 + d_sign:-1] = d_dig
     buf[:, -1] = ord("\n")
-    kept = np.ones((2, wt + 1, 2, wd + 1, width), bool)
-    kept[..., :wt + 1] = _kept_columns(wt)[:, :, None, None]
-    kept[..., wt + 2:-1] = _kept_columns(wd)
-    row = ((t_neg * (wt + 1) + t_len) * 2 + d_neg) * (wd + 1) + d_len
+    if len(t_kept) == len(d_kept) == 1:
+        return buf
+    kept = np.ones((len(t_kept), len(d_kept), width), bool)
+    kept[..., :wt] = t_kept[:, None]
+    kept[..., wt + 1:-1] = d_kept
+    row = t_state * len(d_kept) + d_state
     return buf[kept.reshape(-1, width).take(row, axis=0)]
 
 
@@ -143,6 +182,7 @@ class ClickSet:
         # Not made contiguous: a one-detector set may pass a zero-stride
         # view of its single id, which a copy would expand to full length.
         ids = np.asarray(self.detector_ids, dtype=np.int64).view()
+        _checked("acquisition_s", self.acquisition_s, ge=0)
         if t.shape != ids.shape:
             raise InputDomainError("times and detector ids must align")
         # min and max propagate NaN, which fails both comparisons.
@@ -179,8 +219,9 @@ class Histogram:
     overflow: int = 0
 
     def __post_init__(self):
-        if self.bin_width <= 0:
-            raise InputDomainError("bin width must be > 0")
+        _checked("t0", self.t0)
+        _checked("bin_width", self.bin_width, gt=0, label="bin width")
+        _checked("overflow", self.overflow, ge=0, integer=True)
         c = np.ascontiguousarray(self.counts, dtype=np.int64).view()
         if (c < 0).any():
             raise InputDomainError("counts must be non-negative")
@@ -204,10 +245,13 @@ class Histogram:
 def click_probability(mu: float, det: DetectorModel, window: float) -> float:
     """Probability of at least one click from a pulse of mean photon number
     ``mu`` within a counting window."""
-    if mu < 0:
-        raise InputDomainError(f"mean photon number {mu} must be >= 0")
-    if window < 0:
-        raise InputDomainError(f"window {window} must be >= 0")
+    # Chained comparisons, which NaN fails: this runs once per port and
+    # HWP angle of a fringe sweep, too often for _checked.
+    if not 0 <= mu < math.inf:
+        raise InputDomainError(
+            f"mean photon number {mu} must be finite and >= 0")
+    if not 0 <= window < math.inf:
+        raise InputDomainError(f"window {window} must be finite and >= 0")
     no_signal = math.exp(-mu * det.efficiency)
     no_dark = math.exp(-det.dark_rate_hz * window)
     return 1.0 - no_signal * no_dark
@@ -336,6 +380,8 @@ def sample_clicks(pulses, det: DetectorModel, acquisition: float, seed,
     """
     if not (math.isfinite(acquisition) and acquisition >= 0):
         raise InputDomainError("acquisition must be finite and >= 0")
+    _checked("detector_id", detector_id, ge=-2 ** 63, lt=2 ** 63,
+             integer=True, label="detector id")
     if not det.dark_rate_hz * acquisition < _MAX_CLICKS:
         raise InputDomainError(
             f"{det.dark_rate_hz * acquisition} expected dark clicks exceed "
@@ -375,8 +421,8 @@ def histogram(clicks: ClickSet, t0: float, bin_width: float,
 def expected_counts(pulses, det: DetectorModel, n_reps: int,
                     window: float = 0.0) -> np.ndarray:
     """Noise-free expectation: n_reps * click_probability per pulse."""
-    if n_reps < 0:
-        raise InputDomainError("repetition count must be >= 0")
+    _checked("n_reps", n_reps, ge=0, integer=True, label="repetition count")
+    _checked("window", window, ge=0)
     t, mu = _pulse_arrays(pulses)
     del t
     p = 1.0 - (np.exp(-mu * det.efficiency)
@@ -388,8 +434,13 @@ def count_triggered(clicks: ClickSet, period: float, offset: float,
                     window: float) -> int:
     """Number of distinct trigger periods with a click inside the gate
     [offset - window/2, offset + window/2) relative to the trigger."""
-    if period <= 0 or window < 0:
-        raise InputDomainError("period must be > 0 and window >= 0")
+    # Chained comparisons, which NaN fails: this runs once per port and
+    # HWP angle of a sampled fringe sweep.
+    if not (0 < period < math.inf and 0 <= window < math.inf
+            and -math.inf < offset < math.inf):
+        raise InputDomainError(
+            "period must be finite and > 0, window finite and >= 0, and "
+            "offset finite")
     t = clicks.times
     if t.size == 0:
         return 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputDomainError
+from .errors import InputDomainError, _checked
 
 
 def _clean_times(times) -> np.ndarray:
@@ -56,10 +56,9 @@ def dead_time_filter(times, dead_time: float) -> np.ndarray:
 
 def bin_counts(times, t0: float, bin_width: float, n_bins: int):
     """(counts, overflow) for left-closed bins [t0 + k*w, t0 + (k+1)*w)."""
-    if bin_width <= 0:
-        raise InputDomainError(f"bin width {bin_width} must be > 0")
-    if n_bins < 1:
-        raise InputDomainError(f"bin count {n_bins} must be >= 1")
+    _checked("t0", t0)
+    _checked("bin_width", bin_width, gt=0, label="bin width")
+    _checked("n_bins", n_bins, ge=1, integer=True, label="bin count")
     t = _clean_times(times)
     idx = np.floor((t - float(t0)) / float(bin_width))
     in_range = (idx >= 0.0) & (idx < int(n_bins))

@@ -139,18 +139,19 @@ class TestRun:
         for name in read_manifest(a)["outputs"]:
             assert filecmp.cmp(a / name, b / name, shallow=False), name
 
-    def test_runs_do_not_import_numpy_ma(self, tmp_path):
-        # numpy imports numpy.ma on the first np.unique call, which costs
-        # every run about 16 ms; only a fresh interpreter shows whether a
-        # run triggers it.
+    @staticmethod
+    def fresh_runs(tmp_path, presets, expression):
+        """Run each preset at 2000 triggers in one fresh interpreter, then
+        print the Python ``expression``; returns the printed line."""
         script = (
             "import sys\n"
+            "from qbuffer import detection\n"
             "from qbuffer.cli import main\n"
-            "for preset in ('fig2-main', 'fig2-insets'):\n"
+            f"for preset in {presets!r}:\n"
             "    assert main(['run', '--preset', preset, '--set',\n"
             "                 'experiment.n_triggers=2000',\n"
             "                 '--out', sys.argv[1] + preset]) == 0\n"
-            "print('numpy.ma' in sys.modules)\n")
+            f"print({expression})\n")
         env = {k: v for k, v in os.environ.items()
                if not k.startswith("QBUF_")}
         env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
@@ -158,7 +159,22 @@ class TestRun:
                               env=env, capture_output=True, text=True,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False"
+        return proc.stdout.splitlines()[-1]
+
+    def test_runs_do_not_import_numpy_ma(self, tmp_path):
+        # numpy imports numpy.ma on the first np.unique call, which costs
+        # every run about 16 ms; only a fresh interpreter shows whether a
+        # run triggers it.
+        assert self.fresh_runs(tmp_path, ("fig2-main", "fig2-insets"),
+                               "'numpy.ma' in sys.modules") == "False"
+
+    def test_runs_without_click_files_build_no_digit_table(self, tmp_path):
+        # The click-file writer's digit table is built on first use; an
+        # analytic fringe sweep ran about 2.7 % slower when it was built at
+        # import.
+        assert self.fresh_runs(
+            tmp_path, ("ideal-system", "fig2-insets"),
+            "detection._digit_groups.cache_info().currsize") == "0"
 
     def test_insets_emits_six_visibility_records(self, tmp_path, capsys):
         out = tmp_path / "i"

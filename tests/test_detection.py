@@ -391,6 +391,45 @@ class TestClickCsvProperty:
         assert all(abs(tag - t * 1e12) == 0.5 for tag, t in zip(tags, ties))
 
 
+class TestClickCsvBlockWidths:
+    """Whole blocks whose rows differ in width, one block per kind, each
+    block as long as the writer's."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(4, 15), st.integers(1, detection._CSV_BLOCK_ROWS - 1),
+           st.integers(1, detection._CSV_BLOCK_ROWS - 2),
+           st.integers(0, 2 ** 32 - 1))
+    def test_mixed_width_blocks_equal_per_line_oracle(
+            self, tmp_path_factory, power, cross, middle, seed):
+        rng = np.random.default_rng(seed)
+        n = detection._CSV_BLOCK_ROWS
+        one_width = 10 ** power + np.arange(n)
+        # Sorted tags that reach 10**power at row ``cross``.
+        crossing = one_width - cross
+        first_negative = one_width.copy()
+        first_negative[0] *= -1
+        middle_negative = one_width.copy()
+        middle_negative[middle] *= -1
+        # Unsorted: the first and last rows come from the larger width
+        # class of ``crossing``, every row of the other class lies between.
+        shuffled = rng.permutation(crossing)
+        wide = shuffled >= 10 ** power
+        ends = np.flatnonzero(wide == (2 * wide.sum() >= n))[[0, -1]]
+        permuted = shuffled[np.r_[ends[0], np.delete(np.arange(n), ends),
+                                  ends[1]]]
+        blocks = [(crossing, 0), (first_negative, 1), (middle_negative, 2),
+                  (one_width, rng.permutation(np.arange(n) % 2 + 9)),
+                  (permuted, 3)]
+        tags = np.concatenate([tag for tag, _ in blocks])
+        ids = np.concatenate([np.broadcast_to(d, n) for _, d in blocks])
+        times = tags / 1e12
+        # The tags survive the round trip, so each block keeps its widths.
+        assert np.array_equal(np.rint(times * 1e12), tags)
+        path = tmp_path_factory.mktemp("clicks") / "c.csv"
+        ClickSet(times, ids, 1.0).write_csv(path)
+        assert path.read_bytes() == per_line_oracle(times, ids)
+
+
 class TestClickSetDomain:
     @pytest.mark.parametrize("bad", [
         math.nan, math.inf, -math.inf, TAG_OVER_S, -TAG_OVER_S, 1e300])
@@ -411,3 +450,43 @@ class TestClickSetDomain:
         path = tmp_path / "c.csv"
         ClickSet(np.array([]), np.array([]), 1.0).write_csv(path)
         assert path.read_text() == "time_ps,detector_id\n"
+
+
+@pytest.fixture
+def two_clicks():
+    return ClickSet(np.array([1e-5, 2e-3]), np.zeros(2, dtype=int), 1.0)
+
+
+DOMAIN_CASES = {
+    "histogram-width-nan": lambda cs: Histogram(0.0, math.nan, [1]),
+    "histogram-t0-inf": lambda cs: Histogram(math.inf, 1.0, [1]),
+    "histogram-overflow-negative": lambda cs: Histogram(0.0, 1.0, [1],
+                                                        overflow=-5),
+    "binning-width-nan": lambda cs: histogram(cs, 0.0, math.nan, 4),
+    "binning-t0-nan": lambda cs: histogram(cs, math.nan, 0.1, 4),
+    "binning-fractional-bins": lambda cs: histogram(cs, 0.0, 0.1, 2.5),
+    "gate-period-nan": lambda cs: count_triggered(cs, math.nan, 0.0, 1e-7),
+    "gate-offset-nan": lambda cs: count_triggered(cs, 1e-3, math.nan, 1e-7),
+    "gate-window-nan": lambda cs: count_triggered(cs, 1e-3, 0.0, math.nan),
+    "probability-mu-nan": lambda cs: click_probability(math.nan, QUIET,
+                                                       1e-7),
+    "probability-window-nan": lambda cs: click_probability(0.1, QUIET,
+                                                           math.nan),
+    "expected-reps-nan": lambda cs: expected_counts([(0.0, 0.1)], QUIET,
+                                                    math.nan),
+    "expected-window-nan": lambda cs: expected_counts(
+        [(0.0, 0.1)], QUIET, 10, window=math.nan),
+    "sample-id-beyond-int64": lambda cs: sample_clicks(
+        [(0.5, 0.1)], QUIET, 1.0, 1, detector_id=2 ** 70),
+    "sample-id-fractional": lambda cs: sample_clicks(
+        [(0.5, 0.1)], QUIET, 1.0, 1, detector_id=1.5),
+    "clickset-acquisition-nan": lambda cs: ClickSet(cs.times,
+                                                    cs.detector_ids,
+                                                    math.nan),
+}
+
+
+@pytest.mark.parametrize("call", DOMAIN_CASES.values(), ids=DOMAIN_CASES)
+def test_entry_points_reject_nan_and_out_of_range(two_clicks, call):
+    with pytest.raises(InputDomainError):
+        call(two_clicks)
