@@ -29,8 +29,17 @@ depolarizing topology) is timed as the one numpy stack
 ``experiments.share_table`` builds and, as a reference, one ``PolState`` at
 a time through ``apply_unitary``, ``stored_states`` and ``pbs_project``;
 the two tables must be equal to the bit. On these two rows the clicks
-column counts (angle, cycle) states. The script exits 1 if any
-reference differs.
+column counts (angle, cycle) states. ``count_triggered`` is timed on two
+time-ordered click sets, the preset stream gated at one exit time and a
+60k-trigger fringe setting sampled by ``sample_clicks``, against the sort
+path it takes for unordered sets (gather the gated triggers, sort, count
+distinct values). The calibration's visibility of a Bloch length is
+timed at 186 lengths on the 16-angle grid, as the unmemoized
+``evaluate`` of ``experiments._bloch_visibility`` (one per retrieved
+pulse, built once) and, as a reference, with one ``click_probability``
+call per port and angle and the fit built anew each time; there the
+clicks column counts Bloch lengths. The script exits 1 if any reference
+differs.
 """
 
 import filecmp
@@ -43,11 +52,13 @@ import tracemalloc
 
 import numpy as np
 
-from qbuffer import detection, kernels
+from qbuffer import detection, experiments, kernels
 from qbuffer.components import BufferTopology, pbs_project, stored_states
 from qbuffer.detection import (ClickSet, DetectorModel, TriggerTrain,
+                               click_probability, count_triggered,
                                sample_clicks)
-from qbuffer.experiments import BASES, share_table
+from qbuffer.experiments import (BASES, ExperimentConfig, linearized_counts,
+                                 share_table, visibility)
 from qbuffer.polarization import STATE_H, apply_unitary, hwp_matrix
 
 DEAD_TIME_S = 50e-9
@@ -121,6 +132,39 @@ def share_table_per_state(topology, angles, max_cycles):
             table[basis].append(list(zip(*(pbs_project(s, u)
                                            for s in states))))
     return {basis: np.array(rows) for basis, rows in table.items()}
+
+
+def count_by_sort(clicks, period, offset, window):
+    """count_triggered's sort path: the gated triggers gathered, sorted and
+    counted as distinct values."""
+    t = clicks.times
+    trigger = np.floor(t / period)
+    rel = t - trigger * period
+    hit = (rel >= offset - window / 2.0) & (rel < offset + window / 2.0)
+    return detection._n_distinct(trigger[hit])
+
+
+def bloch_visibility_per_call(b, mu_ret, config, det):
+    """The calibration's visibility of Bloch length ``b`` with one
+    ``click_probability`` call per (port, angle) and the fit built anew
+    (the evaluator before it was hoisted)."""
+    angles = np.asarray(config.hwp_angles, dtype=np.float64)
+    p_port0 = (1.0 + b * np.cos(4.0 * angles)) / 2.0
+    vis = []
+    for prob in (p_port0, 1.0 - p_port0):
+        raw = np.array([config.n_triggers * click_probability(
+            mu_ret * q, det, config.count_window_s) for q in prob])
+        c = np.maximum(linearized_counts(raw, config.n_triggers, det,
+                                         config.count_window_s), 0.0)
+        if angles.size < experiments.FIT_MIN_ANGLES:
+            vis.append(visibility(float(c.max()), float(c.min())))
+            continue
+        design = np.column_stack([np.ones_like(angles),
+                                  np.cos(4.0 * angles), np.sin(4.0 * angles)])
+        beta, *_ = np.linalg.lstsq(design, c, rcond=None)
+        vis.append(min(1.0, float(math.hypot(beta[1], beta[2]))
+                       / float(beta[0])))
+    return float(np.mean(vis))
 
 
 def main():
@@ -209,6 +253,43 @@ def main():
               f"{dt * 1e3:8.2f}ms")
     if not all(np.array_equal(tables[0][b], tables[1][b]) for b in BASES):
         sys.exit("the share table and the per-state chain differ")
+
+    fringe = sample_clicks(TriggerTrain(1e-3, 60_000, (EXIT_TIME_S,), (0.25,)),
+                           det, 60.0, 1)
+    for stream, clicks in (
+            ("preset stream",
+             ClickSet(times, np.zeros(times.size, dtype=np.int64), 1e3)),
+            ("fringe setting", fringe)):
+        counts = []
+        for label, count in (
+                ("count_triggered, time-ordered", count_triggered),
+                ("reference: sort path", count_by_sort)):
+            gate = (clicks, 1e-3, EXIT_TIME_S, 100e-9)
+            counts.append(count(*gate))
+            dt = timeit(lambda c=count, g=gate: c(*g), repeats=20)
+            label = f"{label}, {stream}"
+            print(f"{label:52s} {len(clicks):9d} {'':7s} {dt * 1e3:8.2f}ms")
+        if counts[0] != counts[1]:
+            sys.exit(f"count_triggered and the sort path differ on the "
+                     f"{stream}")
+
+    config = ExperimentConfig(eta_list=(1, 3, 5))
+    lengths = np.linspace(0.0, 1.0, 186).tolist()
+    evaluate = experiments._bloch_visibility(RETRIEVED_MU, config,
+                                             det).evaluate
+    curves = []
+    for label, curve in (
+            ("calibration evaluator, 16 angles",
+             lambda: [evaluate(b) for b in lengths]),
+            ("reference: click_probability per point",
+             lambda: [bloch_visibility_per_call(b, RETRIEVED_MU, config, det)
+                      for b in lengths])):
+        curves.append(curve())
+        dt = timeit(curve, repeats=3)
+        print(f"{label:52s} {len(lengths):9d} {'':7s} {dt * 1e3:8.2f}ms")
+    if curves[0] != curves[1]:
+        sys.exit("the calibration evaluator and the per-call reference "
+                 "differ")
 
 
 if __name__ == "__main__":

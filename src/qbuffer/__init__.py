@@ -60,7 +60,6 @@ from .experiments import (
     visibility,
 )
 from .polarization import (
-    STATE_A,
     STATE_D,
     STATE_H,
     STATE_V,
@@ -86,7 +85,7 @@ __all__ = [
     "Calibration", "ExperimentConfig", "VisibilityResult",
     "apply_calibration", "calibrate",
     "fit_decay", "run_hwp_sweep", "run_retrieval_sweep", "visibility",
-    "JonesOp", "PolState", "STATE_A", "STATE_D", "STATE_H", "STATE_V",
+    "JonesOp", "PolState", "STATE_D", "STATE_H", "STATE_V",
     "apply_depolarizing", "apply_unitary", "hwp_matrix",
     "projection_probability",
 ]

@@ -109,13 +109,16 @@ def _run_retrieval(plan, on_clicks=None):
 def _run_hwp(plan):
     cal = None
     topology = plan.topology
+    runs = {}  # one engine run per setting, for calibration and sweep
     if plan.calibration.mode != "none":
         cal = calibrate(plan.calibration.targets, topology,
                         plan.experiment, plan.detector,
-                        mode=plan.calibration.mode, limits=plan.limits)
+                        mode=plan.calibration.mode, limits=plan.limits,
+                        runs=runs)
         topology = apply_calibration(topology, cal)
     results = run_hwp_sweep(plan.experiment, topology,
-                            (plan.detector, plan.detector), plan.limits)
+                            (plan.detector, plan.detector), plan.limits,
+                            runs=runs)
     summary = {
         "preset": plan.preset,
         "seed": plan.seed,

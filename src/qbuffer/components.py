@@ -50,9 +50,9 @@ def db_to_transmission(loss_db: float) -> float:
 
 def fiber_delay(length_m: float, group_index: float) -> float:
     """Group delay of ``length_m`` of fiber: length * n_g / c."""
-    if length_m < 0:
+    if not 0 <= length_m < math.inf:
         raise InputDomainError(f"fiber length {length_m} m must be >= 0")
-    if group_index < 1.0:
+    if not 1.0 <= group_index < math.inf:
         raise InputDomainError(f"group index {group_index} must be >= 1")
     return length_m * group_index / C_VACUUM
 
@@ -269,8 +269,7 @@ def generate_pulse_train(rep_rate: float, pulse_width: float, mu: float,
         raise InputDomainError(f"repetition rate {rep_rate} must be > 0")
     if pulse_width <= 0:
         raise InputDomainError(f"pulse width {pulse_width} must be > 0")
-    if n < 1:
-        raise InputDomainError(f"pulse count {n} must be >= 1")
+    _checked("n", n, ge=1, integer=True, label="pulse count")
     if mu < 0:
         raise InputDomainError(f"mean photon number {mu} must be >= 0")
     return [

@@ -45,6 +45,9 @@ _TAG_LIMIT_PS = 2.0 ** 63
 #: An array of 8-byte click times holds fewer than 2**60 elements.
 _MAX_CLICKS = 2.0 ** 60
 
+#: Clicks per block of a time-ordered gated count.
+_COUNT_BLOCK_CLICKS = 1 << 16
+
 #: Uniforms per block of a train's signal draw (whole triggers, at least
 #: one): a desk-scale one-slot train of 60k triggers is a single block.
 _DRAW_BLOCK_PULSES = 1 << 16
@@ -357,7 +360,7 @@ def _train_signal(train: TriggerTrain, det: DetectorModel, acquisition,
         m = min(step, n - first)
         u = rng.random(out=times[n_fired:n_fired + m * k])
         fired = np.flatnonzero(u.reshape(m, k) < p_click)
-        trigger, slot = np.divmod(fired, k)
+        trigger, slot = np.divmod(fired, k) if k > 1 else (fired, 0)
         trigger += first
         times[n_fired:n_fired + fired.size] = (
             trigger.astype(np.float64) * train.period + offsets[slot])
@@ -442,12 +445,26 @@ def count_triggered(clicks: ClickSet, period: float, offset: float,
             "period must be finite and > 0, window finite and >= 0, and "
             "offset finite")
     t = clicks.times
-    if t.size == 0:
-        return 0
-    trigger = np.floor(t / period)
-    rel = t - trigger * period
-    hit = (rel >= offset - window / 2.0) & (rel < offset + window / 2.0)
-    return _n_distinct(trigger[hit])
+    lo, hi = offset - window / 2.0, offset + window / 2.0
+    if not (t[1:] >= t[:-1]).all():
+        trigger = np.floor(t / period)
+        rel = t - trigger * period
+        return _n_distinct(trigger[(rel >= lo) & (rel < hi)])
+    # In time order the trigger never falls, nor rel within a trigger, so
+    # a trigger's hits are adjacent: a hit counts unless it follows a hit
+    # of the same trigger. Blocks bound the temporaries.
+    count, last = 0, math.nan  # trigger of a hit ending the last block
+    for start in range(0, t.size, _COUNT_BLOCK_CLICKS):
+        block = t[start:start + _COUNT_BLOCK_CLICKS]
+        trigger = np.floor(block / period)
+        rel = block - trigger * period
+        hit = (rel >= lo) & (rel < hi)
+        after_hit = hit[1:] & hit[:-1]
+        count += (np.count_nonzero(hit) - np.count_nonzero(after_hit)
+                  + np.count_nonzero(after_hit & (trigger[1:] != trigger[:-1]))
+                  - bool(hit[0] and trigger[0] == last))
+        last = trigger[-1] if hit[-1] else math.nan
+    return int(count)
 
 
 def _n_distinct(values: np.ndarray) -> int:

@@ -428,14 +428,3 @@ def storage_retrieval_schedule(topology: BufferTopology, input_pulse,
                           drive_width, voltage)
     return DriveSchedule((store, retrieve))
 
-
-def train_schedule(topology: BufferTopology, pulses, cycles: int,
-                   drive_width: float = 180e-9, voltage: float | None = None,
-                   guard: float = 20e-9) -> DriveSchedule:
-    """Store-and-retrieve schedule for every pulse of a train."""
-    drives: list[DrivePulse] = []
-    for p in pulses:
-        drives.extend(storage_retrieval_schedule(
-            topology, p, cycles, drive_width, voltage, guard).pulses)
-    drives.sort(key=lambda d: d.t_start)
-    return DriveSchedule(tuple(drives))

@@ -262,9 +262,9 @@ def visibility(c_max: float, c_min: float) -> float:
     """Fringe visibility (c_max - c_min) / (c_max + c_min)."""
     if c_max == 0 and c_min == 0:
         raise InputDomainError("visibility undefined for all-zero counts")
-    if not c_max >= c_min >= 0:
+    if not math.inf > c_max >= c_min >= 0:
         raise InputDomainError(
-            f"need c_max >= c_min >= 0, got ({c_max}, {c_min})")
+            f"need finite c_max >= c_min >= 0, got ({c_max}, {c_min})")
     return (c_max - c_min) / (c_max + c_min)
 
 
@@ -282,17 +282,25 @@ def linearized_counts(counts, n_triggers: int, det: DetectorModel,
     return n_triggers * (-np.log1p(-p) - det.dark_rate_hz * window)
 
 
-def _fit_fringe(angles: np.ndarray, counts: np.ndarray) -> tuple:
-    """Least-squares fit of mean + amplitude * cos(4 theta + phase)."""
-    design = np.column_stack([
-        np.ones_like(angles),
-        np.cos(4.0 * angles),
-        np.sin(4.0 * angles),
-    ])
-    beta, *_ = np.linalg.lstsq(design, counts, rcond=None)
-    mean = float(beta[0])
-    amp = float(math.hypot(beta[1], beta[2]))
-    return mean, amp
+def _fringe_design(angles: np.ndarray):
+    """Design matrix of the fit mean + a cos(4 theta) + b sin(4 theta), or
+    None below FIT_MIN_ANGLES."""
+    if angles.size < FIT_MIN_ANGLES:
+        return None
+    return np.column_stack([np.ones_like(angles), np.cos(4.0 * angles),
+                            np.sin(4.0 * angles)])
+
+
+def _curve_visibility(design, counts: np.ndarray) -> float:
+    """Visibility of float64 counts (negatives read as 0), fitted on
+    ``design`` or, when it is None, from the raw extrema."""
+    c = np.maximum(counts, 0.0)
+    if design is None:
+        return visibility(float(c.max()), float(c.min()))
+    beta, *_ = np.linalg.lstsq(design, c, rcond=None)
+    if beta[0] <= 0:
+        raise InputDomainError("visibility undefined for all-zero counts")
+    return min(1.0, math.hypot(beta[1], beta[2]) / float(beta[0]))
 
 
 def visibility_from_curve(angles, counts) -> float:
@@ -302,15 +310,9 @@ def visibility_from_curve(angles, counts) -> float:
     which is robust against sampling noise; with fewer points the raw
     maximum and minimum samples are used directly.
     """
-    a = np.asarray(angles, dtype=np.float64)
-    c = np.asarray(counts, dtype=np.float64)
-    c = np.maximum(c, 0.0)
-    if a.size >= FIT_MIN_ANGLES:
-        mean, amp = _fit_fringe(a, c)
-        if mean <= 0:
-            raise InputDomainError("visibility undefined for all-zero counts")
-        return min(1.0, amp / mean)
-    return visibility(float(c.max()), float(c.min()))
+    return _curve_visibility(
+        _fringe_design(np.asarray(angles, dtype=np.float64)),
+        np.asarray(counts, dtype=np.float64))
 
 
 def fit_decay(peaks) -> DecayFit:
@@ -373,6 +375,15 @@ def _propagate(topology, config, eta, limits):
             f"schedule for eta={eta} produced {len(main)} retrievals at "
             f"cycles={eta - 1} instead of exactly one")
     return main[0], res
+
+
+def _propagated(runs: dict, topology, config, eta, limits):
+    """``_propagate`` once per eta into ``runs``. The engine applies no
+    depolarization, so a run serves every topology that differs only in it
+    (a calibrated one), with the same config and limits."""
+    if eta not in runs:
+        runs[eta] = _propagate(topology, config, eta, limits)
+    return runs[eta]
 
 
 def _trigger_train(retrieved, config: ExperimentConfig,
@@ -488,7 +499,8 @@ def share_table(topology: BufferTopology, angles, max_cycles: int,
 
 
 def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
-                  detectors, limits: SimLimits | None = None) -> list:
+                  detectors, limits: SimLimits | None = None, *,
+                  runs: dict | None = None) -> list:
     """Polarization fringe sweep; one VisibilityResult per (eta, basis).
 
     ``detectors`` is the pair of port detectors (a single model is accepted
@@ -497,7 +509,8 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
     Routing never depends on polarization, so each setting is propagated
     once. One :func:`share_table` holds the two port shares of the state
     at each (basis, HWP angle, cycle count); a retrieved record sends
-    ``mu * share[record.cycles]`` to a port.
+    ``mu * share[record.cycles]`` to a port. A ``runs`` dict shares
+    engine runs with :func:`calibrate`.
     """
     angles = _hwp_grid(config)
     limits = limits or SimLimits()
@@ -510,7 +523,8 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
     window = config.count_window_s
     results: list[VisibilityResult] = []
 
-    runs = [_propagate(topology, config, eta, limits)
+    runs = {} if runs is None else runs
+    runs = [_propagated(runs, topology, config, eta, limits)
             for eta in config.eta_list]
     max_cycles = max(p.cycles for _, sim in runs for p in sim.retrieved)
     # shares[basis][i][port][k]: Python floats, so the trains and expected
@@ -569,29 +583,44 @@ def average_visibility_by_eta(results) -> dict:
 # -- calibration ------------------------------------------------------------
 
 
-def _analytic_visibility_of_bloch(b: float, mu_ret: float, config,
-                                  det: DetectorModel) -> float:
-    """Visibility the sweep analysis reports for a net Bloch shrink ``b``.
+def _bloch_visibility(mu_ret: float, config, det: DetectorModel):
+    """Visibility the sweep analysis reports for a net Bloch shrink ``b``,
+    as a function of ``b`` with a ``memo`` dict; ``.evaluate`` skips it.
 
-    Synthesizes the expected port counts of the fringe sweep for a launch
-    state shrunk to Bloch length ``b`` and feeds them through the same
-    linearize-and-fit analysis as the real experiment.
+    Feeds the expected port counts of a launch state shrunk to Bloch
+    length ``b`` through the real experiment's linearize-and-fit analysis.
+    The angles, fit design, dark term and checks are built once; each count
+    keeps its own scalar ``math.exp``, so the bits are those of one
+    ``click_probability`` call per point.
     """
+    n, window = config.n_triggers, config.count_window_s
+    click_probability(mu_ret, det, window)
     angles = np.asarray(config.hwp_angles, dtype=np.float64)
-    p_port0 = (1.0 + b * np.cos(4.0 * angles)) / 2.0
-    vis = []
-    for port, prob in ((0, p_port0), (1, 1.0 - p_port0)):
-        raw = np.array([config.n_triggers * click_probability(
-            mu_ret * q, det, config.count_window_s) for q in prob])
-        lin = linearized_counts(raw, config.n_triggers, det,
-                                config.count_window_s)
-        vis.append(visibility_from_curve(angles, lin))
-    return float(np.mean(vis))
+    cos4, design = np.cos(4.0 * angles), _fringe_design(angles)
+    no_dark = math.exp(-det.dark_rate_hz * window)
+    memo: dict[float, float] = {}
+
+    def evaluate(b: float) -> float:
+        p_port0 = (1.0 + b * cos4) / 2.0
+        # Both ports in one row; (mu * share) * -eff is -mu * eff bit for bit.
+        x = mu_ret * np.concatenate([p_port0, 1.0 - p_port0]) \
+            * -det.efficiency
+        no_signal = np.array(list(map(math.exp, x.tolist())))
+        lin = linearized_counts(float(n) * (1.0 - no_signal * no_dark), n,
+                                det, window)
+        return (_curve_visibility(design, lin[:angles.size])
+                + _curve_visibility(design, lin[angles.size:])) / 2.0
+
+    def visibility_of(b: float) -> float:
+        if b not in memo:
+            memo[b] = evaluate(b)
+        return memo[b]
+    visibility_of.evaluate, visibility_of.memo = evaluate, memo
+    return visibility_of
 
 
-def _solve_bloch(target: float, mu_ret: float, config, det) -> float:
-    """Invert the analysis: Bloch length whose visibility equals target."""
-    f = lambda b: _analytic_visibility_of_bloch(b, mu_ret, config, det)
+def _solve_bloch(target: float, f) -> float:
+    """Invert the analysis f: Bloch length whose visibility equals target."""
     hi = f(1.0)
     if target > hi + 1e-9:
         raise CalibrationError(
@@ -609,8 +638,8 @@ def _solve_bloch(target: float, mu_ret: float, config, det) -> float:
 
 def calibrate(targets: dict, topology: BufferTopology,
               config: ExperimentConfig, det: DetectorModel,
-              mode: str = "table",
-              limits: SimLimits | None = None) -> CalibrationResult:
+              mode: str = "table", limits: SimLimits | None = None, *,
+              runs: dict | None = None) -> CalibrationResult:
     """Choose depolarization parameters that reproduce visibility targets.
 
     ``targets`` maps retrieval setting eta to the desired average
@@ -620,6 +649,7 @@ def calibrate(targets: dict, topology: BufferTopology,
     exactly in analytic mode; the eta = 1 entry anchors the preparation
     error. Physical mode fits a single per-cycle probability by
     least squares in the log domain and reports the per-target residuals.
+    A ``runs`` dict shares engine runs with :func:`run_hwp_sweep`.
     """
     _hwp_grid(config)
     if mode == "none":
@@ -628,12 +658,13 @@ def calibrate(targets: dict, topology: BufferTopology,
     targets = Calibration(mode, targets).targets
     limits = limits or SimLimits()
 
+    runs = {} if runs is None else runs
     bloch: dict[int, float] = {}
-    mu_ret: dict[int, float] = {}
+    vis_of = {}
     for eta in sorted(targets):
-        main, _ = _propagate(topology, config, eta, limits)
-        mu_ret[eta] = main.mu
-        bloch[eta] = _solve_bloch(targets[eta], main.mu, config, det)
+        main, _ = _propagated(runs, topology, config, eta, limits)
+        vis_of[eta] = _bloch_visibility(main.mu, config, det)
+        bloch[eta] = _solve_bloch(targets[eta], vis_of[eta])
 
     ks = [eta - 1 for eta in sorted(targets)]
     bs = [bloch[eta] for eta in sorted(targets)]
@@ -677,8 +708,7 @@ def calibrate(targets: dict, topology: BufferTopology,
         # The fitted closed form; a product of factors would change bits.
         shrink = {eta: bs[0] * (1.0 - p) ** (eta - 1) for eta in targets}
 
-    residuals = {eta: _analytic_visibility_of_bloch(
-                     shrink[eta], mu_ret[eta], config, det) - targets[eta]
+    residuals = {eta: vis_of[eta](shrink[eta]) - targets[eta]
                  for eta in sorted(targets)}
     return CalibrationResult(mode, prep, depol, bloch, residuals, targets)
 

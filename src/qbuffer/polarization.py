@@ -25,9 +25,7 @@ import numpy as np
 
 from .errors import ContractViolationError, InputDomainError
 
-# Tolerance for algebraic identities we maintain internally, and the looser
-# tolerance applied to user-provided inputs.
-ALG_TOL = 1e-12
+# Tolerance applied to user-provided inputs.
 INPUT_TOL = 1e-9
 
 _I2 = np.eye(2, dtype=np.complex128)
@@ -205,13 +203,11 @@ def projection_probability(state: PolState, axis) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-# Canonical axes and states. D/A are the +-45 degree superpositions.
+# Canonical axes and states. D is the +45 degree superposition.
 AXIS_H = np.array([1.0, 0.0], dtype=np.complex128)
 AXIS_V = np.array([0.0, 1.0], dtype=np.complex128)
 AXIS_D = np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0)
-AXIS_A = np.array([1.0, -1.0], dtype=np.complex128) / math.sqrt(2.0)
 
 STATE_H = PolState.from_jones(AXIS_H)
 STATE_V = PolState.from_jones(AXIS_V)
 STATE_D = PolState.from_jones(AXIS_D)
-STATE_A = PolState.from_jones(AXIS_A)

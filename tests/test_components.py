@@ -53,7 +53,7 @@ class TestPulseTrain:
 
     @pytest.mark.parametrize("kwargs", [
         dict(rep_rate=0.0), dict(rep_rate=-1.0), dict(pulse_width=0.0),
-        dict(n=0), dict(mu=-0.1),
+        dict(n=0), dict(mu=-0.1), dict(n=2.5), dict(n=True),
     ])
     def test_domain(self, kwargs):
         args = dict(rep_rate=1000.0, pulse_width=50e-9, mu=0.1, n=2)
@@ -104,6 +104,13 @@ class TestFiberDelay:
             fiber_delay(-1.0, 1.468)
         with pytest.raises(InputDomainError):
             fiber_delay(1.0, 0.99)
+
+    @pytest.mark.parametrize("length, index", [
+        (math.nan, 1.47), (10.0, math.nan), (math.inf, 1.47),
+        (10.0, math.inf)])
+    def test_domain_rejects_nan_and_inf(self, length, index):
+        with pytest.raises(InputDomainError):
+            fiber_delay(length, index)
 
 
 class TestModulatorPhase:

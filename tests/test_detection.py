@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -270,6 +271,14 @@ class TestClickSetPlumbing:
                       np.zeros(3, dtype=int), 1.0)
         assert count_triggered(cs, 1e-3, 1e-5, 1e-6) == 2
 
+    @pytest.mark.parametrize("times, want", [
+        ([], 0), ([0.5], 1), ([0.2], 0), ([-0.5], 1), ([0.375], 1),
+        ([0.625], 0)])
+    def test_count_triggered_few_clicks(self, times, want):
+        cs = ClickSet(np.array(times, dtype=float),
+                      np.zeros(len(times), dtype=int), 1.0)
+        assert count_triggered(cs, 1.0, 0.5, 0.25) == want
+
     def test_detector_model_domain(self):
         with pytest.raises(InputDomainError):
             DetectorModel(efficiency=1.2)
@@ -311,6 +320,45 @@ int64 = st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1),
 #: Times whose tags sit on the digit-count boundaries a ClickSet can hold.
 edge_time = st.sampled_from([tag / 1e12 for tag in DIGIT_EDGES
                              if abs(tag) <= 10 ** 18])
+
+
+def sort_path_count(times, period, offset, window):
+    """count_triggered by gathering the gated triggers and sorting them."""
+    t = np.asarray(times, dtype=np.float64)
+    trigger = np.floor(t / period)
+    rel = t - trigger * period
+    hit = (rel >= offset - window / 2.0) & (rel < offset + window / 2.0)
+    return detection._n_distinct(trigger[hit])
+
+
+class TestOrderAwareCount:
+    """The run count over time-ordered clicks against the sort path."""
+
+    #: With period 1 these fractions are exact, so clicks land on both gate
+    #: edges 0.375 and 0.625 of (offset 0.5, window 0.25), and next to them.
+    FRACTIONS = (0.375, 0.625, 0.0, 0.5, 0.375 - 2 ** -40, 0.625 - 2 ** -40)
+    #: (period, offset, window): a narrow gate, one wider than the period
+    #: (every click is gated, so adjacent hits change trigger), an empty one.
+    GATES = ((1.0, 0.5, 0.25), (1e-3, 2.3e-5, 1e-7), (1.0, 0.5, 3.0),
+             (1.0, 0.5, 0.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_sort_path(self, data):
+        period, offset, window = data.draw(st.sampled_from(self.GATES))
+        on_grid = st.builds(lambda k, f: (k + f) * period, st.integers(-4, 6),
+                            st.sampled_from(self.FRACTIONS))
+        anywhere = st.floats(-4 * period, 7 * period)
+        times = data.draw(st.lists(st.one_of(on_grid, anywhere),
+                                   max_size=40))
+        want = sort_path_count(times, period, offset, window)
+        # Small blocks put runs of hits across block boundaries.
+        block = data.draw(st.sampled_from([1, 2, 3, 1 << 16]))
+        with mock.patch.object(detection, "_COUNT_BLOCK_CLICKS", block):
+            for order in (sorted(times), data.draw(st.permutations(times))):
+                cs = ClickSet(np.array(order, dtype=np.float64),
+                              np.zeros(len(order), dtype=int), 1.0)
+                assert count_triggered(cs, period, offset, window) == want
 
 
 def per_line_oracle(times, ids):

@@ -20,7 +20,6 @@ from qbuffer.engine import (
     simulate,
     storage_period,
     storage_retrieval_schedule,
-    train_schedule,
     validate_schedule,
 )
 from qbuffer.errors import InputDomainError
@@ -230,7 +229,11 @@ class TestConservation:
 class TestMultiPulseTrains:
     def test_two_pulse_packet_stored_and_retrieved(self, topo):
         train = generate_pulse_train(1000.0, 50e-9, 0.1, 2)
-        sched = train_schedule(topo, train, 2)
+        # Each pulse's store-and-retrieve drives, in time order.
+        sched = DriveSchedule(tuple(sorted(
+            (d for p in train
+             for d in storage_retrieval_schedule(topo, p, 2).pulses),
+            key=lambda d: d.t_start)))
         res = simulate(topo, sched, train)
         outs = res.retrieved_with_cycles(2)
         assert len(outs) == 2

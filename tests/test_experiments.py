@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbuffer import engine, experiments
+from qbuffer import cli, engine, experiments
 from qbuffer.components import (
     BufferTopology,
     db_to_transmission,
@@ -80,6 +80,13 @@ class TestVisibility:
     def test_ordering_enforced(self):
         with pytest.raises(InputDomainError):
             visibility(1.0, 2.0)
+
+    @pytest.mark.parametrize("c_max, c_min", [
+        (math.inf, 1.0), (math.inf, math.inf), (math.nan, 1.0),
+        (1.0, math.nan), (1.0, -0.5)])
+    def test_domain(self, c_max, c_min):
+        with pytest.raises(InputDomainError):
+            visibility(c_max, c_min)
 
     def test_scale_invariance(self):
         angles = default_hwp_grid()
@@ -648,6 +655,102 @@ class TestOnePropagationPerSetting:
     def test_calibrate(self, calls):
         calibrate(PAPER_TARGETS, BufferTopology(), analytic_config(), DET)
         assert len(calls) == 3
+
+    def test_calibrated_cli_run(self, calls, tmp_path):
+        # Calibration and sweep share one run per setting of fig2-insets.
+        assert cli.main(["run", "--preset", "fig2-insets", "--set",
+                         "experiment.mode=analytic", "--out",
+                         str(tmp_path)]) == 0
+        assert len(calls) == 3
+
+    def test_shared_runs_match_fresh_ones(self):
+        topo, cfg = BufferTopology(), analytic_config()
+        cal = calibrate(PAPER_TARGETS, topo, cfg, DET)
+        shared = {}
+        assert calibrate(PAPER_TARGETS, topo, cfg, DET, runs=shared) == cal
+        topo_cal = apply_calibration(topo, cal)
+        fresh = run_hwp_sweep(cfg, topo_cal, DET)
+        reused = run_hwp_sweep(cfg, topo_cal, DET, runs=shared)
+        assert [(r.eta, r.basis, r.visibility) for r in reused] == \
+            [(r.eta, r.basis, r.visibility) for r in fresh]
+
+
+def reference_visibility_of_bloch(b, mu_ret, config, det):
+    """The calibration's analysis for Bloch length ``b`` as first written:
+    one click_probability call per (port, angle) and a fit built anew."""
+    angles = np.asarray(config.hwp_angles, dtype=np.float64)
+    p_port0 = (1.0 + b * np.cos(4.0 * angles)) / 2.0
+    vis = []
+    for prob in (p_port0, 1.0 - p_port0):
+        raw = np.array([config.n_triggers * click_probability(
+            mu_ret * q, det, config.count_window_s) for q in prob])
+        c = np.maximum(linearized_counts(raw, config.n_triggers, det,
+                                         config.count_window_s), 0.0)
+        if angles.size < experiments.FIT_MIN_ANGLES:
+            vis.append(visibility(float(c.max()), float(c.min())))
+            continue
+        design = np.column_stack([np.ones_like(angles),
+                                  np.cos(4.0 * angles), np.sin(4.0 * angles)])
+        beta, *_ = np.linalg.lstsq(design, c, rcond=None)
+        if float(beta[0]) <= 0:
+            raise InputDomainError("visibility undefined for zero counts")
+        vis.append(min(1.0, float(math.hypot(beta[1], beta[2]))
+                       / float(beta[0])))
+    return float(np.mean(vis))
+
+
+class TestBlochVisibility:
+    """The hoisted calibration evaluator against the per-call reference."""
+
+    B_GRID = np.concatenate([np.linspace(0.0, 1.0, 41),
+                             [1e-300, 0.5 ** 53, 0.8357, 0.99999999,
+                              1.0 - 2 ** -52]]).tolist()
+
+    @pytest.mark.parametrize("n_angles", [16, 4, 5, 6, 7])
+    @pytest.mark.parametrize("det", [DET, QUIET,
+                                     DetectorModel(dark_rate_hz=3e6,
+                                                   efficiency=0.37)])
+    @pytest.mark.parametrize("mu_ret", [0.0, 0.0123, 0.08, 2.5])
+    def test_equals_reference_bit_for_bit(self, n_angles, det, mu_ret):
+        cfg = analytic_config(hwp_angles=default_hwp_grid(n_angles),
+                              n_triggers=54_321)
+        f = experiments._bloch_visibility(mu_ret, cfg, det)
+        for b in self.B_GRID:
+            try:
+                want = reference_visibility_of_bloch(b, mu_ret, cfg, det)
+            except InputDomainError:
+                with pytest.raises(InputDomainError):
+                    f(b)
+                continue
+            assert f.evaluate(b) == want
+            assert f(b) == want
+
+    def test_checks_arguments_once(self):
+        with pytest.raises(InputDomainError):
+            experiments._bloch_visibility(math.nan, analytic_config(), DET)
+
+    @pytest.mark.parametrize("mode", ["table", "physical"])
+    def test_memo_changes_no_result(self, monkeypatch, mode):
+        args = (PAPER_TARGETS, BufferTopology(), analytic_config(), DET)
+        build = experiments._bloch_visibility
+        memoized, evaluations = [], []
+
+        def with_memo(*a):
+            memoized.append(build(*a))
+            return memoized[-1]
+
+        def without_memo(*a):
+            evaluate = build(*a).evaluate
+            return lambda b: evaluations.append(b) or evaluate(b)
+
+        monkeypatch.setattr(experiments, "_bloch_visibility", with_memo)
+        cal = calibrate(*args, mode=mode)
+        monkeypatch.setattr(experiments, "_bloch_visibility", without_memo)
+        assert calibrate(*args, mode=mode) == cal
+        # 60 bisection steps, the f(1) bound and the residual per target;
+        # the memo answers the steps after the bisection stops moving.
+        assert len(evaluations) == 3 * 62
+        assert sum(len(f.memo) for f in memoized) < len(evaluations)
 
 
 class TestCalibration:
