@@ -11,12 +11,17 @@ scan, at Python-loop speed. Then Monte Carlo click sampling is timed end
 to end, dead-time filter included, on one retrieved pulse per trigger of
 a 1 kHz train (60k and 1e6 triggers, 100 Hz of darks), given once as a
 ``TriggerTrain`` and once as the materialized ``(times, mus)`` pair of the
-same pulses. The train's signal draw alone (1e6 triggers, one slot) is
-timed as the block draw of ``detection._train_signal`` and, as a
-reference, as one draw of all its uniforms; each row also prints its
-``tracemalloc`` peak, which counts the block draw's worst-case output
-array in full although only its fired times and one block are touched.
-The next rows write the preset stream as a
+same pulses. A one-slot train's fired triggers alone are then timed at
+the fringe shape (60k triggers, click probability 0.025) and the
+retrieval shape (1e6 triggers, 0.04): drawn by ``detection._fired``
+against, as a reference, the one uniform per pulse that
+``sample_clicks`` drew before; then as one bare block of gaps, once as
+``floor(E / lam) + 1`` from standard exponentials (the gaps ``_fired``
+draws) and once from ``Generator.geometric``. Each row also prints its
+``tracemalloc`` peak; the clicks column counts fired triggers. The
+script exits 1 unless ``_fired`` equals a scalar loop that draws its
+gaps one at a time in the documented order. The next rows write the
+preset stream as a
 ``time_ps,detector_id`` click file into a temporary directory: once with
 ``ClickSet.write_csv`` and once, as a reference, with the per-row f-string
 join it replaced, which must give the same bytes. Its sorted one-detector
@@ -101,15 +106,45 @@ def traced_peak(fn):
     return result, peak
 
 
-def train_signal_one_draw(train, det, rng):
-    """The train's signal times from one draw of all its uniforms (the
-    draw before blocks)."""
-    offsets, mus = train._slots()
-    n, k = int(train.n_triggers), offsets.size
-    p_click = 1.0 - np.exp(-mus * det.efficiency)
-    fired = np.flatnonzero(rng.random(n * k).reshape(n, k) < p_click)
-    trigger, slot = np.divmod(fired, k)
-    return trigger.astype(np.float64) * train.period + offsets[slot]
+def fired_by_uniforms(n, lam, rng):
+    """A one-slot train's fired triggers from one uniform per pulse (the
+    draw before geometric gaps)."""
+    return np.flatnonzero(rng.random(n) < -math.expm1(-lam))
+
+
+def gap_block(n, lam, rng, geometric):
+    """A one-slot train's fired triggers from one block of gaps, sized as
+    ``detection._fired`` sizes its first: ``floor(E / lam) + 1`` from
+    standard exponentials (what ``_fired`` draws) or
+    ``Generator.geometric``."""
+    p = -math.expm1(-lam)
+    size = min(n, math.ceil(n * p + detection._FIRE_BLOCK_SIGMAS
+                            * math.sqrt(n * p)))
+    if geometric:
+        gaps = rng.geometric(p, size).astype(np.float64)
+    else:
+        gaps = rng.standard_exponential(size)
+        gaps /= lam
+        np.floor(gaps, out=gaps)
+        gaps += 1.0
+    pos = np.cumsum(gaps, out=gaps) - 1.0
+    return pos[:np.searchsorted(pos, n)]
+
+
+def fired_scalar(n, lam, rng):
+    """``detection._fired`` for one slot, one scalar draw at a time."""
+    p, last, fired = -math.expm1(-lam), -1, []
+    while last < n - 1:
+        r = n - 1 - last
+        size = min(r, math.ceil(r * p + detection._FIRE_BLOCK_SIGMAS
+                                * math.sqrt(r * p)))
+        for _ in range(size):
+            gap = rng.standard_exponential() / lam
+            last = last + math.floor(gap) + 1 if gap < n else n
+            if last < n:
+                fired.append(last)
+        last = min(last, n - 1)
+    return np.array(fired, dtype=np.float64)
 
 
 def write_csv_by_join(clicks, path):
@@ -197,22 +232,33 @@ def main():
                                                        1))
             print(f"{label:52s} {n_triggers:9d} {'':7s} {dt * 1e3:8.2f}ms")
 
-    train = TriggerTrain(1e-3, 1_000_000, (EXIT_TIME_S,), (RETRIEVED_MU,))
-    acquisition = train.n_triggers * 1e-3
-    signals = []
-    for label, draw in (
-            ("train signal draw, blocks of 2**16 uniforms",
-             lambda rng: detection._train_signal(train, det, acquisition,
-                                                 rng)),
-            ("reference: one draw of every uniform",
-             lambda rng: train_signal_one_draw(train, det, rng))):
-        signal, peak = traced_peak(lambda d=draw: d(np.random.default_rng(1)))
-        signals.append(signal)
-        dt = timeit(lambda d=draw: d(np.random.default_rng(1)))
-        print(f"{label:52s} {train.n_triggers:9d} {'':7s} "
-              f"{dt * 1e3:8.2f}ms  traced peak {peak / 1e6:.2f} MB")
-    if not np.array_equal(*signals):
-        sys.exit("the block draw and the one draw differ")
+    for shape, n_triggers, p_click in (("fringe", 60_000, 0.025),
+                                       ("retrieval", 1_000_000, 0.04)):
+        lam = -math.log1p(-p_click)
+        for label, draw in (
+                ("_fired, one slot",
+                 lambda rng: detection._fired(n_triggers, np.array([lam]),
+                                              rng)[0]),
+                ("reference: one uniform per pulse",
+                 lambda rng: fired_by_uniforms(n_triggers, lam, rng)),
+                ("gap block, floor(E / lam) + 1",
+                 lambda rng: gap_block(n_triggers, lam, rng, False)),
+                ("gap block, Generator.geometric",
+                 lambda rng: gap_block(n_triggers, lam, rng, True))):
+            fired, peak = traced_peak(
+                lambda d=draw: d(np.random.default_rng(1)))
+            dt = timeit(lambda d=draw: d(np.random.default_rng(1)),
+                        repeats=20)
+            label = f"{label}, {shape}"
+            print(f"{label:52s} {fired.size:9d} {'':7s} {dt * 1e3:8.2f}ms"
+                  f"  traced peak {peak / 1e6:.2f} MB")
+        got = detection._fired(n_triggers, np.array([lam]),
+                               np.random.default_rng(2))
+        if not (np.array_equal(got[0], fired_scalar(
+                n_triggers, lam, np.random.default_rng(2)))
+                and not got[1].any()):
+            sys.exit(f"_fired and the scalar reference differ at the "
+                     f"{shape} shape")
 
     mixed = rng.permutation(times)
     mixed[rng.random(mixed.size) < 0.01] *= -1

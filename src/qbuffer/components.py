@@ -293,10 +293,12 @@ def modulator_phase(drive: DrivePulse | None, passage_start: float,
     phi = pi * (V / V_pi) * f with f the overlapped fraction of the passage;
     a partially covered passage gets a proportionally reduced mean phase.
     """
-    if passage_width <= 0:
-        raise InputDomainError(f"passage width {passage_width} must be > 0")
-    if v_pi <= 0:
-        raise InputDomainError(f"half-wave voltage {v_pi} must be > 0")
+    # Comparisons that NaN fails, not _checked: this runs on every passage.
+    if not (-math.inf < passage_start < math.inf
+            and 0 < passage_width < math.inf and 0 < v_pi < math.inf):
+        raise InputDomainError(
+            f"passage start {passage_start} must be finite, and passage "
+            f"width {passage_width} and half-wave voltage {v_pi} finite > 0")
     if drive is None:
         return 0.0
     f = overlap_fraction(drive, passage_start, passage_width)

@@ -48,9 +48,9 @@ _MAX_CLICKS = 2.0 ** 60
 #: Clicks per block of a time-ordered gated count.
 _COUNT_BLOCK_CLICKS = 1 << 16
 
-#: Uniforms per block of a train's signal draw (whole triggers, at least
-#: one): a desk-scale one-slot train of 60k triggers is a single block.
-_DRAW_BLOCK_PULSES = 1 << 16
+#: Standard deviations of a slot's fire count that its gap block adds to
+#: the expected count: a second round is drawn for about 3e-5 of slots.
+_FIRE_BLOCK_SIGMAS = 4.0
 
 #: 10**1 .. 10**19: a magnitude below 10**k has at most k decimal digits,
 #: so a column no wider than k digits searches only the first k - 1.
@@ -269,8 +269,8 @@ class TriggerTrain:
     offset lies in [0, period), so the pulses of one trigger precede the
     next trigger. Pulses are ordered trigger-major, and within a trigger by
     offset (a stable sort, so equal offsets keep their slot order); a train
-    iterates its ``(t, mu)`` pulses in that order, which is the order in
-    which :func:`sample_clicks` draws them.
+    iterates its ``(t, mu)`` pulses in that order, and
+    :func:`sample_clicks` draws its slots in that offset order.
     """
 
     period: float
@@ -329,43 +329,49 @@ def _pulse_arrays(pulses) -> tuple[np.ndarray, np.ndarray]:
     return t, mu
 
 
-def _train_signal(train: TriggerTrain, det: DetectorModel, acquisition,
-                  rng) -> np.ndarray:
-    """Times of the fired pulses of a train, in draw order.
+def _fired(n: int, lam: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+    """(trigger, slot) of each fired pulse of ``n`` triggers on which slot s
+    fires with probability ``1 - exp(-lam[s])``.
 
-    One uniform per pulse, compared with its slot's click probability;
-    times are built for fired pulses only, with the same IEEE operations
-    as broadcasting ``arange(n) * period`` against the offsets. The
-    uniforms are drawn in blocks of whole triggers: ``Generator.random``
-    takes one 64-bit output per double, so the blocks give the same values
-    and leave the same generator state as one draw of the whole train.
+    A slot fires at the partial sums, from -1, of geometric gaps
+    ``floor(E / lam) + 1``, E standard exponential (L. Devroye, *Non-Uniform
+    Random Variate Generation*, Springer 1986, ch. X): O(slots + fired
+    pulses) draws, not one per pulse. In each round, every slot whose last
+    position is below n - 1 (at first, each with lam > 0) draws its
+    expected fires and a few standard deviations, ``min(r, ceil(r*p +
+    _FIRE_BLOCK_SIGMAS * sqrt(r*p)))`` gaps for r triggers left and p = 1 -
+    exp(-lam), in one ``standard_exponential`` draw, slot by slot, into an
+    array allocated before it. Pairs come by round, slot, then trigger, at
+    float64 positions: exact below 2**53 triggers, as float64 times are.
     """
-    offsets, mus = train._slots()
-    n, k = int(train.n_triggers), offsets.size
-    if not n * k < _MAX_CLICKS:
-        raise InputDomainError(
-            f"{n} triggers x {k} slots: {n * k} pulses exceed the 2**60 "
-            "click times one array can hold")
-    if (n - 1) * train.period + offsets[-1] > acquisition:
-        raise InputDomainError("acquisition must cover all pulse times")
-    p_click = 1.0 - np.exp(-mus * det.efficiency)
-    # Room for every pulse to fire, so a train too large for memory fails
-    # here, before any draw. Each block's uniforms are drawn just past the
-    # times kept so far, and its fired times then overwrite them: pages
-    # beyond the fired pulses and one block are never touched.
-    times = np.empty(n * k)
-    n_fired = 0
-    step = max(1, _DRAW_BLOCK_PULSES // k)
-    for first in range(0, n, step):
-        m = min(step, n - first)
-        u = rng.random(out=times[n_fired:n_fired + m * k])
-        fired = np.flatnonzero(u.reshape(m, k) < p_click)
-        trigger, slot = np.divmod(fired, k) if k > 1 else (fired, 0)
-        trigger += first
-        times[n_fired:n_fired + fired.size] = (
-            trigger.astype(np.float64) * train.period + offsets[slot])
-        n_fired += fired.size
-    return times[:n_fired]
+    live = np.flatnonzero(lam > 0)
+    lam, last = lam[live], np.full(live.size, -1.0)
+    triggers, slots = [np.empty(0)], [np.empty(0, np.intp)]
+    while live.size:
+        r = (n - 1) - last
+        rp = r * -np.expm1(-lam)
+        size = np.minimum(r, np.ceil(rp + _FIRE_BLOCK_SIGMAS * np.sqrt(rp)))
+        width, n_gaps = int(size.max()), int(size.sum())
+        if n_gaps == width * live.size:
+            gaps = rng.standard_exponential(n_gaps).reshape(live.size, width)
+        else:  # shorter blocks are padded with NaN, which never fires
+            gaps = np.full((live.size, width), np.nan)
+            gaps[np.arange(width) < size[:, None]] = rng.standard_exponential(
+                n_gaps)
+        with np.errstate(over="ignore"):  # a gap past 1e308 is still past n
+            gaps /= lam[:, None]
+        np.floor(gaps, out=gaps)
+        gaps += 1.0
+        gaps[:, 0] += last
+        if width > 1:  # numpy accumulates each length-1 row on its own
+            np.cumsum(gaps, axis=1, out=gaps)
+        fired = gaps < n
+        triggers.append(gaps[fired])
+        slots.append(live.repeat(fired.sum(axis=1)))
+        last = np.fmax.reduce(gaps, axis=1)  # the last drawn position
+        going = last < n - 1
+        live, lam, last = live[going], lam[going], last[going]
+    return np.concatenate(triggers), np.concatenate(slots)
 
 
 def sample_clicks(pulses, det: DetectorModel, acquisition: float, seed,
@@ -374,12 +380,13 @@ def sample_clicks(pulses, det: DetectorModel, acquisition: float, seed,
 
     ``pulses`` is ``[(t, mu), ...]``, a ``(times, mus)`` pair of arrays, or
     a :class:`TriggerTrain`, which is sampled from its slots without
-    building the whole pulse stream and gives the same clicks as the list
-    of its pulses. Signal clicks are Bernoulli-thinned pulses at their
-    arrival time plus Gaussian jitter; dark clicks are Poisson-distributed
-    uniformly over the acquisition; clicks within the dead time of a prior
-    kept click on this detector are suppressed. Draw order is fixed, so a
-    given seed always yields the same click set.
+    building the whole pulse stream. The pulses of a list or pair are drawn
+    as the slots of one trigger. Signal clicks are the pulses that fire
+    (:func:`_fired`, with lam = mu * efficiency) at their arrival time plus
+    Gaussian jitter; dark clicks are Poisson-distributed uniformly over
+    the acquisition; clicks within the dead time of a prior kept click on
+    this detector are suppressed. Draw order is fixed, so a given seed
+    always yields the same click set.
     """
     if not (math.isfinite(acquisition) and acquisition >= 0):
         raise InputDomainError("acquisition must be finite and >= 0")
@@ -391,13 +398,20 @@ def sample_clicks(pulses, det: DetectorModel, acquisition: float, seed,
             "the 2**60 click times one array can hold")
     rng = np.random.default_rng(seed)
     if isinstance(pulses, TriggerTrain):
-        signal_times = _train_signal(pulses, det, acquisition, rng)
+        offsets, mus = pulses._slots()
+        n, period = int(pulses.n_triggers), pulses.period
+        if not n * offsets.size < _MAX_CLICKS:
+            raise InputDomainError(
+                f"{n} triggers x {offsets.size} slots: {n * offsets.size} "
+                "pulses exceed the 2**60 click times one array can hold")
     else:
-        t, mu = _pulse_arrays(pulses)
-        if t.size and (t.min() < 0 or t.max() > acquisition):
-            raise InputDomainError("acquisition must cover all pulse times")
-        p_click = 1.0 - np.exp(-mu * det.efficiency)
-        signal_times = t[rng.random(t.shape[0]) < p_click]
+        (offsets, mus), n, period = _pulse_arrays(pulses), 1, 0.0
+    if offsets.size and (offsets.min() < 0 or (n - 1) * period
+                         + offsets.max() > acquisition):
+        raise InputDomainError("acquisition must cover all pulse times")
+    trigger, slot = _fired(n, mus * det.efficiency, rng)
+    # The float operations of arange(n) * period + offsets, fired pulses only.
+    signal_times = trigger * period + offsets[slot]
     if det.jitter_sigma_s > 0 and signal_times.size:
         signal_times = signal_times + rng.normal(
             0.0, det.jitter_sigma_s, signal_times.size)
@@ -409,7 +423,9 @@ def sample_clicks(pulses, det: DetectorModel, acquisition: float, seed,
     # One detector id for every click, so a plain value sort is enough,
     # and the id is stored once.
     times = np.sort(np.concatenate([signal_times, dark_times]))
-    times = times[kernels.dead_time_filter(times, det.dead_time_s)]
+    keep = kernels.dead_time_filter(times, det.dead_time_s)
+    if not keep.all():
+        times = times[keep]
     return ClickSet(times, np.broadcast_to(np.int64(detector_id),
                                            times.shape), acquisition)
 

@@ -36,6 +36,8 @@ def dead_time_filter(times, dead_time: float) -> np.ndarray:
     if (t[1:] >= t[:-1]).all():
         with np.errstate(invalid="ignore"):  # inf - inf is a short gap
             keep[1:] = t[1:] - t[:-1] >= dead_time
+        if keep.all():  # no gap shorter than the dead time: nothing to scan
+            return keep
     else:
         keep[1:] = False
     scan = np.flatnonzero(~keep)

@@ -197,7 +197,7 @@ def apply_depolarizing(state: PolState, p: float) -> PolState:
 def projection_probability(state: PolState, axis) -> float:
     """Probability <a|rho|a> of projecting onto a unit Jones vector ``axis``."""
     a = np.asarray(axis, dtype=np.complex128).reshape(2)
-    if abs(np.linalg.norm(a) - 1.0) > INPUT_TOL:
+    if not abs(np.linalg.norm(a) - 1.0) <= INPUT_TOL:  # NaN fails it
         raise InputDomainError("projection axis must be normalized within 1e-9")
     p = float(np.vdot(a, state.rho @ a).real)
     return min(max(p, 0.0), 1.0)

@@ -374,13 +374,14 @@ class TestDomainErrorsAreSchemaErrors:
         assert report["error"] == "run"
         assert message in report["message"]
 
-    @pytest.mark.parametrize("items", [
-        ("experiment.n_triggers=1000000000000000",),
-        ("experiment.n_triggers=200", "detector.dark_rate_hz=1e16"),
+    @pytest.mark.parametrize("items, size", [
+        (("experiment.n_triggers=1000000000000000",), "480. TiB"),
+        (("experiment.n_triggers=200", "detector.dark_rate_hz=1e16"), "PiB"),
     ], ids=["trigger-count", "dark-rate"])
-    def test_allocation_too_large(self, tmp_path, capsys, items):
-        # Draws of 7.11 and 14.2 PiB: larger than the address space, so the
-        # allocation fails at once instead of filling memory.
+    def test_allocation_too_large(self, tmp_path, capsys, items, size):
+        # Draws of 480 TiB (the gap block of 6.6e13 expected fires) and
+        # 14.2 PiB: larger than the address space, so the allocation fails
+        # at once instead of filling memory.
         argv = ["run", "--preset", "fig2-main",
                 "--set", "experiment.eta_list=[1]",
                 "--out", str(tmp_path / "o")]
@@ -389,7 +390,7 @@ class TestDomainErrorsAreSchemaErrors:
         assert run_cli(*argv) == 2
         report = one_json_error(capsys)
         assert report["error"] == "run"
-        assert "PiB" in report["message"]
+        assert size in report["message"]
 
 
 class TestSeedResolution:

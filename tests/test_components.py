@@ -153,6 +153,18 @@ class TestModulatorPhase:
         with pytest.raises(InputDomainError):
             modulator_phase(None, 0.0, 50e-9, 0.0)
 
+    @pytest.mark.parametrize("args", [
+        (0.0, math.nan, 900.0), (0.0, 50e-9, math.nan),
+        (math.nan, 50e-9, 900.0), (0.0, math.inf, 900.0),
+        (0.0, 50e-9, math.inf), (math.inf, 50e-9, 900.0)])
+    @pytest.mark.parametrize(
+        "drive", [None, DrivePulse(-20e-9, 180e-9, 900.0)],
+        ids=["no-drive", "drive"])
+    def test_domain_rejects_nan_and_inf(self, drive, args):
+        # A NaN width or V_pi used to give pi or nan, a NaN start 0.0.
+        with pytest.raises(InputDomainError):
+            modulator_phase(drive, *args)
+
 
 class TestSagnacTransfer:
     def test_balanced_loop_reflects(self):

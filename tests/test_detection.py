@@ -136,12 +136,10 @@ class TestSampleClicks:
             sample_clicks([(0.5, 0.1)], QUIET, acquisition, seed=1)
 
     def test_train_draw_peak_rss_is_below_one_whole_draw(self):
-        # numpy reports every buffer to tracemalloc, including the train's
-        # worst-case signal array, whose pages stay untouched unless their
-        # pulses fire; so the resident peak of a fresh process is measured.
-        # One draw of the 1e6 uniforms would touch 8 MB. Blocks of 2**16
-        # touch 0.5 MB past the few fired times, which numpy's transparent
-        # huge pages may round up by one 2 MB page.
+        # The resident peak of a fresh process. One draw of 1e6 uniforms
+        # would touch 8 MB; the gaps between fired triggers, about 1e4
+        # here, touch well under 1 MB, which numpy's transparent huge pages
+        # may round up by one 2 MB page.
         if not os.path.exists("/proc/self/status"):
             pytest.skip("needs /proc/self/status (VmRSS, VmHWM)")
         script = textwrap.dedent("""\

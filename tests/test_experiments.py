@@ -492,12 +492,15 @@ class TestReplayedSweep:
     def test_monte_carlo_trains_match_closed_form(self, monkeypatch):
         # Every retrieved record, the part a 40 ns drive leaves at zero
         # cycles included, enters each port's train with the share of its
-        # own cycle count: mu * (1 +- b_k cos 4 theta) / 2.
+        # own cycle count: mu * (1 +- b_k cos 4 theta) / 2. Enough
+        # triggers that no port's gated counts are all zero at eta = 4
+        # (about 1.6 expected over the four angles at 200 triggers), which
+        # would make its visibility undefined before the trains are checked.
         prep, table = 0.05, (0.1, 0.02, 0.3)
         topo = BufferTopology(prep_error_depol=prep, depol_per_cycle=table)
         angles = (0.0, 0.3, 0.9, math.pi / 2)
         cfg = ExperimentConfig(preset="t", eta_list=(1, 4), hwp_angles=angles,
-                               basis="computational", n_triggers=200,
+                               basis="computational", n_triggers=2000,
                                drive_width_s=40e-9)
         trains = []
 

@@ -42,6 +42,14 @@ class TestDeadTimeSemantics:
         got = kernels.dead_time_filter(times, 1.0)
         assert got.tolist() == [True, False, True]
 
+    def test_all_kept(self):
+        # Every gap at least the dead time, one exactly equal: no click is
+        # scanned and every click is kept.
+        times = np.array([-2.0, 0.0, 1.0, 2.5, 2.5 + 1e-9 + 1.0])
+        got = kernels.dead_time_filter(times, 1.0)
+        assert got.all()
+        np.testing.assert_array_equal(got, reference_dead_time(times, 1.0))
+
     def test_empty(self):
         assert kernels.dead_time_filter(np.array([]), 1.0).size == 0
 
@@ -120,27 +128,6 @@ class TestDeadTimeProperty:
             got, reference_dead_time(times.tolist(), dead))
 
 
-def trigger_pulses(train):
-    """The materialized stream the sweeps sampled before ``TriggerTrain``:
-    (times, mus, broadcast), where ``broadcast`` tells whether the
-    trigger-major broadcast of the sorted offsets passed its order check
-    (otherwise the stream was argsorted)."""
-    period, n = train.period, train.n_triggers
-    triggers = np.arange(n, dtype=np.float64) * period
-    offsets = np.array(train.offsets, dtype=np.float64)
-    mus = np.array(train.mus, dtype=np.float64)
-    order = np.argsort(offsets, kind="stable")
-    times = (triggers[:, None] + offsets[order]).ravel()
-    if (times[1:] >= times[:-1]).all():
-        # At a tie the earlier pulse in ``retrieved`` must come first.
-        tie = np.flatnonzero(times[1:] == times[:-1])
-        if (order[tie % order.size] <= order[(tie + 1) % order.size]).all():
-            return times, np.tile(mus[order], n), True
-    times = (offsets[:, None] + triggers).ravel()
-    order = np.argsort(times, kind="stable")
-    return times[order], np.repeat(mus, n)[order], False
-
-
 @st.composite
 def trains(draw):
     """(train, detector, seed): 1-4 slots with equal offsets, sums that
@@ -177,21 +164,59 @@ def same_clicks(a, b, directory):
             == (directory / "b.csv").read_bytes())
 
 
-def single_draw_signal(train, det, acquisition, rng):
-    """The train's signal times from one draw of all its uniforms, as
-    ``detection._train_signal`` drew them before its block draw."""
-    offsets, mus = train._slots()
-    n, k = int(train.n_triggers), offsets.size
-    p_click = 1.0 - np.exp(-mus * det.efficiency)
-    fired = np.flatnonzero(rng.random(n * k).reshape(n, k) < p_click)
-    trigger, slot = np.divmod(fired, k)
-    return trigger.astype(np.float64) * train.period + offsets[slot]
+def reference_fired(n, lam, rng):
+    """``detection._fired`` one scalar draw at a time, in its documented
+    order, with Python-int positions."""
+    sigmas = detection._FIRE_BLOCK_SIGMAS
+    p = [-math.expm1(-x) for x in lam]
+    last = [-1 if x > 0 else n - 1 for x in lam]
+    pairs = []
+    while any(pos < n - 1 for pos in last):
+        blocks = []
+        for s, pos in enumerate(last):
+            if pos < n - 1:
+                r = n - 1 - pos
+                blocks.append((s, min(r, math.ceil(
+                    r * p[s] + sigmas * math.sqrt(r * p[s])))))
+        for s, size in blocks:
+            pos = last[s]
+            for _ in range(size):
+                gap = rng.standard_exponential() / lam[s]
+                pos = pos + math.floor(gap) + 1 if gap < n else math.inf
+                if pos < n:
+                    pairs.append((float(pos), s))
+            last[s] = min(pos, n - 1)
+    return pairs
+
+
+def fired_pairs(n, lam, seed):
+    trigger, slot = detection._fired(n, np.asarray(lam, dtype=np.float64),
+                                     np.random.default_rng(seed))
+    assert trigger.dtype == np.float64
+    return list(zip(trigger.tolist(), slot.tolist()))
 
 
 class TestTriggerTrainProperty:
     @settings(max_examples=400, deadline=None)
-    @given(trains(), st.integers(1, 5))
-    def test_equals_materialized_stream(self, tmp_path_factory, case, block):
+    @given(trains(), st.sampled_from([0.0, 0.5, 4.0]))
+    def test_fired_equals_reference_loop(self, case, sigmas):
+        # Blocks below the expected fires (sigmas 0 and 0.5) run extra
+        # rounds for some slots and not others.
+        train, det, seed = case
+        lam = (train._slots()[1] * det.efficiency).tolist()
+        with mock.patch.object(detection, "_FIRE_BLOCK_SIGMAS", sigmas):
+            got = fired_pairs(train.n_triggers, lam, seed)
+            want = reference_fired(train.n_triggers, lam,
+                                   np.random.default_rng(seed))
+        assert got == want
+        # Each slot is drawn as its own train, and fires each trigger once.
+        assert len(set(got)) == len(got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(trains())
+    def test_equals_materialized_stream(self, tmp_path_factory, case):
+        # The list and (times, mus) forms are the slots of one trigger: the
+        # same clicks as a one-trigger train of the same pulses.
         train, det, seed = case
         acquisition = (train.n_triggers + 0.5) * train.period
         got = sample_clicks(train, det, acquisition, seed, detector_id=1)
@@ -199,33 +224,52 @@ class TestTriggerTrainProperty:
         listed = list(train)
         assert len(listed) == len(train)
         directory = tmp_path_factory.mktemp("clicks")
-        assert same_clicks(
-            got, sample_clicks(listed, det, acquisition, seed, 1), directory)
-        times, mus, broadcast = trigger_pulses(train)
-        if broadcast:
-            assert same_clicks(got, sample_clicks(
-                (times, mus), det, acquisition, seed, 1), directory)
-        # Blocks of a few pulses cross trigger edges, and hold one whole
-        # trigger when the train has more slots than a block has pulses.
-        with mock.patch.object(detection, "_DRAW_BLOCK_PULSES", block):
-            blocked = sample_clicks(train, det, acquisition, seed, 1)
-        assert same_clicks(got, blocked, directory)
+        listed_clicks = sample_clicks(listed, det, acquisition, seed, 1)
+        times, mus = (np.array(c) for c in zip(*listed))
+        assert same_clicks(listed_clicks, sample_clicks(
+            (times, mus), det, acquisition, seed, 1), directory)
+        if (times[1:] >= times[:-1]).all():
+            one = TriggerTrain(2.0 * acquisition, 1, tuple(times.tolist()),
+                               tuple(mus.tolist()))
+            assert same_clicks(listed_clicks, sample_clicks(
+                one, det, acquisition, seed, 1), directory)
 
-    @pytest.mark.parametrize("offsets", [(5e-6,), (5e-6, 2e-5, 2e-5)])
-    def test_block_draw_equals_one_draw(self, offsets):
-        # Three slots split the 2**16-pulse block into whole triggers of
-        # 65535 pulses. Equal times after the block draw also mean equal
-        # jitter and dark draws, which follow it from the same generator.
-        train = TriggerTrain(1e-3, 3 * detection._DRAW_BLOCK_PULSES + 5,
-                             offsets, (0.3,) * len(offsets))
-        det = DetectorModel(dark_rate_hz=100.0)
-        acquisition = train.n_triggers * 1e-3
-        got = sample_clicks(train, det, acquisition, 5)
-        with mock.patch.object(detection, "_train_signal",
-                               single_draw_signal):
-            want = sample_clicks(train, det, acquisition, 5)
-        assert len(got) > 0
-        assert np.array_equal(got.times, want.times)
+    @pytest.mark.parametrize("layout", ["one-slot", "four-slot"])
+    def test_fired_counts_match_rate(self, layout):
+        # Fires per slot within 5 sigma of n * p over 20 seeds, from rates
+        # far below the fig2 sweeps' to every trigger firing.
+        lams = np.array([1e-3, 0.025, 0.3, 5.0])
+        n = 60_000
+        p = -np.expm1(-lams)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            if layout == "one-slot":
+                counts = [detection._fired(n, lams[[s]], rng)[0].size
+                          for s in range(lams.size)]
+            else:
+                trigger, slot = detection._fired(n, lams, rng)
+                counts = np.bincount(slot, minlength=lams.size)
+                for s in range(lams.size):
+                    t = trigger[slot == s]
+                    assert (np.diff(t) >= 1).all() and t.max() < n
+            assert (np.abs(np.asarray(counts) - n * p)
+                    <= 5 * np.sqrt(n * p * (1 - p))).all(), counts
+
+    @pytest.mark.parametrize("n", [10 ** 15, 2 ** 53])
+    @pytest.mark.parametrize("lam_n", [3.0, 1e-280])
+    def test_huge_train_tiny_mu(self, n, lam_n):
+        # Gaps of about n / 3 triggers or far beyond n: positions stay
+        # whole numbers below n, as Python ints give them.
+        lam = [lam_n / n]
+        for seed in range(5):
+            got = fired_pairs(n, lam, seed)
+            assert got == reference_fired(n, lam, np.random.default_rng(seed))
+            assert all(0 <= t < n and t == int(t) for t, _ in got)
+        det = DetectorModel(efficiency=1.0, dark_rate_hz=0.0)
+        train = TriggerTrain(1e-9, n, (5e-10,), (lam_n / n,))
+        clicks = sample_clicks(train, det, n * 1e-9, 1)
+        assert len(clicks) < 40
+        assert ((clicks.times >= 0) & (clicks.times < n * 1e-9)).all()
 
 
 class TestTriggerTrainDomain:

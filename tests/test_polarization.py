@@ -182,6 +182,12 @@ class TestProjection:
         with pytest.raises(InputDomainError):
             projection_probability(STATE_H, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("axis", [[math.nan, 1.0], [1.0, math.inf]])
+    def test_non_finite_axis_rejected(self, axis):
+        # The NaN axis used to give a nan probability.
+        with pytest.raises(InputDomainError):
+            projection_probability(STATE_H, np.array(axis))
+
 
 class TestPolStateValidation:
     def test_trace_must_be_one(self):
