@@ -27,7 +27,6 @@ from .detection import (
     Histogram,
     TriggerTrain,
     click_probability,
-    expected_counts,
     histogram,
     sample_clicks,
 )
@@ -77,7 +76,7 @@ __all__ = [
     "generate_pulse_train", "modulator_phase", "pbs_project",
     "sagnac_transfer", "stored_states",
     "ClickSet", "DetectorModel", "Histogram", "TriggerTrain",
-    "click_probability", "expected_counts", "histogram", "sample_clicks",
+    "click_probability", "histogram", "sample_clicks",
     "DriveSchedule", "SimLimits", "SimulationResult", "simulate",
     "storage_period", "storage_retrieval_schedule", "validate_schedule",
     "CalibrationError", "ConfigError", "ContractViolationError",

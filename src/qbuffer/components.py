@@ -91,9 +91,14 @@ class PulseRecord:
         if not -math.inf < self.t < math.inf:
             raise InputDomainError(f"pulse time {self.t} must be finite",
                                    "t")
-        if self.cycles < 0:
+        if not 0 <= self.cycles < math.inf:
             raise InputDomainError(
-                f"cycle count {self.cycles} must be >= 0", "cycles")
+                f"cycle count {self.cycles} must be finite and >= 0",
+                "cycles")
+        if not 0.0 <= self.path_transmission <= 1.0:
+            raise InputDomainError(
+                f"path transmission {self.path_transmission} must be in "
+                "[0, 1]", "path_transmission")
         if self.root_id < 0:
             object.__setattr__(self, "root_id", self.id)
 
@@ -242,8 +247,8 @@ def stored_rho(topology: BufferTopology, rho: np.ndarray,
     not domain-checked; :func:`qbuffer.polarization.check_density` does
     that.
     """
-    if max_cycles < 0:
-        raise InputDomainError("cycle count must be >= 0")
+    _checked("max_cycles", max_cycles, ge=0, integer=True,
+             label="cycle count")
     out = np.empty(rho.shape[:-2] + (max_cycles + 1, 2, 2),
                    dtype=np.complex128)
     out[..., 0, :, :] = depolarize(rho, topology.prep_error_depol)
@@ -265,8 +270,9 @@ def stored_states(topology: BufferTopology, pol: PolState,
 def generate_pulse_train(rep_rate: float, pulse_width: float, mu: float,
                          n: int) -> list[PulseRecord]:
     """``n`` identical pulses at times k / rep_rate, k = 0..n-1."""
-    if rep_rate <= 0:
-        raise InputDomainError(f"repetition rate {rep_rate} must be > 0")
+    if not 0 < rep_rate < math.inf:
+        raise InputDomainError(
+            f"repetition rate {rep_rate} must be finite and > 0")
     if pulse_width <= 0:
         raise InputDomainError(f"pulse width {pulse_width} must be > 0")
     _checked("n", n, ge=1, integer=True, label="pulse count")

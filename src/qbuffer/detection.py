@@ -309,26 +309,6 @@ class TriggerTrain:
         return zip(times.tolist(), itertools.cycle(mus.tolist()))
 
 
-def _pulse_arrays(pulses) -> tuple[np.ndarray, np.ndarray]:
-    """Accept [(t, mu), ...] or a (times, mus) pair of arrays."""
-    if isinstance(pulses, tuple) and len(pulses) == 2 \
-            and not np.isscalar(pulses[0]):
-        t = np.asarray(pulses[0], dtype=np.float64)
-        mu = np.asarray(pulses[1], dtype=np.float64)
-    else:
-        arr = np.asarray(list(pulses), dtype=np.float64)
-        if arr.size == 0:
-            return np.empty(0), np.empty(0)
-        t, mu = arr[:, 0], arr[:, 1]
-    if t.shape != mu.shape:
-        raise InputDomainError("pulse times and amplitudes must align")
-    if not (np.isfinite(t).all() and np.isfinite(mu).all()):
-        raise InputDomainError("pulse times and amplitudes must be finite")
-    if (mu < 0).any():
-        raise InputDomainError("mean photon numbers must be >= 0")
-    return t, mu
-
-
 def _fired(n: int, lam: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
     """(trigger, slot) of each fired pulse of ``n`` triggers on which slot s
     fires with probability ``1 - exp(-lam[s])``.
@@ -374,20 +354,22 @@ def _fired(n: int, lam: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(triggers), np.concatenate(slots)
 
 
-def sample_clicks(pulses, det: DetectorModel, acquisition: float, seed,
+def sample_clicks(train: TriggerTrain, det: DetectorModel,
+                  acquisition: float, seed,
                   detector_id: int = 0) -> ClickSet:
-    """Monte Carlo click times for a pulse sequence on one detector.
+    """Monte Carlo click times for a :class:`TriggerTrain` on one detector.
 
-    ``pulses`` is ``[(t, mu), ...]``, a ``(times, mus)`` pair of arrays, or
-    a :class:`TriggerTrain`, which is sampled from its slots without
-    building the whole pulse stream. The pulses of a list or pair are drawn
-    as the slots of one trigger. Signal clicks are the pulses that fire
-    (:func:`_fired`, with lam = mu * efficiency) at their arrival time plus
-    Gaussian jitter; dark clicks are Poisson-distributed uniformly over
-    the acquisition; clicks within the dead time of a prior kept click on
-    this detector are suppressed. Draw order is fixed, so a given seed
-    always yields the same click set.
+    The train is sampled from its slots without building the whole pulse
+    stream. Signal clicks are the pulses that fire (:func:`_fired`, with
+    lam = mu * efficiency) at their arrival time plus Gaussian jitter; dark
+    clicks are Poisson-distributed uniformly over the acquisition; clicks
+    within the dead time of a prior kept click on this detector are
+    suppressed. Draw order is fixed, so a given seed always yields the same
+    click set.
     """
+    if not isinstance(train, TriggerTrain):
+        raise InputDomainError(
+            f"pulses must be a TriggerTrain, not {type(train).__name__}")
     if not (math.isfinite(acquisition) and acquisition >= 0):
         raise InputDomainError("acquisition must be finite and >= 0")
     _checked("detector_id", detector_id, ge=-2 ** 63, lt=2 ** 63,
@@ -397,17 +379,13 @@ def sample_clicks(pulses, det: DetectorModel, acquisition: float, seed,
             f"{det.dark_rate_hz * acquisition} expected dark clicks exceed "
             "the 2**60 click times one array can hold")
     rng = np.random.default_rng(seed)
-    if isinstance(pulses, TriggerTrain):
-        offsets, mus = pulses._slots()
-        n, period = int(pulses.n_triggers), pulses.period
-        if not n * offsets.size < _MAX_CLICKS:
-            raise InputDomainError(
-                f"{n} triggers x {offsets.size} slots: {n * offsets.size} "
-                "pulses exceed the 2**60 click times one array can hold")
-    else:
-        (offsets, mus), n, period = _pulse_arrays(pulses), 1, 0.0
-    if offsets.size and (offsets.min() < 0 or (n - 1) * period
-                         + offsets.max() > acquisition):
+    offsets, mus = train._slots()
+    n, period = int(train.n_triggers), train.period
+    if not n * offsets.size < _MAX_CLICKS:
+        raise InputDomainError(
+            f"{n} triggers x {offsets.size} slots: {n * offsets.size} "
+            "pulses exceed the 2**60 click times one array can hold")
+    if (n - 1) * period + offsets.max() > acquisition:
         raise InputDomainError("acquisition must cover all pulse times")
     trigger, slot = _fired(n, mus * det.efficiency, rng)
     # The float operations of arange(n) * period + offsets, fired pulses only.
@@ -435,18 +413,6 @@ def histogram(clicks: ClickSet, t0: float, bin_width: float,
     """Bin click times; out-of-range clicks land in the overflow tally."""
     counts, overflow = kernels.bin_counts(clicks.times, t0, bin_width, n_bins)
     return Histogram(t0, bin_width, counts, overflow)
-
-
-def expected_counts(pulses, det: DetectorModel, n_reps: int,
-                    window: float = 0.0) -> np.ndarray:
-    """Noise-free expectation: n_reps * click_probability per pulse."""
-    _checked("n_reps", n_reps, ge=0, integer=True, label="repetition count")
-    _checked("window", window, ge=0)
-    t, mu = _pulse_arrays(pulses)
-    del t
-    p = 1.0 - (np.exp(-mu * det.efficiency)
-               * math.exp(-det.dark_rate_hz * window))
-    return n_reps * p
 
 
 def count_triggered(clicks: ClickSet, period: float, offset: float,

@@ -412,8 +412,7 @@ def storage_retrieval_schedule(topology: BufferTopology, input_pulse,
     needs no drive at all: the balanced loop already reflects the pulse to
     the measurement stage.
     """
-    if cycles < 0:
-        raise InputDomainError("cycle count must be >= 0")
+    _checked("cycles", cycles, ge=0, integer=True, label="cycle count")
     if guard < 0:
         raise InputDomainError("guard must be >= 0")
     if cycles == 0:

@@ -320,9 +320,15 @@ def fit_decay(peaks) -> DecayFit:
 
     ``peaks`` is a sequence of (eta, counts); the fit is the least-squares
     slope of log10(counts) against cycle count (eta - 1), reported in dB per
-    cycle. Non-positive counts are excluded.
+    cycle. Each eta must be an integer >= 1 and each count finite;
+    non-positive counts are excluded.
     """
-    pts = [(int(eta) - 1, float(c)) for eta, c in peaks if c > 0]
+    pts = []
+    for i, (eta, c) in enumerate(peaks):
+        _checked(f"peaks[{i}].eta", eta, ge=1, integer=True, label="eta")
+        _checked(f"peaks[{i}].counts", c, label="peak counts")
+        if c > 0:
+            pts.append((int(eta) - 1, float(c)))
     if len({k for k, _ in pts}) < 2:
         raise InputDomainError("need at least 2 peaks with positive counts, "
                                "at distinct settings")
@@ -556,8 +562,17 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
                                   (det0, det1)[port], window)
                 for port in (0, 1)
             ])
-            vis = tuple(visibility_from_curve(angles, lin[port])
-                        for port in (0, 1))
+            vis = []
+            for port in (0, 1):
+                try:
+                    vis.append(visibility_from_curve(angles, lin[port]))
+                except InputDomainError as exc:
+                    if config.mode != "monte-carlo":
+                        raise
+                    raise InputDomainError(
+                        f"eta {eta}, basis {basis}, port {port}: {exc} in "
+                        f"{n} sampled triggers; more triggers are "
+                        "needed") from None
             # Normalize by the per-angle two-port total, so the two curves
             # are complementary and bounded by [0, 1].
             norm = np.maximum(lin, 0.0)
@@ -567,7 +582,7 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
             curve = [(float(a), float(norm[0, i]), float(norm[1, i]))
                      for i, a in enumerate(angles)]
             results.append(VisibilityResult(
-                eta, basis, float(np.mean(vis)), vis,
+                eta, basis, float(np.mean(vis)), tuple(vis),
                 tuple(float(a) for a in angles), curve, counts, expected, n))
     return results
 

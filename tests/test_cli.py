@@ -374,6 +374,18 @@ class TestDomainErrorsAreSchemaErrors:
         assert report["error"] == "run"
         assert message in report["message"]
 
+    def test_all_zero_port_names_the_setting(self, tmp_path, capsys):
+        # Three triggers leave a port with no gated click at any HWP angle.
+        assert run_cli("run", "--preset", "fig2-insets", "--set",
+                       "experiment.n_triggers=3", "--seed", "1",
+                       "--out", str(tmp_path / "o")) == 2
+        report = one_json_error(capsys)
+        assert report["error"] == "run"
+        assert report["message"].startswith(
+            "eta 1, basis computational, port 1: visibility undefined")
+        assert "3 sampled triggers; more triggers are needed" in \
+            report["message"]
+
     @pytest.mark.parametrize("items, size", [
         (("experiment.n_triggers=1000000000000000",), "480. TiB"),
         (("experiment.n_triggers=200", "detector.dark_rate_hz=1e16"), "PiB"),

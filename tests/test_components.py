@@ -16,11 +16,12 @@ from qbuffer.components import (
     overlap_fraction,
     pbs_project,
     sagnac_transfer,
+    stored_states,
 )
 from qbuffer.detection import DetectorModel
-from qbuffer.engine import DriveSchedule, SimLimits
+from qbuffer.engine import DriveSchedule, SimLimits, storage_retrieval_schedule
 from qbuffer.errors import ContractViolationError, InputDomainError
-from qbuffer.experiments import ExperimentConfig
+from qbuffer.experiments import ExperimentConfig, fit_decay
 from qbuffer.polarization import (
     AXIS_H,
     AXIS_V,
@@ -52,7 +53,8 @@ class TestPulseTrain:
         assert len({p.id for p in train}) == 16
 
     @pytest.mark.parametrize("kwargs", [
-        dict(rep_rate=0.0), dict(rep_rate=-1.0), dict(pulse_width=0.0),
+        dict(rep_rate=0.0), dict(rep_rate=-1.0), dict(rep_rate=math.inf),
+        dict(pulse_width=0.0),
         dict(n=0), dict(mu=-0.1), dict(n=2.5), dict(n=True),
     ])
     def test_domain(self, kwargs):
@@ -296,8 +298,9 @@ def _pulse(**kwargs):
 
 
 class TestConstructorDomain:
-    """Every model constructor rejects a non-number, a bool, NaN, inf or an
-    out-of-range value with InputDomainError naming the field."""
+    """Every model constructor, and each entry point below, rejects a
+    non-number, a bool, NaN, inf or an out-of-range value with
+    InputDomainError naming the field."""
 
     @pytest.mark.parametrize("build, field", [
         (lambda: BufferTopology(loop_length_m=math.inf), "loop_length_m"),
@@ -315,20 +318,34 @@ class TestConstructorDomain:
         (lambda: SimLimits(mu_floor=math.nan), "mu_floor"),
         (lambda: _pulse(t=math.nan), "t"),
         (lambda: _pulse(mu=math.nan), "mu"),
+        (lambda: _pulse(cycles=math.nan), "cycles"),
+        (lambda: _pulse(path_transmission=math.nan), "path_transmission"),
+        (lambda: _pulse(path_transmission=-1.0), "path_transmission"),
+        (lambda: _pulse(path_transmission=1.5), "path_transmission"),
         (lambda: ExperimentConfig(hwp_angles=("0", 0.5, 1.0, 1.6)),
          "hwp_angles[0]"),
         (lambda: ExperimentConfig(eta_list=(1, 2, 2.5)), "eta_list[2]"),
         (lambda: ExperimentConfig(eta_list=(3, 1, np.int64(3))),
          "eta_list[2]"),
         (lambda: DetectorModel(efficiency="0.5"), "efficiency"),
+        (lambda: storage_retrieval_schedule(BufferTopology(), _pulse(), 2.5),
+         "cycles"),
+        (lambda: stored_states(BufferTopology(), STATE_H, 2.5),
+         "max_cycles"),
+        (lambda: fit_decay([(1, math.inf), (2, 1.0)]), "peaks[0].counts"),
+        (lambda: fit_decay([(1.5, 2.0), (3, 1.0)]), "peaks[0].eta"),
     ], ids=[
         "topology-inf-loop", "topology-inf-group-index", "topology-nan-v-pi",
         "topology-bool-loss", "topology-str-length", "topology-nan-element",
         "drive-nan", "schedule-nan-drives", "limits-fractional-cycles",
         "limits-nan-floor", "record-nan-t", "record-nan-mu",
+        "record-nan-cycles", "record-nan-transmission",
+        "record-negative-transmission", "record-transmission-above-one",
         "experiment-str-angle", "experiment-fractional-eta",
         "experiment-repeated-eta",
-        "detector-str-efficiency"])
+        "detector-str-efficiency", "schedule-fractional-cycles",
+        "stored-fractional-cycles", "decay-inf-counts",
+        "decay-fractional-eta"])
     def test_rejected_with_field(self, build, field):
         with pytest.raises(InputDomainError) as info:
             build()

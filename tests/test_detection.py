@@ -17,7 +17,6 @@ from qbuffer.detection import (
     TriggerTrain,
     click_probability,
     count_triggered,
-    expected_counts,
     histogram,
     sample_clicks,
 )
@@ -36,6 +35,15 @@ class TestClickProbability:
         p = click_probability(0.1, QUIET, 0.0)
         assert p == pytest.approx(1.0 - math.exp(-0.09), rel=1e-12)
         assert p == pytest.approx(0.086069, abs=1e-6)
+        # 8606.9 expected clicks over 1e5 repetitions.
+        assert 100_000 * p == pytest.approx(8606.9, abs=0.1)
+
+    def test_small_mu_ratio_is_linear(self):
+        mu = 1e-4
+        ratio = (click_probability(0.5 * mu, QUIET, 0.0)
+                 / click_probability(mu, QUIET, 0.0))
+        # Saturation correction is O(mu * eff / 2) ~ 5e-5 here.
+        assert ratio == pytest.approx(0.5, rel=2e-4)
 
     def test_saturation(self):
         assert click_probability(1e6, QUIET, 0.0) == pytest.approx(1.0)
@@ -60,44 +68,26 @@ class TestClickProbability:
             click_probability(0.1, QUIET, -1.0)
 
 
-class TestExpectedCounts:
-    def test_zero_reps(self):
-        out = expected_counts([(0.0, 0.1)], QUIET, 0)
-        assert out.tolist() == [0.0]
-
-    def test_reference_point(self):
-        out = expected_counts([(0.0, 0.1)], QUIET, 100_000)
-        assert out[0] == pytest.approx(
-            100_000 * (1 - math.exp(-0.09)), rel=1e-12)
-        assert out[0] == pytest.approx(8606.9, abs=0.1)
-
-    def test_small_mu_ratio_is_linear(self):
-        mu = 1e-4
-        out = expected_counts([(0.0, mu), (1.0, 0.5 * mu)], QUIET, 1,
-                              window=0.0)
-        # Saturation correction is O(mu * eff / 2) ~ 5e-5 here.
-        assert out[1] / out[0] == pytest.approx(0.5, rel=2e-4)
-
-
 class TestSampleClicks:
     def test_seed_determinism(self):
-        pulses = [(k * 1e-3, 0.2) for k in range(500)]
+        train = TriggerTrain(1e-3, 500, (0.0,), (0.2,))
         det = DetectorModel()
-        a = sample_clicks(pulses, det, 0.5, seed=99)
-        b = sample_clicks(pulses, det, 0.5, seed=99)
+        a = sample_clicks(train, det, 0.5, seed=99)
+        b = sample_clicks(train, det, 0.5, seed=99)
         np.testing.assert_array_equal(a.times, b.times)
         np.testing.assert_array_equal(a.detector_ids, b.detector_ids)
 
     def test_dead_detector_sees_nothing(self):
         det = DetectorModel(efficiency=0.0, dark_rate_hz=0.0)
-        cs = sample_clicks([(0.0, 10.0)], det, 1.0, seed=1)
+        cs = sample_clicks(TriggerTrain(1.0, 1, (0.0,), (10.0,)), det, 1.0,
+                           seed=1)
         assert len(cs) == 0
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_binomial_agreement_at_1e6(self, seed):
         n = 1_000_000
-        pulses = (np.arange(n) * 1e-3, np.full(n, 0.1))
-        cs = sample_clicks(pulses, QUIET, n * 1e-3, seed=seed)
+        train = TriggerTrain(1e-3, n, (0.0,), (0.1,))
+        cs = sample_clicks(train, QUIET, n * 1e-3, seed=seed)
         p = 1 - math.exp(-0.09)
         sigma = math.sqrt(n * p * (1 - p))
         assert abs(len(cs) - n * p) < 5 * sigma
@@ -105,7 +95,8 @@ class TestSampleClicks:
     def test_dead_time_enforced(self):
         det = DetectorModel(efficiency=0.0, dark_rate_hz=20_000.0,
                             dead_time_s=1e-4, jitter_sigma_s=0.0)
-        cs = sample_clicks([], det, 1.0, seed=5)
+        cs = sample_clicks(TriggerTrain(1.0, 1, (0.0,), (0.0,)), det, 1.0,
+                           seed=5)
         assert len(cs) > 0
         assert np.diff(cs.times).min() >= 1e-4
 
@@ -113,27 +104,32 @@ class TestSampleClicks:
         det = DetectorModel(efficiency=1.0, dark_rate_hz=0.0,
                             dead_time_s=0.0, jitter_sigma_s=50e-12)
         n = 20_000
-        pulses = (np.arange(n) * 1e-6 + 1e-7, np.full(n, 50.0))
-        cs = sample_clicks(pulses, det, n * 1e-6, seed=8)
+        train = TriggerTrain(1e-6, n, (1e-7,), (50.0,))
+        cs = sample_clicks(train, det, n * 1e-6, seed=8)
         offsets = cs.times - (np.round((cs.times - 1e-7) / 1e-6) * 1e-6
                               + 1e-7)
         assert np.std(offsets) == pytest.approx(50e-12, rel=0.1)
 
     def test_acquisition_must_cover_pulses(self):
         with pytest.raises(InputDomainError):
-            sample_clicks([(2.0, 0.1)], QUIET, 1.0, seed=1)
+            sample_clicks(TriggerTrain(4.0, 1, (2.0,), (0.1,)), QUIET, 1.0,
+                          seed=1)
 
     @pytest.mark.parametrize("pulses", [
-        [(math.nan, 0.1)], [(0.5, math.nan)], [(math.inf, 0.1)],
-        [(0.5, math.inf)], (np.array([0.1, -math.inf]), np.full(2, 0.1))])
+        [(0.5, 0.1)], [], [(math.nan, 0.1)],
+        (np.array([0.5]), np.array([0.1])),
+        (np.array([0.1, -math.inf]), np.full(2, 0.1))])
     def test_non_finite_pulses_rejected(self, pulses):
-        with pytest.raises(InputDomainError, match="finite"):
+        # Only a TriggerTrain is sampled; a list or a (times, mus) pair is
+        # rejected whatever its values.
+        with pytest.raises(InputDomainError, match="TriggerTrain"):
             sample_clicks(pulses, QUIET, 1.0, seed=1)
 
     @pytest.mark.parametrize("acquisition", [math.nan, math.inf])
     def test_non_finite_acquisition_rejected(self, acquisition):
         with pytest.raises(InputDomainError, match="finite"):
-            sample_clicks([(0.5, 0.1)], QUIET, acquisition, seed=1)
+            sample_clicks(TriggerTrain(1.0, 1, (0.5,), (0.1,)), QUIET,
+                          acquisition, seed=1)
 
     def test_train_draw_peak_rss_is_below_one_whole_draw(self):
         # The resident peak of a fresh process. One draw of 1e6 uniforms
@@ -171,7 +167,8 @@ class TestSampleClicks:
 
     def test_detector_id_tagging(self):
         det = DetectorModel(efficiency=1.0, dark_rate_hz=0.0)
-        cs = sample_clicks([(0.0, 50.0)], det, 1e-3, seed=1, detector_id=3)
+        cs = sample_clicks(TriggerTrain(1e-3, 1, (0.0,), (50.0,)), det, 1e-3,
+                           seed=1, detector_id=3)
         assert cs.detector_ids.tolist() == [3]
 
     def test_one_detector_id_is_stored_once(self):
@@ -518,14 +515,12 @@ DOMAIN_CASES = {
                                                        1e-7),
     "probability-window-nan": lambda cs: click_probability(0.1, QUIET,
                                                            math.nan),
-    "expected-reps-nan": lambda cs: expected_counts([(0.0, 0.1)], QUIET,
-                                                    math.nan),
-    "expected-window-nan": lambda cs: expected_counts(
-        [(0.0, 0.1)], QUIET, 10, window=math.nan),
     "sample-id-beyond-int64": lambda cs: sample_clicks(
-        [(0.5, 0.1)], QUIET, 1.0, 1, detector_id=2 ** 70),
+        TriggerTrain(1.0, 1, (0.5,), (0.1,)), QUIET, 1.0, 1,
+        detector_id=2 ** 70),
     "sample-id-fractional": lambda cs: sample_clicks(
-        [(0.5, 0.1)], QUIET, 1.0, 1, detector_id=1.5),
+        TriggerTrain(1.0, 1, (0.5,), (0.1,)), QUIET, 1.0, 1,
+        detector_id=1.5),
     "clickset-acquisition-nan": lambda cs: ClickSet(cs.times,
                                                     cs.detector_ids,
                                                     math.nan),

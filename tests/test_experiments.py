@@ -17,7 +17,6 @@ from qbuffer.detection import (
     ClickSet,
     DetectorModel,
     click_probability,
-    expected_counts,
     histogram,
     sample_clicks,
 )
@@ -177,8 +176,9 @@ class TestRetrievalSweep:
         cfg = ExperimentConfig(preset="t", eta_list=(1,), mode="analytic")
         sweep = run_retrieval_sweep(cfg, topo, DET)
         mu_direct = 0.1 * db_to_transmission(topo.direct_pass_loss_db())
-        oracle = expected_counts([(0.0, mu_direct)], DET, cfg.n_triggers,
-                                 window=cfg.count_window_s)[0]
+        oracle = cfg.n_triggers * (
+            1.0 - math.exp(-mu_direct * DET.efficiency)
+            * math.exp(-DET.dark_rate_hz * cfg.count_window_s))
         assert sweep.rows[0].expected_counts == pytest.approx(oracle,
                                                               rel=1e-12)
 
