@@ -35,8 +35,6 @@ class TestClickProbability:
         p = click_probability(0.1, QUIET, 0.0)
         assert p == pytest.approx(1.0 - math.exp(-0.09), rel=1e-12)
         assert p == pytest.approx(0.086069, abs=1e-6)
-        # 8606.9 expected clicks over 1e5 repetitions.
-        assert 100_000 * p == pytest.approx(8606.9, abs=0.1)
 
     def test_small_mu_ratio_is_linear(self):
         mu = 1e-4
@@ -66,6 +64,21 @@ class TestClickProbability:
             click_probability(-0.1, QUIET, 0.0)
         with pytest.raises(InputDomainError):
             click_probability(0.1, QUIET, -1.0)
+
+
+class TestExpectedCounts:
+    # The expected click count of n repetitions is n * click_probability.
+    def test_reference_point(self):
+        n = 100_000
+        expected = n * click_probability(0.1, QUIET, 0.0)
+        assert expected == pytest.approx(n * (1 - math.exp(-0.09)),
+                                         rel=1e-12)
+        assert expected == pytest.approx(8606.9, abs=0.1)
+        # A sampled train of n triggers lands within 5 sigma of it.
+        cs = sample_clicks(TriggerTrain(1e-3, n, (0.0,), (0.1,)), QUIET,
+                           n * 1e-3, seed=4)
+        sigma = math.sqrt(expected * (1 - expected / n))
+        assert abs(len(cs) - expected) < 5 * sigma
 
 
 class TestSampleClicks:
