@@ -35,12 +35,12 @@ a time through ``apply_unitary``, ``stored_states`` and ``pbs_project``;
 the two tables must be equal to the bit. On these two rows the clicks
 column counts (angle, cycle) states. ``count_triggered`` is timed on two
 time-ordered click sets, the preset stream gated at one exit time and a
-60k-trigger fringe setting sampled by ``sample_clicks``, against the sort
-path it takes for unordered sets (gather the gated triggers, sort, count
-distinct values). The calibration's visibility of a Bloch length is
-timed at 186 lengths on the 16-angle grid, as the unmemoized
-``evaluate`` of ``experiments._bloch_visibility`` (one per retrieved
-pulse, built once) and, as a reference, with one ``click_probability``
+60k-trigger fringe setting sampled by ``sample_clicks``, against a sort
+path (gather the gated triggers, sort, count distinct values). The
+calibration's visibility of a Bloch length is timed at 186 lengths on the
+16-angle grid, as the uncached ``__wrapped__`` function of
+``experiments._bloch_visibility`` (one per retrieved pulse, built once)
+and, as a reference, with one ``click_probability``
 call per port and angle and the fit built anew each time; there the
 clicks column counts Bloch lengths. The script exits 1 if any reference
 differs.
@@ -316,7 +316,7 @@ def main():
     config = ExperimentConfig(eta_list=(1, 3, 5))
     lengths = np.linspace(0.0, 1.0, 186).tolist()
     evaluate = experiments._bloch_visibility(RETRIEVED_MU, config,
-                                             det).evaluate
+                                             det).__wrapped__
     curves = []
     for label, curve in (
             ("calibration evaluator, 16 angles",

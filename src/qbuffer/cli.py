@@ -18,7 +18,6 @@ import sys
 import time
 
 from . import __version__
-from .components import generate_pulse_train
 from .config import (
     PRESETS,
     load_config_file,
@@ -26,20 +25,17 @@ from .config import (
     preset_listing,
     resolve_config,
 )
-from .engine import (
-    simulate,
-    storage_period,
-    storage_retrieval_schedule,
-    validate_schedule,
-)
+from .engine import simulate, storage_period, validate_schedule
 from .errors import CalibrationError, ConfigError, QBufferError, ScheduleError
 from .experiments import (
     apply_calibration,
     average_visibility_by_eta,
     calibrate,
     fit_decay,
+    preset_schedule,
     run_hwp_sweep,
     run_retrieval_sweep,
+    source_pulses,
     sweep_rows,
     write_peaks_csv,
     write_sweep_csv,
@@ -147,9 +143,7 @@ def _run_hwp(plan):
 
 
 def _run_custom(plan):
-    exp = plan.experiment
-    inputs = generate_pulse_train(exp.rep_rate_hz, exp.pulse_width_s,
-                                  exp.mu_source, 1)
+    inputs = source_pulses(plan.experiment)
     result = simulate(plan.topology, plan.schedule, inputs, plan.limits)
     violations = validate_schedule(plan.topology, plan.schedule, inputs,
                                    plan.limits, result=result)
@@ -286,27 +280,23 @@ def cmd_validate(args) -> int:
     except ConfigError as exc:
         return _err("schema", 2, path=exc.path, message=exc.message)
 
-    exp = plan.experiment
     any_error = False
     try:
-        inputs = generate_pulse_train(exp.rep_rate_hz, exp.pulse_width_s,
-                                      exp.mu_source, 1)
-        schedules = []
         if plan.schedule is not None:
-            schedules.append(("custom", plan.schedule))
+            schedules = [("custom", source_pulses(plan.experiment),
+                          plan.schedule)]
         else:
-            for eta in plan.propagated_etas:
-                schedules.append((f"eta={eta}", storage_retrieval_schedule(
-                    plan.topology, inputs[0], eta - 1,
-                    drive_width=exp.drive_width_s, guard=exp.drive_guard_s)))
-        for label, sched in schedules:
+            schedules = [(f"eta={eta}", *preset_schedule(
+                plan.topology, plan.experiment, eta))
+                for eta in plan.propagated_etas]
+        for label, inputs, sched in schedules:
             for v in validate_schedule(plan.topology, sched, inputs,
                                        plan.limits):
                 print(f"{v.severity}: [{label}] {v.code}: {v.message}")
                 any_error = any_error or v.severity == "error"
     except QBufferError as exc:
         return _err("run", 2, message=str(exc))
-    any_drive = any(len(s) for _, s in schedules)
+    any_drive = any(len(s) for _, _, s in schedules)
     if not any_drive:
         print("warning: no drive pulses; every pulse reflects directly")
     if any_error:

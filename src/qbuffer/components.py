@@ -91,10 +91,14 @@ class PulseRecord:
         if not -math.inf < self.t < math.inf:
             raise InputDomainError(f"pulse time {self.t} must be finite",
                                    "t")
-        if not 0 <= self.cycles < math.inf:
+        for name in ("id", "cycles", "root_id"):
+            v = getattr(self, name)
+            if type(v) is not int and (isinstance(v, bool) or not
+                                       isinstance(v, numbers.Integral)):
+                raise InputDomainError(f"{name} {v!r} must be an integer", name)
+        if self.cycles < 0:
             raise InputDomainError(
-                f"cycle count {self.cycles} must be finite and >= 0",
-                "cycles")
+                f"cycle count {self.cycles} must be >= 0", "cycles")
         if not 0.0 <= self.path_transmission <= 1.0:
             raise InputDomainError(
                 f"path transmission {self.path_transmission} must be in "

@@ -245,19 +245,22 @@ class Histogram:
                 fh.write(f"{self.bin_start(k)!r},{c}\n")
 
 
-def click_probability(mu: float, det: DetectorModel, window: float) -> float:
+def click_probability(mu, det: DetectorModel, window: float):
     """Probability of at least one click from a pulse of mean photon number
-    ``mu`` within a counting window."""
-    # Chained comparisons, which NaN fails: this runs once per port and
-    # HWP angle of a fringe sweep, too often for _checked.
-    if not 0 <= mu < math.inf:
+    ``mu`` within a counting window: a float for a number, one per element
+    for a float64 array. Each element takes its own scalar ``math.exp``, so
+    it has the bits of the call on that element alone."""
+    x = np.asarray(mu, dtype=np.float64)
+    ok = (x >= 0) & (x < math.inf)  # both False for NaN
+    if not ok.all():
         raise InputDomainError(
-            f"mean photon number {mu} must be finite and >= 0")
+            f"mean photon number {x[~ok][0]} must be finite and >= 0")
     if not 0 <= window < math.inf:
         raise InputDomainError(f"window {window} must be finite and >= 0")
-    no_signal = math.exp(-mu * det.efficiency)
-    no_dark = math.exp(-det.dark_rate_hz * window)
-    return 1.0 - no_signal * no_dark
+    no_signal = map(math.exp, (x * -det.efficiency).ravel().tolist())
+    p = 1.0 - np.fromiter(no_signal, np.float64, x.size).reshape(x.shape) \
+        * math.exp(-det.dark_rate_hz * window)
+    return float(p) if p.ndim == 0 else p
 
 
 @dataclass(frozen=True)
@@ -364,8 +367,8 @@ def sample_clicks(train: TriggerTrain, det: DetectorModel,
     lam = mu * efficiency) at their arrival time plus Gaussian jitter; dark
     clicks are Poisson-distributed uniformly over the acquisition; clicks
     within the dead time of a prior kept click on this detector are
-    suppressed. Draw order is fixed, so a given seed always yields the same
-    click set.
+    suppressed. Draw order is fixed, so a given seed, an integer >= 0 or a
+    ``np.random.SeedSequence``, always yields the same click set.
     """
     if not isinstance(train, TriggerTrain):
         raise InputDomainError(
@@ -374,6 +377,8 @@ def sample_clicks(train: TriggerTrain, det: DetectorModel,
         raise InputDomainError("acquisition must be finite and >= 0")
     _checked("detector_id", detector_id, ge=-2 ** 63, lt=2 ** 63,
              integer=True, label="detector id")
+    if not isinstance(seed, np.random.SeedSequence):
+        _checked("seed", seed, ge=0, integer=True)
     if not det.dark_rate_hz * acquisition < _MAX_CLICKS:
         raise InputDomainError(
             f"{det.dark_rate_hz * acquisition} expected dark clicks exceed "
@@ -418,7 +423,8 @@ def histogram(clicks: ClickSet, t0: float, bin_width: float,
 def count_triggered(clicks: ClickSet, period: float, offset: float,
                     window: float) -> int:
     """Number of distinct trigger periods with a click inside the gate
-    [offset - window/2, offset + window/2) relative to the trigger."""
+    [offset - window/2, offset + window/2) relative to the trigger. The
+    clicks are counted in time order; an unordered set is sorted first."""
     # Chained comparisons, which NaN fails: this runs once per port and
     # HWP angle of a sampled fringe sweep.
     if not (0 < period < math.inf and 0 <= window < math.inf
@@ -427,11 +433,9 @@ def count_triggered(clicks: ClickSet, period: float, offset: float,
             "period must be finite and > 0, window finite and >= 0, and "
             "offset finite")
     t = clicks.times
-    lo, hi = offset - window / 2.0, offset + window / 2.0
     if not (t[1:] >= t[:-1]).all():
-        trigger = np.floor(t / period)
-        rel = t - trigger * period
-        return _n_distinct(trigger[(rel >= lo) & (rel < hi)])
+        t = np.sort(t)
+    lo, hi = offset - window / 2.0, offset + window / 2.0
     # In time order the trigger never falls, nor rel within a trigger, so
     # a trigger's hits are adjacent: a hit counts unless it follows a hit
     # of the same trigger. Blocks bound the temporaries.
@@ -451,8 +455,7 @@ def count_triggered(clicks: ClickSet, period: float, offset: float,
 
 def _n_distinct(values: np.ndarray) -> int:
     """Number of distinct values in a float array without NaN; -0.0 and 0.0
-    are one value. The values are sorted here, since a ClickSet does not
-    promise that its clicks are in order.
+    are one value.
 
     ``np.unique`` gives the same count, but its first call imports
     ``numpy.ma``, which costs every run about 16 ms.

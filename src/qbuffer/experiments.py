@@ -23,6 +23,7 @@ exponential saturation bias of raw click counts.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
@@ -359,14 +360,25 @@ def _hwp_grid(config: ExperimentConfig) -> np.ndarray:
     return angles
 
 
+def source_pulses(config: ExperimentConfig) -> list:
+    """The one source pulse every run launches."""
+    return generate_pulse_train(config.rep_rate_hz, config.pulse_width_s,
+                                config.mu_source, 1)
+
+
+def preset_schedule(topology, config: ExperimentConfig, eta: int):
+    """(source pulses, drive schedule) of retrieval setting ``eta``: the
+    schedule that retrieves the source pulse after ``eta - 1`` cycles."""
+    inputs = source_pulses(config)
+    return inputs, storage_retrieval_schedule(
+        topology, inputs[0], eta - 1, drive_width=config.drive_width_s,
+        guard=config.drive_guard_s)
+
+
 def _propagate(topology, config, eta, limits):
     """Run the source pulse through the schedule of setting ``eta`` once,
     check the schedule on that run, and return (retained pulse, result)."""
-    inputs = generate_pulse_train(config.rep_rate_hz, config.pulse_width_s,
-                                  config.mu_source, 1)
-    sched = storage_retrieval_schedule(
-        topology, inputs[0], eta - 1, drive_width=config.drive_width_s,
-        guard=config.drive_guard_s)
+    inputs, sched = preset_schedule(topology, config, eta)
     res = simulate(topology, sched, inputs, limits)
     violations = validate_schedule(topology, sched, inputs, limits,
                                    result=res)
@@ -515,14 +527,18 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
     Routing never depends on polarization, so each setting is propagated
     once. One :func:`share_table` holds the two port shares of the state
     at each (basis, HWP angle, cycle count); a retrieved record sends
-    ``mu * share[record.cycles]`` to a port. A ``runs`` dict shares
-    engine runs with :func:`calibrate`.
+    ``mu * share[record.cycles]`` to a port, and each port's expected
+    counts over the angles are one :func:`click_probability` call. A
+    ``runs`` dict shares engine runs with :func:`calibrate`.
     """
     angles = _hwp_grid(config)
+    design = _fringe_design(angles)
     limits = limits or SimLimits()
     if isinstance(detectors, DetectorModel):
         detectors = (detectors, detectors)
-    det0, det1 = detectors
+    dets = tuple(detectors)
+    if len(dets) != 2:
+        raise InputDomainError("need one detector model or two", "detectors")
 
     period = 1.0 / config.rep_rate_hz
     n = config.n_triggers
@@ -533,39 +549,32 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
     runs = [_propagated(runs, topology, config, eta, limits)
             for eta in config.eta_list]
     max_cycles = max(p.cycles for _, sim in runs for p in sim.retrieved)
-    # shares[basis][i][port][k]: Python floats, so the trains and expected
-    # counts below see the same values as a per-state projection.
-    shares = {basis: table.tolist() for basis, table in share_table(
-        topology, angles, max_cycles, config.bases).items()}
+    tables = share_table(topology, angles, max_cycles, config.bases)
 
     for eta, (main, sim) in zip(config.eta_list, runs):
         for basis in config.bases:
-            expected = np.zeros((2, angles.size))
+            table = tables[basis]  # [angle, port, cycles]
+            mus = main.mu * table[:, :, main.cycles].T
+            expected = np.stack([n * click_probability(mus[port], det, window)
+                                 for port, det in enumerate(dets)])
             counts = np.zeros((2, angles.size))
-            for i, by_port in enumerate(shares[basis]):
-                for port, (det, share) in enumerate(
-                        zip((det0, det1), by_port)):
-                    expected[port, i] = n * click_probability(
-                        main.mu * share[main.cycles], det, window)
-                    if config.mode == "monte-carlo":
-                        cs = sample_clicks(
-                            _trigger_train(sim.retrieved, config, share), det,
-                            config.acquisition_s,
-                            _substream(config.seed, 1, eta,
-                                       BASIS_ORDER.index(basis), i, port),
-                            detector_id=port)
-                        counts[port, i] = count_triggered(
-                            cs, period, main.t, window)
+            if config.mode == "monte-carlo":
+                for i, port in np.ndindex(angles.size, 2):
+                    cs = sample_clicks(
+                        _trigger_train(sim.retrieved, config, table[i, port]),
+                        dets[port], config.acquisition_s,
+                        _substream(config.seed, 1, eta,
+                                   BASIS_ORDER.index(basis), i, port),
+                        detector_id=port)
+                    counts[port, i] = count_triggered(
+                        cs, period, main.t, window)
             raw = counts if config.mode == "monte-carlo" else expected
-            lin = np.stack([
-                linearized_counts(raw[port], n,
-                                  (det0, det1)[port], window)
-                for port in (0, 1)
-            ])
+            lin = np.stack([linearized_counts(raw[port], n, det, window)
+                            for port, det in enumerate(dets)])
             vis = []
             for port in (0, 1):
                 try:
-                    vis.append(visibility_from_curve(angles, lin[port]))
+                    vis.append(_curve_visibility(design, lin[port]))
                 except InputDomainError as exc:
                     if config.mode != "monte-carlo":
                         raise
@@ -600,37 +609,26 @@ def average_visibility_by_eta(results) -> dict:
 
 def _bloch_visibility(mu_ret: float, config, det: DetectorModel):
     """Visibility the sweep analysis reports for a net Bloch shrink ``b``,
-    as a function of ``b`` with a ``memo`` dict; ``.evaluate`` skips it.
+    as a ``functools.cache``d function of ``b``.
 
     Feeds the expected port counts of a launch state shrunk to Bloch
-    length ``b`` through the real experiment's linearize-and-fit analysis.
-    The angles, fit design, dark term and checks are built once; each count
-    keeps its own scalar ``math.exp``, so the bits are those of one
-    ``click_probability`` call per point.
+    length ``b`` through the sweep's click model and linearize-and-fit
+    analysis. The arguments are checked, and the angles and fit design
+    built, once.
     """
     n, window = config.n_triggers, config.count_window_s
     click_probability(mu_ret, det, window)
     angles = np.asarray(config.hwp_angles, dtype=np.float64)
     cos4, design = np.cos(4.0 * angles), _fringe_design(angles)
-    no_dark = math.exp(-det.dark_rate_hz * window)
-    memo: dict[float, float] = {}
 
-    def evaluate(b: float) -> float:
-        p_port0 = (1.0 + b * cos4) / 2.0
-        # Both ports in one row; (mu * share) * -eff is -mu * eff bit for bit.
-        x = mu_ret * np.concatenate([p_port0, 1.0 - p_port0]) \
-            * -det.efficiency
-        no_signal = np.array(list(map(math.exp, x.tolist())))
-        lin = linearized_counts(float(n) * (1.0 - no_signal * no_dark), n,
-                                det, window)
-        return (_curve_visibility(design, lin[:angles.size])
-                + _curve_visibility(design, lin[angles.size:])) / 2.0
-
+    @functools.cache
     def visibility_of(b: float) -> float:
-        if b not in memo:
-            memo[b] = evaluate(b)
-        return memo[b]
-    visibility_of.evaluate, visibility_of.memo = evaluate, memo
+        p_port0 = (1.0 + b * cos4) / 2.0
+        expected = n * click_probability(
+            mu_ret * np.stack([p_port0, 1.0 - p_port0]), det, window)
+        lin = linearized_counts(expected, n, det, window)
+        return (_curve_visibility(design, lin[0])
+                + _curve_visibility(design, lin[1])) / 2.0
     return visibility_of
 
 

@@ -319,6 +319,13 @@ class TestConstructorDomain:
         (lambda: _pulse(t=math.nan), "t"),
         (lambda: _pulse(mu=math.nan), "mu"),
         (lambda: _pulse(cycles=math.nan), "cycles"),
+        (lambda: _pulse(cycles=2.5), "cycles"),
+        (lambda: _pulse(cycles=True), "cycles"),
+        (lambda: _pulse(id=math.nan), "id"),
+        (lambda: _pulse(id=1.5), "id"),
+        (lambda: _pulse(id=True), "id"),
+        (lambda: _pulse(root_id=2.5), "root_id"),
+        (lambda: _pulse(root_id=True), "root_id"),
         (lambda: _pulse(path_transmission=math.nan), "path_transmission"),
         (lambda: _pulse(path_transmission=-1.0), "path_transmission"),
         (lambda: _pulse(path_transmission=1.5), "path_transmission"),
@@ -339,7 +346,10 @@ class TestConstructorDomain:
         "topology-bool-loss", "topology-str-length", "topology-nan-element",
         "drive-nan", "schedule-nan-drives", "limits-fractional-cycles",
         "limits-nan-floor", "record-nan-t", "record-nan-mu",
-        "record-nan-cycles", "record-nan-transmission",
+        "record-nan-cycles", "record-fractional-cycles",
+        "record-bool-cycles", "record-nan-id", "record-fractional-id",
+        "record-bool-id", "record-fractional-root-id", "record-bool-root-id",
+        "record-nan-transmission",
         "record-negative-transmission", "record-transmission-above-one",
         "experiment-str-angle", "experiment-fractional-eta",
         "experiment-repeated-eta",

@@ -66,6 +66,33 @@ class TestClickProbability:
             click_probability(0.1, QUIET, -1.0)
 
 
+class TestClickProbabilityArray:
+    """An array of mean photon numbers is the scalar call per element."""
+
+    #: The edge cases, then a grid on which numpy's own exp can differ in
+    #: the last bit.
+    MUS = [0.0, 1e-300, 2.5, 1e6] + np.linspace(0.0, 5.0, 201).tolist()
+
+    @pytest.mark.parametrize("dark", [0.0, 3e6])
+    def test_elements_equal_scalar_calls_bit_for_bit(self, dark):
+        det = DetectorModel(efficiency=0.37, dark_rate_hz=dark)
+        mu = np.array([self.MUS, self.MUS[::-1]])
+        got = click_probability(mu, det, 1e-7)
+        want = np.array([[click_probability(m, det, 1e-7) for m in row]
+                         for row in mu.tolist()])
+        assert got.shape == mu.shape
+        assert got.tobytes() == want.tobytes()
+        assert type(click_probability(2.5, det, 1e-7)) is float
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, -5e-324])
+    @pytest.mark.parametrize("at", [0, 3])
+    def test_any_bad_element_raises(self, bad, at):
+        mu = np.array(self.MUS)
+        mu[at] = bad
+        with pytest.raises(InputDomainError):
+            click_probability(mu, QUIET, 1e-7)
+
+
 class TestExpectedCounts:
     # The expected click count of n repetitions is n * click_probability.
     def test_reference_point(self):
@@ -537,6 +564,14 @@ DOMAIN_CASES = {
     "clickset-acquisition-nan": lambda cs: ClickSet(cs.times,
                                                     cs.detector_ids,
                                                     math.nan),
+    "sample-seed-negative": lambda cs: sample_clicks(
+        TriggerTrain(1.0, 1, (0.5,), (0.1,)), QUIET, 1.0, -1),
+    "sample-seed-fractional": lambda cs: sample_clicks(
+        TriggerTrain(1.0, 1, (0.5,), (0.1,)), QUIET, 1.0, 1.5),
+    "sample-seed-nan": lambda cs: sample_clicks(
+        TriggerTrain(1.0, 1, (0.5,), (0.1,)), QUIET, 1.0, math.nan),
+    "sample-seed-bool": lambda cs: sample_clicks(
+        TriggerTrain(1.0, 1, (0.5,), (0.1,)), QUIET, 1.0, True),
 }
 
 
@@ -544,3 +579,11 @@ DOMAIN_CASES = {
 def test_entry_points_reject_nan_and_out_of_range(two_clicks, call):
     with pytest.raises(InputDomainError):
         call(two_clicks)
+
+
+@pytest.mark.parametrize("name", [k for k in DOMAIN_CASES
+                                  if k.startswith("sample-seed-")])
+def test_bad_seed_is_named(two_clicks, name):
+    with pytest.raises(InputDomainError) as info:
+        DOMAIN_CASES[name](two_clicks)
+    assert info.value.field == "seed"

@@ -451,6 +451,48 @@ class TestHwpSweep:
         assert avg[1] == pytest.approx(1.0, abs=1e-9)
 
 
+class TestPortDetectors:
+    """Each port is counted with its own detector model."""
+
+    DETS = (DetectorModel(efficiency=0.9, dark_rate_hz=100.0),
+            DetectorModel(efficiency=0.37, dark_rate_hz=5e3))
+
+    def test_expected_counts_use_each_ports_detector(self):
+        cfg = analytic_config(hwp_angles=default_hwp_grid(8))
+        topo = BufferTopology(depol_per_cycle=0.01)
+        runs = {}
+        results = run_hwp_sweep(cfg, topo, self.DETS, runs=runs)
+        swapped = run_hwp_sweep(cfg, topo, self.DETS[::-1], runs=runs)
+        max_cycles = max(p.cycles for _, sim in runs.values()
+                         for p in sim.retrieved)
+        table = share_table(topo, cfg.hwp_angles, max_cycles, cfg.bases)
+        assert {r.basis for r in results} == set(cfg.bases) == set(BASES)
+        for r, s in zip(results, swapped):
+            main, _ = runs[r.eta]
+            shares = table[r.basis][:, :, main.cycles]
+            for i, port in np.ndindex(len(r.angles), 2):
+                assert r.expected[port, i] == cfg.n_triggers * \
+                    click_probability(main.mu * float(shares[i, port]),
+                                      self.DETS[port], cfg.count_window_s)
+            assert not np.array_equal(r.expected, s.expected)
+
+    def test_monte_carlo_samples_each_port_with_its_detector(
+            self, monkeypatch):
+        seen = []
+
+        def recording(train, det, *args, detector_id=0, _run=sample_clicks):
+            seen.append((detector_id, det))
+            return _run(train, det, *args, detector_id=detector_id)
+
+        monkeypatch.setattr(experiments, "sample_clicks", recording)
+        cfg = analytic_config(mode="monte-carlo", n_triggers=2000,
+                              eta_list=(1,), hwp_angles=default_hwp_grid(8))
+        run_hwp_sweep(cfg, BufferTopology(), self.DETS)
+        assert len(seen) == 2 * 8 * 2  # bases x angles x ports
+        assert all(det is self.DETS[port] for port, det in seen)
+        assert {port for port, _ in seen} == {0, 1}
+
+
 def closed_form_bloch(prep, table, cycles):
     """(1 - prep) * prod(1 - p_k) over ``cycles`` cycles of a per-cycle
     table whose last entry repeats."""
@@ -725,7 +767,7 @@ class TestBlochVisibility:
                 with pytest.raises(InputDomainError):
                     f(b)
                 continue
-            assert f.evaluate(b) == want
+            assert f.__wrapped__(b) == want
             assert f(b) == want
 
     def test_checks_arguments_once(self):
@@ -743,7 +785,7 @@ class TestBlochVisibility:
             return memoized[-1]
 
         def without_memo(*a):
-            evaluate = build(*a).evaluate
+            evaluate = build(*a).__wrapped__
             return lambda b: evaluations.append(b) or evaluate(b)
 
         monkeypatch.setattr(experiments, "_bloch_visibility", with_memo)
@@ -753,7 +795,8 @@ class TestBlochVisibility:
         # 60 bisection steps, the f(1) bound and the residual per target;
         # the memo answers the steps after the bisection stops moving.
         assert len(evaluations) == 3 * 62
-        assert sum(len(f.memo) for f in memoized) < len(evaluations)
+        assert sum(f.cache_info().currsize for f in memoized) < \
+            len(evaluations)
 
 
 class TestCalibration:
