@@ -175,7 +175,7 @@ def count_by_sort(clicks, period, offset, window):
     trigger = np.floor(t / period)
     rel = t - trigger * period
     hit = (rel >= offset - window / 2.0) & (rel < offset + window / 2.0)
-    return detection._n_distinct(trigger[hit])
+    return experiments._n_distinct(trigger[hit])
 
 
 def bloch_visibility_per_call(b, mu_ret, config, det):

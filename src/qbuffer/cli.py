@@ -25,7 +25,7 @@ from .config import (
     preset_listing,
     resolve_config,
 )
-from .engine import simulate, storage_period, validate_schedule
+from .engine import storage_period, validate_schedule
 from .errors import CalibrationError, ConfigError, QBufferError, ScheduleError
 from .experiments import (
     apply_calibration,
@@ -35,6 +35,7 @@ from .experiments import (
     preset_schedule,
     run_hwp_sweep,
     run_retrieval_sweep,
+    simulate_checked,
     source_pulses,
     sweep_rows,
     write_peaks_csv,
@@ -143,13 +144,9 @@ def _run_hwp(plan):
 
 
 def _run_custom(plan):
-    inputs = source_pulses(plan.experiment)
-    result = simulate(plan.topology, plan.schedule, inputs, plan.limits)
-    violations = validate_schedule(plan.topology, plan.schedule, inputs,
-                                   plan.limits, result=result)
-    errors = [v for v in violations if v.severity == "error"]
-    if errors:
-        raise ScheduleError("custom schedule is unsafe", violations)
+    result, violations = simulate_checked(
+        plan.topology, plan.schedule, source_pulses(plan.experiment),
+        plan.limits, "custom schedule")
     summary = {
         "preset": "custom-schedule",
         "seed": plan.seed,

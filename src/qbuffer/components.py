@@ -50,10 +50,8 @@ def db_to_transmission(loss_db: float) -> float:
 
 def fiber_delay(length_m: float, group_index: float) -> float:
     """Group delay of ``length_m`` of fiber: length * n_g / c."""
-    if not 0 <= length_m < math.inf:
-        raise InputDomainError(f"fiber length {length_m} m must be >= 0")
-    if not 1.0 <= group_index < math.inf:
-        raise InputDomainError(f"group index {group_index} must be >= 1")
+    _checked("length_m", length_m, ge=0, label="fiber length")
+    _checked("group_index", group_index, ge=1, label="group index")
     return length_m * group_index / C_VACUUM
 
 
@@ -73,36 +71,20 @@ class PulseRecord:
     t: float
     width: float
     mu: float
-    port: str = "routing.in"
     cycles: int = 0
     root_id: int = -1
     path_transmission: float = 1.0
 
     def __post_init__(self):
-        # Built for every event of a run, so the checks stay inline; each
-        # chained comparison is False for NaN.
-        if not 0.0 < self.width < math.inf:
-            raise InputDomainError(
-                f"pulse width {self.width} must be finite and > 0", "width")
-        if not 0.0 <= self.mu < math.inf:
-            raise InputDomainError(
-                f"mean photon number {self.mu} must be finite and >= 0",
-                "mu")
-        if not -math.inf < self.t < math.inf:
-            raise InputDomainError(f"pulse time {self.t} must be finite",
-                                   "t")
-        for name in ("id", "cycles", "root_id"):
-            v = getattr(self, name)
-            if type(v) is not int and (isinstance(v, bool) or not
-                                       isinstance(v, numbers.Integral)):
-                raise InputDomainError(f"{name} {v!r} must be an integer", name)
-        if self.cycles < 0:
-            raise InputDomainError(
-                f"cycle count {self.cycles} must be >= 0", "cycles")
-        if not 0.0 <= self.path_transmission <= 1.0:
-            raise InputDomainError(
-                f"path transmission {self.path_transmission} must be in "
-                "[0, 1]", "path_transmission")
+        _checked("width", self.width, gt=0, label="pulse width")
+        _checked("mu", self.mu, ge=0, label="mean photon number")
+        _checked("t", self.t, label="pulse time")
+        _checked("id", self.id, integer=True)
+        _checked("cycles", self.cycles, ge=0, integer=True,
+                 label="cycle count")
+        _checked("root_id", self.root_id, integer=True)
+        _checked("path_transmission", self.path_transmission, ge=0, le=1,
+                 label="path transmission")
         if self.root_id < 0:
             object.__setattr__(self, "root_id", self.id)
 
@@ -232,8 +214,7 @@ class BufferTopology:
     def depol_for_cycle(self, cycle: int) -> float:
         """Depolarization probability applied on storage cycle ``cycle``
         (1-based). Cycles past the end of the table reuse the last entry."""
-        if cycle < 1:
-            raise InputDomainError("cycle numbers are 1-based")
+        _checked("cycle", cycle, ge=1, integer=True, label="cycle number")
         table = self.depol_per_cycle
         return table[min(cycle, len(table)) - 1]
 
@@ -273,15 +254,10 @@ def stored_states(topology: BufferTopology, pol: PolState,
 
 def generate_pulse_train(rep_rate: float, pulse_width: float, mu: float,
                          n: int) -> list[PulseRecord]:
-    """``n`` identical pulses at times k / rep_rate, k = 0..n-1."""
-    if not 0 < rep_rate < math.inf:
-        raise InputDomainError(
-            f"repetition rate {rep_rate} must be finite and > 0")
-    if pulse_width <= 0:
-        raise InputDomainError(f"pulse width {pulse_width} must be > 0")
+    """``n`` identical pulses at times k / rep_rate, k = 0..n-1; each
+    :class:`PulseRecord` checks the width and mu."""
+    _checked("rep_rate", rep_rate, gt=0, label="repetition rate")
     _checked("n", n, ge=1, integer=True, label="pulse count")
-    if mu < 0:
-        raise InputDomainError(f"mean photon number {mu} must be >= 0")
     return [
         PulseRecord(id=k, t=k / rep_rate, width=pulse_width, mu=mu)
         for k in range(n)
@@ -303,12 +279,9 @@ def modulator_phase(drive: DrivePulse | None, passage_start: float,
     phi = pi * (V / V_pi) * f with f the overlapped fraction of the passage;
     a partially covered passage gets a proportionally reduced mean phase.
     """
-    # Comparisons that NaN fails, not _checked: this runs on every passage.
-    if not (-math.inf < passage_start < math.inf
-            and 0 < passage_width < math.inf and 0 < v_pi < math.inf):
-        raise InputDomainError(
-            f"passage start {passage_start} must be finite, and passage "
-            f"width {passage_width} and half-wave voltage {v_pi} finite > 0")
+    _checked("passage_start", passage_start, label="passage start")
+    _checked("passage_width", passage_width, gt=0, label="passage width")
+    _checked("v_pi", v_pi, gt=0, label="half-wave voltage")
     if drive is None:
         return 0.0
     f = overlap_fraction(drive, passage_start, passage_width)
@@ -322,9 +295,7 @@ def sagnac_transfer(delta_phi: float) -> tuple[float, float]:
     the opposite port, so R + T = 1 holds exactly. A drive far above the
     half-wave voltage can make the phase overflow; that is rejected.
     """
-    if not -math.inf < delta_phi < math.inf:
-        raise InputDomainError(
-            f"loop phase difference {delta_phi} must be finite")
+    _checked("delta_phi", delta_phi, label="loop phase difference")
     r = math.cos(delta_phi / 2.0) ** 2
     return r, 1.0 - r
 

@@ -255,8 +255,7 @@ def click_probability(mu, det: DetectorModel, window: float):
     if not ok.all():
         raise InputDomainError(
             f"mean photon number {x[~ok][0]} must be finite and >= 0")
-    if not 0 <= window < math.inf:
-        raise InputDomainError(f"window {window} must be finite and >= 0")
+    _checked("window", window, ge=0)
     no_signal = map(math.exp, (x * -det.efficiency).ravel().tolist())
     p = 1.0 - np.fromiter(no_signal, np.float64, x.size).reshape(x.shape) \
         * math.exp(-det.dark_rate_hz * window)
@@ -373,8 +372,7 @@ def sample_clicks(train: TriggerTrain, det: DetectorModel,
     if not isinstance(train, TriggerTrain):
         raise InputDomainError(
             f"pulses must be a TriggerTrain, not {type(train).__name__}")
-    if not (math.isfinite(acquisition) and acquisition >= 0):
-        raise InputDomainError("acquisition must be finite and >= 0")
+    _checked("acquisition", acquisition, ge=0)
     _checked("detector_id", detector_id, ge=-2 ** 63, lt=2 ** 63,
              integer=True, label="detector id")
     if not isinstance(seed, np.random.SeedSequence):
@@ -425,13 +423,9 @@ def count_triggered(clicks: ClickSet, period: float, offset: float,
     """Number of distinct trigger periods with a click inside the gate
     [offset - window/2, offset + window/2) relative to the trigger. The
     clicks are counted in time order; an unordered set is sorted first."""
-    # Chained comparisons, which NaN fails: this runs once per port and
-    # HWP angle of a sampled fringe sweep.
-    if not (0 < period < math.inf and 0 <= window < math.inf
-            and -math.inf < offset < math.inf):
-        raise InputDomainError(
-            "period must be finite and > 0, window finite and >= 0, and "
-            "offset finite")
+    _checked("period", period, gt=0)
+    _checked("offset", offset)
+    _checked("window", window, ge=0)
     t = clicks.times
     if not (t[1:] >= t[:-1]).all():
         t = np.sort(t)
@@ -452,15 +446,3 @@ def count_triggered(clicks: ClickSet, period: float, offset: float,
         last = trigger[-1] if hit[-1] else math.nan
     return int(count)
 
-
-def _n_distinct(values: np.ndarray) -> int:
-    """Number of distinct values in a float array without NaN; -0.0 and 0.0
-    are one value.
-
-    ``np.unique`` gives the same count, but its first call imports
-    ``numpy.ma``, which costs every run about 16 ms.
-    """
-    s = np.sort(values)
-    if s.size == 0:
-        return 0
-    return 1 + int(np.count_nonzero(s[1:] != s[:-1]))

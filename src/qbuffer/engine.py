@@ -180,8 +180,6 @@ def simulate(topology: BufferTopology, schedule: DriveSchedule,
     d_near = topology.near_passage_delay_s()
     d_far = topology.far_passage_delay_s()
     d_storage = topology.storage_delay_s()
-    d_in = 0.0   # patch-cord delays are folded into the loss budget only
-    d_out = 0.0
     tr_traversal = db_to_transmission(topology.traversal_loss_db())
     tr_storage_rt = (db_to_transmission(
         2.0 * topology.element_loss_db("storage_fiber"))
@@ -216,7 +214,7 @@ def simulate(topology: BufferTopology, schedule: DriveSchedule,
 
     for p in inputs:
         log.append(EventLogEntry(p.t, p.id, "routing", "in", p.mu, p.cycles))
-        entered = replace(p, t=p.t + d_in, mu=p.mu * tr_in, port="coupler.a",
+        entered = replace(p, mu=p.mu * tr_in,
                           path_transmission=p.path_transmission * tr_in)
         push(entered.t, "coupler.a", entered)
 
@@ -224,8 +222,7 @@ def simulate(topology: BufferTopology, schedule: DriveSchedule,
         t, _, kind, pulse = heapq.heappop(heap)
 
         if kind == "exit":
-            out = replace(pulse, t=t + d_out, mu=pulse.mu * tr_out,
-                          port="measurement.in",
+            out = replace(pulse, mu=pulse.mu * tr_out,
                           path_transmission=pulse.path_transmission * tr_out)
             log.append(EventLogEntry(out.t, out.id, "circulator", "out",
                                      out.mu, out.cycles))
@@ -245,7 +242,7 @@ def simulate(topology: BufferTopology, schedule: DriveSchedule,
             t_back = t + 2.0 * d_storage
             cyc = pulse.cycles + 1
             back = replace(pulse, t=t_back, mu=pulse.mu * tr_storage_rt,
-                           cycles=cyc, port="coupler.b",
+                           cycles=cyc,
                            path_transmission=(pulse.path_transmission
                                               * tr_storage_rt))
             if cyc > limits.max_cycles:
@@ -289,8 +286,7 @@ def simulate(topology: BufferTopology, schedule: DriveSchedule,
                 continue
             child_id = base.id if first_branch else fresh_id()
             first_branch = False
-            child = replace(base, id=child_id, mu=base.mu * fraction,
-                            port=f"coupler.out_{dest}")
+            child = replace(base, id=child_id, mu=base.mu * fraction)
             log.append(EventLogEntry(t_rec, child.id, "coupler",
                                      f"out_{dest}", child.mu, child.cycles))
             if dest == "storage" and 0.0 < child.mu < limits.mu_floor:
@@ -413,8 +409,7 @@ def storage_retrieval_schedule(topology: BufferTopology, input_pulse,
     the measurement stage.
     """
     _checked("cycles", cycles, ge=0, integer=True, label="cycle count")
-    if guard < 0:
-        raise InputDomainError("guard must be >= 0")
+    _checked("guard", guard, ge=0)
     if cycles == 0:
         return DriveSchedule()
     if voltage is None:

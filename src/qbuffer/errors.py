@@ -3,7 +3,6 @@ every model constructor."""
 
 import math
 import numbers
-import operator
 
 
 class QBufferError(Exception):
@@ -22,27 +21,28 @@ class InputDomainError(QBufferError, ValueError):
         self.field = field
 
 
-_BOUNDS = ((">", operator.gt), (">=", operator.ge), ("<", operator.lt),
-           ("<=", operator.le))
-
-
 def _checked(field, value, *, gt=None, ge=None, lt=None, le=None,
              integer=False, label=None):
     """Raise InputDomainError naming ``field`` unless ``value`` is a real
     number (an integer if ``integer``), not a bool, finite as a float, and
     ``> gt``, ``>= ge``, ``< lt`` and ``<= le`` for each bound given.
-    ``label`` replaces the field name in the message."""
-    bounds = [(sym, op, b) for (sym, op), b in zip(_BOUNDS, (gt, ge, lt, le))
-              if b is not None]
-    ok = (isinstance(value, numbers.Integral if integer else numbers.Real)
-          and not isinstance(value, bool))
+    ``label`` replaces the field name in the message.
+
+    A passing value allocates nothing: a plain int or float skips the
+    ``numbers`` check, and the message is built only on failure."""
+    t = type(value)
     try:
-        ok = ok and math.isfinite(value)
+        if ((t is int or t is float and not integer
+             or t is not bool and isinstance(
+                 value, numbers.Integral if integer else numbers.Real))
+                and math.isfinite(value)
+                and (gt is None or value > gt) and (ge is None or value >= ge)
+                and (lt is None or value < lt) and (le is None or value <= le)):
+            return
     except OverflowError:  # an int beyond the float range
-        ok = False
-    if ok and all(op(value, b) for _, op, b in bounds):
-        return
-    rule = " and ".join(f"{sym} {b}" for sym, _, b in bounds)
+        pass
+    rule = " and ".join(f"{sym} {b}" for sym, b in (
+        (">", gt), (">=", ge), ("<", lt), ("<=", le)) if b is not None)
     raise InputDomainError(
         f"{label or field} {value!r} must be "
         + ("an integer" if integer else "a finite number")

@@ -41,7 +41,6 @@ from .detection import (
     DetectorModel,
     Histogram,
     TriggerTrain,
-    _n_distinct,
     click_probability,
     count_triggered,
     histogram,
@@ -61,6 +60,7 @@ from .errors import (
     _checked,
 )
 from .polarization import (
+    HWP_ANGLE_MAX,
     STATE_H,
     JonesOp,
     check_density,
@@ -132,12 +132,8 @@ class ExperimentConfig:
         object.__setattr__(self, "eta_list", tuple(int(e) for e in etas))
         angles = tuple(self.hwp_angles)
         for i, a in enumerate(angles):
-            # The fringe phase is 4 * theta; it must stay finite too.
-            _checked(f"hwp_angles[{i}]", a, label="HWP angle")
-            if not math.isfinite(4.0 * a):
-                raise InputDomainError(
-                    f"HWP angle {a!r} must have a finite fringe phase "
-                    "4 * theta", f"hwp_angles[{i}]")
+            _checked(f"hwp_angles[{i}]", a, ge=-HWP_ANGLE_MAX,
+                     le=HWP_ANGLE_MAX, label="HWP angle")
         object.__setattr__(self, "hwp_angles", tuple(float(a) for a in angles))
         if self.basis not in ("computational", "logical", "both"):
             raise InputDomainError(
@@ -261,11 +257,10 @@ class CalibrationResult:
 
 def visibility(c_max: float, c_min: float) -> float:
     """Fringe visibility (c_max - c_min) / (c_max + c_min)."""
-    if c_max == 0 and c_min == 0:
+    _checked("c_min", c_min, ge=0)
+    _checked("c_max", c_max, ge=c_min)
+    if c_max == 0:
         raise InputDomainError("visibility undefined for all-zero counts")
-    if not math.inf > c_max >= c_min >= 0:
-        raise InputDomainError(
-            f"need finite c_max >= c_min >= 0, got ({c_max}, {c_min})")
     return (c_max - c_min) / (c_max + c_min)
 
 
@@ -304,18 +299,6 @@ def _curve_visibility(design, counts: np.ndarray) -> float:
     return min(1.0, math.hypot(beta[1], beta[2]) / float(beta[0]))
 
 
-def visibility_from_curve(angles, counts) -> float:
-    """Visibility of one port's angle sweep.
-
-    With >= FIT_MIN_ANGLES points a sinusoidal fit supplies the extrema,
-    which is robust against sampling noise; with fewer points the raw
-    maximum and minimum samples are used directly.
-    """
-    return _curve_visibility(
-        _fringe_design(np.asarray(angles, dtype=np.float64)),
-        np.asarray(counts, dtype=np.float64))
-
-
 def fit_decay(peaks) -> DecayFit:
     """Per-cycle loss from a peak-count series.
 
@@ -349,6 +332,19 @@ def _substream(seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(seed)] + [int(k) for k in key])
 
 
+def _n_distinct(values: np.ndarray) -> int:
+    """Number of distinct values in a float array without NaN; -0.0 and 0.0
+    are one value.
+
+    ``np.unique`` gives the same count, but its first call imports
+    ``numpy.ma``, which costs every run about 16 ms.
+    """
+    s = np.sort(values)
+    if s.size == 0:
+        return 0
+    return 1 + int(np.count_nonzero(s[1:] != s[:-1]))
+
+
 def _hwp_grid(config: ExperimentConfig) -> np.ndarray:
     """The HWP angles; at least 4 distinct ones spanning pi/2 are needed."""
     angles = np.asarray(config.hwp_angles, dtype=np.float64)
@@ -375,18 +371,28 @@ def preset_schedule(topology, config: ExperimentConfig, eta: int):
         guard=config.drive_guard_s)
 
 
+def simulate_checked(topology, schedule, inputs, limits, name: str):
+    """``simulate`` the inputs once and ``validate_schedule`` that run.
+
+    Returns (result, violations); raises ScheduleError, with ``name``
+    and the error messages, if any violation is an error.
+    """
+    result = simulate(topology, schedule, inputs, limits)
+    violations = validate_schedule(topology, schedule, inputs, limits,
+                                   result=result)
+    errors = [v.message for v in violations if v.severity == "error"]
+    if errors:
+        raise ScheduleError(f"{name} is unsafe: " + "; ".join(errors),
+                            violations)
+    return result, violations
+
+
 def _propagate(topology, config, eta, limits):
     """Run the source pulse through the schedule of setting ``eta`` once,
     check the schedule on that run, and return (retained pulse, result)."""
     inputs, sched = preset_schedule(topology, config, eta)
-    res = simulate(topology, sched, inputs, limits)
-    violations = validate_schedule(topology, sched, inputs, limits,
-                                   result=res)
-    errors = [v for v in violations if v.severity == "error"]
-    if errors:
-        raise ScheduleError(
-            f"schedule for eta={eta} is unsafe: "
-            + "; ".join(v.message for v in errors), violations)
+    res, _ = simulate_checked(topology, sched, inputs, limits,
+                              f"schedule for eta={eta}")
     main = res.retrieved_with_cycles(eta - 1)
     if len(main) != 1:
         raise ScheduleError(

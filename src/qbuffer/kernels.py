@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputDomainError, _checked
+from .errors import _checked
 
 
 def _clean_times(times) -> np.ndarray:
@@ -28,9 +28,8 @@ def dead_time_filter(times, dead_time: float) -> np.ndarray:
     through the sequential scan. Unsorted input is scanned click by click,
     so the mask is the same as the plain loop for any input.
     """
+    _checked("dead_time", dead_time, ge=0, label="dead time")
     dead_time = float(dead_time)
-    if not dead_time >= 0:
-        raise InputDomainError(f"dead time {dead_time} must be >= 0")
     t = _clean_times(times)
     keep = np.ones(t.shape[0], dtype=bool)
     if (t[1:] >= t[:-1]).all():

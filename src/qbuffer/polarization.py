@@ -19,14 +19,19 @@ are handled explicitly by the loop-routing model in :mod:`qbuffer.components`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, InputDomainError
+from .errors import ContractViolationError, InputDomainError, _checked
 
 # Tolerance applied to user-provided inputs.
 INPUT_TOL = 1e-9
+
+#: Largest HWP angle magnitude, in radians: up to it, the fringe phase
+#: 4 * theta (and so 2 * theta) is finite.
+HWP_ANGLE_MAX = sys.float_info.max / 4.0
 
 _I2 = np.eye(2, dtype=np.complex128)
 
@@ -87,8 +92,7 @@ def rotate(rho: np.ndarray, m: np.ndarray) -> np.ndarray:
 def depolarize(rho: np.ndarray, p: float) -> np.ndarray:
     """Array form of :func:`apply_depolarizing` over a ``(..., 2, 2)``
     stack: ``(1-p) rho + p I/2``."""
-    if not (0.0 <= p <= 1.0):
-        raise InputDomainError(f"depolarization probability {p} outside [0, 1]")
+    _checked("p", p, ge=0, le=1, label="depolarization probability")
     return (1.0 - p) * rho + (p / 2.0) * _I2
 
 
@@ -169,19 +173,22 @@ def hwp_matrices(angles) -> np.ndarray:
     Each matrix is unitary by construction, so the stack is not checked
     for passivity here; :func:`rotate` checks its unitarity.
     """
-    rows = []
-    for theta in angles:
-        if not math.isfinite(theta):
-            raise InputDomainError("HWP angle must be finite")
-        c, s = math.cos(2.0 * theta), math.sin(2.0 * theta)
-        rows.append(((c, s), (s, -c)))
+    rows = [_hwp_rows(f"angles[{i}]", theta) for i, theta in enumerate(angles)]
     return np.array(rows, dtype=np.complex128).reshape(-1, 2, 2)
+
+
+def _hwp_rows(field: str, theta) -> tuple:
+    """Rows of the half-wave plate at ``theta``, checked as ``field``."""
+    _checked(field, theta, ge=-HWP_ANGLE_MAX, le=HWP_ANGLE_MAX,
+             label="HWP angle")
+    c, s = math.cos(2.0 * theta), math.sin(2.0 * theta)
+    return (c, s), (s, -c)
 
 
 def hwp_matrix(theta: float) -> JonesOp:
     """Half-wave plate with its fast axis at ``theta`` radians; unitary and
     involutive. See :func:`hwp_matrices`."""
-    return JonesOp(hwp_matrices((theta,))[0])
+    return JonesOp(np.array(_hwp_rows("theta", theta), dtype=np.complex128))
 
 
 def apply_unitary(state: PolState, u: JonesOp) -> PolState:

@@ -11,7 +11,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qbuffer import cli, engine
+from qbuffer import cli, engine, experiments
 from qbuffer.cli import main
 from qbuffer.components import BufferTopology, fiber_delay
 from qbuffer.config import PRESETS, resolve_config
@@ -269,7 +269,7 @@ class TestRun:
         }))
         # Every engine run, also one inside validate_schedule.
         calls = []
-        for module in (cli, engine):
+        for module in (experiments, engine):
             def counted(*args, _run=module.simulate, **kwargs):
                 calls.append(1)
                 return _run(*args, **kwargs)

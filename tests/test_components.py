@@ -341,6 +341,20 @@ class TestConstructorDomain:
          "max_cycles"),
         (lambda: fit_decay([(1, math.inf), (2, 1.0)]), "peaks[0].counts"),
         (lambda: fit_decay([(1.5, 2.0), (3, 1.0)]), "peaks[0].eta"),
+        (lambda: BufferTopology().depol_for_cycle(2.5), "cycle"),
+        (lambda: BufferTopology().depol_for_cycle(math.nan), "cycle"),
+        (lambda: BufferTopology().depol_for_cycle(True), "cycle"),
+        (lambda: fiber_delay(True, 1.5), "length_m"),
+        (lambda: fiber_delay("1", 1.5), "length_m"),
+        (lambda: sagnac_transfer(True), "delta_phi"),
+        (lambda: sagnac_transfer("x"), "delta_phi"),
+        (lambda: modulator_phase(None, "x", 1e-7, 900.0), "passage_start"),
+        (lambda: apply_depolarizing(STATE_H, True), "p"),
+        (lambda: PulseRecord(0, "x", 5e-8, 0.1), "t"),
+        (lambda: _pulse(mu=True), "mu"),
+        (lambda: generate_pulse_train(True, 5e-8, 0.1, 1), "rep_rate"),
+        (lambda: storage_retrieval_schedule(BufferTopology(), _pulse(), 2,
+                                            guard=math.nan), "guard"),
     ], ids=[
         "topology-inf-loop", "topology-inf-group-index", "topology-nan-v-pi",
         "topology-bool-loss", "topology-str-length", "topology-nan-element",
@@ -355,7 +369,11 @@ class TestConstructorDomain:
         "experiment-repeated-eta",
         "detector-str-efficiency", "schedule-fractional-cycles",
         "stored-fractional-cycles", "decay-inf-counts",
-        "decay-fractional-eta"])
+        "decay-fractional-eta", "depol-cycle-fractional", "depol-cycle-nan",
+        "depol-cycle-bool", "fiber-bool-length", "fiber-str-length",
+        "sagnac-bool-phase", "sagnac-str-phase", "phase-str-start",
+        "depolarizing-bool-p", "record-str-t", "record-bool-mu",
+        "train-bool-rate", "schedule-nan-guard"])
     def test_rejected_with_field(self, build, field):
         with pytest.raises(InputDomainError) as info:
             build()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbuffer import detection
+from qbuffer import detection, experiments, kernels
 from qbuffer.detection import (
     ClickSet,
     DetectorModel,
@@ -363,7 +363,7 @@ def sort_path_count(times, period, offset, window):
     trigger = np.floor(t / period)
     rel = t - trigger * period
     hit = (rel >= offset - window / 2.0) & (rel < offset + window / 2.0)
-    return detection._n_distinct(trigger[hit])
+    return experiments._n_distinct(trigger[hit])
 
 
 class TestOrderAwareCount:
@@ -540,50 +540,78 @@ def two_clicks():
     return ClickSet(np.array([1e-5, 2e-3]), np.zeros(2, dtype=int), 1.0)
 
 
+#: Each call, and the field its InputDomainError names (None for the
+#: element check of click_probability, which names no field).
 DOMAIN_CASES = {
-    "histogram-width-nan": lambda cs: Histogram(0.0, math.nan, [1]),
-    "histogram-t0-inf": lambda cs: Histogram(math.inf, 1.0, [1]),
-    "histogram-overflow-negative": lambda cs: Histogram(0.0, 1.0, [1],
-                                                        overflow=-5),
-    "binning-width-nan": lambda cs: histogram(cs, 0.0, math.nan, 4),
-    "binning-t0-nan": lambda cs: histogram(cs, math.nan, 0.1, 4),
-    "binning-fractional-bins": lambda cs: histogram(cs, 0.0, 0.1, 2.5),
-    "gate-period-nan": lambda cs: count_triggered(cs, math.nan, 0.0, 1e-7),
-    "gate-offset-nan": lambda cs: count_triggered(cs, 1e-3, math.nan, 1e-7),
-    "gate-window-nan": lambda cs: count_triggered(cs, 1e-3, 0.0, math.nan),
-    "probability-mu-nan": lambda cs: click_probability(math.nan, QUIET,
-                                                       1e-7),
-    "probability-window-nan": lambda cs: click_probability(0.1, QUIET,
-                                                           math.nan),
-    "sample-id-beyond-int64": lambda cs: sample_clicks(
+    "histogram-width-nan": (lambda cs: Histogram(0.0, math.nan, [1]),
+                            "bin_width"),
+    "histogram-t0-inf": (lambda cs: Histogram(math.inf, 1.0, [1]), "t0"),
+    "histogram-overflow-negative": (
+        lambda cs: Histogram(0.0, 1.0, [1], overflow=-5), "overflow"),
+    "binning-width-nan": (lambda cs: histogram(cs, 0.0, math.nan, 4),
+                          "bin_width"),
+    "binning-t0-nan": (lambda cs: histogram(cs, math.nan, 0.1, 4), "t0"),
+    "binning-fractional-bins": (lambda cs: histogram(cs, 0.0, 0.1, 2.5),
+                                "n_bins"),
+    "gate-period-nan": (lambda cs: count_triggered(cs, math.nan, 0.0, 1e-7),
+                        "period"),
+    "gate-offset-nan": (lambda cs: count_triggered(cs, 1e-3, math.nan, 1e-7),
+                        "offset"),
+    "gate-window-nan": (lambda cs: count_triggered(cs, 1e-3, 0.0, math.nan),
+                        "window"),
+    "gate-period-bool": (lambda cs: count_triggered(cs, True, 0.0, 1e-7),
+                         "period"),
+    "gate-window-str": (lambda cs: count_triggered(cs, 1e-3, 0.0, "x"),
+                        "window"),
+    "probability-mu-nan": (lambda cs: click_probability(math.nan, QUIET,
+                                                        1e-7), None),
+    "probability-window-nan": (lambda cs: click_probability(0.1, QUIET,
+                                                            math.nan),
+                               "window"),
+    "probability-window-none": (lambda cs: click_probability(0.1, QUIET,
+                                                             None),
+                                "window"),
+    "sample-id-beyond-int64": (lambda cs: sample_clicks(
         TriggerTrain(1.0, 1, (0.5,), (0.1,)), QUIET, 1.0, 1,
-        detector_id=2 ** 70),
-    "sample-id-fractional": lambda cs: sample_clicks(
+        detector_id=2 ** 70), "detector_id"),
+    "sample-id-fractional": (lambda cs: sample_clicks(
         TriggerTrain(1.0, 1, (0.5,), (0.1,)), QUIET, 1.0, 1,
-        detector_id=1.5),
-    "clickset-acquisition-nan": lambda cs: ClickSet(cs.times,
-                                                    cs.detector_ids,
-                                                    math.nan),
-    "sample-seed-negative": lambda cs: sample_clicks(
-        TriggerTrain(1.0, 1, (0.5,), (0.1,)), QUIET, 1.0, -1),
-    "sample-seed-fractional": lambda cs: sample_clicks(
-        TriggerTrain(1.0, 1, (0.5,), (0.1,)), QUIET, 1.0, 1.5),
-    "sample-seed-nan": lambda cs: sample_clicks(
-        TriggerTrain(1.0, 1, (0.5,), (0.1,)), QUIET, 1.0, math.nan),
-    "sample-seed-bool": lambda cs: sample_clicks(
-        TriggerTrain(1.0, 1, (0.5,), (0.1,)), QUIET, 1.0, True),
+        detector_id=1.5), "detector_id"),
+    "sample-acquisition-str": (lambda cs: sample_clicks(
+        TriggerTrain(1.0, 1, (0.5,), (0.1,)), QUIET, "x", 0),
+        "acquisition"),
+    "clickset-acquisition-nan": (lambda cs: ClickSet(cs.times,
+                                                     cs.detector_ids,
+                                                     math.nan),
+                                 "acquisition_s"),
+    "sample-seed-negative": (lambda cs: sample_clicks(
+        TriggerTrain(1.0, 1, (0.5,), (0.1,)), QUIET, 1.0, -1), "seed"),
+    "sample-seed-fractional": (lambda cs: sample_clicks(
+        TriggerTrain(1.0, 1, (0.5,), (0.1,)), QUIET, 1.0, 1.5), "seed"),
+    "sample-seed-nan": (lambda cs: sample_clicks(
+        TriggerTrain(1.0, 1, (0.5,), (0.1,)), QUIET, 1.0, math.nan), "seed"),
+    "sample-seed-bool": (lambda cs: sample_clicks(
+        TriggerTrain(1.0, 1, (0.5,), (0.1,)), QUIET, 1.0, True), "seed"),
+    "dead-time-numeric-str": (
+        lambda cs: kernels.dead_time_filter(cs.times, "5e-8"), "dead_time"),
+    "dead-time-bool": (lambda cs: kernels.dead_time_filter(cs.times, True),
+                       "dead_time"),
+    "dead-time-str": (lambda cs: kernels.dead_time_filter(cs.times, "x"),
+                      "dead_time"),
 }
 
 
-@pytest.mark.parametrize("call", DOMAIN_CASES.values(), ids=DOMAIN_CASES)
-def test_entry_points_reject_nan_and_out_of_range(two_clicks, call):
-    with pytest.raises(InputDomainError):
+@pytest.mark.parametrize("call, field", DOMAIN_CASES.values(),
+                         ids=DOMAIN_CASES)
+def test_entry_points_reject_nan_and_out_of_range(two_clicks, call, field):
+    with pytest.raises(InputDomainError) as info:
         call(two_clicks)
+    assert info.value.field == field
 
 
 @pytest.mark.parametrize("name", [k for k in DOMAIN_CASES
                                   if k.startswith("sample-seed-")])
 def test_bad_seed_is_named(two_clicks, name):
     with pytest.raises(InputDomainError) as info:
-        DOMAIN_CASES[name](two_clicks)
+        DOMAIN_CASES[name][0](two_clicks)
     assert info.value.field == "seed"

@@ -36,7 +36,6 @@ from qbuffer.experiments import (
     run_retrieval_sweep,
     share_table,
     visibility,
-    visibility_from_curve,
 )
 from qbuffer.polarization import (
     STATE_D,
@@ -82,7 +81,7 @@ class TestVisibility:
 
     @pytest.mark.parametrize("c_max, c_min", [
         (math.inf, 1.0), (math.inf, math.inf), (math.nan, 1.0),
-        (1.0, math.nan), (1.0, -0.5)])
+        (1.0, math.nan), (1.0, -0.5), ("a", "b"), (True, False)])
     def test_domain(self, c_max, c_min):
         with pytest.raises(InputDomainError):
             visibility(c_max, c_min)
@@ -90,16 +89,18 @@ class TestVisibility:
     def test_scale_invariance(self):
         angles = default_hwp_grid()
         base = 500.0 * (1 + 0.8 * np.cos(4 * np.asarray(angles))) / 2
-        v1 = visibility_from_curve(angles, base)
-        v2 = visibility_from_curve(angles, 37.0 * base)
+        design = experiments._fringe_design(np.asarray(angles))
+        v1 = experiments._curve_visibility(design, base)
+        v2 = experiments._curve_visibility(design, 37.0 * base)
         assert v1 == pytest.approx(v2, rel=1e-12)
 
     def test_raw_extrema_below_fit_threshold(self):
         angles = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8,
                   math.pi / 2)
-        counts = (100.0, 50.0, 10.0, 50.0, 100.0)
-        assert visibility_from_curve(angles, counts) == pytest.approx(
-            visibility(100.0, 10.0), rel=1e-12)
+        counts = np.array([100.0, 50.0, 10.0, 50.0, 100.0])
+        design = experiments._fringe_design(np.asarray(angles))
+        assert experiments._curve_visibility(design, counts) == \
+            pytest.approx(visibility(100.0, 10.0), rel=1e-12)
 
 
 class TestLinearizedCounts:

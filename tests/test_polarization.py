@@ -62,7 +62,8 @@ class TestHwpMatrix:
     def test_unitary(self, theta):
         assert hwp_matrix(theta).is_unitary(1e-12)
 
-    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, "x",
+                                       True, 1e308])
     def test_nonfinite_angle_rejected(self, theta):
         with pytest.raises(InputDomainError):
             hwp_matrix(theta)
@@ -83,7 +84,8 @@ class TestHwpMatrices:
         assert np.array_equal(hwp_matrices(angles),
                               hwp_matrices(angles.tolist()))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "x",
+                                     True, 1e308])
     def test_nonfinite_angle_rejected(self, bad):
         with pytest.raises(InputDomainError, match="finite"):
             hwp_matrices([0.0, 0.3, bad])
