@@ -375,7 +375,9 @@ def simulate_checked(topology, schedule, inputs, limits, name: str):
     """``simulate`` the inputs once and ``validate_schedule`` that run.
 
     Returns (result, violations); raises ScheduleError, with ``name``
-    and the error messages, if any violation is an error.
+    and the error messages, if any violation is an error. Both functions
+    are looked up in this module, so a tracer that replaces
+    ``qbuffer.experiments.simulate`` sees every run.
     """
     result = simulate(topology, schedule, inputs, limits)
     violations = validate_schedule(topology, schedule, inputs, limits,
