@@ -2,6 +2,8 @@
 
 Run:  python benchmarks/bench_kernels.py [n_clicks]
 
+from the root of a checkout; the script puts its ``src`` on ``sys.path``.
+
 The preset stream has clicks on a 1 kHz trigger grid in eight pulse slots
 one storage period (5.876 us) apart, plus 100 Hz of dark clicks: almost
 every gap is far above the 50 ns dead time, so the dead-time filter keeps
@@ -9,7 +11,8 @@ those clicks without a scan. The dense stream (every gap below the dead
 time) is the filter's worst case: each click goes through the sequential
 scan, at Python-loop speed. Then Monte Carlo click sampling is timed end
 to end, dead-time filter included, on one retrieved pulse per trigger of
-a 1 kHz ``TriggerTrain`` (60k and 1e6 triggers, 100 Hz of darks). A
+a 1 kHz ``TriggerTrain`` (60k and 1e6 triggers, 100 Hz of darks), with
+the ``tracemalloc`` peak of one call beside the click set it returns. A
 one-slot train's fired triggers alone are then timed at
 the fringe shape (60k triggers, click probability 0.025) and the
 retrieval shape (1e6 triggers, 0.04): drawn by ``detection._fired``
@@ -23,7 +26,8 @@ gaps one at a time in the documented order. The next rows write the
 preset stream as a
 ``time_ps,detector_id`` click file into a temporary directory: once with
 ``ClickSet.write_csv`` and once, as a reference, with the per-row f-string
-join it replaced, which must give the same bytes. Its sorted one-detector
+join it replaced, which must give the same bytes; each prints the
+``tracemalloc`` peak of one write. Its sorted one-detector
 blocks print every row at one width and go out as laid out; the same
 clicks permuted, on two detectors with ids 9 and 10 and with one time in
 a hundred negated, make every block mix widths, which the writer
@@ -53,8 +57,11 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qbuffer import detection, experiments, kernels
 from qbuffer.components import BufferTopology, pbs_project, stored_states
@@ -223,8 +230,11 @@ def main():
                              (RETRIEVED_MU,))
         acquisition = n_triggers * 1e-3
         dt = timeit(lambda: sample_clicks(train, det, acquisition, 1))
+        clicks, peak = traced_peak(
+            lambda: sample_clicks(train, det, acquisition, 1))
         print(f"{'sample_clicks, TriggerTrain':52s} {n_triggers:9d} "
-              f"{'':7s} {dt * 1e3:8.2f}ms")
+              f"{'':7s} {dt * 1e3:8.2f}ms  traced peak {peak / 1e6:.2f} MB"
+              f" ({clicks.times.nbytes / 1e6:.2f} MB of click times)")
 
     for shape, n_triggers, p_click in (("fringe", 60_000, 0.025),
                                        ("retrieval", 1_000_000, 0.04)):
@@ -270,9 +280,11 @@ def main():
                 paths.append(os.path.join(tmp, f"clicks{len(paths)}.csv"))
                 dt = timeit(lambda w=write, p=paths[-1]: w(clicks, p),
                             repeats=3)
+                _, peak = traced_peak(
+                    lambda w=write, p=paths[-1]: w(clicks, p))
                 label = f"{label}, {stream}"
                 print(f"{label:52s} {len(clicks):9d} {'':7s} "
-                      f"{dt * 1e3:8.2f}ms")
+                      f"{dt * 1e3:8.2f}ms  traced peak {peak / 1e6:.2f} MB")
             if not filecmp.cmp(*paths, shallow=False):
                 sys.exit(f"ClickSet.write_csv and the f-string join differ "
                          f"on the {stream}")

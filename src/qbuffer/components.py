@@ -45,6 +45,7 @@ DEFAULT_ELEMENT_LOSS_DB = {
 
 def db_to_transmission(loss_db: float) -> float:
     """Power transmission of a ``loss_db`` attenuation."""
+    _checked("loss_db", loss_db, ge=0, label="loss")
     return 10.0 ** (-loss_db / 10.0)
 
 
@@ -267,6 +268,8 @@ def generate_pulse_train(rep_rate: float, pulse_width: float, mu: float,
 def overlap_fraction(drive: DrivePulse, passage_start: float,
                      passage_width: float) -> float:
     """Fraction of the optical passage interval covered by the drive window."""
+    _checked("passage_start", passage_start, label="passage start")
+    _checked("passage_width", passage_width, gt=0, label="passage width")
     lo = max(drive.t_start, passage_start)
     hi = min(drive.t_end, passage_start + passage_width)
     return min(1.0, max(0.0, hi - lo) / passage_width)

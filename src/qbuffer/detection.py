@@ -45,9 +45,6 @@ _TAG_LIMIT_PS = 2.0 ** 63
 #: An array of 8-byte click times holds fewer than 2**60 elements.
 _MAX_CLICKS = 2.0 ** 60
 
-#: Clicks per block of a time-ordered gated count.
-_COUNT_BLOCK_CLICKS = 1 << 16
-
 #: Standard deviations of a slot's fire count that its gap block adds to
 #: the expected count: a second round is drawn for about 3e-5 of slots.
 _FIRE_BLOCK_SIGMAS = 4.0
@@ -69,11 +66,6 @@ def _digit_groups() -> np.ndarray:
                      axis=-1).view(np.uint32).ravel()
     table.flags.writeable = False
     return table
-
-
-#: Click-file rows formatted per pass: enough to amortize numpy's per-call
-#: cost, few enough that a pass's row matrix stays in cache.
-_CSV_BLOCK_ROWS = 1 << 13
 
 
 def _digits(u: np.ndarray, width: int) -> np.ndarray:
@@ -203,13 +195,15 @@ class ClickSet:
 
     def write_csv(self, path) -> None:
         """``time_ps,detector_id`` rows, as a hardware time tagger reports
-        them: each time rounded to the nearest picosecond, ties to even."""
-        ps = np.rint(self.times * 1e12).astype(np.int64)
+        them: each time rounded to the nearest picosecond, ties to even.
+        Rows are tagged and formatted one block at a time."""
+        step = kernels._BLOCK_CLICKS
         with open(path, "wb") as fh:
             fh.write(b"time_ps,detector_id\n")
-            for start in range(0, ps.size, _CSV_BLOCK_ROWS):
-                block = slice(start, start + _CSV_BLOCK_ROWS)
-                fh.write(_csv_rows(ps[block], self.detector_ids[block]))
+            for start in range(0, len(self), step):
+                block = slice(start, start + step)
+                ps = np.rint(self.times[block] * 1e12).astype(np.int64)
+                fh.write(_csv_rows(ps, self.detector_ids[block]))
 
 
 @dataclass(frozen=True)
@@ -322,24 +316,23 @@ def _fired(n: int, lam: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
     position is below n - 1 (at first, each with lam > 0) draws its
     expected fires and a few standard deviations, ``min(r, ceil(r*p +
     _FIRE_BLOCK_SIGMAS * sqrt(r*p)))`` gaps for r triggers left and p = 1 -
-    exp(-lam), in one ``standard_exponential`` draw, slot by slot, into an
-    array allocated before it. Pairs come by round, slot, then trigger, at
-    float64 positions: exact below 2**53 triggers, as float64 times are.
+    exp(-lam), in ``standard_exponential`` draws, slot by slot, into the
+    rows of an array allocated before them. Pairs come by round, slot, then
+    trigger, at float64 positions: exact below 2**53 triggers, as float64
+    times are.
     """
     live = np.flatnonzero(lam > 0)
     lam, last = lam[live], np.full(live.size, -1.0)
-    triggers, slots = [np.empty(0)], [np.empty(0, np.intp)]
+    triggers, slots = [], []
     while live.size:
         r = (n - 1) - last
         rp = r * -np.expm1(-lam)
         size = np.minimum(r, np.ceil(rp + _FIRE_BLOCK_SIGMAS * np.sqrt(rp)))
-        width, n_gaps = int(size.max()), int(size.sum())
-        if n_gaps == width * live.size:
-            gaps = rng.standard_exponential(n_gaps).reshape(live.size, width)
-        else:  # shorter blocks are padded with NaN, which never fires
-            gaps = np.full((live.size, width), np.nan)
-            gaps[np.arange(width) < size[:, None]] = rng.standard_exponential(
-                n_gaps)
+        width = int(size.max())
+        # Shorter blocks are padded with NaN, which never fires.
+        gaps = np.full((live.size, width), np.nan)
+        for i, k in enumerate(size.tolist()):
+            rng.standard_exponential(out=gaps[i, :int(k)])
         with np.errstate(over="ignore"):  # a gap past 1e308 is still past n
             gaps /= lam[:, None]
         np.floor(gaps, out=gaps)
@@ -348,12 +341,16 @@ def _fired(n: int, lam: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
         if width > 1:  # numpy accumulates each length-1 row on its own
             np.cumsum(gaps, axis=1, out=gaps)
         fired = gaps < n
-        triggers.append(gaps[fired])
-        slots.append(live.repeat(fired.sum(axis=1)))
         last = np.fmax.reduce(gaps, axis=1)  # the last drawn position
+        triggers.append(gaps[fired])
+        del gaps  # freed before the slot array is allocated
+        slots.append(live.repeat(fired.sum(axis=1)))
         going = last < n - 1
         live, lam, last = live[going], lam[going], last[going]
-    return np.concatenate(triggers), np.concatenate(slots)
+    if len(triggers) == 1:  # one round: no copy of its pairs
+        return triggers[0], slots[0]
+    return (np.concatenate(triggers or [np.empty(0)]),
+            np.concatenate(slots or [np.empty(0, np.intp)]))
 
 
 def sample_clicks(train: TriggerTrain, det: DetectorModel,
@@ -368,6 +365,12 @@ def sample_clicks(train: TriggerTrain, det: DetectorModel,
     within the dead time of a prior kept click on this detector are
     suppressed. Draw order is fixed, so a given seed, an integer >= 0 or a
     ``np.random.SeedSequence``, always yields the same click set.
+
+    Memory: the signal times are built in :func:`_fired`'s output and
+    jittered block by block; the dark times are drawn into the tail of one
+    times array, which is sorted and compacted in place. Above the click
+    set it returns, a call holds about its fired pulses' (trigger, slot)
+    pairs and O(block) temporaries.
     """
     if not isinstance(train, TriggerTrain):
         raise InputDomainError(
@@ -390,23 +393,38 @@ def sample_clicks(train: TriggerTrain, det: DetectorModel,
             "pulses exceed the 2**60 click times one array can hold")
     if (n - 1) * period + offsets.max() > acquisition:
         raise InputDomainError("acquisition must cover all pulse times")
-    trigger, slot = _fired(n, mus * det.efficiency, rng)
-    # The float operations of arange(n) * period + offsets, fired pulses only.
-    signal_times = trigger * period + offsets[slot]
-    if det.jitter_sigma_s > 0 and signal_times.size:
-        signal_times = signal_times + rng.normal(
-            0.0, det.jitter_sigma_s, signal_times.size)
+    signal, slot = _fired(n, mus * det.efficiency, rng)
+    # The float operations of arange(n) * period + offsets, fired pulses
+    # only, plus normal(0, sigma) = 0.0 + sigma * standard_normal, whose
+    # draws come in the same order block by block.
+    step = kernels._BLOCK_CLICKS
+    signal *= period
+    for start in range(0, signal.size, step):
+        block = signal[start:start + step]
+        block += offsets[slot[start:start + step]]
+        if det.jitter_sigma_s > 0:
+            block += det.jitter_sigma_s * rng.standard_normal(block.size)
+    del slot
 
     n_dark = rng.poisson(det.dark_rate_hz * acquisition) \
         if det.dark_rate_hz > 0 else 0
-    dark_times = rng.random(n_dark) * acquisition
+    times = np.empty(signal.size + n_dark)
+    times[:signal.size] = signal
+    dark = rng.random(out=times[signal.size:])
+    del signal
+    dark *= acquisition
 
     # One detector id for every click, so a plain value sort is enough,
     # and the id is stored once.
-    times = np.sort(np.concatenate([signal_times, dark_times]))
+    times.sort()
     keep = kernels.dead_time_filter(times, det.dead_time_s)
-    if not keep.all():
-        times = times[keep]
+    if not keep.all():  # move the survivors forward, block by block
+        n_kept = 0
+        for start in range(0, times.size, step):
+            kept = times[start:start + step][keep[start:start + step]]
+            times[n_kept:n_kept + kept.size] = kept
+            n_kept += kept.size
+        times = times[:n_kept]
     return ClickSet(times, np.broadcast_to(np.int64(detector_id),
                                            times.shape), acquisition)
 
@@ -427,15 +445,16 @@ def count_triggered(clicks: ClickSet, period: float, offset: float,
     _checked("offset", offset)
     _checked("window", window, ge=0)
     t = clicks.times
-    if not (t[1:] >= t[:-1]).all():
+    if not kernels._never_falls(t):
         t = np.sort(t)
     lo, hi = offset - window / 2.0, offset + window / 2.0
     # In time order the trigger never falls, nor rel within a trigger, so
     # a trigger's hits are adjacent: a hit counts unless it follows a hit
     # of the same trigger. Blocks bound the temporaries.
     count, last = 0, math.nan  # trigger of a hit ending the last block
-    for start in range(0, t.size, _COUNT_BLOCK_CLICKS):
-        block = t[start:start + _COUNT_BLOCK_CLICKS]
+    step = kernels._BLOCK_CLICKS
+    for start in range(0, t.size, step):
+        block = t[start:start + step]
         trigger = np.floor(block / period)
         rel = block - trigger * period
         hit = (rel >= lo) & (rel < hi)

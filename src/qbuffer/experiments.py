@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import kernels
 from .components import (
     BufferTopology,
     generate_pulse_train,
@@ -85,7 +86,9 @@ FIT_MIN_ANGLES = 8
 
 
 def default_hwp_grid(n: int = 16) -> tuple:
-    """Uniform grid of HWP angles covering one full fringe period (pi/2)."""
+    """Uniform grid of ``n`` HWP angles covering one full fringe period
+    (pi/2); a sweep needs at least 4."""
+    _checked("n", n, ge=4, integer=True, label="angle count")
     return tuple(float(a) for a in np.linspace(0.0, math.pi / 2.0, n))
 
 
@@ -273,6 +276,8 @@ def linearized_counts(counts, n_triggers: int, det: DetectorModel,
     go slightly negative when a near-empty port fluctuates below the dark
     baseline.
     """
+    _checked("n_triggers", n_triggers, ge=1, integer=True,
+             label="trigger count")
     c = np.asarray(counts, dtype=np.float64)
     p = np.clip(c / n_triggers, 0.0, 1.0 - 1e-15)
     return n_triggers * (-np.log1p(-p) - det.dark_rate_hz * window)
@@ -425,25 +430,27 @@ def _trigger_train(retrieved, config: ExperimentConfig,
 def _folded_histogram(clicksets, period: float, n_bins: int):
     """Histogram of every click's time within its trigger period.
 
-    Each click set is folded and binned on its own and the integer counts
-    are summed, which is exact because binning is elementwise; the memory
-    it needs above the click sets scales with the largest set, not with
-    all of them. Binning needs no order, so the folded times are left
-    unsorted. ``clicksets`` may be a generator: no set is referenced here
-    once it is binned, so a set the generator drops is freed before the
-    next one is drawn.
+    Each block of each click set is folded and binned on its own and the
+    integer counts are summed, which is exact because binning is
+    elementwise; the memory it needs above the click sets is O(block),
+    whatever their sizes. Binning needs no order, so the folded times are
+    left unsorted. ``clicksets`` may be a generator: no set is referenced
+    here once it is binned, so a set the generator drops is freed before
+    the next one is drawn.
     """
     counts = np.zeros(n_bins, dtype=np.int64)
     overflow = 0
+    step = kernels._BLOCK_CLICKS
     for cs in clicksets:
-        offsets = np.mod(cs.times, period)
+        for start in range(0, len(cs), step):
+            offsets = np.mod(cs.times[start:start + step], period)
+            part = histogram(
+                ClickSet(offsets, np.broadcast_to(np.int64(0),
+                                                  offsets.shape), period),
+                0.0, HIST_BIN_S, n_bins)
+            counts += part.counts
+            overflow += part.overflow
         del cs
-        part = histogram(
-            ClickSet(offsets, np.broadcast_to(np.int64(0), offsets.shape),
-                     period), 0.0, HIST_BIN_S, n_bins)
-        del offsets
-        counts += part.counts
-        overflow += part.overflow
     return Histogram(0.0, HIST_BIN_S, counts, overflow)
 
 

@@ -84,6 +84,13 @@ class TestAttenuate:
         assert tr <= 1.0
         assert tr == pytest.approx(10 ** (-(a + b) / 10), rel=1e-9)
 
+    @pytest.mark.parametrize("loss_db", [
+        math.nan, math.inf, -math.inf, -1.0, "x", None, True])
+    def test_rejected(self, loss_db):
+        with pytest.raises(InputDomainError) as info:
+            db_to_transmission(loss_db)
+        assert info.value.field == "loss_db"
+
 
 class TestFiberDelay:
     def test_zero_length(self):
@@ -230,6 +237,18 @@ class TestOverlapFraction:
     def test_disjoint(self):
         drive = DrivePulse(10.0, 1.0, 900.0)
         assert overlap_fraction(drive, 0.0, 50e-9) == 0.0
+
+    @pytest.mark.parametrize("start, width, field", [
+        (0.0, 0.0, "passage_width"), (0.0, -1e-9, "passage_width"),
+        (0.0, math.nan, "passage_width"), (0.0, math.inf, "passage_width"),
+        (0.0, "x", "passage_width"), (0.0, True, "passage_width"),
+        (math.nan, 50e-9, "passage_start"),
+        (-math.inf, 50e-9, "passage_start")])
+    def test_rejected(self, start, width, field):
+        drive = DrivePulse(0.0, 1.0, 900.0)
+        with pytest.raises(InputDomainError) as info:
+            overlap_fraction(drive, start, width)
+        assert info.value.field == field
 
 
 class TestBufferTopology:

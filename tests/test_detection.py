@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,30 @@ from qbuffer.errors import InputDomainError
 
 QUIET = DetectorModel(efficiency=0.9, dark_rate_hz=0.0, dead_time_s=50e-9,
                       jitter_sigma_s=0.0)
+
+#: Block lengths patched into ``kernels._BLOCK_CLICKS``: tiny ones and a
+#: prime put block edges everywhere in a short set; the last is the real one.
+BLOCKS = (1, 2, 3, 7, kernels._BLOCK_CLICKS)
+
+
+def edge_lengths(block):
+    """Set lengths at a block length's edges: 0, 1, B - 1, B, B + 1 and a
+    set longer than two blocks."""
+    return sorted({0, 1, block - 1, block, block + 1, 2 * block + 3})
+
+
+def traced_peak(fn):
+    """fn's result and the peak of the memory numpy and Python allocate
+    while it runs, above what was live when it started."""
+    tracemalloc.start()
+    try:
+        live, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - live
 
 
 class TestClickProbability:
@@ -204,6 +229,21 @@ class TestSampleClicks:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) < 4_000_000
+
+    @pytest.mark.parametrize("mu, dark_rate_hz", [(0.07, 100.0), (0.7, 0.0)],
+                             ids=["retrieval", "signal-only"])
+    def test_peak_memory_is_within_its_click_set(self, mu, dark_rate_hz):
+        # A retrieval setting, 40 % signal clicks and 60 % darks, and a
+        # train of signal clicks only. The fired pulses' gaps, times and
+        # slots, then the signal times beside the one times array, are the
+        # largest transients; the sort, the dead-time mask and the
+        # compaction add one byte a click and O(block).
+        train = TriggerTrain(1e-3, 200_000, (2.35e-5,), (mu,))
+        det = DetectorModel(dark_rate_hz=dark_rate_hz)
+        sample_clicks(TriggerTrain(1e-3, 10, (0.0,), (0.1,)), det, 1.0, 1)
+        clicks, peak = traced_peak(lambda: sample_clicks(train, det, 200.0, 3))
+        assert len(clicks) > 25_000
+        assert peak < 2.5 * clicks.times.nbytes
 
     def test_detector_id_tagging(self):
         det = DetectorModel(efficiency=1.0, dark_rate_hz=0.0)
@@ -388,12 +428,50 @@ class TestOrderAwareCount:
                                    max_size=40))
         want = sort_path_count(times, period, offset, window)
         # Small blocks put runs of hits across block boundaries.
-        block = data.draw(st.sampled_from([1, 2, 3, 1 << 16]))
-        with mock.patch.object(detection, "_COUNT_BLOCK_CLICKS", block):
+        block = data.draw(st.sampled_from(BLOCKS))
+        with mock.patch.object(kernels, "_BLOCK_CLICKS", block):
             for order in (sorted(times), data.draw(st.permutations(times))):
                 cs = ClickSet(np.array(order, dtype=np.float64),
                               np.zeros(len(order), dtype=int), 1.0)
                 assert count_triggered(cs, period, offset, window) == want
+
+    @pytest.mark.parametrize("block", BLOCKS[:-1])
+    def test_block_edges(self, block):
+        # Every click is a hit and each trigger holds three, so runs of
+        # hits cross every block edge; the falling copy falls just across
+        # the first edge and is counted after a sort.
+        for n in edge_lengths(block):
+            times = (np.arange(n) // 3 + 0.5 + np.arange(n) % 3 * 0.01)
+            streams = [times]
+            if n > block:
+                fall = times.copy()
+                fall[[block - 1, block]] = fall[[block, block - 1]]
+                streams.append(fall)
+            for t in streams:
+                want = sort_path_count(t, 1.0, 0.5, 0.25)
+                cs = ClickSet(t, np.zeros(n, dtype=int), 1.0)
+                with mock.patch.object(kernels, "_BLOCK_CLICKS", block):
+                    assert count_triggered(cs, 1.0, 0.5, 0.25) == want
+                assert want == -(-n // 3)
+
+
+class TestBlockedPassMemory:
+    """Counting and writing a click set add O(block) memory to it, with
+    one bound whatever its size."""
+
+    @pytest.mark.parametrize("n", [20_000, 200_000])
+    def test_peak_is_one_block(self, tmp_path, n):
+        times = np.sort(np.random.default_rng(5).random(n)) * n * 1e-3
+        cs = ClickSet(times, np.broadcast_to(np.int64(0), times.shape),
+                      n * 1e-3)
+        passes = {
+            "write_csv": lambda: cs.write_csv(tmp_path / "c.csv"),
+            "count_triggered": lambda: count_triggered(cs, 1e-3, 2.35e-5,
+                                                       1e-7)}
+        for name, run in passes.items():
+            run()  # the first call's one-off allocations
+            _, peak = traced_peak(run)
+            assert peak < 128 * kernels._BLOCK_CLICKS, name
 
 
 def per_line_oracle(times, ids):
@@ -405,12 +483,15 @@ def per_line_oracle(times, ids):
 
 class TestClickCsvProperty:
     @settings(max_examples=300)
-    @given(st.lists(st.tuples(click_time, st.integers(0, 3)), max_size=40))
-    def test_bytes_equal_per_line_oracle(self, tmp_path_factory, rows):
+    @given(st.lists(st.tuples(click_time, st.integers(0, 3)), max_size=40),
+           st.sampled_from(BLOCKS))
+    def test_bytes_equal_per_line_oracle(self, tmp_path_factory, rows,
+                                         block):
         times = np.array([t for t, _ in rows], dtype=np.float64)
         ids = np.array([d for _, d in rows], dtype=np.int64)
         path = tmp_path_factory.mktemp("clicks") / "c.csv"
-        ClickSet(times, ids, 1.0).write_csv(path)
+        with mock.patch.object(kernels, "_BLOCK_CLICKS", block):
+            ClickSet(times, ids, 1.0).write_csv(path)
         want = "time_ps,detector_id\n" + "".join(
             f"{int(np.rint(t * 1e12))},{d}\n" for t, d in rows)
         assert path.read_bytes() == want.encode()
@@ -424,9 +505,9 @@ class TestClickCsvProperty:
         assert detection._csv_rows(tags, ids).tobytes() == want
 
     @settings(max_examples=15, deadline=None)
-    @given(st.integers(detection._CSV_BLOCK_ROWS + 1,
-                       3 * detection._CSV_BLOCK_ROWS),
-           st.lists(st.tuples(st.integers(0, 3 * detection._CSV_BLOCK_ROWS),
+    @given(st.integers(kernels._BLOCK_CLICKS + 1,
+                       3 * kernels._BLOCK_CLICKS),
+           st.lists(st.tuples(st.integers(0, 3 * kernels._BLOCK_CLICKS),
                               st.one_of(click_time, edge_time), int64),
                     max_size=30))
     def test_sets_longer_than_a_block(self, tmp_path_factory, n, rows):
@@ -439,6 +520,19 @@ class TestClickCsvProperty:
         path = tmp_path_factory.mktemp("clicks") / "c.csv"
         ClickSet(times, ids, 1.0).write_csv(path)
         assert path.read_bytes() == per_line_oracle(times, ids)
+
+    @pytest.mark.parametrize("block", BLOCKS[:-1])
+    def test_block_edges(self, tmp_path, block):
+        # Tags of growing width, negative every fourth row, so blocks
+        # differ in sign and digit count on each side of every edge.
+        for n in edge_lengths(block):
+            k = np.arange(n)
+            times = 7.0 ** k * np.where(k % 4 == 3, -1, 1) / 1e12
+            ids = k % 3 * 5
+            path = tmp_path / f"c{n}.csv"
+            with mock.patch.object(kernels, "_BLOCK_CLICKS", block):
+                ClickSet(times, ids, 1.0).write_csv(path)
+            assert path.read_bytes() == per_line_oracle(times, ids)
 
     def test_sampled_clicks_equal_per_line_oracle(self, tmp_path):
         train = TriggerTrain(1e-3, 100_000, (2e-5, 5e-5), (5.0, 0.05))
@@ -479,13 +573,13 @@ class TestClickCsvBlockWidths:
     block as long as the writer's."""
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(4, 15), st.integers(1, detection._CSV_BLOCK_ROWS - 1),
-           st.integers(1, detection._CSV_BLOCK_ROWS - 2),
+    @given(st.integers(4, 15), st.integers(1, kernels._BLOCK_CLICKS - 1),
+           st.integers(1, kernels._BLOCK_CLICKS - 2),
            st.integers(0, 2 ** 32 - 1))
     def test_mixed_width_blocks_equal_per_line_oracle(
             self, tmp_path_factory, power, cross, middle, seed):
         rng = np.random.default_rng(seed)
-        n = detection._CSV_BLOCK_ROWS
+        n = kernels._BLOCK_CLICKS
         one_width = 10 ** power + np.arange(n)
         # Sorted tags that reach 10**power at row ``cross``.
         crossing = one_width - cross

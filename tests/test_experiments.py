@@ -1,11 +1,12 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbuffer import cli, engine, experiments
+from qbuffer import cli, engine, experiments, kernels
 from qbuffer.components import (
     BufferTopology,
     db_to_transmission,
@@ -111,6 +112,24 @@ class TestLinearizedCounts:
         p = 1 - math.exp(-(mu_eff + DET.dark_rate_hz * window))
         lin = linearized_counts([n * p], n, DET, window)
         assert lin[0] == pytest.approx(n * mu_eff, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, math.nan, True, "10", None])
+    def test_trigger_count_rejected(self, n):
+        with pytest.raises(InputDomainError) as info:
+            linearized_counts([1.0], n, DET, 1e-7)
+        assert info.value.field == "n_triggers"
+
+
+class TestDefaultHwpGrid:
+    def test_fewest_angles_span_one_fringe_period(self):
+        grid = experiments.default_hwp_grid(4)
+        assert (len(grid), grid[0], grid[-1]) == (4, 0.0, math.pi / 2)
+
+    @pytest.mark.parametrize("n", [3, 0, -1, 2.5, math.inf, True, "16"])
+    def test_rejected(self, n):
+        with pytest.raises(InputDomainError) as info:
+            experiments.default_hwp_grid(n)
+        assert info.value.field == "n"
 
 
 class TestFitDecay:
@@ -237,34 +256,58 @@ def click_dicts(draw):
     return clicksets, period, n_bins
 
 
+#: Block lengths patched into ``kernels._BLOCK_CLICKS``: tiny ones and a
+#: prime put block edges everywhere in a short set; the last is the real one.
+BLOCKS = (1, 2, 3, 7, kernels._BLOCK_CLICKS)
+
+
 class TestFoldedHistogram:
     @settings(max_examples=300)
-    @given(click_dicts())
-    def test_equals_merge_and_sort(self, case):
+    @given(click_dicts(), st.sampled_from(BLOCKS))
+    def test_equals_merge_and_sort(self, case, block):
         clicksets, period, n_bins = case
-        got = experiments._folded_histogram(clicksets, period, n_bins)
+        with mock.patch.object(kernels, "_BLOCK_CLICKS", block):
+            got = experiments._folded_histogram(clicksets, period, n_bins)
         want = merge_and_sort_histogram(clicksets, period, n_bins)
         assert got.counts.tolist() == want.counts.tolist()
         assert got.overflow == want.overflow
         assert (got.t0, got.bin_width) == (want.t0, want.bin_width)
 
+    @pytest.mark.parametrize("block", BLOCKS[:-1])
+    def test_block_edges(self, block):
+        # Sets of 0, 1, B - 1, B, B + 1 and 2B + 3 clicks, each click in
+        # its own bin of the folded period, and one past the bins.
+        period = 1e-4
+        lengths = sorted({0, 1, block - 1, block, block + 1, 2 * block + 3})
+        clicksets = [ClickSet((np.arange(n) + 0.5) * 1e-6 + i * period,
+                              np.zeros(n, dtype=int), 1.0)
+                     for i, n in enumerate(lengths)]
+        with mock.patch.object(kernels, "_BLOCK_CLICKS", block):
+            got = experiments._folded_histogram(clicksets, period, 2 * block)
+        want = merge_and_sort_histogram(clicksets, period, 2 * block)
+        assert got.counts.tolist() == want.counts.tolist()
+        assert got.overflow == want.overflow
+        assert got.total == sum(lengths)
+
     def test_peak_memory_is_below_the_inputs(self):
         # numpy reports its buffers to tracemalloc. Concatenating every set
-        # before binning peaks at about five times their click times;
-        # folding one set at a time peaks at a few times one set's.
+        # before binning peaks at about five times their click times, and
+        # folding one whole set at a time at a few times one set's; folding
+        # block by block peaks at one O(block) bound whatever the sets.
         rng = np.random.default_rng(2)
-        clicksets = [ClickSet(rng.random(150_000), np.full(150_000, i), 1.0)
-                     for i in range(8)]
-        inputs = sum(cs.times.nbytes for cs in clicksets)
-        tracemalloc.start()
-        try:
-            live, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            experiments._folded_histogram(clicksets, 1e-3, 10_000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - live < inputs
+        for n in (20_000, 150_000):
+            clicksets = [ClickSet(rng.random(n), np.full(n, i), 1.0)
+                         for i in range(8)]
+            experiments._folded_histogram(clicksets[:1], 1e-3, 10_000)
+            tracemalloc.start()
+            try:
+                live, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                experiments._folded_histogram(clicksets, 1e-3, 10_000)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - live < 128 * kernels._BLOCK_CLICKS, n
 
     def test_sweep_histogram_equals_merge_and_sort(self):
         cfg = ExperimentConfig(preset="t", n_triggers=5000, seed=3)
@@ -325,9 +368,9 @@ class TestStreamedSweep:
     def test_peak_memory_is_below_the_click_sets(self):
         # numpy reports its buffers to tracemalloc. A sweep that kept every
         # setting's clicks would peak above their summed times; a streamed
-        # one holds one setting's at a time. The signal draw takes one
-        # uniform per trigger and slot whatever the click rate, so a high
-        # dark rate makes clicks, not that draw, the bulk of each setting.
+        # one holds one setting's at a time. The signal draw holds gaps for
+        # the pulses that fire, so a high dark rate makes each setting's
+        # clicks, mostly dark ones, the bulk of what it allocates.
         cfg = ExperimentConfig(preset="t", n_triggers=2000, seed=6)
         det = DetectorModel(dark_rate_hz=1e5)
         nbytes = []

@@ -22,6 +22,17 @@ def reference_dead_time(times, dead):
     return np.array(mask, dtype=bool)
 
 
+#: Block lengths patched into ``kernels._BLOCK_CLICKS``: tiny ones and a
+#: prime put block edges everywhere in a short set; the last is the real one.
+BLOCKS = (1, 2, 3, 7, kernels._BLOCK_CLICKS)
+
+
+def edge_lengths(block):
+    """Set lengths at a block length's edges: 0, 1, B - 1, B, B + 1 and a
+    set longer than two blocks."""
+    return sorted({0, 1, block - 1, block, block + 1, 2 * block + 3})
+
+
 class TestDeadTimeSemantics:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_reference(self, seed):
@@ -120,12 +131,39 @@ def click_streams(draw):
 
 class TestDeadTimeProperty:
     @settings(max_examples=400)
-    @given(click_streams())
-    def test_equals_reference_loop(self, stream):
+    @given(click_streams(), st.sampled_from(BLOCKS))
+    def test_equals_reference_loop(self, stream, block):
         times, dead = stream
-        got = kernels.dead_time_filter(times, dead)
+        with mock.patch.object(kernels, "_BLOCK_CLICKS", block):
+            got = kernels.dead_time_filter(times, dead)
         np.testing.assert_array_equal(
             got, reference_dead_time(times.tolist(), dead))
+
+
+class TestDeadTimeBlockEdges:
+    """The order and gap tests go block by block: sets at each block edge
+    length, runs of short gaps across the edges, and one fall exactly on
+    an edge, against the reference loop."""
+
+    #: Gaps in dead times, repeated: all far; runs of two short gaps; and
+    #: a short gap then one that is far only from the kept click.
+    PATTERNS = ((1.5,), (0.4, 0.4, 2.0), (0.3, 0.8))
+
+    @pytest.mark.parametrize("block", BLOCKS[:-1])
+    def test_equals_reference_loop(self, block):
+        for n in edge_lengths(block):
+            for pattern in self.PATTERNS:
+                times = np.cumsum(np.resize(pattern, n))
+                streams = [times]
+                if n > block:  # the one fall is the pair across an edge
+                    fall = times.copy()
+                    fall[[block - 1, block]] = fall[[block, block - 1]]
+                    streams.append(fall)
+                for t in streams:
+                    with mock.patch.object(kernels, "_BLOCK_CLICKS", block):
+                        got = kernels.dead_time_filter(t, 1.0)
+                    np.testing.assert_array_equal(
+                        got, reference_dead_time(t.tolist(), 1.0))
 
 
 @st.composite
@@ -180,6 +218,24 @@ def reference_fired(n, lam, rng):
     return pairs
 
 
+def reference_sample(train, det, acquisition, seed):
+    """``sample_clicks``'s times from full-length arrays: one normal draw
+    for the jitter, one uniform draw for the darks, a sorted concatenation
+    and the reference dead-time loop."""
+    rng = np.random.default_rng(seed)
+    offsets, mus = train._slots()
+    trigger, slot = detection._fired(train.n_triggers, mus * det.efficiency,
+                                     rng)
+    signal = trigger * train.period + offsets[slot]
+    if det.jitter_sigma_s > 0 and signal.size:
+        signal = signal + rng.normal(0.0, det.jitter_sigma_s, signal.size)
+    n_dark = rng.poisson(det.dark_rate_hz * acquisition) \
+        if det.dark_rate_hz > 0 else 0
+    times = np.sort(np.concatenate([signal,
+                                    rng.random(n_dark) * acquisition]))
+    return times[reference_dead_time(times.tolist(), det.dead_time_s)]
+
+
 def fired_pairs(n, lam, seed):
     trigger, slot = detection._fired(n, np.asarray(lam, dtype=np.float64),
                                      np.random.default_rng(seed))
@@ -202,6 +258,19 @@ class TestTriggerTrainProperty:
         assert got == want
         # Each slot is drawn as its own train, and fires each trigger once.
         assert len(set(got)) == len(got)
+
+    @settings(max_examples=300, deadline=None)
+    @given(trains(), st.sampled_from(BLOCKS))
+    def test_equals_full_length_reference(self, case, block):
+        # The jitter and the dead-time compaction go block by block; the
+        # times must keep every bit and the draw order of full arrays.
+        train, det, seed = case
+        acquisition = (train.n_triggers + 0.5) * train.period
+        with mock.patch.object(kernels, "_BLOCK_CLICKS", block):
+            got = sample_clicks(train, det, acquisition, seed)
+        want = reference_sample(train, det, acquisition, seed)
+        assert got.times.view(np.int64).tolist() \
+            == want.view(np.int64).tolist()
 
     @settings(max_examples=200, deadline=None)
     @given(trains())
