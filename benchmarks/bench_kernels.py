@@ -46,11 +46,18 @@ calibration's visibility of a Bloch length is timed at 186 lengths on the
 ``experiments._bloch_visibility`` (one per retrieved pulse, built once)
 and, as a reference, with one ``click_probability``
 call per port and angle and the fit built anew each time; there the
-clicks column counts Bloch lengths. The script exits 1 if any reference
-differs.
+clicks column counts Bloch lengths. The last rows run the analytic-deep
+workload of ``perfbench/run.py`` (``ideal-system``, eta 1-24, 64 HWP
+angles) in process: its sweep table is written with ``write_sweep_csv``
+and, as a reference, with one f-string and one ``write`` per row (the
+writer before), which must give the same bytes; the clicks column counts
+rows. Then its 24 engine runs, one ``simulate`` per setting, are timed;
+there the clicks column counts engine runs. The script exits 1 if any
+reference differs.
 """
 
 import filecmp
+import json
 import math
 import os
 import sys
@@ -68,8 +75,11 @@ from qbuffer.components import BufferTopology, pbs_project, stored_states
 from qbuffer.detection import (ClickSet, DetectorModel, TriggerTrain,
                                click_probability, count_triggered,
                                sample_clicks)
+from qbuffer.config import plan_from_config, resolve_config
+from qbuffer.engine import simulate
 from qbuffer.experiments import (BASES, ExperimentConfig, linearized_counts,
-                                 share_table, visibility)
+                                 preset_schedule, run_hwp_sweep, share_table,
+                                 visibility, write_sweep_csv)
 from qbuffer.polarization import STATE_H, apply_unitary, hwp_matrix
 
 DEAD_TIME_S = 50e-9
@@ -208,6 +218,27 @@ def bloch_visibility_per_call(b, mu_ret, config, det):
     return float(np.mean(vis))
 
 
+def write_sweep_per_row(results, path):
+    """The sweep table with one f-string and one write per row, each count
+    read as its own numpy scalar (the writer before)."""
+    with open(path, "w", newline="") as fh:
+        fh.write("eta,basis,angle_rad,port,counts,normalized_counts\n")
+        for r in results:
+            raw = r.counts if np.any(r.counts) else r.expected
+            for i, (angle, n0, n1) in enumerate(r.curve):
+                for port, norm in ((0, n0), (1, n1)):
+                    fh.write(f"{r.eta},{r.basis},{angle!r},{port},"
+                             f"{float(raw[port, i])!r},{norm!r}\n")
+
+
+def analytic_deep_plan():
+    """The run plan of perfbench's analytic-deep workload."""
+    return plan_from_config(resolve_config(preset="ideal-system", overrides=(
+        "experiment.eta_list=" + json.dumps(list(range(1, 25))),
+        "experiment.hwp_angles="
+        + json.dumps([math.pi / 2.0 * i / 63 for i in range(64)]))))
+
+
 def main():
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 1_000_000
     rng = np.random.default_rng(42)
@@ -342,6 +373,28 @@ def main():
     if curves[0] != curves[1]:
         sys.exit("the calibration evaluator and the per-call reference "
                  "differ")
+
+    plan = analytic_deep_plan()
+    results = run_hwp_sweep(plan.experiment, plan.topology, plan.detector,
+                            plan.limits)
+    n_rows = 2 * sum(len(r.curve) for r in results)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for label, write in (
+                ("write_sweep_csv, analytic-deep", write_sweep_csv),
+                ("reference: one write per row", write_sweep_per_row)):
+            paths.append(os.path.join(tmp, f"sweep{len(paths)}.csv"))
+            dt = timeit(lambda w=write, p=paths[-1]: w(results, p),
+                        repeats=7)
+            print(f"{label:52s} {n_rows:9d} {'':7s} {dt * 1e3:8.2f}ms")
+        if not filecmp.cmp(*paths, shallow=False):
+            sys.exit("write_sweep_csv and the per-row writer differ")
+    runs = [preset_schedule(plan.topology, plan.experiment, eta)
+            for eta in plan.experiment.eta_list]
+    dt = timeit(lambda: [simulate(plan.topology, sched, inputs, plan.limits)
+                         for inputs, sched in runs], repeats=7)
+    print(f"{'simulate, analytic-deep settings':52s} {len(runs):9d} "
+          f"{'':7s} {dt * 1e3:8.2f}ms")
 
 
 if __name__ == "__main__":

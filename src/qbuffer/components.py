@@ -205,13 +205,6 @@ class BufferTopology:
         round trip."""
         return self.traversal_loss_db() + self.storage_round_trip_loss_db()
 
-    def direct_pass_loss_db(self) -> float:
-        """Routing-stage input to measurement-stage input, zero cycles."""
-        return (self.element_loss_db("input_path")
-                + self.traversal_loss_db()
-                + self.element_loss_db("circulator")
-                + self.element_loss_db("output_path"))
-
     def depol_for_cycle(self, cycle: int) -> float:
         """Depolarization probability applied on storage cycle ``cycle``
         (1-based). Cycles past the end of the table reuse the last entry."""

@@ -316,10 +316,11 @@ def _fired(n: int, lam: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
     position is below n - 1 (at first, each with lam > 0) draws its
     expected fires and a few standard deviations, ``min(r, ceil(r*p +
     _FIRE_BLOCK_SIGMAS * sqrt(r*p)))`` gaps for r triggers left and p = 1 -
-    exp(-lam), in ``standard_exponential`` draws, slot by slot, into the
-    rows of an array allocated before them. Pairs come by round, slot, then
-    trigger, at float64 positions: exact below 2**53 triggers, as float64
-    times are.
+    exp(-lam), in ``standard_exponential`` draws, slot by slot, into its
+    own segment of one flat array allocated before them; fired positions
+    move to the array's front, and a one-round result is a view of it.
+    Pairs come by round, slot, then trigger, at float64 positions: exact
+    below 2**53 triggers, as float64 times are.
     """
     live = np.flatnonzero(lam > 0)
     lam, last = lam[live], np.full(live.size, -1.0)
@@ -328,23 +329,25 @@ def _fired(n: int, lam: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
         r = (n - 1) - last
         rp = r * -np.expm1(-lam)
         size = np.minimum(r, np.ceil(rp + _FIRE_BLOCK_SIGMAS * np.sqrt(rp)))
-        width = int(size.max())
-        # Shorter blocks are padded with NaN, which never fires.
-        gaps = np.full((live.size, width), np.nan)
-        for i, k in enumerate(size.tolist()):
-            rng.standard_exponential(out=gaps[i, :int(k)])
+        size = size.astype(np.intp)  # each at least 1
+        gaps, n_fired = np.empty(size.sum()), np.empty(live.size, np.intp)
+        start = kept = 0
         with np.errstate(over="ignore"):  # a gap past 1e308 is still past n
-            gaps /= lam[:, None]
-        np.floor(gaps, out=gaps)
-        gaps += 1.0
-        gaps[:, 0] += last
-        if width > 1:  # numpy accumulates each length-1 row on its own
-            np.cumsum(gaps, axis=1, out=gaps)
-        fired = gaps < n
-        last = np.fmax.reduce(gaps, axis=1)  # the last drawn position
-        triggers.append(gaps[fired])
-        del gaps  # freed before the slot array is allocated
-        slots.append(live.repeat(fired.sum(axis=1)))
+            for i, (k, lam_i) in enumerate(zip(size.tolist(), lam.tolist())):
+                seg = gaps[start:start + k]
+                start += k
+                rng.standard_exponential(out=seg)
+                seg /= lam_i
+                np.floor(seg, out=seg)
+                seg += 1.0
+                seg[0] += last[i]
+                np.cumsum(seg, out=seg)
+                last[i] = seg[-1]  # positions never fall
+                n_fired[i] = f = int(np.searchsorted(seg, n))
+                gaps[kept:kept + f] = seg[:f]  # the first slot stays put
+                kept += f
+        triggers.append(gaps[:kept])
+        slots.append(live.repeat(n_fired))
         going = last < n - 1
         live, lam, last = live[going], lam[going], last[going]
     if len(triggers) == 1:  # one round: no copy of its pairs

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .components import (
@@ -214,16 +214,17 @@ def simulate(topology: BufferTopology, schedule: DriveSchedule,
 
     for p in inputs:
         log.append(EventLogEntry(p.t, p.id, "routing", "in", p.mu, p.cycles))
-        entered = replace(p, mu=p.mu * tr_in,
-                          path_transmission=p.path_transmission * tr_in)
+        entered = PulseRecord(p.id, p.t, p.width, p.mu * tr_in, p.cycles,
+                              p.root_id, p.path_transmission * tr_in)
         push(entered.t, "coupler.a", entered)
 
     while heap:
         t, _, kind, pulse = heapq.heappop(heap)
 
         if kind == "exit":
-            out = replace(pulse, mu=pulse.mu * tr_out,
-                          path_transmission=pulse.path_transmission * tr_out)
+            out = PulseRecord(pulse.id, pulse.t, pulse.width,
+                              pulse.mu * tr_out, pulse.cycles, pulse.root_id,
+                              pulse.path_transmission * tr_out)
             log.append(EventLogEntry(out.t, out.id, "circulator", "out",
                                      out.mu, out.cycles))
             if 0.0 < out.mu < limits.mu_floor:
@@ -241,10 +242,9 @@ def simulate(topology: BufferTopology, schedule: DriveSchedule,
                                      pulse.mu, pulse.cycles))
             t_back = t + 2.0 * d_storage
             cyc = pulse.cycles + 1
-            back = replace(pulse, t=t_back, mu=pulse.mu * tr_storage_rt,
-                           cycles=cyc,
-                           path_transmission=(pulse.path_transmission
-                                              * tr_storage_rt))
+            back = PulseRecord(pulse.id, t_back, pulse.width,
+                               pulse.mu * tr_storage_rt, cyc, pulse.root_id,
+                               pulse.path_transmission * tr_storage_rt)
             if cyc > limits.max_cycles:
                 deposit(back, "cycle limit")
             elif 0.0 < back.mu < limits.mu_floor:
@@ -272,9 +272,8 @@ def simulate(topology: BufferTopology, schedule: DriveSchedule,
 
         refl, trans = sagnac_transfer(phi_near - phi_far)
         t_rec = t + d_loop
-        base = replace(pulse, t=t_rec, mu=pulse.mu * tr_traversal,
-                       path_transmission=(pulse.path_transmission
-                                          * tr_traversal))
+        mu_rec = pulse.mu * tr_traversal
+        tr_rec = pulse.path_transmission * tr_traversal
         # Reflection leaves by the entry port, transmission by the other.
         if entry_port == "a":
             branches = (("exit", refl), ("storage", trans))
@@ -284,9 +283,11 @@ def simulate(topology: BufferTopology, schedule: DriveSchedule,
         for dest, fraction in branches:
             if fraction == 0.0:
                 continue
-            child_id = base.id if first_branch else fresh_id()
+            child_id = pulse.id if first_branch else fresh_id()
             first_branch = False
-            child = replace(base, id=child_id, mu=base.mu * fraction)
+            child = PulseRecord(child_id, t_rec, pulse.width,
+                                mu_rec * fraction, pulse.cycles,
+                                pulse.root_id, tr_rec)
             log.append(EventLogEntry(t_rec, child.id, "coupler",
                                      f"out_{dest}", child.mu, child.cycles))
             if dest == "storage" and 0.0 < child.mu < limits.mu_floor:

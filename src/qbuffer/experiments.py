@@ -542,9 +542,11 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
     Routing never depends on polarization, so each setting is propagated
     once. One :func:`share_table` holds the two port shares of the state
     at each (basis, HWP angle, cycle count); a retrieved record sends
-    ``mu * share[record.cycles]`` to a port, and each port's expected
-    counts over the angles are one :func:`click_probability` call. A
-    ``runs`` dict shares engine runs with :func:`calibrate`.
+    ``mu * share[record.cycles]`` to a port. All counts are one (eta,
+    basis, port, angle) stack, built with one :func:`click_probability`
+    and one :func:`linearized_counts` call per port detector; each curve
+    is fitted once and read into Python once. A ``runs`` dict shares
+    engine runs with :func:`calibrate`.
     """
     angles = _hwp_grid(config)
     design = _fringe_design(angles)
@@ -558,7 +560,6 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
     period = 1.0 / config.rep_rate_hz
     n = config.n_triggers
     window = config.count_window_s
-    results: list[VisibilityResult] = []
 
     runs = {} if runs is None else runs
     runs = [_propagated(runs, topology, config, eta, limits)
@@ -566,30 +567,41 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
     max_cycles = max(p.cycles for _, sim in runs for p in sim.retrieved)
     tables = share_table(topology, angles, max_cycles, config.bases)
 
-    for eta, (main, sim) in zip(config.eta_list, runs):
-        for basis in config.bases:
-            table = tables[basis]  # [angle, port, cycles]
-            mus = main.mu * table[:, :, main.cycles].T
-            expected = np.stack([n * click_probability(mus[port], det, window)
-                                 for port, det in enumerate(dets)])
-            counts = np.zeros((2, angles.size))
-            if config.mode == "monte-carlo":
-                for i, port in np.ndindex(angles.size, 2):
-                    cs = sample_clicks(
-                        _trigger_train(sim.retrieved, config, table[i, port]),
-                        dets[port], config.acquisition_s,
-                        _substream(config.seed, 1, eta,
-                                   BASIS_ORDER.index(basis), i, port),
-                        detector_id=port)
-                    counts[port, i] = count_triggered(
-                        cs, period, main.t, window)
-            raw = counts if config.mode == "monte-carlo" else expected
-            lin = np.stack([linearized_counts(raw[port], n, det, window)
-                            for port, det in enumerate(dets)])
+    # [basis, angle, port, cycles] -> [eta, basis, port, angle], times mu
+    mus = np.stack([tables[basis] for basis in config.bases])[
+        ..., [main.cycles for main, _ in runs]].transpose(3, 0, 2, 1)
+    mus *= np.array([main.mu for main, _ in runs])[:, None, None, None]
+    expected = np.stack([n * click_probability(mus[:, :, port], det, window)
+                         for port, det in enumerate(dets)], axis=2)
+    counts = np.zeros(expected.shape)
+    if config.mode == "monte-carlo":
+        for e, b, i, port in np.ndindex(counts.shape[:2] + (angles.size, 2)):
+            main, sim = runs[e]
+            basis = config.bases[b]
+            cs = sample_clicks(
+                _trigger_train(sim.retrieved, config, tables[basis][i, port]),
+                dets[port], config.acquisition_s,
+                _substream(config.seed, 1, config.eta_list[e],
+                           BASIS_ORDER.index(basis), i, port),
+                detector_id=port)
+            counts[e, b, port, i] = count_triggered(cs, period, main.t, window)
+    raw = counts if config.mode == "monte-carlo" else expected
+    lin = np.stack([linearized_counts(raw[:, :, port], n, det, window)
+                    for port, det in enumerate(dets)], axis=2)
+    # Normalize by the per-angle two-port total, so the two curves are
+    # complementary and bounded by [0, 1].
+    norm = np.maximum(lin, 0.0)
+    totals = norm.sum(axis=2, keepdims=True)
+    norm = np.where(totals > 0, norm / np.where(totals > 0, totals, 1.0), 0.0)
+
+    angle_tuple = tuple(angles.tolist())
+    results: list[VisibilityResult] = []
+    for e, eta in enumerate(config.eta_list):
+        for b, basis in enumerate(config.bases):
             vis = []
             for port in (0, 1):
                 try:
-                    vis.append(_curve_visibility(design, lin[port]))
+                    vis.append(_curve_visibility(design, lin[e, b, port]))
                 except InputDomainError as exc:
                     if config.mode != "monte-carlo":
                         raise
@@ -597,17 +609,10 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
                         f"eta {eta}, basis {basis}, port {port}: {exc} in "
                         f"{n} sampled triggers; more triggers are "
                         "needed") from None
-            # Normalize by the per-angle two-port total, so the two curves
-            # are complementary and bounded by [0, 1].
-            norm = np.maximum(lin, 0.0)
-            totals = norm.sum(axis=0)
-            norm = np.where(totals > 0, norm / np.where(totals > 0,
-                                                        totals, 1.0), 0.0)
-            curve = [(float(a), float(norm[0, i]), float(norm[1, i]))
-                     for i, a in enumerate(angles)]
+            curve = list(zip(angle_tuple, *norm[e, b].tolist()))
             results.append(VisibilityResult(
-                eta, basis, float(np.mean(vis)), tuple(vis),
-                tuple(float(a) for a in angles), curve, counts, expected, n))
+                eta, basis, (vis[0] + vis[1]) / 2.0, tuple(vis),
+                angle_tuple, curve, counts[e, b], expected[e, b], n))
     return results
 
 
@@ -774,23 +779,29 @@ _SWEEP_COLUMNS = ("eta", "basis", "angle_rad", "port", "counts",
 
 
 def _sweep_table(results):
-    """The fringe-sweep rows, one tuple per (eta, basis, angle, port); raw
-    counts are the sampled ones, or in analytic mode the expected ones."""
+    """``(eta, basis, rows)`` per result; ``rows`` gives (curve point, port-0
+    count, port-1 count) per angle: sampled, or expected if none was."""
     for r in results:
         raw = r.counts if np.any(r.counts) else r.expected
-        for i, (angle, n0, n1) in enumerate(r.curve):
-            for port, norm in ((0, n0), (1, n1)):
-                yield r.eta, r.basis, angle, port, float(raw[port, i]), norm
+        yield r.eta, r.basis, zip(r.curve, *raw.tolist())
 
 
 def write_sweep_csv(results, path) -> None:
-    """Fringe-sweep table: one row per (eta, basis, angle, port)."""
+    """Fringe-sweep table: one row per (eta, basis, angle, port). Each curve
+    is read once and written as one string, formatting each angle once for
+    its two port rows."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_SWEEP_COLUMNS) + "\n")
-        for eta, basis, angle, port, counts, norm in _sweep_table(results):
-            fh.write(f"{eta},{basis},{angle!r},{port},{counts!r},{norm!r}\n")
+        for eta, basis, rows in _sweep_table(results):
+            fh.write("".join([
+                f"{head}0,{c0!r},{n0!r}\n{head}1,{c1!r},{n1!r}\n"
+                for (angle, n0, n1), c0, c1 in rows
+                for head in (f"{eta},{basis},{angle!r},",)]))
 
 
 def sweep_rows(results) -> list:
     """The write_sweep_csv table as dicts, for JSON output."""
-    return [dict(zip(_SWEEP_COLUMNS, row)) for row in _sweep_table(results)]
+    return [dict(zip(_SWEEP_COLUMNS, (eta, basis, angle, port, c, norm)))
+            for eta, basis, rows in _sweep_table(results)
+            for (angle, n0, n1), c0, c1 in rows
+            for port, c, norm in ((0, c0, n0), (1, c1, n1))]

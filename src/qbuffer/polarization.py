@@ -131,14 +131,6 @@ class PolState:
             ]
         )
 
-    @property
-    def bloch_length(self) -> float:
-        return float(np.linalg.norm(self.bloch_vector))
-
-    @property
-    def purity(self) -> float:
-        return float(np.trace(self.rho @ self.rho).real)
-
 
 @dataclass(frozen=True)
 class JonesOp:

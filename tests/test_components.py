@@ -256,7 +256,10 @@ class TestBufferTopology:
         topo = BufferTopology()
         assert topo.traversal_loss_db() == pytest.approx(0.6)
         assert topo.cycle_loss_db() == pytest.approx(0.64)
-        assert topo.direct_pass_loss_db() == pytest.approx(1.2)
+        # Routing-stage input to measurement-stage input, zero cycles.
+        assert (topo.element_loss_db("input_path") + topo.traversal_loss_db()
+                + topo.element_loss_db("circulator")
+                + topo.element_loss_db("output_path")) == pytest.approx(1.2)
 
     def test_fbg_reflectivity_in_cycle_loss(self):
         topo = BufferTopology(fbg_reflectivity=0.5)

@@ -245,6 +245,19 @@ class TestSampleClicks:
         assert len(clicks) > 25_000
         assert peak < 2.5 * clicks.times.nbytes
 
+    @pytest.mark.parametrize("mus", [(0.7, 0.3), (0.7, 0.01)])
+    def test_multi_slot_peak_is_within_its_click_set(self, mus):
+        # Each slot's gaps take their own share of one flat array, so a
+        # slot that fires rarely beside a busy one adds its own fires, not
+        # a row as wide as the busy slot's.
+        train = TriggerTrain(1e-3, 200_000, (2.35e-5, 5e-5), mus)
+        det = DetectorModel(dark_rate_hz=0.0)
+        sample_clicks(TriggerTrain(1e-3, 10, (0.0, 1e-4), (0.1, 0.1)), det,
+                      1.0, 1)
+        clicks, peak = traced_peak(lambda: sample_clicks(train, det, 200.0, 3))
+        assert len(clicks) > 80_000
+        assert peak < 2.5 * clicks.times.nbytes
+
     def test_detector_id_tagging(self):
         det = DetectorModel(efficiency=1.0, dark_rate_hz=0.0)
         cs = sample_clicks(TriggerTrain(1e-3, 1, (0.0,), (50.0,)), det, 1e-3,

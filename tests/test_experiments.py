@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -36,7 +37,9 @@ from qbuffer.experiments import (
     run_hwp_sweep,
     run_retrieval_sweep,
     share_table,
+    sweep_rows,
     visibility,
+    write_sweep_csv,
 )
 from qbuffer.polarization import (
     STATE_D,
@@ -195,7 +198,11 @@ class TestRetrievalSweep:
         topo = BufferTopology()
         cfg = ExperimentConfig(preset="t", eta_list=(1,), mode="analytic")
         sweep = run_retrieval_sweep(cfg, topo, DET)
-        mu_direct = 0.1 * db_to_transmission(topo.direct_pass_loss_db())
+        direct_pass_db = (topo.element_loss_db("input_path")
+                          + topo.traversal_loss_db()
+                          + topo.element_loss_db("circulator")
+                          + topo.element_loss_db("output_path"))
+        mu_direct = 0.1 * db_to_transmission(direct_pass_db)
         oracle = cfg.n_triggers * (
             1.0 - math.exp(-mu_direct * DET.efficiency)
             * math.exp(-DET.dark_rate_hz * cfg.count_window_s))
@@ -935,6 +942,77 @@ class TestCalibration:
         with pytest.raises(InputDomainError, match="HWP angles"):
             calibrate(PAPER_TARGETS, BufferTopology(),
                       analytic_config(hwp_angles=angles), DET)
+
+
+def reference_sweep_rows(results):
+    """The fringe-sweep rows one tuple per (eta, basis, angle, port), each
+    count read as its own numpy scalar."""
+    for r in results:
+        raw = r.counts if np.any(r.counts) else r.expected
+        for i, (angle, n0, n1) in enumerate(r.curve):
+            for port, norm in ((0, n0), (1, n1)):
+                yield r.eta, r.basis, angle, port, float(raw[port, i]), norm
+
+
+def reference_sweep_csv(results) -> bytes:
+    """The sweep file as a header plus one f-string per row."""
+    lines = ["eta,basis,angle_rad,port,counts,normalized_counts\n"]
+    for eta, basis, angle, port, counts, norm in reference_sweep_rows(
+            results):
+        lines.append(f"{eta},{basis},{angle!r},{port},{counts!r},{norm!r}\n")
+    return "".join(lines).encode()
+
+
+class TestSweepWriters:
+    """``write_sweep_csv`` and ``sweep_rows`` write one string, or one
+    list of dicts, per (eta, basis) result; the bytes and values are those
+    of one row at a time."""
+
+    @staticmethod
+    def sweeps():
+        topo = BufferTopology(prep_error_depol=0.03,
+                              depol_per_cycle=(0.02, 0.01))
+        analytic = run_hwp_sweep(analytic_config(), topo, DET)
+        sampled = run_hwp_sweep(
+            analytic_config(mode="monte-carlo", n_triggers=3000,
+                            eta_list=(1, 2), hwp_angles=default_hwp_grid(8)),
+            topo, DET)
+        # A sampled result whose counts are all zero writes its expected
+        # counts, as an analytic one does.
+        zeroed = sampled[:1] + [dataclasses.replace(
+            sampled[1], counts=np.zeros_like(sampled[1].counts))] \
+            + sampled[2:]
+        return {"analytic": analytic, "monte-carlo": sampled,
+                "zero-counts": zeroed}
+
+    def test_csv_bytes_equal_per_row_reference(self, tmp_path):
+        for name, results in self.sweeps().items():
+            path = tmp_path / f"{name}.csv"
+            write_sweep_csv(results, path)
+            assert path.read_bytes() == reference_sweep_csv(results), name
+
+    def test_rows_equal_per_row_reference(self):
+        cols = ("eta", "basis", "angle_rad", "port", "counts",
+                "normalized_counts")
+        for name, results in self.sweeps().items():
+            rows = sweep_rows(results)
+            want = [dict(zip(cols, row))
+                    for row in reference_sweep_rows(results)]
+            assert rows == want, name
+            assert [[type(v) for v in row.values()] for row in rows] == \
+                [[type(v) for v in row.values()] for row in want], name
+
+    def test_zero_counts_write_the_expected_column(self, tmp_path):
+        results = self.sweeps()["zero-counts"]
+        write_sweep_csv(results, tmp_path / "s.csv")
+        lines = (tmp_path / "s.csv").read_text().splitlines()[1:]
+        n = len(results[0].angles) * 2
+        written = [float(line.split(",")[4]) for line in lines[n:2 * n]]
+        r = results[1]
+        assert written == [r.expected[port, i]
+                           for i in range(len(r.angles)) for port in (0, 1)]
+        assert written != [r.counts[port, i] for i in range(len(r.angles))
+                           for port in (0, 1)]
 
 
 class TestMonteCarloInsets:
