@@ -4,17 +4,26 @@ Run:  python benchmarks/compare_outputs.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are ``src`` directories (each holding the ``qbuffer``
 package), for example a checkout of the parent commit and this one. Each
-run is a fresh ``python -m qbuffer.cli run`` process with PYTHONPATH set to
-one tree. The runs are every preset at seeds 0, 1 and 2, once with
-``--format csv`` and once with ``--format json``, plus the argv of each
-workload in ``perfbench/run.py`` (seed 0), taken from its ``WORKLOADS``.
+run is a fresh ``python -m qbuffer.cli`` process with PYTHONPATH set to
+one tree. The runs are:
 
-Every output file except ``manifest.json`` is compared byte for byte. The
-manifests are compared as parsed JSON without ``duration_s``, the one wall
-time they record, so a changed config snapshot or output list is seen too.
-The script prints each run and file that differs, a file that only one tree
-wrote, or a run that failed, and exits 1 if there is any; otherwise it
-exits 0. It also prints each tree's peak RSS (``ru_maxrss`` from
+* ``run`` of every preset at seeds 0, 1 and 2, once with ``--format csv``
+  and once with ``--format json``;
+* ``validate`` of every preset;
+* ``run`` and ``validate`` of a custom schedule: a store and a retrieve
+  drive plus one drive that overlaps no passage, so the run's
+  ``summary.json`` carries a warning;
+* the argv of each workload in ``perfbench/run.py`` (seed 0), taken from
+  its ``WORKLOADS``.
+
+Every run must exit 0 on both trees, with the same stdout and stderr once
+each run's output directory is written as ``OUT``. Every output file
+except ``manifest.json`` is compared byte for byte. The manifests are
+compared as parsed JSON without ``duration_s``, the one wall time they
+record, so a changed config snapshot or output list is seen too. The
+script prints each run, stream and file that differs, a file that only
+one tree wrote, or a run that failed, and exits 1 if there is any;
+otherwise it exits 0. It also prints each tree's peak RSS (``ru_maxrss`` from
 ``os.wait4``) for the workload runs; that is a report only and never
 changes the exit status. Only the standard library is used.
 """
@@ -31,6 +40,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1, 2)
 FORMATS = ("csv", "json")
+
+#: Store after one loop traversal, retrieve one storage period later, and
+#: a third drive long after the pulse has left.
+CUSTOM_SCHEDULE = {
+    "preset": "fig2-main",
+    "seed": 1,
+    "schedule": [
+        {"t_start_s": 4.8277e-6, "width_s": 180e-9, "voltage": 900.0},
+        {"t_start_s": 10.7038e-6, "width_s": 180e-9, "voltage": 900.0},
+        {"t_start_s": 0.5e-3, "width_s": 180e-9, "voltage": 900.0},
+    ],
+}
 
 
 def load_workloads() -> dict:
@@ -76,9 +97,9 @@ def preset_names(src: Path) -> list:
     return [entry["name"] for entry in json.loads(proc.stdout)]
 
 
-def cases(presets: list, workloads: dict) -> list:
+def cases(presets: list, workloads: dict, custom: Path) -> list:
     """(label, argv builder taking the output directory, whether to report
-    peak RSS)."""
+    peak RSS). ``custom`` is the config file of the custom schedule."""
     out = []
     for preset in presets:
         for seed in SEEDS:
@@ -87,6 +108,12 @@ def cases(presets: list, workloads: dict) -> list:
                             lambda d, p=preset, s=seed, f=fmt: [
                                 "run", "--preset", p, "--seed", str(s),
                                 "--format", f, "--out", str(d)], False))
+        out.append((f"{preset}-validate",
+                    lambda d, p=preset: ["validate", "--preset", p], False))
+    out.append(("custom-schedule-run", lambda d: [
+        "run", "--config", str(custom), "--out", str(d)], False))
+    out.append(("custom-schedule-validate",
+                lambda d: ["validate", "--config", str(custom)], False))
     for name, workload in workloads.items():
         out.append((f"workload-{name}",
                     lambda d, w=workload: w.argv(0, d), True))
@@ -110,16 +137,22 @@ def manifest(out: Path):
     return doc
 
 
-def compare(label: str, old: Path, new: Path, codes: tuple) -> list:
-    """Problems of one run: failed runs, missing or differing files, and
-    manifests that differ in more than their wall time."""
-    if codes != (0, 0):
+def compare(label: str, old: Path, new: Path, procs: list) -> list:
+    """Problems of one run: failed runs, differing stdout or stderr,
+    missing or differing files, and manifests that differ in more than
+    their wall time."""
+    codes = [proc.returncode for proc in procs]
+    if codes != [0, 0]:
         return [f"{label}: exit codes {codes[0]} (old) and {codes[1]} (new)"]
+    problems = [f"{label}: {stream} differs"
+                for stream in ("stdout", "stderr")
+                if len({getattr(proc, stream).replace(str(out), "OUT")
+                        for proc, out in zip(procs, (old, new))}) > 1]
     old_files, new_files = result_files(old), result_files(new)
-    problems = [f"{label}/{name}: only in the {side} tree"
-                for side, names in (("old", old_files - new_files),
-                                    ("new", new_files - old_files))
-                for name in sorted(names)]
+    problems += [f"{label}/{name}: only in the {side} tree"
+                 for side, names in (("old", old_files - new_files),
+                                     ("new", new_files - old_files))
+                 for name in sorted(names)]
     for name in sorted(old_files & new_files):
         if not filecmp.cmp(old / name, new / name, shallow=False):
             problems.append(f"{label}/{name}: differs")
@@ -149,16 +182,19 @@ def main(argv=None) -> int:
     rss: list = []
     n_files = 0
     with tempfile.TemporaryDirectory(prefix="qbuffer-compare-") as tmp:
-        for label, build, report_rss in cases(presets, load_workloads()):
+        custom = Path(tmp) / "custom-schedule.json"
+        custom.write_text(json.dumps(CUSTOM_SCHEDULE))
+        for label, build, report_rss in cases(presets, load_workloads(),
+                                              custom):
             dirs = [Path(tmp) / side / label for side in ("old", "new")]
-            codes, peaks = [], []
+            procs, peaks = [], []
             for tree, out in zip(trees, dirs):
                 proc, peak_mb = qbuffer(tree, build(out))
-                codes.append(proc.returncode)
+                procs.append(proc)
                 peaks.append(peak_mb)
                 if proc.returncode != 0:
                     sys.stderr.write(f"{label} ({tree}):\n{proc.stderr}")
-            found = compare(label, *dirs, tuple(codes))
+            found = compare(label, *dirs, procs)
             n_files += len(result_files(dirs[0]) & result_files(dirs[1]))
             print(f"{label}: {'ok' if not found else 'DIFFERS'}",
                   flush=True)

@@ -16,7 +16,6 @@ from .components import (
     PulseRecord,
     fiber_delay,
     generate_pulse_train,
-    modulator_phase,
     pbs_project,
     sagnac_transfer,
     stored_states,
@@ -73,7 +72,7 @@ from .polarization import (
 __all__ = [
     "__version__",
     "BufferTopology", "DrivePulse", "PulseRecord", "fiber_delay",
-    "generate_pulse_train", "modulator_phase", "pbs_project",
+    "generate_pulse_train", "pbs_project",
     "sagnac_transfer", "stored_states",
     "ClickSet", "DetectorModel", "Histogram", "TriggerTrain",
     "click_probability", "histogram", "sample_clicks",

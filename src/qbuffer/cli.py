@@ -25,7 +25,7 @@ from .config import (
     preset_listing,
     resolve_config,
 )
-from .engine import storage_period, validate_schedule
+from .engine import simulate, storage_period, validate_schedule
 from .errors import CalibrationError, ConfigError, QBufferError, ScheduleError
 from .experiments import (
     apply_calibration,
@@ -287,8 +287,8 @@ def cmd_validate(args) -> int:
                 plan.topology, plan.experiment, eta))
                 for eta in plan.propagated_etas]
         for label, inputs, sched in schedules:
-            for v in validate_schedule(plan.topology, sched, inputs,
-                                       plan.limits):
+            for v in validate_schedule(simulate(plan.topology, sched,
+                                                inputs, plan.limits)):
                 print(f"{v.severity}: [{label}] {v.code}: {v.message}")
                 any_error = any_error or v.severity == "error"
     except QBufferError as exc:

@@ -258,32 +258,6 @@ def generate_pulse_train(rep_rate: float, pulse_width: float, mu: float,
     ]
 
 
-def overlap_fraction(drive: DrivePulse, passage_start: float,
-                     passage_width: float) -> float:
-    """Fraction of the optical passage interval covered by the drive window."""
-    _checked("passage_start", passage_start, label="passage start")
-    _checked("passage_width", passage_width, gt=0, label="passage width")
-    lo = max(drive.t_start, passage_start)
-    hi = min(drive.t_end, passage_start + passage_width)
-    return min(1.0, max(0.0, hi - lo) / passage_width)
-
-
-def modulator_phase(drive: DrivePulse | None, passage_start: float,
-                    passage_width: float, v_pi: float) -> float:
-    """Phase imparted on one modulator passage.
-
-    phi = pi * (V / V_pi) * f with f the overlapped fraction of the passage;
-    a partially covered passage gets a proportionally reduced mean phase.
-    """
-    _checked("passage_start", passage_start, label="passage start")
-    _checked("passage_width", passage_width, gt=0, label="passage width")
-    _checked("v_pi", v_pi, gt=0, label="half-wave voltage")
-    if drive is None:
-        return 0.0
-    f = overlap_fraction(drive, passage_start, passage_width)
-    return math.pi * (drive.voltage / v_pi) * f
-
-
 def sagnac_transfer(delta_phi: float) -> tuple[float, float]:
     """Loop-mirror power split for a direction phase difference ``delta_phi``.
 

@@ -178,8 +178,10 @@ class ClickSet:
         # view of its single id, which a copy would expand to full length.
         ids = np.asarray(self.detector_ids, dtype=np.int64).view()
         _checked("acquisition_s", self.acquisition_s, ge=0)
-        if t.shape != ids.shape:
-            raise InputDomainError("times and detector ids must align")
+        if t.ndim != 1 or t.shape != ids.shape:
+            raise InputDomainError(
+                "times and detector ids must be 1-D arrays of one length",
+                "times")
         # min and max propagate NaN, which fails both comparisons.
         if t.size and not (-_TAG_LIMIT_PS < float(t.min()) * 1e12
                            and float(t.max()) * 1e12 < _TAG_LIMIT_PS):
@@ -219,7 +221,16 @@ class Histogram:
         _checked("t0", self.t0)
         _checked("bin_width", self.bin_width, gt=0, label="bin width")
         _checked("overflow", self.overflow, ge=0, integer=True)
-        c = np.ascontiguousarray(self.counts, dtype=np.int64).view()
+        raw = np.asarray(self.counts)
+        if raw.ndim != 1:
+            raise InputDomainError("counts must be a 1-D array", "counts")
+        if raw.dtype.kind not in "iu":
+            # NaN fails both comparisons; 2**63 and beyond would wrap.
+            f = raw.astype(np.float64)
+            if not ((f == np.trunc(f)) & (np.abs(f) < 2.0**63)).all():
+                raise InputDomainError("counts must be whole numbers",
+                                       "counts")
+        c = np.ascontiguousarray(raw, dtype=np.int64).view()
         if (c < 0).any():
             raise InputDomainError("counts must be non-negative")
         c.flags.writeable = False

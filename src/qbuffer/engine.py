@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .components import (
@@ -39,8 +39,6 @@ from .components import (
     DrivePulse,
     PulseRecord,
     db_to_transmission,
-    modulator_phase,
-    overlap_fraction,
     sagnac_transfer,
 )
 from .errors import ContractViolationError, InputDomainError, _checked
@@ -56,15 +54,13 @@ class EventLogEntry(NamedTuple):
 
 
 class ModulatorPassage(NamedTuple):
-    """One pass of a pulse through the modulator, with drive overlaps."""
+    """One pass of a pulse through the modulator, with the indices of the
+    drives that overlap it."""
 
     root_id: int
-    pulse_id: int
     traversal: int
     direction: str  # "near" or "far"
-    t_start: float
-    t_end: float
-    overlaps: tuple  # ((drive_index, fraction), ...) with fraction > 0
+    drives: tuple
 
 
 @dataclass(frozen=True)
@@ -123,11 +119,14 @@ class Violation:
 
 @dataclass
 class SimulationResult:
+    """One :func:`simulate` run, with its inputs and its drive schedule."""
+
     retrieved: list
     discarded: list  # (PulseRecord, reason)
     event_log: list
     passages: list
-    inputs: list = field(default_factory=list)
+    inputs: list
+    schedule: DriveSchedule
 
     def retrieved_with_cycles(self, cycles: int) -> list:
         return [p for p in self.retrieved if p.cycles == cycles]
@@ -146,16 +145,23 @@ def storage_period(topology: BufferTopology) -> float:
 
 
 def _drive_phases(schedule: DriveSchedule, start: float, width: float,
-                  v_pi: float) -> tuple[float, list]:
-    """Total phase on one passage and the contributing (index, fraction)."""
+                  v_pi: float) -> tuple[float, tuple]:
+    """Phase on one modulator passage, the sum of pi * (V / V_pi) * f over
+    the drives with f the fraction of the passage each covers, and the
+    indices of the drives with f > 0."""
+    _checked("passage_start", start, label="passage start")
+    _checked("passage_width", width, gt=0, label="passage width")
+    _checked("v_pi", v_pi, gt=0, label="half-wave voltage")
+    end = start + width
     phi = 0.0
-    parts = []
+    hits = []
     for i, d in enumerate(schedule.pulses):
-        f = overlap_fraction(d, start, width)
+        f = min(1.0, max(0.0, min(d.t_end, end) - max(d.t_start, start))
+                / width)
         if f > 0.0:
-            phi += modulator_phase(d, start, width, v_pi)
-            parts.append((i, f))
-    return phi, parts
+            phi += math.pi * (d.voltage / v_pi) * f
+            hits.append(i)
+    return phi, tuple(hits)
 
 
 def simulate(topology: BufferTopology, schedule: DriveSchedule,
@@ -165,15 +171,24 @@ def simulate(topology: BufferTopology, schedule: DriveSchedule,
 
     Inputs are pulse records at the routing-stage entry, ordered by time.
     Returns the pulses that exit toward the measurement stage, the pulses
-    discarded by the safety limits, a time-ordered event log, and the list
-    of modulator passages for schedule diagnostics.
+    discarded by the safety limits, a time-ordered event log, the
+    modulator passages and the schedule, for :func:`validate_schedule`.
     """
+    if not isinstance(topology, BufferTopology):
+        raise InputDomainError("topology must be a BufferTopology",
+                               "topology")
     if limits is None:
         limits = SimLimits()
+    elif not isinstance(limits, SimLimits):
+        raise InputDomainError("limits must be a SimLimits", "limits")
     if not isinstance(schedule, DriveSchedule):
         schedule = DriveSchedule(tuple(schedule))
-    for a, b in zip(inputs, inputs[1:]):
-        if b.t < a.t:
+    inputs = list(inputs)
+    for i, p in enumerate(inputs):
+        if not isinstance(p, PulseRecord):
+            raise InputDomainError("input pulses must be PulseRecord",
+                                   f"inputs[{i}]")
+        if i and p.t < inputs[i - 1].t:
             raise InputDomainError("input pulses must be time-ordered")
 
     d_loop = topology.loop_delay_s()
@@ -258,15 +273,15 @@ def simulate(topology: BufferTopology, schedule: DriveSchedule,
         entry_port = kind.split(".")[1]
         log.append(EventLogEntry(t, pulse.id, "coupler", f"in_{entry_port}",
                                  pulse.mu, pulse.cycles))
-        near = (t + d_near, pulse.width)
-        far = (t + d_far, pulse.width)
-        phi_near, ov_near = _drive_phases(schedule, *near, topology.v_pi)
-        phi_far, ov_far = _drive_phases(schedule, *far, topology.v_pi)
-        for direction, (start, width), ov in (("near", near, ov_near),
-                                              ("far", far, ov_far)):
-            passages.append(ModulatorPassage(
-                pulse.root_id, pulse.id, pulse.cycles, direction,
-                start, start + width, tuple(ov)))
+        near, far = t + d_near, t + d_far
+        phi_near, on_near = _drive_phases(schedule, near, pulse.width,
+                                          topology.v_pi)
+        phi_far, on_far = _drive_phases(schedule, far, pulse.width,
+                                        topology.v_pi)
+        for direction, start, drives in (("near", near, on_near),
+                                         ("far", far, on_far)):
+            passages.append(ModulatorPassage(pulse.root_id, pulse.cycles,
+                                             direction, drives))
             log.append(EventLogEntry(start, pulse.id, "modulator", direction,
                                      pulse.mu, pulse.cycles))
 
@@ -300,9 +315,8 @@ def simulate(topology: BufferTopology, schedule: DriveSchedule,
     # Same-instant entries of one pulse keep their causal (append) order.
     log = [e for _, e in sorted(
         enumerate(log), key=lambda ie: (ie[1].time_s, ie[1].pulse_id, ie[0]))]
-    passages.sort(key=lambda m: (m.t_start, m.pulse_id))
-    result = SimulationResult(retrieved, discarded, log, passages,
-                              inputs=list(inputs))
+    result = SimulationResult(retrieved, discarded, log, passages, inputs,
+                              schedule)
     _audit_conservation(result)
     return result
 
@@ -331,11 +345,9 @@ def _audit_conservation(result: SimulationResult) -> None:
                 f"{total} != {ref}")
 
 
-def validate_schedule(topology: BufferTopology, schedule: DriveSchedule,
-                      inputs: list, limits: SimLimits | None = None,
-                      result: SimulationResult | None = None
-                      ) -> list[Violation]:
-    """Diagnose a drive schedule against the pulses it will act on.
+def validate_schedule(result: SimulationResult) -> list[Violation]:
+    """Diagnose the drive schedule of a :func:`simulate` run against the
+    modulator passages of that run.
 
     Flags, per drive window:
 
@@ -347,38 +359,28 @@ def validate_schedule(topology: BufferTopology, schedule: DriveSchedule,
       passages of one traversal, cancelling its own switching phase.
     * ``no-op-drive`` (warning): the window overlaps no optical passage.
 
-    ``result``, when given, is an existing :func:`simulate` run of exactly
-    these inputs under this schedule and limits; it is checked instead of
-    propagating again. A run of other input records is rejected.
+    Violations are ordered by drive index, then source pulse, then
+    traversal.
     """
-    if not isinstance(schedule, DriveSchedule):
-        schedule = DriveSchedule(tuple(schedule))
-    if result is None:
-        result = simulate(topology, schedule, inputs, limits)
-    elif len(result.inputs) != len(inputs) or any(
-            a is not b for a, b in zip(result.inputs, inputs)):
-        raise InputDomainError(
-            "result is a simulation of other input pulses")
-    by_drive: dict[int, list[ModulatorPassage]] = {i: [] for i in
-                                                   range(len(schedule))}
+    if not isinstance(result, SimulationResult):
+        raise InputDomainError("result must be a SimulationResult", "result")
+    schedule = result.schedule
+    # drive index -> source pulse -> traversal -> loop directions covered
+    touched: list[dict] = [{} for _ in schedule.pulses]
     for m in result.passages:
-        for i, _f in m.overlaps:
-            by_drive[i].append(m)
+        for i in m.drives:
+            touched[i].setdefault(m.root_id, {}).setdefault(
+                m.traversal, set()).add(m.direction)
 
     violations: list[Violation] = []
-    for i, hits in sorted(by_drive.items()):
-        if not hits:
-            d = schedule.pulses[i]
+    for i, (d, roots) in enumerate(zip(schedule.pulses, touched)):
+        if not roots:
             violations.append(Violation(
                 "warning", "no-op-drive",
                 f"drive {i} at t={d.t_start:.3e}s overlaps no optical "
                 "passage", i))
-            continue
-        roots: dict[int, list[ModulatorPassage]] = {}
-        for m in hits:
-            roots.setdefault(m.root_id, []).append(m)
-        for root, ms in sorted(roots.items()):
-            traversals = sorted({m.traversal for m in ms})
+        for root, directions in sorted(roots.items()):
+            traversals = sorted(directions)
             if len(traversals) > 1:
                 violations.append(Violation(
                     "error", "unintended-readout",
@@ -386,8 +388,7 @@ def validate_schedule(topology: BufferTopology, schedule: DriveSchedule,
                     f"from the storage line (touches traversals "
                     f"{traversals})", i))
             for trav in traversals:
-                dirs = {m.direction for m in ms if m.traversal == trav}
-                if len(dirs) == 2:
+                if len(directions[trav]) == 2:
                     violations.append(Violation(
                         "error", "both-directions",
                         f"drive {i} covers both loop directions of pulse "
@@ -409,6 +410,9 @@ def storage_retrieval_schedule(topology: BufferTopology, input_pulse,
     needs no drive at all: the balanced loop already reflects the pulse to
     the measurement stage.
     """
+    if not isinstance(input_pulse, PulseRecord):
+        raise InputDomainError("input_pulse must be a PulseRecord",
+                               "input_pulse")
     _checked("cycles", cycles, ge=0, integer=True, label="cycle count")
     _checked("guard", guard, ge=0)
     if cycles == 0:

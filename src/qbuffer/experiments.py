@@ -278,6 +278,7 @@ def linearized_counts(counts, n_triggers: int, det: DetectorModel,
     """
     _checked("n_triggers", n_triggers, ge=1, integer=True,
              label="trigger count")
+    _checked("window", window, ge=0)
     c = np.asarray(counts, dtype=np.float64)
     p = np.clip(c / n_triggers, 0.0, 1.0 - 1e-15)
     return n_triggers * (-np.log1p(-p) - det.dark_rate_hz * window)
@@ -385,8 +386,7 @@ def simulate_checked(topology, schedule, inputs, limits, name: str):
     ``qbuffer.experiments.simulate`` sees every run.
     """
     result = simulate(topology, schedule, inputs, limits)
-    violations = validate_schedule(topology, schedule, inputs, limits,
-                                   result=result)
+    violations = validate_schedule(result)
     errors = [v.message for v in violations if v.severity == "error"]
     if errors:
         raise ScheduleError(f"{name} is unsafe: " + "; ".join(errors),

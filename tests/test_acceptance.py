@@ -187,11 +187,11 @@ def test_c5_loss_budget_fit():
 def test_c6_timing_guard():
     topo = BufferTopology()
     pulse = generate_pulse_train(1000.0, 50e-9, 0.1, 1)[0]
-    ok_accept = validate_schedule(
-        topo, storage_retrieval_schedule(topo, pulse, 3), [pulse]) == []
+    ok_accept = validate_schedule(simulate(
+        topo, storage_retrieval_schedule(topo, pulse, 3), [pulse])) == []
     long_drive = storage_retrieval_schedule(topo, pulse, 3,
                                             drive_width=1.2e-6)
-    violations = validate_schedule(topo, long_drive, [pulse])
+    violations = validate_schedule(simulate(topo, long_drive, [pulse]))
     ok_reject = any(v.severity == "error" and v.code == "unintended-readout"
                     for v in violations)
     report("C6 timing-guard", ok_accept and ok_reject,

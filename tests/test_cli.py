@@ -267,7 +267,7 @@ class TestRun:
                  "voltage": 900.0},
             ],
         }))
-        # Every engine run, also one inside validate_schedule.
+        # Every engine run; validate_schedule must not start one of its own.
         calls = []
         for module in (experiments, engine):
             def counted(*args, _run=module.simulate, **kwargs):

@@ -12,14 +12,17 @@ from qbuffer.components import (
     db_to_transmission,
     fiber_delay,
     generate_pulse_train,
-    modulator_phase,
-    overlap_fraction,
     pbs_project,
     sagnac_transfer,
     stored_states,
 )
 from qbuffer.detection import DetectorModel
-from qbuffer.engine import DriveSchedule, SimLimits, storage_retrieval_schedule
+from qbuffer.engine import (
+    DriveSchedule,
+    SimLimits,
+    _drive_phases,
+    storage_retrieval_schedule,
+)
 from qbuffer.errors import ContractViolationError, InputDomainError
 from qbuffer.experiments import ExperimentConfig, fit_decay
 from qbuffer.polarization import (
@@ -122,21 +125,39 @@ class TestFiberDelay:
             fiber_delay(length, index)
 
 
+def one_drive_phase(drive, passage_start, passage_width, v_pi):
+    """Phase of one passage under ``drive`` alone (None: no drive)."""
+    schedule = DriveSchedule(() if drive is None else (drive,))
+    return _drive_phases(schedule, passage_start, passage_width, v_pi)[0]
+
+
 class TestModulatorPhase:
+    """The phase rule of the engine's modulator passages."""
+
     def test_no_drive(self):
-        assert modulator_phase(None, 0.0, 50e-9, 900.0) == 0.0
+        assert _drive_phases(DriveSchedule(), 0.0, 50e-9, 900.0) == (0.0, ())
 
     def test_full_overlap_at_half_wave_voltage(self):
         drive = DrivePulse(-20e-9, 180e-9, 900.0)
-        assert modulator_phase(drive, 0.0, 50e-9, 900.0) == pytest.approx(
+        assert one_drive_phase(drive, 0.0, 50e-9, 900.0) == pytest.approx(
             math.pi, rel=1e-15)
 
     def test_half_overlap(self):
         # Oracle: interval arithmetic by hand. Passage [0, 100 ns); a drive
         # open over [50 ns, 1050 ns) covers exactly half of it.
         drive = DrivePulse(50e-9, 1000e-9, 900.0)
-        assert modulator_phase(drive, 0.0, 100e-9, 900.0) == pytest.approx(
+        assert one_drive_phase(drive, 0.0, 100e-9, 900.0) == pytest.approx(
             math.pi / 2, rel=1e-12)
+
+    def test_overlapping_drives_add_and_are_named(self):
+        drives = (DrivePulse(-1e-6, 100e-9, 900.0),
+                  DrivePulse(-20e-9, 40e-9, 900.0),
+                  DrivePulse(30e-9, 100e-9, 450.0))
+        phi, hits = _drive_phases(DriveSchedule(drives), 0.0, 50e-9, 900.0)
+        # Oracle: the second drive covers [0, 20 ns) of the passage, the
+        # third [30, 50 ns) at half the voltage.
+        assert hits == (1, 2)
+        assert phi == pytest.approx(math.pi * (0.4 + 0.5 * 0.4), rel=1e-12)
 
     @given(st.floats(-1e-6, 1e-6), st.floats(1e-9, 1e-6),
            st.floats(0.0, 2000.0))
@@ -147,20 +168,20 @@ class TestModulatorPhase:
         centers = (grid[:-1] + grid[1:]) / 2
         inside = (centers >= drive.t_start) & (centers < drive.t_end)
         frac = inside.mean()
-        got = modulator_phase(drive, p_start, p_width, 900.0)
+        got = one_drive_phase(drive, p_start, p_width, 900.0)
         assert got == pytest.approx(math.pi * voltage / 900.0 * frac,
                                     abs=math.pi * 1e-3)
 
     def test_voltage_scaling(self):
         drive = DrivePulse(-20e-9, 180e-9, 450.0)
-        assert modulator_phase(drive, 0.0, 50e-9, 900.0) == pytest.approx(
+        assert one_drive_phase(drive, 0.0, 50e-9, 900.0) == pytest.approx(
             math.pi / 2, rel=1e-15)
 
     def test_domain(self):
         with pytest.raises(InputDomainError):
-            modulator_phase(None, 0.0, 0.0, 900.0)
+            one_drive_phase(None, 0.0, 0.0, 900.0)
         with pytest.raises(InputDomainError):
-            modulator_phase(None, 0.0, 50e-9, 0.0)
+            one_drive_phase(None, 0.0, 50e-9, 0.0)
 
     @pytest.mark.parametrize("args", [
         (0.0, math.nan, 900.0), (0.0, 50e-9, math.nan),
@@ -172,7 +193,7 @@ class TestModulatorPhase:
     def test_domain_rejects_nan_and_inf(self, drive, args):
         # A NaN width or V_pi used to give pi or nan, a NaN start 0.0.
         with pytest.raises(InputDomainError):
-            modulator_phase(drive, *args)
+            one_drive_phase(drive, *args)
 
 
 class TestSagnacTransfer:
@@ -229,14 +250,21 @@ class TestPbsProject:
             pbs_project(STATE_H, JonesOp(np.array([[1.0, 0.0], [0.0, 0.0]])))
 
 
+def covered_fraction(drive, passage_start, passage_width):
+    """Fraction of the passage ``drive`` covers: its phase over pi with
+    the drive at the half-wave voltage."""
+    return one_drive_phase(drive, passage_start, passage_width,
+                           drive.voltage) / math.pi
+
+
 class TestOverlapFraction:
     def test_clamped_to_unit_interval(self):
         drive = DrivePulse(-1.0, 10.0, 900.0)
-        assert overlap_fraction(drive, 4.8e-6, 50e-9) == 1.0
+        assert covered_fraction(drive, 4.8e-6, 50e-9) == 1.0
 
     def test_disjoint(self):
         drive = DrivePulse(10.0, 1.0, 900.0)
-        assert overlap_fraction(drive, 0.0, 50e-9) == 0.0
+        assert covered_fraction(drive, 0.0, 50e-9) == 0.0
 
     @pytest.mark.parametrize("start, width, field", [
         (0.0, 0.0, "passage_width"), (0.0, -1e-9, "passage_width"),
@@ -247,7 +275,7 @@ class TestOverlapFraction:
     def test_rejected(self, start, width, field):
         drive = DrivePulse(0.0, 1.0, 900.0)
         with pytest.raises(InputDomainError) as info:
-            overlap_fraction(drive, start, width)
+            covered_fraction(drive, start, width)
         assert info.value.field == field
 
 
@@ -370,7 +398,7 @@ class TestConstructorDomain:
         (lambda: fiber_delay("1", 1.5), "length_m"),
         (lambda: sagnac_transfer(True), "delta_phi"),
         (lambda: sagnac_transfer("x"), "delta_phi"),
-        (lambda: modulator_phase(None, "x", 1e-7, 900.0), "passage_start"),
+        (lambda: one_drive_phase(None, "x", 1e-7, 900.0), "passage_start"),
         (lambda: apply_depolarizing(STATE_H, True), "p"),
         (lambda: PulseRecord(0, "x", 5e-8, 0.1), "t"),
         (lambda: _pulse(mu=True), "mu"),

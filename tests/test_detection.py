@@ -655,6 +655,15 @@ DOMAIN_CASES = {
     "histogram-t0-inf": (lambda cs: Histogram(math.inf, 1.0, [1]), "t0"),
     "histogram-overflow-negative": (
         lambda cs: Histogram(0.0, 1.0, [1], overflow=-5), "overflow"),
+    "histogram-fractional-counts": (lambda cs: Histogram(0.0, 1.0, [1.5]),
+                                    "counts"),
+    "histogram-nan-counts": (lambda cs: Histogram(0.0, 1.0, [math.nan]),
+                             "counts"),
+    "histogram-2d-counts": (lambda cs: Histogram(0.0, 1.0, [[1, 2]]),
+                            "counts"),
+    "clickset-2d-times": (lambda cs: ClickSet(np.zeros((2, 2)),
+                                              np.zeros((2, 2)), 1.0),
+                          "times"),
     "binning-width-nan": (lambda cs: histogram(cs, 0.0, math.nan, 4),
                           "bin_width"),
     "binning-t0-nan": (lambda cs: histogram(cs, math.nan, 0.1, 4), "t0"),

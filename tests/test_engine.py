@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from qbuffer.components import (
     BufferTopology,
     DrivePulse,
-    PulseRecord,
     db_to_transmission,
     fiber_delay,
     generate_pulse_train,
@@ -187,6 +186,28 @@ class TestLimits:
         with pytest.raises(InputDomainError):
             simulate(topo, DriveSchedule(), list(reversed(train)))
 
+    @pytest.mark.parametrize("args, field", [
+        (lambda topo, p: (topo, DriveSchedule(), [(0.0, 0.1)]), "inputs[0]"),
+        (lambda topo, p: (topo, DriveSchedule(), [p, "x"]), "inputs[1]"),
+        (lambda topo, p: (topo, DriveSchedule(), [p], 64), "limits"),
+        (lambda topo, p: (None, DriveSchedule(), [p]), "topology"),
+    ], ids=["tuple-input", "str-input", "int-limits", "no-topology"])
+    def test_bad_argument_named(self, topo, pulse, args, field):
+        with pytest.raises(InputDomainError) as info:
+            simulate(*args(topo, pulse))
+        assert info.value.field == field
+
+    def test_generator_inputs(self, topo):
+        train = generate_pulse_train(1000.0, 50e-9, 0.1, 2)
+        res = simulate(topo, DriveSchedule(), (p for p in train))
+        assert res.inputs == train
+        assert len(res.retrieved) == 2
+
+    def test_schedule_needs_a_pulse_record(self, topo):
+        with pytest.raises(InputDomainError) as info:
+            storage_retrieval_schedule(topo, None, 2)
+        assert info.value.field == "input_pulse"
+
 
 class TestDeterminism:
     def test_identical_runs_bit_for_bit(self, topo, pulse):
@@ -246,15 +267,19 @@ class TestMultiPulseTrains:
         assert {p.root_id for p in outs} == {0, 1}
 
 
+def diagnose(topology, schedule, inputs):
+    return validate_schedule(simulate(topology, schedule, inputs))
+
+
 class TestValidateSchedule:
     def test_operating_point_is_clean(self, topo, pulse):
         sched = storage_retrieval_schedule(topo, pulse, 3)
-        assert validate_schedule(topo, sched, [pulse]) == []
+        assert diagnose(topo, sched, [pulse]) == []
 
     def test_long_drive_triggers_unintended_readout(self, topo, pulse):
         sched = storage_retrieval_schedule(topo, pulse, 3,
                                            drive_width=1.2e-6)
-        codes = {v.code for v in validate_schedule(topo, sched, [pulse])
+        codes = {v.code for v in diagnose(topo, sched, [pulse])
                  if v.severity == "error"}
         assert "unintended-readout" in codes
 
@@ -268,8 +293,8 @@ class TestValidateSchedule:
             topo, pulse, 1, drive_width=margin + guard - 1e-9)
         risky = storage_retrieval_schedule(
             topo, pulse, 1, drive_width=margin + guard + 5e-9)
-        ok = {v.code for v in validate_schedule(topo, safe, [pulse])}
-        bad = {v.code for v in validate_schedule(topo, risky, [pulse])
+        ok = {v.code for v in diagnose(topo, safe, [pulse])}
+        bad = {v.code for v in diagnose(topo, risky, [pulse])
                if v.severity == "error"}
         assert "unintended-readout" not in ok
         assert "unintended-readout" in bad
@@ -279,44 +304,34 @@ class TestValidateSchedule:
                  + 200e-9)
         sched = DriveSchedule((DrivePulse(
             topo.near_passage_delay_s() - 20e-9, width, 900.0),))
-        codes = {v.code for v in validate_schedule(topo, sched, [pulse])
+        codes = {v.code for v in diagnose(topo, sched, [pulse])
                  if v.severity == "error"}
         assert "both-directions" in codes
 
     def test_noop_drive_warns(self, topo, pulse):
         sched = DriveSchedule((DrivePulse(0.5, 180e-9, 900.0),))
-        vs = validate_schedule(topo, sched, [pulse])
+        vs = diagnose(topo, sched, [pulse])
         assert [(v.severity, v.code) for v in vs] == \
             [("warning", "no-op-drive")]
 
     def test_empty_schedule_is_silent(self, topo, pulse):
-        assert validate_schedule(topo, DriveSchedule(), [pulse]) == []
+        assert diagnose(topo, DriveSchedule(), [pulse]) == []
 
-    @pytest.mark.parametrize("make", [
-        lambda topo, p: DriveSchedule(),
-        lambda topo, p: DriveSchedule((DrivePulse(0.5, 180e-9, 900.0),)),
-        lambda topo, p: storage_retrieval_schedule(topo, p, 3),
-        lambda topo, p: storage_retrieval_schedule(topo, p, 3,
-                                                   drive_width=1.2e-6),
-        lambda topo, p: DriveSchedule((DrivePulse(
-            topo.near_passage_delay_s() - 20e-9,
-            topo.far_passage_delay_s() + 200e-9, 900.0),)),
-    ], ids=["empty", "no-op", "operating-point", "long", "both-directions"])
-    def test_existing_run_gives_same_violations(self, topo, pulse, make):
-        sched = make(topo, pulse)
-        inputs = [pulse]
-        run = simulate(topo, sched, inputs)
-        assert validate_schedule(topo, sched, inputs, result=run) == \
-            validate_schedule(topo, sched, inputs)
+    def test_run_is_diagnosed_under_its_own_schedule(self, topo, pulse):
+        # Two drives far from any passage each warn, whatever schedule
+        # another run of the same pulse used.
+        far_away = DriveSchedule((DrivePulse(0.5, 180e-9, 900.0),
+                                  DrivePulse(0.6, 180e-9, 900.0)))
+        vs = validate_schedule(simulate(topo, far_away, [pulse]))
+        assert [(v.severity, v.code, v.drive_index) for v in vs] == [
+            ("warning", "no-op-drive", 0), ("warning", "no-op-drive", 1)]
 
-    def test_run_of_other_inputs_rejected(self, topo, pulse):
-        sched = storage_retrieval_schedule(topo, pulse, 3)
-        run = simulate(topo, sched, [pulse])
-        twin = PulseRecord(id=pulse.id, t=pulse.t, width=pulse.width,
-                           mu=pulse.mu)
-        for inputs in ([twin], [pulse, pulse], []):
-            with pytest.raises(InputDomainError):
-                validate_schedule(topo, sched, inputs, result=run)
+    @pytest.mark.parametrize("arg", [None, [], "run"],
+                             ids=["none", "list", "str"])
+    def test_non_result_rejected(self, topo, pulse, arg):
+        with pytest.raises(InputDomainError) as info:
+            validate_schedule(arg)
+        assert info.value.field == "result"
 
 
 class TestStoredStates:

@@ -122,6 +122,12 @@ class TestLinearizedCounts:
             linearized_counts([1.0], n, DET, 1e-7)
         assert info.value.field == "n_triggers"
 
+    @pytest.mark.parametrize("window", [math.nan, -1.0, math.inf, None])
+    def test_window_rejected(self, window):
+        with pytest.raises(InputDomainError) as info:
+            linearized_counts([1.0], 10, DET, window)
+        assert info.value.field == "window"
+
 
 class TestDefaultHwpGrid:
     def test_fewest_angles_span_one_fringe_period(self):
@@ -730,7 +736,8 @@ class TestOneTablePerSweep:
 class TestOnePropagationPerSetting:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Counts every engine run, also those inside validate_schedule."""
+        """Counts every engine run; validate_schedule must not start one of
+        its own."""
         calls = []
         for module in (experiments, engine):
             def counted(*args, _run=module.simulate, **kwargs):
