@@ -27,11 +27,11 @@ preset stream as a
 ``time_ps,detector_id`` click file into a temporary directory: once with
 ``ClickSet.write_csv`` and once, as a reference, with the per-row f-string
 join it replaced, which must give the same bytes; each prints the
-``tracemalloc`` peak of one write. Its sorted one-detector
+``tracemalloc`` peak of one write. Its sorted
 blocks print every row at one width and go out as laid out; the same
-clicks permuted, on two detectors with ids 9 and 10 and with one time in
-a hundred negated, make every block mix widths, which the writer
-compresses through a per-row mask, and are written the same two ways. The fringe sweep's port
+clicks permuted, on detector 10 and with one time in a hundred negated,
+make every block mix widths, which the writer compresses through a
+per-row mask, and are written the same two ways. The fringe sweep's port
 share table (64 HWP angles x 24 cycle counts, both bases, on a
 depolarizing topology) is timed as the one numpy stack
 ``experiments.share_table`` builds and, as a reference, one ``PolState`` at
@@ -166,8 +166,8 @@ def fired_scalar(n, lam, rng):
 def write_csv_by_join(clicks, path):
     """The click file as one f-string per row, joined (the old writer)."""
     ps = np.rint(clicks.times * 1e12).astype(np.int64)
-    body = "".join([f"{p},{d}\n" for p, d in
-                    zip(ps.tolist(), clicks.detector_ids.tolist())])
+    d = clicks.detector_id
+    body = "".join([f"{p},{d}\n" for p in ps.tolist()])
     with open(path, "w", newline="") as fh:
         fh.write("time_ps,detector_id\n")
         fh.write(body)
@@ -298,11 +298,8 @@ def main():
     mixed = rng.permutation(times)
     mixed[rng.random(mixed.size) < 0.01] *= -1
     for stream, clicks in (
-            ("preset stream",
-             ClickSet(times, np.zeros(times.size, dtype=np.int64), 1e3)),
-            ("mixed widths",
-             ClickSet(mixed, rng.choice(np.array([9, 10]), mixed.size),
-                      1e3))):
+            ("preset stream", ClickSet(times, 0, 1e3)),
+            ("mixed widths", ClickSet(mixed, 10, 1e3))):
         with tempfile.TemporaryDirectory() as tmp:
             paths = []
             for label, write in (("ClickSet.write_csv", ClickSet.write_csv),
@@ -340,8 +337,7 @@ def main():
     fringe = sample_clicks(TriggerTrain(1e-3, 60_000, (EXIT_TIME_S,), (0.25,)),
                            det, 60.0, 1)
     for stream, clicks in (
-            ("preset stream",
-             ClickSet(times, np.zeros(times.size, dtype=np.int64), 1e3)),
+            ("preset stream", ClickSet(times, 0, 1e3)),
             ("fringe setting", fringe)):
         counts = []
         for label, count in (

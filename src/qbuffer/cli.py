@@ -113,9 +113,8 @@ def _run_hwp(plan):
                         mode=plan.calibration.mode, limits=plan.limits,
                         runs=runs)
         topology = apply_calibration(topology, cal)
-    results = run_hwp_sweep(plan.experiment, topology,
-                            (plan.detector, plan.detector), plan.limits,
-                            runs=runs)
+    results = run_hwp_sweep(plan.experiment, topology, plan.detector,
+                            plan.limits, runs=runs)
     summary = {
         "preset": plan.preset,
         "seed": plan.seed,

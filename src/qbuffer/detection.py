@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import InputDomainError, _checked
+from .errors import InputDomainError, _array, _checked
 
 
 @dataclass(frozen=True)
@@ -94,103 +94,73 @@ def _kept_columns(width: int) -> np.ndarray:
     return kept
 
 
-def _field(v: np.ndarray):
-    """Decimal layout of the int64 column ``v`` at its widest value's width.
+def _csv_rows(ps: np.ndarray, suffix: bytes) -> np.ndarray:
+    """ASCII bytes of the rows ``f"{p}"`` + ``suffix`` for int64 ``ps``.
 
-    Returns ``(sign, digits, kept, state)``. ``sign`` says whether a sign
-    column leads the field (some value is negative); ``digits`` holds the
-    zero-padded ASCII digits of ``|v|``, one row per value, or a single row
-    when all values are equal. The column's extremes tell whether every
-    row prints at that full width: one sign and one digit count. If so,
-    ``kept`` is one all-true row and ``state`` is 0. Otherwise ``kept``
-    says, for each (negative, digit count) pair, which of the field's
-    columns print, and ``state`` is each row's index into it.
-    """
-    lo, hi = int(v.min()), int(v.max())
-    sign = lo < 0
-    n_lo, n_hi = len(str(abs(lo))), len(str(abs(hi)))
-    width = max(n_lo, n_hi)
-    full = np.ones((1, sign + width), bool)
-    if lo == hi:
-        return sign, np.frombuffer(str(abs(lo)).encode(), np.uint8), full, 0
-    u = np.abs(v).view(np.uint64)  # -2**63 wraps to itself, read as 2**63
-    digits = _digits(u, width)
-    if (hi < 0) == sign and n_lo == n_hi:
-        return sign, digits, full, 0
-    n_digits = np.searchsorted(_POW10[:width - 1], u, side="right") + 1
-    kept = _kept_columns(width)[..., not sign:].reshape(-1, sign + width)
-    return sign, digits, kept, (v < 0) * (width + 1) + n_digits
-
-
-def _csv_rows(ps: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """ASCII bytes of the rows ``f"{p},{d}\\n"`` for int64 ``ps`` and ``ids``.
-
-    Each column is laid out at the width of its widest value, with a sign
-    column only if a value is negative. A block whose rows all print at
-    that width, such as a sorted one-detector block within one power of
-    ten, is returned as laid out; a one-detector id is formatted once.
-    Otherwise one boolean mask drops the unused sign and leading-zero
-    columns of the narrower rows. The mask's rows are gathered from a table
-    of every (sign, digit count) combination, which is several times
-    faster than comparing short rows.
+    The time column is laid out at the width of its widest value, with a
+    sign column only if a value is negative, and the suffix is filled in
+    one column at a time. A block whose rows all print at that width (one
+    sign and one digit count, read from its extremes, as in nearly every
+    block of a sorted click set) is returned as laid out. Otherwise one
+    boolean mask drops the unused sign and leading-zero columns of the
+    narrower rows. The mask's rows are gathered from a table of every
+    (sign, digit count) combination, which is several times faster than
+    comparing short rows.
     """
     if not ps.size:
         return np.empty(0, np.uint8)
-    (t_sign, t_dig, t_kept, t_state), (d_sign, d_dig, d_kept, d_state) = (
-        _field(ps), _field(ids))
-    wt = t_sign + t_dig.shape[-1]
-    width = wt + d_sign + d_dig.shape[-1] + 2
-    buf = np.empty((ps.size, width), np.uint8)
-    if t_sign:
+    lo, hi = int(ps.min()), int(ps.max())
+    sign = lo < 0
+    n_lo, n_hi = len(str(abs(lo))), len(str(abs(hi)))
+    width = max(n_lo, n_hi)
+    wt = sign + width
+    buf = np.empty((ps.size, wt + len(suffix)), np.uint8)
+    if sign:
         buf[:, 0] = ord("-")
-    if d_sign:
-        buf[:, wt + 1] = ord("-")
-    buf[:, t_sign:wt] = t_dig
-    buf[:, wt] = ord(",")
-    buf[:, wt + 1 + d_sign:-1] = d_dig
-    buf[:, -1] = ord("\n")
-    if len(t_kept) == len(d_kept) == 1:
+    u = np.abs(ps).view(np.uint64)  # -2**63 wraps to itself, read as 2**63
+    buf[:, sign:wt] = _digits(u, width)
+    for k, byte in enumerate(suffix):  # 3x faster than broadcasting it
+        buf[:, wt + k] = byte
+    if (hi < 0) == sign and n_lo == n_hi:
         return buf
-    kept = np.ones((len(t_kept), len(d_kept), width), bool)
-    kept[..., :wt] = t_kept[:, None]
-    kept[..., wt + 1:-1] = d_kept
-    row = t_state * len(d_kept) + d_state
-    return buf[kept.reshape(-1, width).take(row, axis=0)]
+    n_digits = np.searchsorted(_POW10[:width - 1], u, side="right") + 1
+    kept = np.ones((2, width + 1, buf.shape[1]), bool)
+    kept[..., :wt] = _kept_columns(width)[..., not sign:]
+    row = (ps < 0) * (width + 1) + n_digits
+    return buf[kept.reshape(-1, buf.shape[1]).take(row, axis=0)]
 
 
 @dataclass(frozen=True)
 class ClickSet:
-    """Detector clicks: times in seconds and the detector of each click.
+    """One detector's clicks: their times in seconds and its integer id.
 
     ``sample_clicks`` returns them in time order; counting and binning do
     not need any order. Every time must be finite and have an int64
-    picosecond tag, so :meth:`write_csv` can never wrap.
+    picosecond tag, and the id must fit in int64, so :meth:`write_csv`
+    can never wrap.
     """
 
     times: np.ndarray
-    detector_ids: np.ndarray
+    detector_id: int
     acquisition_s: float
 
     def __post_init__(self):
-        # Views, so freezing them below leaves the caller's arrays writeable.
-        t = np.ascontiguousarray(self.times, dtype=np.float64).view()
-        # Not made contiguous: a one-detector set may pass a zero-stride
-        # view of its single id, which a copy would expand to full length.
-        ids = np.asarray(self.detector_ids, dtype=np.int64).view()
+        # A view, so freezing it below leaves the caller's array writeable.
+        t = _array("times", np.ascontiguousarray, self.times,
+                   dtype=np.float64).view()
+        _checked("detector_id", self.detector_id, ge=-2 ** 63, lt=2 ** 63,
+                 integer=True, label="detector id")
         _checked("acquisition_s", self.acquisition_s, ge=0)
-        if t.ndim != 1 or t.shape != ids.shape:
-            raise InputDomainError(
-                "times and detector ids must be 1-D arrays of one length",
-                "times")
+        if t.ndim != 1:
+            raise InputDomainError("click times must be a 1-D array",
+                                   "times")
         # min and max propagate NaN, which fails both comparisons.
         if t.size and not (-_TAG_LIMIT_PS < float(t.min()) * 1e12
                            and float(t.max()) * 1e12 < _TAG_LIMIT_PS):
             raise InputDomainError(
                 "click times must be finite with |t| < 2**63 ps (~9.22e6 s)")
         t.flags.writeable = False
-        ids.flags.writeable = False
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "detector_ids", ids)
 
     def __len__(self) -> int:
         return int(self.times.shape[0])
@@ -200,12 +170,12 @@ class ClickSet:
         them: each time rounded to the nearest picosecond, ties to even.
         Rows are tagged and formatted one block at a time."""
         step = kernels._BLOCK_CLICKS
+        suffix = f",{self.detector_id}\n".encode()
         with open(path, "wb") as fh:
             fh.write(b"time_ps,detector_id\n")
             for start in range(0, len(self), step):
-                block = slice(start, start + step)
-                ps = np.rint(self.times[block] * 1e12).astype(np.int64)
-                fh.write(_csv_rows(ps, self.detector_ids[block]))
+                ps = np.rint(self.times[start:start + step] * 1e12)
+                fh.write(_csv_rows(ps.astype(np.int64), suffix))
 
 
 @dataclass(frozen=True)
@@ -221,15 +191,14 @@ class Histogram:
         _checked("t0", self.t0)
         _checked("bin_width", self.bin_width, gt=0, label="bin width")
         _checked("overflow", self.overflow, ge=0, integer=True)
-        raw = np.asarray(self.counts)
+        raw = _array("counts", np.asarray, self.counts)
         if raw.ndim != 1:
             raise InputDomainError("counts must be a 1-D array", "counts")
-        if raw.dtype.kind not in "iu":
-            # NaN fails both comparisons; 2**63 and beyond would wrap.
-            f = raw.astype(np.float64)
-            if not ((f == np.trunc(f)) & (np.abs(f) < 2.0**63)).all():
-                raise InputDomainError("counts must be whole numbers",
-                                       "counts")
+        # Integers pass; floats must be whole (NaN fails both comparisons,
+        # and 2**63 and beyond would wrap); bools and the rest never do.
+        if raw.dtype.kind not in "iu" and not (raw.dtype.kind == "f" and (
+                (raw == np.trunc(raw)) & (np.abs(raw) < 2.0**63)).all()):
+            raise InputDomainError("counts must be whole numbers", "counts")
         c = np.ascontiguousarray(raw, dtype=np.int64).view()
         if (c < 0).any():
             raise InputDomainError("counts must be non-negative")
@@ -255,7 +224,7 @@ def click_probability(mu, det: DetectorModel, window: float):
     ``mu`` within a counting window: a float for a number, one per element
     for a float64 array. Each element takes its own scalar ``math.exp``, so
     it has the bits of the call on that element alone."""
-    x = np.asarray(mu, dtype=np.float64)
+    x = _array("mu", np.asarray, mu, dtype=np.float64)
     ok = (x >= 0) & (x < math.inf)  # both False for NaN
     if not ok.all():
         raise InputDomainError(
@@ -390,8 +359,6 @@ def sample_clicks(train: TriggerTrain, det: DetectorModel,
         raise InputDomainError(
             f"pulses must be a TriggerTrain, not {type(train).__name__}")
     _checked("acquisition", acquisition, ge=0)
-    _checked("detector_id", detector_id, ge=-2 ** 63, lt=2 ** 63,
-             integer=True, label="detector id")
     if not isinstance(seed, np.random.SeedSequence):
         _checked("seed", seed, ge=0, integer=True)
     if not det.dark_rate_hz * acquisition < _MAX_CLICKS:
@@ -428,8 +395,7 @@ def sample_clicks(train: TriggerTrain, det: DetectorModel,
     del signal
     dark *= acquisition
 
-    # One detector id for every click, so a plain value sort is enough,
-    # and the id is stored once.
+    # One detector for every click, so a plain value sort is enough.
     times.sort()
     keep = kernels.dead_time_filter(times, det.dead_time_s)
     if not keep.all():  # move the survivors forward, block by block
@@ -439,8 +405,7 @@ def sample_clicks(train: TriggerTrain, det: DetectorModel,
             times[n_kept:n_kept + kept.size] = kept
             n_kept += kept.size
         times = times[:n_kept]
-    return ClickSet(times, np.broadcast_to(np.int64(detector_id),
-                                           times.shape), acquisition)
+    return ClickSet(times, detector_id, acquisition)
 
 
 def histogram(clicks: ClickSet, t0: float, bin_width: float,

@@ -49,6 +49,17 @@ def _checked(field, value, *, gt=None, ge=None, lt=None, le=None,
         + (f" {rule}" if rule else ""), field)
 
 
+def _array(field, make, value, **kwargs):
+    """``make(value, **kwargs)``, e.g. ``np.asarray(value, dtype=...)``,
+    raising InputDomainError naming ``field`` when an entry does not
+    convert (a string, a ragged list)."""
+    try:
+        return make(value, **kwargs)
+    except (TypeError, ValueError):
+        raise InputDomainError(f"{field} must be an array of numbers",
+                               field) from None
+
+
 class ContractViolationError(QBufferError, ValueError):
     """An internal consistency guarantee failed (non-unitary optic, broken
     power audit, ...). Indicates misuse or a bug rather than bad user input."""

@@ -58,6 +58,7 @@ from .errors import (
     CalibrationError,
     InputDomainError,
     ScheduleError,
+    _array,
     _checked,
 )
 from .polarization import (
@@ -269,7 +270,8 @@ def visibility(c_max: float, c_min: float) -> float:
 
 def linearized_counts(counts, n_triggers: int, det: DetectorModel,
                       window: float) -> np.ndarray:
-    """Background-subtracted, saturation-corrected counts.
+    """Background-subtracted, saturation-corrected counts, of any shape;
+    each count must be finite and >= 0.
 
     Inverts p = 1 - exp(-x) per point and removes the dark-count term, so
     the result is n * mu_port * efficiency up to sampling noise. Values may
@@ -279,7 +281,9 @@ def linearized_counts(counts, n_triggers: int, det: DetectorModel,
     _checked("n_triggers", n_triggers, ge=1, integer=True,
              label="trigger count")
     _checked("window", window, ge=0)
-    c = np.asarray(counts, dtype=np.float64)
+    c = _array("counts", np.asarray, counts, dtype=np.float64)
+    if not ((c >= 0) & (c < math.inf)).all():  # both False for NaN
+        raise InputDomainError("counts must be finite and >= 0", "counts")
     p = np.clip(c / n_triggers, 0.0, 1.0 - 1e-15)
     return n_triggers * (-np.log1p(-p) - det.dark_rate_hz * window)
 
@@ -444,10 +448,8 @@ def _folded_histogram(clicksets, period: float, n_bins: int):
     for cs in clicksets:
         for start in range(0, len(cs), step):
             offsets = np.mod(cs.times[start:start + step], period)
-            part = histogram(
-                ClickSet(offsets, np.broadcast_to(np.int64(0),
-                                                  offsets.shape), period),
-                0.0, HIST_BIN_S, n_bins)
+            part = histogram(ClickSet(offsets, 0, period), 0.0, HIST_BIN_S,
+                             n_bins)
             counts += part.counts
             overflow += part.overflow
         del cs
@@ -532,30 +534,28 @@ def share_table(topology: BufferTopology, angles, max_cycles: int,
 
 
 def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
-                  detectors, limits: SimLimits | None = None, *,
+                  det: DetectorModel, limits: SimLimits | None = None, *,
                   runs: dict | None = None) -> list:
     """Polarization fringe sweep; one VisibilityResult per (eta, basis).
 
-    ``detectors`` is the pair of port detectors (a single model is accepted
-    and used for both ports).
+    Both ports are counted with the one detector model ``det``; port p's
+    clicks carry ``detector_id=p``.
 
     Routing never depends on polarization, so each setting is propagated
     once. One :func:`share_table` holds the two port shares of the state
     at each (basis, HWP angle, cycle count); a retrieved record sends
     ``mu * share[record.cycles]`` to a port. All counts are one (eta,
     basis, port, angle) stack, built with one :func:`click_probability`
-    and one :func:`linearized_counts` call per port detector; each curve
-    is fitted once and read into Python once. A ``runs`` dict shares
-    engine runs with :func:`calibrate`.
+    and one :func:`linearized_counts` call; each curve is fitted once and
+    read into Python once. A ``runs`` dict shares engine runs with
+    :func:`calibrate`.
     """
+    if not isinstance(det, DetectorModel):
+        raise InputDomainError(
+            f"det must be a DetectorModel, not {type(det).__name__}", "det")
     angles = _hwp_grid(config)
     design = _fringe_design(angles)
     limits = limits or SimLimits()
-    if isinstance(detectors, DetectorModel):
-        detectors = (detectors, detectors)
-    dets = tuple(detectors)
-    if len(dets) != 2:
-        raise InputDomainError("need one detector model or two", "detectors")
 
     period = 1.0 / config.rep_rate_hz
     n = config.n_triggers
@@ -571,8 +571,7 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
     mus = np.stack([tables[basis] for basis in config.bases])[
         ..., [main.cycles for main, _ in runs]].transpose(3, 0, 2, 1)
     mus *= np.array([main.mu for main, _ in runs])[:, None, None, None]
-    expected = np.stack([n * click_probability(mus[:, :, port], det, window)
-                         for port, det in enumerate(dets)], axis=2)
+    expected = n * click_probability(mus, det, window)
     counts = np.zeros(expected.shape)
     if config.mode == "monte-carlo":
         for e, b, i, port in np.ndindex(counts.shape[:2] + (angles.size, 2)):
@@ -580,14 +579,13 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
             basis = config.bases[b]
             cs = sample_clicks(
                 _trigger_train(sim.retrieved, config, tables[basis][i, port]),
-                dets[port], config.acquisition_s,
+                det, config.acquisition_s,
                 _substream(config.seed, 1, config.eta_list[e],
                            BASIS_ORDER.index(basis), i, port),
                 detector_id=port)
             counts[e, b, port, i] = count_triggered(cs, period, main.t, window)
     raw = counts if config.mode == "monte-carlo" else expected
-    lin = np.stack([linearized_counts(raw[:, :, port], n, det, window)
-                    for port, det in enumerate(dets)], axis=2)
+    lin = linearized_counts(raw, n, det, window)
     # Normalize by the per-angle two-port total, so the two curves are
     # complementary and bounded by [0, 1].
     norm = np.maximum(lin, 0.0)

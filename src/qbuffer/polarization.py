@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, InputDomainError, _checked
+from .errors import (ContractViolationError, InputDomainError, _array,
+                     _checked)
 
 # Tolerance applied to user-provided inputs.
 INPUT_TOL = 1e-9
@@ -36,8 +37,8 @@ HWP_ANGLE_MAX = sys.float_info.max / 4.0
 _I2 = np.eye(2, dtype=np.complex128)
 
 
-def _as_matrix(m) -> np.ndarray:
-    a = np.asarray(m, dtype=np.complex128)
+def _as_matrix(m, field: str) -> np.ndarray:
+    a = _array(field, np.asarray, m, dtype=np.complex128)
     if a.shape != (2, 2):
         raise InputDomainError(f"expected a 2x2 matrix, got shape {a.shape}")
     return a
@@ -103,7 +104,7 @@ class PolState:
     rho: np.ndarray
 
     def __post_init__(self):
-        rho = _as_matrix(self.rho)
+        rho = _as_matrix(self.rho, "rho")
         check_density(rho)
         rho = rho.copy()
         rho.flags.writeable = False
@@ -112,7 +113,7 @@ class PolState:
     @classmethod
     def from_jones(cls, vec) -> "PolState":
         """Pure state |v><v| from a (not necessarily normalized) Jones vector."""
-        v = np.asarray(vec, dtype=np.complex128).reshape(2)
+        v = _array("vec", np.asarray, vec, dtype=np.complex128).reshape(2)
         n = np.linalg.norm(v)
         if n == 0 or not np.isfinite(n):
             raise InputDomainError("Jones vector must be nonzero and finite")
@@ -139,7 +140,7 @@ class JonesOp:
     m: np.ndarray
 
     def __post_init__(self):
-        m = _as_matrix(self.m)
+        m = _as_matrix(self.m, "m")
         if not np.isfinite(m).all():
             raise InputDomainError("Jones matrix contains non-finite entries")
         # Passive elements must not amplify.
@@ -195,7 +196,7 @@ def apply_depolarizing(state: PolState, p: float) -> PolState:
 
 def projection_probability(state: PolState, axis) -> float:
     """Probability <a|rho|a> of projecting onto a unit Jones vector ``axis``."""
-    a = np.asarray(axis, dtype=np.complex128).reshape(2)
+    a = _array("axis", np.asarray, axis, dtype=np.complex128).reshape(2)
     if not abs(np.linalg.norm(a) - 1.0) <= INPUT_TOL:  # NaN fails it
         raise InputDomainError("projection axis must be normalized within 1e-9")
     p = float(np.vdot(a, state.rho @ a).real)

@@ -31,6 +31,7 @@ from qbuffer.polarization import (
     STATE_D,
     STATE_H,
     JonesOp,
+    PolState,
     apply_depolarizing,
     hwp_matrix,
     projection_probability,
@@ -405,6 +406,10 @@ class TestConstructorDomain:
         (lambda: generate_pulse_train(True, 5e-8, 0.1, 1), "rep_rate"),
         (lambda: storage_retrieval_schedule(BufferTopology(), _pulse(), 2,
                                             guard=math.nan), "guard"),
+        (lambda: PolState([["a", "b"], ["c", "d"]]), "rho"),
+        (lambda: PolState.from_jones(["a", 1]), "vec"),
+        (lambda: JonesOp([["a", 0], [0, 1]]), "m"),
+        (lambda: projection_probability(STATE_H, ["a", 1]), "axis"),
     ], ids=[
         "topology-inf-loop", "topology-inf-group-index", "topology-nan-v-pi",
         "topology-bool-loss", "topology-str-length", "topology-nan-element",
@@ -423,7 +428,8 @@ class TestConstructorDomain:
         "depol-cycle-bool", "fiber-bool-length", "fiber-str-length",
         "sagnac-bool-phase", "sagnac-str-phase", "phase-str-start",
         "depolarizing-bool-p", "record-str-t", "record-bool-mu",
-        "train-bool-rate", "schedule-nan-guard"])
+        "train-bool-rate", "schedule-nan-guard", "polstate-str-rho",
+        "jones-str-vec", "jonesop-str-m", "projection-str-axis"])
     def test_rejected_with_field(self, build, field):
         with pytest.raises(InputDomainError) as info:
             build()

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -8,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qbuffer import detection, experiments, kernels
 from qbuffer.detection import (
@@ -140,7 +141,7 @@ class TestSampleClicks:
         a = sample_clicks(train, det, 0.5, seed=99)
         b = sample_clicks(train, det, 0.5, seed=99)
         np.testing.assert_array_equal(a.times, b.times)
-        np.testing.assert_array_equal(a.detector_ids, b.detector_ids)
+        assert a.detector_id == b.detector_id
 
     def test_dead_detector_sees_nothing(self):
         det = DetectorModel(efficiency=0.0, dark_rate_hz=0.0)
@@ -262,19 +263,7 @@ class TestSampleClicks:
         det = DetectorModel(efficiency=1.0, dark_rate_hz=0.0)
         cs = sample_clicks(TriggerTrain(1e-3, 1, (0.0,), (50.0,)), det, 1e-3,
                            seed=1, detector_id=3)
-        assert cs.detector_ids.tolist() == [3]
-
-    def test_one_detector_id_is_stored_once(self):
-        train = TriggerTrain(1e-3, 20_000, (2e-5, 5e-5), (5.0, 0.05))
-        cs = sample_clicks(train, DetectorModel(), 20.0, 11, detector_id=3)
-        ids = cs.detector_ids
-        assert len(cs) > 15_000
-        assert ids.dtype == np.int64 and ids.shape == cs.times.shape
-        assert ids.tolist() == [3] * len(cs)
-        assert ids.strides == (0,)
-        assert not ids.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            ids[0] = 1
+        assert (len(cs), cs.detector_id) == (1, 3)
 
 
 class TestHistogram:
@@ -288,12 +277,12 @@ class TestHistogram:
             h.counts[0] = 1
 
     def test_boundary_lands_left_closed(self):
-        cs = ClickSet(np.array([0.75]), np.array([0]), 1.0)
+        cs = ClickSet(np.array([0.75]), 0, 1.0)
         h = histogram(cs, 0.0, 0.25, 8)
         assert h.counts.tolist() == [0, 0, 0, 1, 0, 0, 0, 0]
 
     def test_empty_clicks(self):
-        cs = ClickSet(np.array([]), np.array([]), 1.0)
+        cs = ClickSet(np.array([]), 0, 1.0)
         h = histogram(cs, 0.0, 0.1, 4)
         assert h.counts.tolist() == [0, 0, 0, 0]
         assert h.overflow == 0
@@ -302,7 +291,7 @@ class TestHistogram:
     def test_conservation(self, seed):
         rng = np.random.default_rng(seed)
         times = np.sort(rng.uniform(-0.5, 1.5, 200))
-        cs = ClickSet(times, np.zeros(200, dtype=int), 1.5)
+        cs = ClickSet(times, 0, 1.5)
         h = histogram(cs, 0.0, 0.1, 10)
         assert h.total == 200
 
@@ -311,7 +300,7 @@ class TestHistogram:
         # bins apart (period / bin = 58.76).
         period = 5.876065101010647e-06
         times = np.arange(8) * period + 1e-6
-        cs = ClickSet(times, np.zeros(8, dtype=int), 1.0)
+        cs = ClickSet(times, 0, 1.0)
         h = histogram(cs, 0.0, 100e-9, 600)
         nz = np.nonzero(h.counts)[0]
         assert set(np.diff(nz).tolist()) <= {58, 59}
@@ -321,8 +310,7 @@ class TestHistogram:
             Histogram(0.0, 0.1, np.array([1, -1]))
 
     def test_csv_export(self, tmp_path):
-        cs = ClickSet(np.array([0.05, 0.15, 0.15]), np.zeros(3, dtype=int),
-                      1.0)
+        cs = ClickSet(np.array([0.05, 0.15, 0.15]), 0, 1.0)
         h = histogram(cs, 0.0, 0.1, 2)
         path = tmp_path / "h.csv"
         h.write_csv(path)
@@ -335,36 +323,31 @@ class TestHistogram:
 class TestClickSetPlumbing:
     def test_caller_arrays_stay_writeable(self):
         t = np.array([0.1, 0.2])
-        ids = np.array([0, 1], dtype=np.int64)
-        cs = ClickSet(t, ids, 1.0)
-        assert t.flags.writeable and ids.flags.writeable
+        cs = ClickSet(t, 1, 1.0)
+        assert t.flags.writeable
         assert not cs.times.flags.writeable
-        assert not cs.detector_ids.flags.writeable
-        # No copy: the set views the caller's buffers.
+        # No copy: the set views the caller's buffer.
         assert np.shares_memory(cs.times, t)
-        assert np.shares_memory(cs.detector_ids, ids)
         t[0] = 0.5
         with pytest.raises(ValueError, match="read-only"):
             cs.times[0] = 0.5
 
     def test_csv_export(self, tmp_path):
-        cs = ClickSet(np.array([0.25]), np.array([1]), 1.0)
+        cs = ClickSet(np.array([0.25]), 1, 1.0)
         path = tmp_path / "c.csv"
         cs.write_csv(path)
         assert path.read_text() == "time_ps,detector_id\n250000000000,1\n"
 
     def test_count_triggered_dedupes_triggers(self):
         # Two clicks inside the same trigger gate count once.
-        cs = ClickSet(np.array([1e-5, 1.00001e-5, 1e-3 + 1e-5]),
-                      np.zeros(3, dtype=int), 1.0)
+        cs = ClickSet(np.array([1e-5, 1.00001e-5, 1e-3 + 1e-5]), 0, 1.0)
         assert count_triggered(cs, 1e-3, 1e-5, 1e-6) == 2
 
     @pytest.mark.parametrize("times, want", [
         ([], 0), ([0.5], 1), ([0.2], 0), ([-0.5], 1), ([0.375], 1),
         ([0.625], 0)])
     def test_count_triggered_few_clicks(self, times, want):
-        cs = ClickSet(np.array(times, dtype=float),
-                      np.zeros(len(times), dtype=int), 1.0)
+        cs = ClickSet(np.array(times, dtype=float), 0, 1.0)
         assert count_triggered(cs, 1.0, 0.5, 0.25) == want
 
     def test_detector_model_domain(self):
@@ -444,8 +427,7 @@ class TestOrderAwareCount:
         block = data.draw(st.sampled_from(BLOCKS))
         with mock.patch.object(kernels, "_BLOCK_CLICKS", block):
             for order in (sorted(times), data.draw(st.permutations(times))):
-                cs = ClickSet(np.array(order, dtype=np.float64),
-                              np.zeros(len(order), dtype=int), 1.0)
+                cs = ClickSet(np.array(order, dtype=np.float64), 0, 1.0)
                 assert count_triggered(cs, period, offset, window) == want
 
     @pytest.mark.parametrize("block", BLOCKS[:-1])
@@ -462,7 +444,7 @@ class TestOrderAwareCount:
                 streams.append(fall)
             for t in streams:
                 want = sort_path_count(t, 1.0, 0.5, 0.25)
-                cs = ClickSet(t, np.zeros(n, dtype=int), 1.0)
+                cs = ClickSet(t, 0, 1.0)
                 with mock.patch.object(kernels, "_BLOCK_CLICKS", block):
                     assert count_triggered(cs, 1.0, 0.5, 0.25) == want
                 assert want == -(-n // 3)
@@ -475,8 +457,7 @@ class TestBlockedPassMemory:
     @pytest.mark.parametrize("n", [20_000, 200_000])
     def test_peak_is_one_block(self, tmp_path, n):
         times = np.sort(np.random.default_rng(5).random(n)) * n * 1e-3
-        cs = ClickSet(times, np.broadcast_to(np.int64(0), times.shape),
-                      n * 1e-3)
+        cs = ClickSet(times, 0, n * 1e-3)
         passes = {
             "write_csv": lambda: cs.write_csv(tmp_path / "c.csv"),
             "count_triggered": lambda: count_triggered(cs, 1e-3, 2.35e-5,
@@ -487,65 +468,65 @@ class TestBlockedPassMemory:
             assert peak < 128 * kernels._BLOCK_CLICKS, name
 
 
-def per_line_oracle(times, ids):
+def per_line_oracle(times, detector_id):
     """The click file as one f-string per row, ties rounded to even."""
     return ("time_ps,detector_id\n" + "".join(
-        f"{round(t * 1e12)},{d}\n"
-        for t, d in zip(times.tolist(), ids.tolist()))).encode()
+        f"{round(t * 1e12)},{detector_id}\n"
+        for t in times.tolist())).encode()
 
 
 class TestClickCsvProperty:
     @settings(max_examples=300)
-    @given(st.lists(st.tuples(click_time, st.integers(0, 3)), max_size=40),
-           st.sampled_from(BLOCKS))
+    @given(st.lists(click_time, max_size=40), int64, st.sampled_from(BLOCKS))
     def test_bytes_equal_per_line_oracle(self, tmp_path_factory, rows,
-                                         block):
-        times = np.array([t for t, _ in rows], dtype=np.float64)
-        ids = np.array([d for _, d in rows], dtype=np.int64)
+                                         detector_id, block):
+        times = np.array(rows, dtype=np.float64)
         path = tmp_path_factory.mktemp("clicks") / "c.csv"
         with mock.patch.object(kernels, "_BLOCK_CLICKS", block):
-            ClickSet(times, ids, 1.0).write_csv(path)
+            ClickSet(times, detector_id, 1.0).write_csv(path)
         want = "time_ps,detector_id\n" + "".join(
-            f"{int(np.rint(t * 1e12))},{d}\n" for t, d in rows)
+            f"{int(np.rint(t * 1e12))},{detector_id}\n" for t in rows)
         assert path.read_bytes() == want.encode()
 
     @settings(max_examples=300)
-    @given(st.lists(st.tuples(int64, int64), max_size=40))
-    def test_rows_equal_per_line_oracle_over_int64(self, rows):
-        tags = np.array([t for t, _ in rows], dtype=np.int64)
-        ids = np.array([d for _, d in rows], dtype=np.int64)
-        want = "".join(f"{t},{d}\n" for t, d in rows).encode()
-        assert detection._csv_rows(tags, ids).tobytes() == want
+    @given(st.lists(int64, max_size=40), int64)
+    @example([-2 ** 63, 2 ** 63 - 1, 0, -1], -2 ** 63)
+    @example([2 ** 63 - 1, -9, 10 ** 18], 2 ** 63 - 1)
+    def test_rows_equal_per_line_oracle_over_int64(self, rows, detector_id):
+        tags = np.array(rows, dtype=np.int64)
+        suffix = f",{detector_id}\n"
+        want = "".join(f"{t}{suffix}" for t in rows).encode()
+        assert detection._csv_rows(tags, suffix.encode()).tobytes() == want
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(kernels._BLOCK_CLICKS + 1,
                        3 * kernels._BLOCK_CLICKS),
            st.lists(st.tuples(st.integers(0, 3 * kernels._BLOCK_CLICKS),
-                              st.one_of(click_time, edge_time), int64),
-                    max_size=30))
-    def test_sets_longer_than_a_block(self, tmp_path_factory, n, rows):
+                              st.one_of(click_time, edge_time)),
+                    max_size=30), int64)
+    def test_sets_longer_than_a_block(self, tmp_path_factory, n, rows,
+                                      detector_id):
         # Zero rows with a few drawn ones scattered among them, so blocks
         # differ in how many digits their widest value needs.
         times = np.zeros(n)
-        ids = np.zeros(n, dtype=np.int64)
-        for pos, t, d in rows:
-            times[pos % n], ids[pos % n] = t, d
+        for pos, t in rows:
+            times[pos % n] = t
         path = tmp_path_factory.mktemp("clicks") / "c.csv"
-        ClickSet(times, ids, 1.0).write_csv(path)
-        assert path.read_bytes() == per_line_oracle(times, ids)
+        ClickSet(times, detector_id, 1.0).write_csv(path)
+        assert path.read_bytes() == per_line_oracle(times, detector_id)
 
     @pytest.mark.parametrize("block", BLOCKS[:-1])
     def test_block_edges(self, tmp_path, block):
         # Tags of growing width, negative every fourth row, so blocks
         # differ in sign and digit count on each side of every edge.
-        for n in edge_lengths(block):
+        for n, detector_id in itertools.product(edge_lengths(block),
+                                                (0, 5, -10)):
             k = np.arange(n)
             times = 7.0 ** k * np.where(k % 4 == 3, -1, 1) / 1e12
-            ids = k % 3 * 5
-            path = tmp_path / f"c{n}.csv"
+            path = tmp_path / f"c{n}_{detector_id}.csv"
             with mock.patch.object(kernels, "_BLOCK_CLICKS", block):
-                ClickSet(times, ids, 1.0).write_csv(path)
-            assert path.read_bytes() == per_line_oracle(times, ids)
+                ClickSet(times, detector_id, 1.0).write_csv(path)
+            assert path.read_bytes() == per_line_oracle(times, detector_id)
 
     def test_sampled_clicks_equal_per_line_oracle(self, tmp_path):
         train = TriggerTrain(1e-3, 100_000, (2e-5, 5e-5), (5.0, 0.05))
@@ -553,19 +534,7 @@ class TestClickCsvProperty:
         assert 90_000 < len(cs) < 200_000
         path = tmp_path / "c.csv"
         cs.write_csv(path)
-        assert path.read_bytes() == per_line_oracle(cs.times, cs.detector_ids)
-
-    def test_one_id_view_and_full_ids_write_the_same_bytes(self, tmp_path):
-        train = TriggerTrain(1e-3, 20_000, (2e-5, 5e-5), (5.0, 0.05))
-        view = sample_clicks(train, DetectorModel(), 20.0, 11, detector_id=3)
-        full = ClickSet(view.times, np.full(len(view), 3), view.acquisition_s)
-        assert (view.detector_ids.strides, full.detector_ids.strides) \
-            == ((0,), (8,))
-        want = per_line_oracle(view.times, np.full(len(view), 3))
-        for name, cs in (("view", view), ("full", full)):
-            path = tmp_path / f"{name}.csv"
-            cs.write_csv(path)
-            assert path.read_bytes() == want
+        assert path.read_bytes() == per_line_oracle(cs.times, 3)
 
     def test_ties_round_to_even(self, tmp_path):
         # k/2 ps for odd k: keep the values whose product is an exact tie.
@@ -573,8 +542,7 @@ class TestClickCsvProperty:
                 if (t * 1e12) % 1 == 0.5]
         assert len(ties) > 20
         path = tmp_path / "c.csv"
-        ClickSet(np.array(ties), np.zeros(len(ties), dtype=int),
-                 1.0).write_csv(path)
+        ClickSet(np.array(ties), 0, 1.0).write_csv(path)
         tags = [int(line.split(",")[0])
                 for line in path.read_text().splitlines()[1:]]
         assert all(tag % 2 == 0 for tag in tags)
@@ -607,17 +575,14 @@ class TestClickCsvBlockWidths:
         ends = np.flatnonzero(wide == (2 * wide.sum() >= n))[[0, -1]]
         permuted = shuffled[np.r_[ends[0], np.delete(np.arange(n), ends),
                                   ends[1]]]
-        blocks = [(crossing, 0), (first_negative, 1), (middle_negative, 2),
-                  (one_width, rng.permutation(np.arange(n) % 2 + 9)),
-                  (permuted, 3)]
-        tags = np.concatenate([tag for tag, _ in blocks])
-        ids = np.concatenate([np.broadcast_to(d, n) for _, d in blocks])
+        tags = np.concatenate([crossing, first_negative, middle_negative,
+                               rng.permutation(one_width), permuted])
         times = tags / 1e12
         # The tags survive the round trip, so each block keeps its widths.
         assert np.array_equal(np.rint(times * 1e12), tags)
         path = tmp_path_factory.mktemp("clicks") / "c.csv"
-        ClickSet(times, ids, 1.0).write_csv(path)
-        assert path.read_bytes() == per_line_oracle(times, ids)
+        ClickSet(times, 10, 1.0).write_csv(path)
+        assert path.read_bytes() == per_line_oracle(times, 10)
 
 
 class TestClickSetDomain:
@@ -625,26 +590,27 @@ class TestClickSetDomain:
         math.nan, math.inf, -math.inf, TAG_OVER_S, -TAG_OVER_S, 1e300])
     def test_untaggable_times_rejected(self, bad):
         with pytest.raises(InputDomainError, match="finite"):
-            ClickSet(np.array([0.1, bad, 0.2]), np.zeros(3, dtype=int), 1.0)
+            ClickSet(np.array([0.1, bad, 0.2]), 0, 1.0)
 
     def test_range_edge_accepted(self, tmp_path):
-        cs = ClickSet(np.array([-TAG_MAX_S, TAG_MAX_S]), np.array([0, 1]),
-                      1.0)
-        path = tmp_path / "c.csv"
-        cs.write_csv(path)
-        assert path.read_text() == ("time_ps,detector_id\n"
-                                    "-9223372036854773760,0\n"
-                                    "9223372036854773760,1\n")
+        for detector_id in (0, -2 ** 63, 2 ** 63 - 1):
+            cs = ClickSet(np.array([-TAG_MAX_S, TAG_MAX_S]), detector_id, 1.0)
+            path = tmp_path / f"c{detector_id}.csv"
+            cs.write_csv(path)
+            assert path.read_text() == (
+                "time_ps,detector_id\n"
+                f"-9223372036854773760,{detector_id}\n"
+                f"9223372036854773760,{detector_id}\n")
 
     def test_empty_set_writes_header_only(self, tmp_path):
         path = tmp_path / "c.csv"
-        ClickSet(np.array([]), np.array([]), 1.0).write_csv(path)
+        ClickSet(np.array([]), 0, 1.0).write_csv(path)
         assert path.read_text() == "time_ps,detector_id\n"
 
 
 @pytest.fixture
 def two_clicks():
-    return ClickSet(np.array([1e-5, 2e-3]), np.zeros(2, dtype=int), 1.0)
+    return ClickSet(np.array([1e-5, 2e-3]), 0, 1.0)
 
 
 #: Each call, and the field its InputDomainError names (None for the
@@ -661,9 +627,21 @@ DOMAIN_CASES = {
                              "counts"),
     "histogram-2d-counts": (lambda cs: Histogram(0.0, 1.0, [[1, 2]]),
                             "counts"),
-    "clickset-2d-times": (lambda cs: ClickSet(np.zeros((2, 2)),
-                                              np.zeros((2, 2)), 1.0),
+    "histogram-str-counts": (lambda cs: Histogram(0.0, 1.0, ["a"]),
+                             "counts"),
+    "histogram-bool-counts": (lambda cs: Histogram(0.0, 1.0, [True]),
+                              "counts"),
+    "clickset-2d-times": (lambda cs: ClickSet(np.zeros((2, 2)), 0, 1.0),
                           "times"),
+    "clickset-str-times": (lambda cs: ClickSet(["a"], 0, 1.0), "times"),
+    "clickset-id-array": (lambda cs: ClickSet(cs.times, np.zeros(2, int),
+                                              1.0), "detector_id"),
+    "clickset-id-bool": (lambda cs: ClickSet(cs.times, True, 1.0),
+                         "detector_id"),
+    "clickset-id-str": (lambda cs: ClickSet(cs.times, "0", 1.0),
+                        "detector_id"),
+    "clickset-id-beyond-int64": (lambda cs: ClickSet(cs.times, 2 ** 63, 1.0),
+                                 "detector_id"),
     "binning-width-nan": (lambda cs: histogram(cs, 0.0, math.nan, 4),
                           "bin_width"),
     "binning-t0-nan": (lambda cs: histogram(cs, math.nan, 0.1, 4), "t0"),
@@ -681,6 +659,8 @@ DOMAIN_CASES = {
                         "window"),
     "probability-mu-nan": (lambda cs: click_probability(math.nan, QUIET,
                                                         1e-7), None),
+    "probability-mu-str": (lambda cs: click_probability("a", QUIET, 1e-7),
+                           "mu"),
     "probability-window-nan": (lambda cs: click_probability(0.1, QUIET,
                                                             math.nan),
                                "window"),
@@ -697,7 +677,7 @@ DOMAIN_CASES = {
         TriggerTrain(1.0, 1, (0.5,), (0.1,)), QUIET, "x", 0),
         "acquisition"),
     "clickset-acquisition-nan": (lambda cs: ClickSet(cs.times,
-                                                     cs.detector_ids,
+                                                     cs.detector_id,
                                                      math.nan),
                                  "acquisition_s"),
     "sample-seed-negative": (lambda cs: sample_clicks(

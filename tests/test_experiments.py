@@ -128,6 +128,14 @@ class TestLinearizedCounts:
             linearized_counts([1.0], 10, DET, window)
         assert info.value.field == "window"
 
+    @pytest.mark.parametrize("counts", [
+        [math.nan], [math.inf], [-math.inf], [-3.0], [1.0, -1e-300], ["a"],
+        np.full((2, 3, 2, 4), math.nan)])
+    def test_counts_rejected(self, counts):
+        with pytest.raises(InputDomainError) as info:
+            linearized_counts(counts, 10, DET, 1e-7)
+        assert info.value.field == "counts"
+
 
 class TestDefaultHwpGrid:
     def test_fewest_angles_span_one_fringe_period(self):
@@ -241,13 +249,11 @@ def merge_and_sort_histogram(clicksets, period, n_bins):
     """The fold as it was: a stable merge of all click sets by time, then a
     sort of the folded times."""
     times = np.concatenate([c.times for c in clicksets])
-    ids = np.concatenate([c.detector_ids for c in clicksets])
     order = np.argsort(times, kind="stable")
-    merged = ClickSet(times[order], ids[order],
+    merged = ClickSet(times[order], 0,
                       max(c.acquisition_s for c in clicksets))
     offsets = np.sort(np.mod(merged.times, period))
-    folded = ClickSet(offsets, np.zeros(offsets.size, dtype=np.int64),
-                      period)
+    folded = ClickSet(offsets, 0, period)
     return histogram(folded, 0.0, experiments.HIST_BIN_S, n_bins)
 
 
@@ -262,8 +268,7 @@ def click_dicts(draw):
     )
     sets = draw(st.lists(st.lists(time, max_size=30), min_size=1,
                          max_size=8))
-    clicksets = [ClickSet(np.array(ts, dtype=np.float64),
-                          np.full(len(ts), i), 40 * period)
+    clicksets = [ClickSet(np.array(ts, dtype=np.float64), i, 40 * period)
                  for i, ts in enumerate(sets)]
     n_bins = draw(st.integers(1, int(period / experiments.HIST_BIN_S) + 2))
     return clicksets, period, n_bins
@@ -292,8 +297,8 @@ class TestFoldedHistogram:
         # its own bin of the folded period, and one past the bins.
         period = 1e-4
         lengths = sorted({0, 1, block - 1, block, block + 1, 2 * block + 3})
-        clicksets = [ClickSet((np.arange(n) + 0.5) * 1e-6 + i * period,
-                              np.zeros(n, dtype=int), 1.0)
+        clicksets = [ClickSet((np.arange(n) + 0.5) * 1e-6 + i * period, 0,
+                              1.0)
                      for i, n in enumerate(lengths)]
         with mock.patch.object(kernels, "_BLOCK_CLICKS", block):
             got = experiments._folded_histogram(clicksets, period, 2 * block)
@@ -309,7 +314,7 @@ class TestFoldedHistogram:
         # block by block peaks at one O(block) bound whatever the sets.
         rng = np.random.default_rng(2)
         for n in (20_000, 150_000):
-            clicksets = [ClickSet(rng.random(n), np.full(n, i), 1.0)
+            clicksets = [ClickSet(rng.random(n), i, 1.0)
                          for i in range(8)]
             experiments._folded_histogram(clicksets[:1], 1e-3, 10_000)
             tracemalloc.start()
@@ -509,7 +514,7 @@ class TestHwpSweep:
 
 
 class TestPortDetectors:
-    """Each port is counted with its own detector model."""
+    """Both ports are counted with the one detector model."""
 
     DETS = (DetectorModel(efficiency=0.9, dark_rate_hz=100.0),
             DetectorModel(efficiency=0.37, dark_rate_hz=5e3))
@@ -518,19 +523,21 @@ class TestPortDetectors:
         cfg = analytic_config(hwp_angles=default_hwp_grid(8))
         topo = BufferTopology(depol_per_cycle=0.01)
         runs = {}
-        results = run_hwp_sweep(cfg, topo, self.DETS, runs=runs)
-        swapped = run_hwp_sweep(cfg, topo, self.DETS[::-1], runs=runs)
+        results = run_hwp_sweep(cfg, topo, self.DETS[0], runs=runs)
+        other = run_hwp_sweep(cfg, topo, self.DETS[1], runs=runs)
         max_cycles = max(p.cycles for _, sim in runs.values()
                          for p in sim.retrieved)
         table = share_table(topo, cfg.hwp_angles, max_cycles, cfg.bases)
         assert {r.basis for r in results} == set(cfg.bases) == set(BASES)
-        for r, s in zip(results, swapped):
-            main, _ = runs[r.eta]
-            shares = table[r.basis][:, :, main.cycles]
-            for i, port in np.ndindex(len(r.angles), 2):
-                assert r.expected[port, i] == cfg.n_triggers * \
-                    click_probability(main.mu * float(shares[i, port]),
-                                      self.DETS[port], cfg.count_window_s)
+        for det, sweep in zip(self.DETS, (results, other)):
+            for r in sweep:
+                main, _ = runs[r.eta]
+                shares = table[r.basis][:, :, main.cycles]
+                for i, port in np.ndindex(len(r.angles), 2):
+                    assert r.expected[port, i] == cfg.n_triggers * \
+                        click_probability(main.mu * float(shares[i, port]),
+                                          det, cfg.count_window_s)
+        for r, s in zip(results, other):
             assert not np.array_equal(r.expected, s.expected)
 
     def test_monte_carlo_samples_each_port_with_its_detector(
@@ -544,10 +551,17 @@ class TestPortDetectors:
         monkeypatch.setattr(experiments, "sample_clicks", recording)
         cfg = analytic_config(mode="monte-carlo", n_triggers=2000,
                               eta_list=(1,), hwp_angles=default_hwp_grid(8))
-        run_hwp_sweep(cfg, BufferTopology(), self.DETS)
+        run_hwp_sweep(cfg, BufferTopology(), self.DETS[1])
         assert len(seen) == 2 * 8 * 2  # bases x angles x ports
-        assert all(det is self.DETS[port] for port, det in seen)
-        assert {port for port, _ in seen} == {0, 1}
+        assert all(det is self.DETS[1] for _, det in seen)
+        assert [port for port, _ in seen] == [0, 1] * 2 * 8
+
+    @pytest.mark.parametrize("det", [DETS, list(DETS), None, "det"],
+                             ids=["pair", "list", "none", "str"])
+    def test_anything_but_one_model_rejected(self, det):
+        with pytest.raises(InputDomainError) as info:
+            run_hwp_sweep(analytic_config(), BufferTopology(), det)
+        assert info.value.field == "det"
 
 
 def closed_form_bloch(prep, table, cycles):
