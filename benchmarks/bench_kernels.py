@@ -76,9 +76,9 @@ from qbuffer.detection import (ClickSet, DetectorModel, TriggerTrain,
                                click_probability, count_triggered,
                                sample_clicks)
 from qbuffer.config import plan_from_config, resolve_config
-from qbuffer.engine import simulate
+from qbuffer.engine import simulate, storage_retrieval_schedule
 from qbuffer.experiments import (BASES, ExperimentConfig, linearized_counts,
-                                 preset_schedule, run_hwp_sweep, share_table,
+                                 run_hwp_sweep, share_table, source_pulses,
                                  visibility, write_sweep_csv)
 from qbuffer.polarization import STATE_H, apply_unitary, hwp_matrix
 
@@ -385,10 +385,14 @@ def main():
             print(f"{label:52s} {n_rows:9d} {'':7s} {dt * 1e3:8.2f}ms")
         if not filecmp.cmp(*paths, shallow=False):
             sys.exit("write_sweep_csv and the per-row writer differ")
-    runs = [preset_schedule(plan.topology, plan.experiment, eta)
-            for eta in plan.experiment.eta_list]
+    # Each setting's schedule, built as experiments._propagate builds it.
+    exp = plan.experiment
+    inputs = source_pulses(exp)
+    runs = [storage_retrieval_schedule(
+        plan.topology, inputs[0], eta - 1, drive_width=exp.drive_width_s,
+        guard=exp.drive_guard_s) for eta in exp.eta_list]
     dt = timeit(lambda: [simulate(plan.topology, sched, inputs, plan.limits)
-                         for inputs, sched in runs], repeats=7)
+                         for sched in runs], repeats=7)
     print(f"{'simulate, analytic-deep settings':52s} {len(runs):9d} "
           f"{'':7s} {dt * 1e3:8.2f}ms")
 

@@ -14,7 +14,7 @@ one tree. The runs are:
   drive plus one drive that overlaps no passage, so the run's
   ``summary.json`` carries a warning;
 * the argv of each workload in ``perfbench/run.py`` (seed 0), taken from
-  its ``WORKLOADS``.
+  its ``WORKLOADS``, and ``validate`` of its preset with its overrides.
 
 Every run must exit 0 on both trees, with the same stdout and stderr once
 each run's output directory is written as ``OUT``. Every output file
@@ -117,6 +117,9 @@ def cases(presets: list, workloads: dict, custom: Path) -> list:
     for name, workload in workloads.items():
         out.append((f"workload-{name}",
                     lambda d, w=workload: w.argv(0, d), True))
+        out.append((f"workload-{name}-validate", lambda d, w=workload: [
+            "validate", "--preset", w.preset,
+            *(a for item in w.overrides for a in ("--set", item))], False))
     return out
 
 

@@ -25,14 +25,14 @@ from .config import (
     preset_listing,
     resolve_config,
 )
-from .engine import simulate, storage_period, validate_schedule
+from .engine import storage_period
 from .errors import CalibrationError, ConfigError, QBufferError, ScheduleError
 from .experiments import (
+    _propagate,
     apply_calibration,
     average_visibility_by_eta,
     calibrate,
     fit_decay,
-    preset_schedule,
     run_hwp_sweep,
     run_retrieval_sweep,
     simulate_checked,
@@ -88,8 +88,8 @@ def _run_retrieval(plan, on_clicks=None):
            else "expected_counts_linear")
     fit = fit_decay([(r.eta, getattr(r, col)) for r in sweep.rows])
     summary = {
-        "preset": plan.preset,
-        "seed": plan.seed,
+        "preset": plan.experiment.preset,
+        "seed": plan.experiment.seed,
         "mode": plan.experiment.mode,
         "eta_convention": "eta = cycles + 1; eta = 1 is direct reflection",
         "delta_t_s": sweep.delta_t_s,
@@ -116,8 +116,8 @@ def _run_hwp(plan):
     results = run_hwp_sweep(plan.experiment, topology, plan.detector,
                             plan.limits, runs=runs)
     summary = {
-        "preset": plan.preset,
-        "seed": plan.seed,
+        "preset": plan.experiment.preset,
+        "seed": plan.experiment.seed,
         "mode": plan.experiment.mode,
         "eta_convention": "eta = cycles + 1; eta = 1 is direct reflection",
         "delta_t_s": storage_period(topology),
@@ -148,7 +148,7 @@ def _run_custom(plan):
         plan.limits, "custom schedule")
     summary = {
         "preset": "custom-schedule",
-        "seed": plan.seed,
+        "seed": plan.experiment.seed,
         "delta_t_s": storage_period(plan.topology),
         "n_retrieved": len(result.retrieved),
         "retrieved": [
@@ -241,8 +241,8 @@ def cmd_run(args) -> int:
         manifest = {
             "artifact_version": __version__,
             "schema_version": cfg["schema_version"],
-            "preset": plan.preset,
-            "seed": plan.seed,
+            "preset": plan.experiment.preset,
+            "seed": plan.experiment.seed,
             "outputs": outputs,
             "duration_s": time.perf_counter() - started,
             "config": plan.snapshot,
@@ -276,24 +276,30 @@ def cmd_validate(args) -> int:
     except ConfigError as exc:
         return _err("schema", 2, path=exc.path, message=exc.message)
 
+    if plan.schedule is None:
+        checks = [(f"eta={eta}", lambda eta=eta: _propagate(
+            plan.topology, plan.experiment, eta, plan.limits)[2])
+            for eta in plan.propagated_etas]
+    else:
+        checks = [("custom", lambda: simulate_checked(
+            plan.topology, plan.schedule, source_pulses(plan.experiment),
+            plan.limits, "custom schedule")[1])]
     any_error = False
     try:
-        if plan.schedule is not None:
-            schedules = [("custom", source_pulses(plan.experiment),
-                          plan.schedule)]
-        else:
-            schedules = [(f"eta={eta}", *preset_schedule(
-                plan.topology, plan.experiment, eta))
-                for eta in plan.propagated_etas]
-        for label, inputs, sched in schedules:
-            for v in validate_schedule(simulate(plan.topology, sched,
-                                                inputs, plan.limits)):
+        for label, check in checks:
+            try:
+                violations, failure = check(), None
+            except ScheduleError as exc:
+                violations, failure, any_error = exc.violations, exc, True
+            for v in violations:
                 print(f"{v.severity}: [{label}] {v.code}: {v.message}")
-                any_error = any_error or v.severity == "error"
+            if failure and all(v.severity != "error" for v in violations):
+                print(f"error: [{label}] {failure}")
     except QBufferError as exc:
         return _err("run", 2, message=str(exc))
-    any_drive = any(len(s) for _, _, s in schedules)
-    if not any_drive:
+    # Only a preset setting stored for 0 cycles has no drives.
+    if not (len(plan.schedule) if plan.schedule is not None
+            else max(plan.propagated_etas) > 1):
         print("warning: no drive pulses; every pulse reflects directly")
     if any_error:
         return _err("schedule", 3, message="schedule validation failed")

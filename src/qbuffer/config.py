@@ -215,8 +215,6 @@ class RunPlan:
     """Everything one run needs, built from a validated config."""
 
     kind: str  # retrieval-sweep | hwp-sweep | custom
-    preset: str
-    seed: int
     experiment: ExperimentConfig
     topology: BufferTopology
     detector: DetectorModel
@@ -281,9 +279,8 @@ def plan_from_config(cfg: dict) -> RunPlan:
             for i, d in enumerate(cfg["schedule"]))
         schedule = _build(lambda field: "schedule" + field.removeprefix(
             "pulses"), DriveSchedule, drives)
-    plan = RunPlan(kind, cfg["preset"], cfg["seed"], experiment, topology,
-                   detector, limits, calibration, schedule,
-                   copy.deepcopy(cfg))
+    plan = RunPlan(kind, experiment, topology, detector, limits, calibration,
+                   schedule, copy.deepcopy(cfg))
     if schedule is None:
         # A preset sweep stores each pulse for eta - 1 cycles; the cycle
         # limit must let the longest one out.

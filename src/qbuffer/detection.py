@@ -199,9 +199,11 @@ class Histogram:
         if raw.dtype.kind not in "iu" and not (raw.dtype.kind == "f" and (
                 (raw == np.trunc(raw)) & (np.abs(raw) < 2.0**63)).all()):
             raise InputDomainError("counts must be whole numbers", "counts")
+        if raw.dtype.kind == "u" and (raw >= 2**63).any():  # would wrap
+            raise InputDomainError("counts must be below 2**63", "counts")
         c = np.ascontiguousarray(raw, dtype=np.int64).view()
         if (c < 0).any():
-            raise InputDomainError("counts must be non-negative")
+            raise InputDomainError("counts must be non-negative", "counts")
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
 

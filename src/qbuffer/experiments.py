@@ -372,15 +372,6 @@ def source_pulses(config: ExperimentConfig) -> list:
                                 config.mu_source, 1)
 
 
-def preset_schedule(topology, config: ExperimentConfig, eta: int):
-    """(source pulses, drive schedule) of retrieval setting ``eta``: the
-    schedule that retrieves the source pulse after ``eta - 1`` cycles."""
-    inputs = source_pulses(config)
-    return inputs, storage_retrieval_schedule(
-        topology, inputs[0], eta - 1, drive_width=config.drive_width_s,
-        guard=config.drive_guard_s)
-
-
 def simulate_checked(topology, schedule, inputs, limits, name: str):
     """``simulate`` the inputs once and ``validate_schedule`` that run.
 
@@ -399,25 +390,36 @@ def simulate_checked(topology, schedule, inputs, limits, name: str):
 
 
 def _propagate(topology, config, eta, limits):
-    """Run the source pulse through the schedule of setting ``eta`` once,
-    check the schedule on that run, and return (retained pulse, result)."""
-    inputs, sched = preset_schedule(topology, config, eta)
-    res, _ = simulate_checked(topology, sched, inputs, limits,
-                              f"schedule for eta={eta}")
+    """The one checked engine run of setting ``eta``: the source pulse
+    through the schedule that retrieves it after ``eta - 1`` cycles.
+    Returns (retained pulse, result, violations). Raises ScheduleError,
+    with the run's violations, unless the schedule is safe and exactly one
+    pulse exits at ``eta - 1`` cycles, and InputDomainError if its count
+    window ends after the next trigger."""
+    inputs = source_pulses(config)
+    sched = storage_retrieval_schedule(
+        topology, inputs[0], eta - 1, drive_width=config.drive_width_s,
+        guard=config.drive_guard_s)
+    res, violations = simulate_checked(topology, sched, inputs, limits,
+                                       f"schedule for eta={eta}")
     main = res.retrieved_with_cycles(eta - 1)
     if len(main) != 1:
         raise ScheduleError(
             f"schedule for eta={eta} produced {len(main)} retrievals at "
-            f"cycles={eta - 1} instead of exactly one")
-    return main[0], res
+            f"cycles={eta - 1} instead of exactly one", violations)
+    if main[0].t + config.count_window_s >= 1.0 / config.rep_rate_hz:
+        raise InputDomainError(
+            f"exit time {main[0].t} of eta={eta} exceeds the trigger period")
+    return main[0], res, violations
 
 
 def _propagated(runs: dict, topology, config, eta, limits):
-    """``_propagate`` once per eta into ``runs``. The engine applies no
-    depolarization, so a run serves every topology that differs only in it
-    (a calibrated one), with the same config and limits."""
+    """``_propagate`` once per eta into ``runs``, as (retained pulse,
+    result). The engine applies no depolarization, so a run serves every
+    topology that differs only in it (a calibrated one), with the same
+    config and limits."""
     if eta not in runs:
-        runs[eta] = _propagate(topology, config, eta, limits)
+        runs[eta] = _propagate(topology, config, eta, limits)[:2]
     return runs[eta]
 
 
@@ -481,10 +483,7 @@ def run_retrieval_sweep(config: ExperimentConfig, topology: BufferTopology,
     rows: list[PeakRow] = []
     sims: dict[int, object] = {}
     for eta in config.eta_list:
-        main, sims[eta] = _propagate(topology, config, eta, limits)
-        if main.t + window >= period:
-            raise InputDomainError(
-                f"exit time {main.t} of eta={eta} exceeds the trigger period")
+        main, sims[eta], _ = _propagate(topology, config, eta, limits)
         rows.append(PeakRow(eta, eta - 1, main.t, eta * delta_t, main.mu,
                             n * click_probability(main.mu, det, window), None,
                             n * main.mu * det.efficiency, None))

@@ -44,6 +44,16 @@ def _as_matrix(m, field: str) -> np.ndarray:
     return a
 
 
+def _jones(field: str, vec) -> np.ndarray:
+    """``vec`` as a complex Jones 2-vector; InputDomainError naming
+    ``field`` unless it holds exactly 2 numbers."""
+    v = _array(field, np.asarray, vec, dtype=np.complex128)
+    if v.size != 2:
+        raise InputDomainError(
+            f"{field} must hold 2 components, not {v.size}", field)
+    return v.reshape(2)
+
+
 def _dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each 2x2 matrix in a ``(..., 2, 2)`` stack."""
     return m.conj().swapaxes(-1, -2)
@@ -113,7 +123,7 @@ class PolState:
     @classmethod
     def from_jones(cls, vec) -> "PolState":
         """Pure state |v><v| from a (not necessarily normalized) Jones vector."""
-        v = _array("vec", np.asarray, vec, dtype=np.complex128).reshape(2)
+        v = _jones("vec", vec)
         n = np.linalg.norm(v)
         if n == 0 or not np.isfinite(n):
             raise InputDomainError("Jones vector must be nonzero and finite")
@@ -196,7 +206,7 @@ def apply_depolarizing(state: PolState, p: float) -> PolState:
 
 def projection_probability(state: PolState, axis) -> float:
     """Probability <a|rho|a> of projecting onto a unit Jones vector ``axis``."""
-    a = _array("axis", np.asarray, axis, dtype=np.complex128).reshape(2)
+    a = _jones("axis", axis)
     if not abs(np.linalg.norm(a) - 1.0) <= INPUT_TOL:  # NaN fails it
         raise InputDomainError("projection axis must be normalized within 1e-9")
     p = float(np.vdot(a, state.rho @ a).real)

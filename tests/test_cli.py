@@ -255,6 +255,29 @@ class TestRun:
         assert any(v["code"] == "unintended-readout"
                    for v in report["violations"])
 
+    def test_lost_retrieval_lists_the_run_warnings(self, tmp_path, capsys):
+        # A 300 ns guard closes each 180 ns drive before the pulse reaches
+        # the modulator, so nothing is stored and eta = 2 retrieves nothing.
+        code = small_run(tmp_path / "o",
+                         "--set", "experiment.drive_guard_s=3e-7")
+        assert code == 3
+        report = one_json_error(capsys)
+        assert "eta=2 produced 0 retrievals" in report["message"]
+        assert {v["code"] for v in report["violations"]} == {"no-op-drive"}
+
+    @pytest.mark.parametrize("preset", ["fig2-insets", "ideal-system"])
+    def test_exit_after_the_next_trigger_exits_two(self, tmp_path, capsys,
+                                                   preset):
+        # A 10 us trigger period ends before eta = 3's exit (about 16.6 us).
+        code = run_cli("run", "--preset", preset,
+                       "--set", "experiment.rep_rate_hz=1e5",
+                       "--set", "experiment.n_triggers=2000",
+                       "--out", str(tmp_path / "o"))
+        assert code == 2
+        report = one_json_error(capsys)
+        assert report["message"].startswith("exit time ")
+        assert "of eta=3 exceeds the trigger period" in report["message"]
+
     def test_custom_schedule_run(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
@@ -551,8 +574,39 @@ class TestCalibrationSection:
 
 class TestValidate:
     def test_default_operating_point(self, capsys):
-        assert run_cli("validate", "--preset", "fig2-main") == 0
-        assert "schedule ok" in capsys.readouterr().out
+        for preset in sorted(PRESETS):
+            assert run_cli("validate", "--preset", preset) == 0, preset
+            assert capsys.readouterr().out == "schedule ok\n", preset
+
+    def test_lost_retrieval_is_an_error(self, capsys):
+        # The drives open on no passage: a warning each, and no retrieval.
+        code = run_cli("validate", "--preset", "fig2-main",
+                       "--set", "experiment.drive_guard_s=3e-7")
+        assert code == 3
+        out = capsys.readouterr().out
+        assert "warning: [eta=2] no-op-drive: " in out
+        assert ("error: [eta=2] schedule for eta=2 produced 0 retrievals at "
+                "cycles=1 instead of exactly one\n") in out
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_exit_after_the_next_trigger_exits_two(self, capsys, preset):
+        code = run_cli("validate", "--preset", preset,
+                       "--set", "experiment.rep_rate_hz=1e5")
+        assert code == 2
+        report = one_json_error(capsys)
+        assert report["error"] == "run"
+        assert "exceeds the trigger period" in report["message"]
+
+    @pytest.mark.parametrize("override", [
+        None, "experiment.drive_guard_s=3e-7",
+        "experiment.drive_width_s=1.2e-6", "experiment.rep_rate_hz=1e5"])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_agrees_with_run(self, tmp_path, capsys, preset, override):
+        args = ["--preset", preset, "--set", "experiment.n_triggers=2000"]
+        if override is not None:
+            args += ["--set", override]
+        ran = run_cli("run", *args, "--out", str(tmp_path / "o"))
+        assert run_cli("validate", *args) == ran
 
     def test_long_drive_rejected(self, capsys):
         code = run_cli("validate", "--preset", "fig2-main",

@@ -410,6 +410,8 @@ class TestConstructorDomain:
         (lambda: PolState.from_jones(["a", 1]), "vec"),
         (lambda: JonesOp([["a", 0], [0, 1]]), "m"),
         (lambda: projection_probability(STATE_H, ["a", 1]), "axis"),
+        (lambda: PolState.from_jones([1, 0, 0]), "vec"),
+        (lambda: projection_probability(STATE_H, [1, 0, 0]), "axis"),
     ], ids=[
         "topology-inf-loop", "topology-inf-group-index", "topology-nan-v-pi",
         "topology-bool-loss", "topology-str-length", "topology-nan-element",
@@ -429,7 +431,8 @@ class TestConstructorDomain:
         "sagnac-bool-phase", "sagnac-str-phase", "phase-str-start",
         "depolarizing-bool-p", "record-str-t", "record-bool-mu",
         "train-bool-rate", "schedule-nan-guard", "polstate-str-rho",
-        "jones-str-vec", "jonesop-str-m", "projection-str-axis"])
+        "jones-str-vec", "jonesop-str-m", "projection-str-axis",
+        "jones-three-vec", "projection-three-axis"])
     def test_rejected_with_field(self, build, field):
         with pytest.raises(InputDomainError) as info:
             build()

@@ -631,6 +631,10 @@ DOMAIN_CASES = {
                              "counts"),
     "histogram-bool-counts": (lambda cs: Histogram(0.0, 1.0, [True]),
                               "counts"),
+    "histogram-negative-counts": (lambda cs: Histogram(0.0, 1.0, [1, -1]),
+                                  "counts"),
+    "histogram-counts-beyond-int64": (lambda cs: Histogram(
+        0.0, 1.0, np.array([2 ** 63], np.uint64)), "counts"),
     "clickset-2d-times": (lambda cs: ClickSet(np.zeros((2, 2)), 0, 1.0),
                           "times"),
     "clickset-str-times": (lambda cs: ClickSet(["a"], 0, 1.0), "times"),
