@@ -385,7 +385,7 @@ def main():
             print(f"{label:52s} {n_rows:9d} {'':7s} {dt * 1e3:8.2f}ms")
         if not filecmp.cmp(*paths, shallow=False):
             sys.exit("write_sweep_csv and the per-row writer differ")
-    # Each setting's schedule, built as experiments._propagate builds it.
+    # Each setting's schedule, built as experiments.propagate builds it.
     exp = plan.experiment
     inputs = source_pulses(exp)
     runs = [storage_retrieval_schedule(

@@ -14,7 +14,11 @@ one tree. The runs are:
   drive plus one drive that overlaps no passage, so the run's
   ``summary.json`` carries a warning;
 * the argv of each workload in ``perfbench/run.py`` (seed 0), taken from
-  its ``WORKLOADS``, and ``validate`` of its preset with its overrides.
+  its ``WORKLOADS``, and ``validate`` of its preset with its overrides;
+* ``validate`` of two configs that pass with more than "schedule ok" on
+  stdout: ideal-system with ``eta_list=[1]``, which warns that no drive
+  pulse is sent, and fig2-insets with ``n_triggers=3``, whose all-zero
+  sampled counts only ``run`` sees.
 
 Every run must exit 0 on both trees, with the same stdout and stderr once
 each run's output directory is written as ``OUT``. Every output file
@@ -40,6 +44,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1, 2)
 FORMATS = ("csv", "json")
+
+#: ``validate`` runs that exit 0 but print more than "schedule ok".
+VALIDATE_ONLY = {
+    "ideal-system-one-setting-validate": [
+        "--preset", "ideal-system", "--set", "experiment.eta_list=[1]"],
+    "fig2-insets-three-triggers-validate": [
+        "--preset", "fig2-insets", "--set", "experiment.n_triggers=3"],
+}
 
 #: Store after one loop traversal, retrieve one storage period later, and
 #: a third drive long after the pulse has left.
@@ -120,6 +132,8 @@ def cases(presets: list, workloads: dict, custom: Path) -> list:
         out.append((f"workload-{name}-validate", lambda d, w=workload: [
             "validate", "--preset", w.preset,
             *(a for item in w.overrides for a in ("--set", item))], False))
+    for label, argv in VALIDATE_ONLY.items():
+        out.append((label, lambda d, a=argv: ["validate", *a], False))
     return out
 
 

@@ -1,8 +1,12 @@
 """Command-line entry point.
 
 Subcommands: ``run`` executes a preset or a custom drive schedule and writes
-result files plus a manifest; ``validate`` checks drive timing without
-running the measurement; ``presets`` lists the built-in experiments.
+result files plus a manifest; ``validate`` runs the same stages with the
+counts of the click model, drawing no sample and writing no file, so it
+makes every check that needs no random draw; ``presets`` lists the
+built-in experiments. Run-only are the checks of the draw (sampled counts
+too few to analyse at a small ``n_triggers``; the sampler's limits on
+pulses, dark clicks and memory) and of the output files.
 
 Exit codes: 0 success, 2 configuration or schema problem, 3 unsafe drive
 schedule. Errors are reported as one JSON object on stderr.
@@ -11,11 +15,13 @@ schedule. Errors are reported as one JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
 import sys
 import time
+from dataclasses import replace
 
 from . import __version__
 from .config import (
@@ -28,11 +34,11 @@ from .config import (
 from .engine import storage_period
 from .errors import CalibrationError, ConfigError, QBufferError, ScheduleError
 from .experiments import (
-    _propagate,
     apply_calibration,
     average_visibility_by_eta,
     calibrate,
     fit_decay,
+    propagate,
     run_hwp_sweep,
     run_retrieval_sweep,
     simulate_checked,
@@ -81,84 +87,113 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def _run_retrieval(plan, on_clicks=None):
-    sweep = run_retrieval_sweep(plan.experiment, plan.topology,
-                                plan.detector, plan.limits, on_clicks)
-    col = ("sampled_counts_linear" if plan.experiment.mode == "monte-carlo"
-           else "expected_counts_linear")
-    fit = fit_decay([(r.eta, getattr(r, col)) for r in sweep.rows])
-    summary = {
-        "preset": plan.experiment.preset,
-        "seed": plan.experiment.seed,
-        "mode": plan.experiment.mode,
-        "eta_convention": "eta = cycles + 1; eta = 1 is direct reflection",
-        "delta_t_s": sweep.delta_t_s,
-        "retrieval_span_s": sweep.span_s,
-        "n_peaks": len(sweep.rows),
-        "fitted_loss_db_per_cycle": fit.loss_db_per_cycle,
-        "fit_residual_db": fit.residual_db,
-        "configured_cycle_loss_db": plan.topology.cycle_loss_db(),
-        "visibilities": None,
-    }
-    return sweep, fit, summary
+def run_plan(plan, on_clicks=None, *, checks: dict | None = None):
+    """Run a plan's stages in order: propagate every setting, calibrate,
+    sweep, analyse. Returns (summary, results): the ``summary.json``
+    document and the retrieval sweep, the fringe sweep's VisibilityResults
+    or the custom schedule's engine result.
 
+    Every setting is propagated, and a ``checks`` dict receives its
+    (schedule violations, error or None) under its label, ``eta=N`` or
+    ``custom``, before the first error is raised; so a caller can list
+    every setting's violations when this raises. Each setting has one
+    engine run, which calibration and the sweep share. An analytic plan
+    draws no sample; ``on_clicks`` is ``run_retrieval_sweep``'s.
+    """
+    exp, topology, runs, done = plan.experiment, plan.topology, {}, {}
+    checks = {} if checks is None else checks
+    if plan.schedule is None:
+        settings = {f"eta={eta}": functools.partial(
+            propagate, runs, topology, exp, eta, plan.limits)
+            for eta in plan.propagated_etas}
+    else:
+        settings = {"custom": functools.partial(
+            simulate_checked, topology, plan.schedule, source_pulses(exp),
+            plan.limits, "custom schedule")}
+    for label, run in settings.items():
+        try:
+            done[label] = run()
+            checks[label] = (done[label][-1], None)
+        except QBufferError as exc:
+            checks[label] = (getattr(exc, "violations", []), exc)
+    for _, error in checks.values():
+        if error is not None:
+            raise error
 
-def _run_hwp(plan):
+    summary = {"preset": exp.preset, "seed": exp.seed,
+               "delta_t_s": storage_period(topology), "visibilities": None}
+    if plan.schedule is not None:
+        result, violations = done["custom"]
+        summary.update(preset="custom-schedule",
+                       n_retrieved=len(result.retrieved),
+                       retrieved=[{"pulse_id": p.id, "time_s": p.t,
+                                   "mu": p.mu, "cycles": p.cycles}
+                                  for p in result.retrieved],
+                       warnings=[v.message for v in violations])
+        return summary, result
+    summary.update(mode=exp.mode, fitted_loss_db_per_cycle=None,
+                   fit_residual_db=None, eta_convention="eta = cycles + 1; "
+                   "eta = 1 is direct reflection")
+    if plan.kind == "retrieval-sweep":
+        sweep = run_retrieval_sweep(exp, topology, plan.detector,
+                                    plan.limits, on_clicks, runs=runs)
+        col = ("sampled_counts_linear" if exp.mode == "monte-carlo"
+               else "expected_counts_linear")
+        fit = fit_decay([(r.eta, getattr(r, col)) for r in sweep.rows])
+        summary.update(retrieval_span_s=sweep.span_s,
+                       n_peaks=len(sweep.rows),
+                       fitted_loss_db_per_cycle=fit.loss_db_per_cycle,
+                       fit_residual_db=fit.residual_db,
+                       configured_cycle_loss_db=topology.cycle_loss_db())
+        return summary, sweep
+
     cal = None
-    topology = plan.topology
-    runs = {}  # one engine run per setting, for calibration and sweep
     if plan.calibration.mode != "none":
-        cal = calibrate(plan.calibration.targets, topology,
-                        plan.experiment, plan.detector,
-                        mode=plan.calibration.mode, limits=plan.limits,
-                        runs=runs)
+        cal = calibrate(plan.calibration.targets, topology, exp,
+                        plan.detector, mode=plan.calibration.mode,
+                        limits=plan.limits, runs=runs)
         topology = apply_calibration(topology, cal)
-    results = run_hwp_sweep(plan.experiment, topology, plan.detector,
-                            plan.limits, runs=runs)
-    summary = {
-        "preset": plan.experiment.preset,
-        "seed": plan.experiment.seed,
-        "mode": plan.experiment.mode,
-        "eta_convention": "eta = cycles + 1; eta = 1 is direct reflection",
-        "delta_t_s": storage_period(topology),
-        "fitted_loss_db_per_cycle": None,
-        "fit_residual_db": None,
-        "visibilities": [
+    results = run_hwp_sweep(exp, topology, plan.detector, plan.limits,
+                            runs=runs)
+    summary.update(
+        visibilities=[
             {"eta": r.eta, "basis": r.basis, "visibility": r.visibility,
              "visibility_per_port": list(r.visibility_per_port)}
-            for r in results
-        ],
-        "average_visibility_by_eta": {
-            str(k): v for k, v in average_visibility_by_eta(results).items()
-        },
-        "calibration": None if cal is None else {
+            for r in results],
+        average_visibility_by_eta={
+            str(k): v for k, v in average_visibility_by_eta(results).items()},
+        calibration=None if cal is None else {
             "mode": cal.mode,
             "prep_error_depol": cal.prep_error_depol,
             "depol_per_cycle": list(cal.depol_per_cycle),
             "targets": {str(k): v for k, v in cal.targets.items()},
             "residuals": {str(k): v for k, v in cal.residuals.items()},
-        },
-    }
-    return results, cal, summary
+        })
+    return summary, results
 
 
-def _run_custom(plan):
-    result, violations = simulate_checked(
-        plan.topology, plan.schedule, source_pulses(plan.experiment),
-        plan.limits, "custom schedule")
-    summary = {
-        "preset": "custom-schedule",
-        "seed": plan.experiment.seed,
-        "delta_t_s": storage_period(plan.topology),
-        "n_retrieved": len(result.retrieved),
-        "retrieved": [
-            {"pulse_id": p.id, "time_s": p.t, "mu": p.mu, "cycles": p.cycles}
-            for p in result.retrieved
-        ],
-        "warnings": [v.message for v in violations],
-        "visibilities": None,
-    }
-    return result, summary
+def _failure(exc) -> int:
+    """Report the error that ended ``run`` or ``validate``; its exit
+    code."""
+    if isinstance(exc, ScheduleError):
+        return _err("schedule", 3, message=str(exc),
+                    violations=[{"severity": v.severity, "code": v.code,
+                                 "message": v.message}
+                                for v in exc.violations])
+    if isinstance(exc, CalibrationError):
+        return _err("calibration", 2, message=str(exc))
+    if isinstance(exc, MemoryError):
+        # A trigger count or dark rate whose draws do not fit in memory.
+        return _err("run", 2, message=f"workload too large: {exc}")
+    if isinstance(exc, OSError):
+        # --out or an output name is taken by a file or a directory, or
+        # cannot be written.
+        return _err("output", 2, message=str(exc))
+    return _err("run", 2, message=str(exc))
+
+
+#: The errors ``_failure`` reports.
+_FAILURES = (QBufferError, MemoryError, OSError)
 
 
 def cmd_run(args) -> int:
@@ -180,64 +215,41 @@ def cmd_run(args) -> int:
         writer(path)
         outputs.append(name)
 
-    def failed(code):
-        # A failed run leaves none of the files it has written.
-        for name in set(outputs + click_files):
-            try:
-                os.remove(os.path.join(out_dir, name))
-            except OSError:
-                pass
-        return code
+    def write_clicks(eta, clicks):
+        name = f"clicks_eta{eta}.csv"
+        clicks.write_csv(os.path.join(out_dir, name))
+        click_files.append(name)
 
     try:
         os.makedirs(out_dir, exist_ok=True)
-        if plan.kind == "retrieval-sweep":
-            def write_clicks(eta, clicks):
-                name = f"clicks_eta{eta}.csv"
-                clicks.write_csv(os.path.join(out_dir, name))
-                click_files.append(name)
-
-            sweep, fit, summary = _run_retrieval(
-                plan, None if args.format == "json" else write_clicks)
-            if args.format == "json":
-                doc = {"summary": summary,
-                       "peaks": [vars(r) for r in sweep.rows]}
-                if sweep.histogram is not None:
-                    h = sweep.histogram
-                    doc["histogram"] = {"t0": h.t0, "bin_width": h.bin_width,
-                                        "counts": h.counts,
-                                        "overflow": h.overflow}
-                emit("results.json", lambda p: _write_json(p, doc))
-            else:
-                emit("peaks.csv",
-                     lambda p: write_peaks_csv(sweep.rows, p))
-                if sweep.histogram is not None:
-                    emit("histogram.csv", sweep.histogram.write_csv)
-                outputs += click_files
-                for eta, sim in sweep.sim_results.items():
-                    emit(f"event_log_eta{eta}.csv", sim.write_event_log_csv)
-                emit("summary.json", lambda p: _write_json(p, summary))
-        elif plan.kind == "hwp-sweep":
-            results, cal, summary = _run_hwp(plan)
-            if args.format == "json":
-                doc = {"summary": summary, "sweep": sweep_rows(results)}
-                emit("results.json", lambda p: _write_json(p, doc))
-            else:
-                emit("sweep.csv", lambda p: write_sweep_csv(results, p))
-                emit("summary.json", lambda p: _write_json(p, summary))
+        summary, results = run_plan(
+            plan, None if args.format == "json" else write_clicks)
+        if args.format == "json":
+            doc = {"summary": summary}
+            if plan.kind == "retrieval-sweep":
+                doc["peaks"] = [vars(r) for r in results.rows]
+                if results.histogram is not None:
+                    doc["histogram"] = vars(results.histogram)
+            elif plan.kind == "hwp-sweep":
+                doc["sweep"] = sweep_rows(results)
+            emit("results.json", lambda p: _write_json(p, doc))
         else:
-            result, summary = _run_custom(plan)
-            if args.format == "json":
-                doc = {"summary": summary}
-                emit("results.json", lambda p: _write_json(p, doc))
+            if plan.kind == "retrieval-sweep":
+                emit("peaks.csv", lambda p: write_peaks_csv(results.rows, p))
+                if results.histogram is not None:
+                    emit("histogram.csv", results.histogram.write_csv)
+                outputs += click_files
+                for eta, sim in results.sim_results.items():
+                    emit(f"event_log_eta{eta}.csv", sim.write_event_log_csv)
+            elif plan.kind == "hwp-sweep":
+                emit("sweep.csv", lambda p: write_sweep_csv(results, p))
             else:
-                emit("event_log.csv", result.write_event_log_csv)
-                emit("summary.json", lambda p: _write_json(p, summary))
+                emit("event_log.csv", results.write_event_log_csv)
+            emit("summary.json", lambda p: _write_json(p, summary))
         for name in outputs:
             full = os.path.join(out_dir, name)
             if not os.path.exists(full) or os.path.getsize(full) == 0:
-                return failed(_err("run", 2, message=f"output {name} "
-                                   "missing or empty"))
+                raise QBufferError(f"output {name} missing or empty")
         manifest = {
             "artifact_version": __version__,
             "schema_version": cfg["schema_version"],
@@ -248,61 +260,43 @@ def cmd_run(args) -> int:
             "config": plan.snapshot,
         }
         _write_json(os.path.join(out_dir, "manifest.json"), manifest)
-    except ScheduleError as exc:
-        return failed(_err("schedule", 3, message=str(exc),
-                           violations=[{"severity": v.severity,
-                                        "code": v.code,
-                                        "message": v.message}
-                                       for v in exc.violations]))
-    except CalibrationError as exc:
-        return failed(_err("calibration", 2, message=str(exc)))
-    except QBufferError as exc:
-        return failed(_err("run", 2, message=str(exc)))
-    except MemoryError as exc:
-        # A trigger count or dark rate whose draws do not fit in memory.
-        return failed(_err("run", 2, message=f"workload too large: {exc}"))
-    except OSError as exc:
-        # --out or an output name is taken by a file or a directory, or
-        # cannot be written.
-        return failed(_err("output", 2, message=str(exc)))
+    except _FAILURES as exc:
+        code = _failure(exc)
+        # A failed run leaves none of the files it has written.
+        for name in set(outputs + click_files):
+            try:
+                os.remove(os.path.join(out_dir, name))
+            except OSError:
+                pass
+        return code
     print(f"wrote {len(outputs) + 1} files to {out_dir}")
     return 0
 
 
 def cmd_validate(args) -> int:
     try:
-        cfg = _resolve(args)
-        plan = plan_from_config(cfg)
+        plan = plan_from_config(_resolve(args))
     except ConfigError as exc:
         return _err("schema", 2, path=exc.path, message=exc.message)
 
-    if plan.schedule is None:
-        checks = [(f"eta={eta}", lambda eta=eta: _propagate(
-            plan.topology, plan.experiment, eta, plan.limits)[2])
-            for eta in plan.propagated_etas]
-    else:
-        checks = [("custom", lambda: simulate_checked(
-            plan.topology, plan.schedule, source_pulses(plan.experiment),
-            plan.limits, "custom schedule")[1])]
-    any_error = False
+    checks: dict = {}
     try:
-        for label, check in checks:
-            try:
-                violations, failure = check(), None
-            except ScheduleError as exc:
-                violations, failure, any_error = exc.violations, exc, True
+        # Counts from the click model: no sample is drawn, no file written.
+        run_plan(replace(plan, experiment=replace(plan.experiment,
+                                                  mode="analytic")),
+                 checks=checks)
+    except _FAILURES as exc:
+        return _failure(exc)
+    finally:
+        for label, (violations, error) in checks.items():
             for v in violations:
                 print(f"{v.severity}: [{label}] {v.code}: {v.message}")
-            if failure and all(v.severity != "error" for v in violations):
-                print(f"error: [{label}] {failure}")
-    except QBufferError as exc:
-        return _err("run", 2, message=str(exc))
-    # Only a preset setting stored for 0 cycles has no drives.
-    if not (len(plan.schedule) if plan.schedule is not None
-            else max(plan.propagated_etas) > 1):
-        print("warning: no drive pulses; every pulse reflects directly")
-    if any_error:
-        return _err("schedule", 3, message="schedule validation failed")
+            if error and all(v.severity != "error" for v in violations):
+                print(f"error: [{label}] {error}")
+        # Only a preset setting stored for 0 cycles has no drives.
+        if not (len(plan.schedule) if plan.schedule is not None
+                else max(plan.propagated_etas) > 1):
+            print("warning: no drive pulses; every pulse reflects directly")
     print("schedule ok")
     return 0
 
@@ -343,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.set_defaults(func=cmd_run)
 
-    val = sub.add_parser("validate", help="check drive-schedule timing")
+    val = sub.add_parser("validate", help="check a run without sampling "
+                         "or writing: schedules, calibration, analysis")
     common(val)
     val.set_defaults(func=cmd_validate)
 

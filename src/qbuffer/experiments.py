@@ -389,13 +389,18 @@ def simulate_checked(topology, schedule, inputs, limits, name: str):
     return result, violations
 
 
-def _propagate(topology, config, eta, limits):
+def propagate(runs: dict, topology, config, eta, limits):
     """The one checked engine run of setting ``eta``: the source pulse
-    through the schedule that retrieves it after ``eta - 1`` cycles.
-    Returns (retained pulse, result, violations). Raises ScheduleError,
-    with the run's violations, unless the schedule is safe and exactly one
-    pulse exits at ``eta - 1`` cycles, and InputDomainError if its count
-    window ends after the next trigger."""
+    through the schedule that retrieves it after ``eta - 1`` cycles, made
+    once per eta into ``runs``. Returns (retained pulse, result,
+    violations). Raises ScheduleError, with the run's violations, unless
+    the schedule is safe and exactly one pulse exits at ``eta - 1`` cycles,
+    and InputDomainError if its count window ends after the next trigger.
+    The engine applies no depolarization, so a run serves every topology
+    that differs only in it (a calibrated one), with the same config and
+    limits."""
+    if eta in runs:
+        return runs[eta]
     inputs = source_pulses(config)
     sched = storage_retrieval_schedule(
         topology, inputs[0], eta - 1, drive_width=config.drive_width_s,
@@ -410,16 +415,7 @@ def _propagate(topology, config, eta, limits):
     if main[0].t + config.count_window_s >= 1.0 / config.rep_rate_hz:
         raise InputDomainError(
             f"exit time {main[0].t} of eta={eta} exceeds the trigger period")
-    return main[0], res, violations
-
-
-def _propagated(runs: dict, topology, config, eta, limits):
-    """``_propagate`` once per eta into ``runs``, as (retained pulse,
-    result). The engine applies no depolarization, so a run serves every
-    topology that differs only in it (a calibrated one), with the same
-    config and limits."""
-    if eta not in runs:
-        runs[eta] = _propagate(topology, config, eta, limits)[:2]
+    runs[eta] = (main[0], res, violations)
     return runs[eta]
 
 
@@ -460,7 +456,8 @@ def _folded_histogram(clicksets, period: float, n_bins: int):
 
 def run_retrieval_sweep(config: ExperimentConfig, topology: BufferTopology,
                         det: DetectorModel, limits: SimLimits | None = None,
-                        on_clicks=None) -> RetrievalSweepResult:
+                        on_clicks=None, *,
+                        runs: dict | None = None) -> RetrievalSweepResult:
     """Timing sweep over the configured retrieval settings.
 
     Each setting runs its own schedule; expected counts come from the click
@@ -472,7 +469,8 @@ def run_retrieval_sweep(config: ExperimentConfig, topology: BufferTopology,
     are then sampled one at a time: each click set is counted, passed to
     ``on_clicks(eta, clicks)`` (once per setting, in ``eta_list`` order),
     folded into the histogram and dropped. A caller that wants the sets
-    keeps them, e.g. ``on_clicks=sets.__setitem__``.
+    keeps them, e.g. ``on_clicks=sets.__setitem__``. A ``runs`` dict
+    shares engine runs with earlier :func:`propagate` calls.
     """
     limits = limits or SimLimits()
     delta_t = storage_period(topology)
@@ -480,10 +478,11 @@ def run_retrieval_sweep(config: ExperimentConfig, topology: BufferTopology,
     n = config.n_triggers
     window = config.count_window_s
 
+    runs = {} if runs is None else runs
     rows: list[PeakRow] = []
     sims: dict[int, object] = {}
     for eta in config.eta_list:
-        main, sims[eta], _ = _propagate(topology, config, eta, limits)
+        main, sims[eta], _ = propagate(runs, topology, config, eta, limits)
         rows.append(PeakRow(eta, eta - 1, main.t, eta * delta_t, main.mu,
                             n * click_probability(main.mu, det, window), None,
                             n * main.mu * det.efficiency, None))
@@ -561,7 +560,7 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
     window = config.count_window_s
 
     runs = {} if runs is None else runs
-    runs = [_propagated(runs, topology, config, eta, limits)
+    runs = [propagate(runs, topology, config, eta, limits)[:2]
             for eta in config.eta_list]
     max_cycles = max(p.cycles for _, sim in runs for p in sim.retrieved)
     tables = share_table(topology, angles, max_cycles, config.bases)
@@ -692,7 +691,7 @@ def calibrate(targets: dict, topology: BufferTopology,
     bloch: dict[int, float] = {}
     vis_of = {}
     for eta in sorted(targets):
-        main, _ = _propagated(runs, topology, config, eta, limits)
+        main = propagate(runs, topology, config, eta, limits)[0]
         vis_of[eta] = _bloch_visibility(main.mu, config, det)
         bloch[eta] = _solve_bloch(targets[eta], vis_of[eta])
 

@@ -40,7 +40,8 @@ _I2 = np.eye(2, dtype=np.complex128)
 def _as_matrix(m, field: str) -> np.ndarray:
     a = _array(field, np.asarray, m, dtype=np.complex128)
     if a.shape != (2, 2):
-        raise InputDomainError(f"expected a 2x2 matrix, got shape {a.shape}")
+        raise InputDomainError(f"expected a 2x2 matrix, got shape {a.shape}",
+                               field)
     return a
 
 

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from qbuffer.cli import _run_hwp, _run_retrieval, main as cli_main
+from qbuffer.cli import main as cli_main, run_plan
 from qbuffer.components import (
     BufferTopology,
     db_to_transmission,
@@ -55,7 +55,7 @@ def test_c1_timing_reproduction():
     ok_dt = abs(dt - 5.876e-6) <= 0.005 * 5.876e-6
 
     started = time.perf_counter()
-    sweep, _fit, _summary = _run_retrieval(preset_plan("fig2-main", 7))
+    _summary, sweep = run_plan(preset_plan("fig2-main", 7))
     elapsed = time.perf_counter() - started
 
     ok_peaks = len(sweep.rows) == 8
@@ -71,7 +71,7 @@ def test_c1_timing_reproduction():
 def test_c2_visibility_reproduction():
     targets = {1: 0.955, 3: 0.953, 5: 0.835}
 
-    _results, _cal, summary = _run_hwp(
+    summary, _results = run_plan(
         preset_plan("fig2-insets", 42, "experiment.mode=\"analytic\""))
     analytic = {int(k): v
                 for k, v in summary["average_visibility_by_eta"].items()}
@@ -79,7 +79,7 @@ def test_c2_visibility_reproduction():
         abs(analytic[eta] - t) / t <= 1e-6 for eta, t in targets.items())
 
     started = time.perf_counter()
-    _results, _cal, summary = _run_hwp(preset_plan("fig2-insets", 42))
+    summary, _results = run_plan(preset_plan("fig2-insets", 42))
     elapsed = time.perf_counter() - started
     mc = {int(k): v for k, v in summary["average_visibility_by_eta"].items()}
     ok_mc = all(abs(mc[eta] - t) <= 0.02 for eta, t in targets.items())
@@ -125,12 +125,12 @@ def _mc_checks_for_preset(name: str, seed: int):
     plan = preset_plan(name, seed, "experiment.mode=\"monte-carlo\"")
     checks = []
     if plan.kind == "retrieval-sweep":
-        sweep, _fit, _summary = _run_retrieval(plan)
+        _summary, sweep = run_plan(plan)
         for r in sweep.rows:
             checks.append((f"{name}/eta{r.eta}", sweep.n_triggers,
                            r.expected_counts, r.sampled_counts))
     else:
-        results, _cal, _summary = _run_hwp(plan)
+        _summary, results = run_plan(plan)
         for r in results:
             for port in (0, 1):
                 for i in range(len(r.angles)):
@@ -170,14 +170,14 @@ def test_c5_loss_budget_fit():
     topo = BufferTopology()
     configured = topo.cycle_loss_db()
 
-    sweep, fit, _ = _run_retrieval(
+    summary, _sweep = run_plan(
         preset_plan("fig2-main", 5, "experiment.mode=\"analytic\""))
-    analytic_err = abs(fit.loss_db_per_cycle - configured)
+    analytic_err = abs(summary["fitted_loss_db_per_cycle"] - configured)
     ok_analytic = analytic_err <= 1e-9
 
-    sweep, fit, _ = _run_retrieval(
+    summary, _sweep = run_plan(
         preset_plan("fig2-main", 5, "experiment.n_triggers=1000000"))
-    mc_err = abs(fit.loss_db_per_cycle - configured)
+    mc_err = abs(summary["fitted_loss_db_per_cycle"] - configured)
     ok_mc = mc_err <= 0.1
     report("C5 loss-budget-fit", ok_analytic and ok_mc,
            f"analytic err={analytic_err:.2e}dB mc err={mc_err:.4f}dB "

@@ -599,14 +599,26 @@ class TestValidate:
 
     @pytest.mark.parametrize("override", [
         None, "experiment.drive_guard_s=3e-7",
-        "experiment.drive_width_s=1.2e-6", "experiment.rep_rate_hz=1e5"])
+        "experiment.drive_width_s=1.2e-6", "experiment.rep_rate_hz=1e5",
+        'calibration.targets={"1": 0.9, "3": 0.95}',
+        "experiment.hwp_angles=[0, 0.1, 0.2]", "experiment.eta_list=[1]"])
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_agrees_with_run(self, tmp_path, capsys, preset, override):
         args = ["--preset", preset, "--set", "experiment.n_triggers=2000"]
         if override is not None:
             args += ["--set", override]
         ran = run_cli("run", *args, "--out", str(tmp_path / "o"))
+        ran_err = capsys.readouterr().err
         assert run_cli("validate", *args) == ran
+        assert capsys.readouterr().err == ran_err
+
+    def test_sampled_counts_are_checked_by_run_only(self, tmp_path, capsys):
+        # Three triggers sample all-zero counts; the click model's do not.
+        args = ["--preset", "fig2-insets", "--set", "experiment.n_triggers=3"]
+        assert run_cli("validate", *args) == 0
+        assert capsys.readouterr().out == "schedule ok\n"
+        assert run_cli("run", *args, "--out", str(tmp_path / "o")) == 2
+        assert "more triggers are needed" in one_json_error(capsys)["message"]
 
     def test_long_drive_rejected(self, capsys):
         code = run_cli("validate", "--preset", "fig2-main",
@@ -627,7 +639,7 @@ class TestValidate:
         assert "[eta=5] unintended-readout" in out
 
     def test_empty_schedule_warns(self, capsys):
-        code = run_cli("validate", "--preset", "fig2-main",
+        code = run_cli("validate", "--preset", "ideal-system",
                        "--set", "experiment.eta_list=[1]")
         assert code == 0
         assert "no drive pulses" in capsys.readouterr().out

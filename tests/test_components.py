@@ -412,6 +412,8 @@ class TestConstructorDomain:
         (lambda: projection_probability(STATE_H, ["a", 1]), "axis"),
         (lambda: PolState.from_jones([1, 0, 0]), "vec"),
         (lambda: projection_probability(STATE_H, [1, 0, 0]), "axis"),
+        (lambda: PolState([[1, 0, 0]]), "rho"),
+        (lambda: JonesOp([[1, 0, 0], [0, 1, 0]]), "m"),
     ], ids=[
         "topology-inf-loop", "topology-inf-group-index", "topology-nan-v-pi",
         "topology-bool-loss", "topology-str-length", "topology-nan-element",
@@ -432,7 +434,8 @@ class TestConstructorDomain:
         "depolarizing-bool-p", "record-str-t", "record-bool-mu",
         "train-bool-rate", "schedule-nan-guard", "polstate-str-rho",
         "jones-str-vec", "jonesop-str-m", "projection-str-axis",
-        "jones-three-vec", "projection-three-axis"])
+        "jones-three-vec", "projection-three-axis", "polstate-shape-rho",
+        "jonesop-shape-m"])
     def test_rejected_with_field(self, build, field):
         with pytest.raises(InputDomainError) as info:
             build()

@@ -525,13 +525,13 @@ class TestPortDetectors:
         runs = {}
         results = run_hwp_sweep(cfg, topo, self.DETS[0], runs=runs)
         other = run_hwp_sweep(cfg, topo, self.DETS[1], runs=runs)
-        max_cycles = max(p.cycles for _, sim in runs.values()
+        max_cycles = max(p.cycles for _, sim, _ in runs.values()
                          for p in sim.retrieved)
         table = share_table(topo, cfg.hwp_angles, max_cycles, cfg.bases)
         assert {r.basis for r in results} == set(cfg.bases) == set(BASES)
         for det, sweep in zip(self.DETS, (results, other)):
             for r in sweep:
-                main, _ = runs[r.eta]
+                main = runs[r.eta][0]
                 shares = table[r.basis][:, :, main.cycles]
                 for i, port in np.ndindex(len(r.angles), 2):
                     assert r.expected[port, i] == cfg.n_triggers * \
