@@ -68,24 +68,6 @@ def _digit_groups() -> np.ndarray:
     return table
 
 
-def _digits(u: np.ndarray, width: int) -> np.ndarray:
-    """``(len(u), width)`` ASCII digits of uint64 ``u``, right-aligned and
-    zero-padded.
-
-    The digits come four at a time from the digit-group table (the trick of
-    the {fmt} library's integer formatter), one ``// 10000`` pass per group;
-    the result is a view of the groups that drops their leading columns.
-    """
-    n_groups = -(-width // 4)
-    table = _digit_groups()
-    groups = np.empty((u.size, n_groups), np.uint32)
-    for k in range(n_groups - 1, -1, -1):
-        q = u // 10_000
-        groups[:, k] = table.take(u - q * 10_000)
-        u = q
-    return groups.view(np.uint8)[:, 4 * n_groups - width:]
-
-
 def _kept_columns(width: int) -> np.ndarray:
     """``[negative, n_digits]`` -> which of [sign, ``width`` digits] print."""
     kept = np.empty((2, width + 1, width + 1), bool)
@@ -98,14 +80,19 @@ def _csv_rows(ps: np.ndarray, suffix: bytes) -> np.ndarray:
     """ASCII bytes of the rows ``f"{p}"`` + ``suffix`` for int64 ``ps``.
 
     The time column is laid out at the width of its widest value, with a
-    sign column only if a value is negative, and the suffix is filled in
-    one column at a time. A block whose rows all print at that width (one
-    sign and one digit count, read from its extremes, as in nearly every
-    block of a sorted click set) is returned as laid out. Otherwise one
-    boolean mask drops the unused sign and leading-zero columns of the
-    narrower rows. The mask's rows are gathered from a table of every
-    (sign, digit count) combination, which is several times faster than
-    comparing short rows.
+    sign column only if a value is negative, in one flat buffer of rows.
+    Its zero-padded digits come four at a time from the digit-group table
+    (the trick of the {fmt} library's integer formatter): one ``// 10000``
+    pass and one row-strided, unaligned uint32 store per group. The
+    leading group may overhang the previous row's suffix (or a lead-in
+    before the first row) by up to three bytes, so the sign and suffix
+    columns are written after the digits. A block whose rows all
+    print at that width (one sign and one digit count, read from its
+    extremes, as in nearly every block of a sorted click set) is returned
+    as laid out. Otherwise one boolean mask drops the unused sign and
+    leading-zero columns of the narrower rows. The mask's rows are
+    gathered from a table of every (sign, digit count) combination, which
+    is several times faster than comparing short rows.
     """
     if not ps.size:
         return np.empty(0, np.uint8)
@@ -114,23 +101,33 @@ def _csv_rows(ps: np.ndarray, suffix: bytes) -> np.ndarray:
     n_lo, n_hi = len(str(abs(lo))), len(str(abs(hi)))
     width = max(n_lo, n_hi)
     wt = sign + width
-    buf = np.empty((ps.size, wt + len(suffix)), np.uint8)
-    if sign:
-        buf[:, 0] = ord("-")
+    n, row_bytes = ps.size, wt + len(suffix)
+    lead = max(0, -width % 4 - sign)  # the first row's overhang
+    flat = np.empty(lead + n * row_bytes, np.uint8)
+    table = _digit_groups()
     u = np.abs(ps).view(np.uint64)  # -2**63 wraps to itself, read as 2**63
-    buf[:, sign:wt] = _digits(u, width)
+    q = u
+    for at in range(lead + wt - 4, lead + sign - 4, -4):  # low group first
+        d = q // 10_000
+        np.ndarray(n, np.uint32, flat, at, (row_bytes,))[...] = \
+            table.take(q - d * 10_000)
+        q = d
+    if sign:
+        flat[lead::row_bytes] = ord("-")
     for k, byte in enumerate(suffix):  # 3x faster than broadcasting it
-        buf[:, wt + k] = byte
+        flat[lead + wt + k::row_bytes] = byte
+    rows = flat[lead:]
     if (hi < 0) == sign and n_lo == n_hi:
-        return buf
+        return rows
     n_digits = np.searchsorted(_POW10[:width - 1], u, side="right") + 1
-    kept = np.ones((2, width + 1, buf.shape[1]), bool)
+    kept = np.ones((2, width + 1, row_bytes), bool)
     kept[..., :wt] = _kept_columns(width)[..., not sign:]
     row = (ps < 0) * (width + 1) + n_digits
-    return buf[kept.reshape(-1, buf.shape[1]).take(row, axis=0)]
+    return rows.reshape(n, row_bytes)[
+        kept.reshape(-1, row_bytes).take(row, axis=0)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClickSet:
     """One detector's clicks: their times in seconds and its integer id.
 
@@ -178,7 +175,7 @@ class ClickSet:
                 fh.write(_csv_rows(ps.astype(np.int64), suffix))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Histogram:
     """Fixed-width time-tag histogram; bin k is [t0 + k*w, t0 + (k+1)*w)."""
 
@@ -431,17 +428,22 @@ def count_triggered(clicks: ClickSet, period: float, offset: float,
     lo, hi = offset - window / 2.0, offset + window / 2.0
     # In time order the trigger never falls, nor rel within a trigger, so
     # a trigger's hits are adjacent: a hit counts unless it follows a hit
-    # of the same trigger. Blocks bound the temporaries.
+    # of the same trigger. Blocks bound the temporaries, which are
+    # computed in place.
     count, last = 0, math.nan  # trigger of a hit ending the last block
     step = kernels._BLOCK_CLICKS
     for start in range(0, t.size, step):
         block = t[start:start + step]
-        trigger = np.floor(block / period)
-        rel = block - trigger * period
-        hit = (rel >= lo) & (rel < hi)
-        after_hit = hit[1:] & hit[:-1]
-        count += (np.count_nonzero(hit) - np.count_nonzero(after_hit)
-                  + np.count_nonzero(after_hit & (trigger[1:] != trigger[:-1]))
+        trigger = block / period
+        np.floor(trigger, out=trigger)
+        rel = trigger * period
+        np.subtract(block, rel, out=rel)
+        hit = rel >= lo
+        hit &= rel < hi
+        repeat = trigger[1:] == trigger[:-1]
+        repeat &= hit[1:]
+        repeat &= hit[:-1]
+        count += (np.count_nonzero(hit) - np.count_nonzero(repeat)
                   - bool(hit[0] and trigger[0] == last))
         last = trigger[-1] if hit[-1] else math.nan
     return int(count)

@@ -227,7 +227,7 @@ class RetrievalSweepResult:
         return max(r.retrieval_time_s for r in self.rows)
 
 
-@dataclass
+@dataclass(eq=False)
 class VisibilityResult:
     """Fringe visibility of one (retrieval setting, basis) sweep."""
 
@@ -445,7 +445,7 @@ def _folded_histogram(clicksets, period: float, n_bins: int):
     step = kernels._BLOCK_CLICKS
     for cs in clicksets:
         for start in range(0, len(cs), step):
-            offsets = np.mod(cs.times[start:start + step], period)
+            offsets = kernels.fold(cs.times[start:start + step], period)
             part = histogram(ClickSet(offsets, 0, period), 0.0, HIST_BIN_S,
                              n_bins)
             counts += part.counts

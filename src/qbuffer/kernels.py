@@ -1,6 +1,6 @@
-"""Hot detection kernels: dead-time filtering and time-tag binning.
+"""Hot detection kernels: dead-time filtering, folding and time-tag binning.
 
-Both are exact numpy implementations. The dead-time filter follows the
+All are exact numpy implementations. The dead-time filter follows the
 non-paralyzable model (J. W. Müller, "Dead-time problems", Nucl. Instrum.
 Methods 112, 1973): a click is kept iff no earlier click is kept, or it
 falls at least the dead time after the previous kept click; suppressed
@@ -73,15 +73,51 @@ def dead_time_filter(times, dead_time: float) -> np.ndarray:
     return keep
 
 
+def fold(times, period: float) -> np.ndarray:
+    """``np.mod(times, period)`` for a period > 0, equal to it bit for bit.
+
+    np.mod's ``fmod`` divides bit by bit. For times >= 0 whose quotients
+    are below 2**26, k = floor(t / period) is the quotient or one more,
+    and with ``period = hi + lo`` split by Veltkamp's method (T. J.
+    Dekker, Numer. Math. 18, 1971) k * hi, k * lo and t - k * hi are
+    exact, so ``(t - k * hi) - k * lo`` is the exact remainder or it
+    minus the period, which adding the period back makes exact. Other
+    times, and a period out of [2**-900, 2**900], go through np.mod.
+    """
+    t = _clean_times(times)
+    k = t / period
+    np.floor(k, out=k)
+    if not (t.size and t.min() >= 0.0 and k.max() < 2.0 ** 26
+            and 2.0 ** -900 < period < 2.0 ** 900):
+        return np.mod(t, period)
+    c = 134217729.0 * period  # 2**27 + 1: hi is period to 26 bits
+    hi = c - (c - period)
+    r = k * hi
+    np.subtract(t, r, out=r)
+    k *= period - hi
+    r -= k
+    np.add(r, period, out=r, where=r < 0.0)
+    return r
+
+
 def bin_counts(times, t0: float, bin_width: float, n_bins: int):
-    """(counts, overflow) for left-closed bins [t0 + k*w, t0 + (k+1)*w)."""
+    """(counts, overflow) for left-closed bins [t0 + k*w, t0 + (k+1)*w).
+
+    Each index ``floor((t - t0) / w)`` is clamped in place to [-1, n_bins],
+    a NaN to n_bins; read as unsigned, -1 clamps to n_bins too, so one
+    bincount of n_bins + 1 counts the bins and the overflow.
+    """
     _checked("t0", t0)
     _checked("bin_width", bin_width, gt=0, label="bin width")
     _checked("n_bins", n_bins, ge=1, integer=True, label="bin count")
-    t = _clean_times(times)
-    idx = np.floor((t - float(t0)) / float(bin_width))
-    in_range = (idx >= 0.0) & (idx < int(n_bins))
-    counts = np.bincount(idx[in_range].astype(np.int64),
-                         minlength=int(n_bins)).astype(np.int64)
-    overflow = int(t.shape[0] - np.count_nonzero(in_range))
-    return counts, overflow
+    n = int(n_bins)
+    idx = _clean_times(times) - float(t0)
+    idx /= float(bin_width)
+    np.floor(idx, out=idx)
+    np.fmin(idx, n, out=idx)  # a NaN becomes n
+    np.fmax(idx, -1.0, out=idx)  # so that the cast below is defined
+    bins = idx.astype(np.intp)
+    wrapped = bins.view(np.uintp)
+    np.minimum(wrapped, n, out=wrapped)
+    counts = np.bincount(bins, minlength=n + 1)
+    return counts[:n], int(counts[n])

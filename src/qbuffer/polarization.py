@@ -108,7 +108,7 @@ def depolarize(rho: np.ndarray, p: float) -> np.ndarray:
     return (1.0 - p) * rho + (p / 2.0) * _I2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolState:
     """Polarization density matrix. Hermitian, unit trace, PSD."""
 
@@ -144,7 +144,7 @@ class PolState:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JonesOp:
     """2x2 Jones matrix of an optical element."""
 

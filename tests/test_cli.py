@@ -11,10 +11,10 @@ from dataclasses import replace
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qbuffer import cli, engine, experiments
+from qbuffer import cli, engine, experiments, kernels
 from qbuffer.cli import main
 from qbuffer.components import BufferTopology, fiber_delay
-from qbuffer.config import PRESETS, resolve_config
+from qbuffer.config import PRESETS, plan_from_config, resolve_config
 from qbuffer.detection import DetectorModel
 from qbuffer.engine import SimLimits
 from qbuffer.experiments import Calibration, ExperimentConfig
@@ -138,6 +138,44 @@ class TestRun:
         assert small_run(b) == 0
         for name in read_manifest(a)["outputs"]:
             assert filecmp.cmp(a / name, b / name, shallow=False), name
+
+    def test_click_files_and_histogram_equal_per_click_oracles(
+            self, tmp_path, capsys):
+        # 150k triggers give each setting 3 blocks of 8192 clicks, and the
+        # picosecond tags cross 10**10 .. 10**14 inside blocks.
+        argv = ["--preset", "fig2-main", "--seed", "11",
+                "--set", "experiment.n_triggers=150000"]
+        out = tmp_path / "o"
+        assert run_cli("run", *argv, "--out", str(out)) == 0
+        cfg = resolve_config({}, overrides=argv[-1:], preset="fig2-main",
+                             seed=11)
+        plan = plan_from_config(cfg)
+        sets = {}
+        sweep = experiments.run_retrieval_sweep(
+            plan.experiment, plan.topology, plan.detector, plan.limits,
+            on_clicks=sets.__setitem__)
+        assert len(sets) == 8
+        for eta, cs in sets.items():
+            assert len(cs) > 2 * kernels._BLOCK_CLICKS, eta
+            want = "time_ps,detector_id\n" + "".join(
+                f"{round(t * 1e12)},{cs.detector_id}\n"
+                for t in cs.times.tolist())
+            assert (out / f"clicks_eta{eta}.csv").read_bytes() \
+                == want.encode(), eta
+        period = 1.0 / plan.experiment.rep_rate_hz
+        width = experiments.HIST_BIN_S
+        n_bins = math.ceil((max(r.exit_time_s for r in sweep.rows)
+                            + sweep.delta_t_s) / width)
+        counts = [0] * n_bins
+        for cs in sets.values():
+            for t in cs.times.tolist():
+                k = math.floor(t % period / width)
+                if k < n_bins:
+                    counts[k] += 1
+        assert sum(counts) > 0
+        want = "bin_start_s,counts\n" + "".join(
+            f"{0.0 + k * width!r},{c}\n" for k, c in enumerate(counts))
+        assert (out / "histogram.csv").read_text() == want
 
     @staticmethod
     def fresh_runs(tmp_path, presets, expression):

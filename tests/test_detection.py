@@ -549,6 +549,43 @@ class TestClickCsvProperty:
         assert all(abs(tag - t * 1e12) == 0.5 for tag, t in zip(tags, ties))
 
 
+#: Detector ids whose suffixes, ",0\n" to ",-9223372036854775808\n", take
+#: every length from 3 to 22 bytes, so rows of each digit width take every
+#: length mod 4: each alignment of the rows' 4-byte digit groups.
+GRID_IDS = sorted({0, -2 ** 63} | {sign * 10 ** k for k in range(19)
+                                   for sign in (1, -1)})
+
+
+def grid_blocks(width):
+    """Blocks of tags whose widest has ``width`` digits: one width with
+    and without a negative row, all negative, one row, and (from two
+    digits) ones that cross 10**(width - 1), either sign."""
+    lo = 10 ** (width - 1) if width > 1 else 0
+    hi = min(10 ** width - 1, 2 ** 63 - 1)
+    same = [lo, lo + 1, (lo + hi) // 2, hi]
+    blocks = [same, same[:-1] + [-hi], [-v for v in same if v] + [-hi],
+              [hi], [-hi]]
+    if width == 19:
+        blocks.append([-2 ** 63, 0, 2 ** 63 - 1, -2 ** 63 + 1])
+    if width > 1:
+        crossing = [lo - 2, lo - 1, lo, lo + 1]
+        blocks += [crossing, [-v for v in crossing], crossing + [-lo + 1]]
+    return blocks
+
+
+class TestClickCsvGrid:
+    @pytest.mark.parametrize("width", range(1, 20))
+    def test_rows_equal_per_line_oracle(self, width):
+        suffixes = [f",{i}\n" for i in GRID_IDS]
+        assert sorted({len(s) for s in suffixes}) == list(range(3, 23))
+        for rows, suffix in itertools.product(grid_blocks(width), suffixes):
+            assert max(len(str(abs(r))) for r in rows) == width
+            want = "".join(f"{r}{suffix}" for r in rows).encode()
+            got = detection._csv_rows(np.array(rows, np.int64),
+                                      suffix.encode())
+            assert got.tobytes() == want, (rows, suffix)
+
+
 class TestClickCsvBlockWidths:
     """Whole blocks whose rows differ in width, one block per kind, each
     block as long as the writer's."""

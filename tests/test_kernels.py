@@ -95,6 +95,118 @@ class TestBinCountsSemantics:
             kernels.bin_counts(np.array([0.0]), 0.0, 0.1, 0)
 
 
+@st.composite
+def fold_cases(draw):
+    """(times, period): times on, beside and between multiples of the
+    period, with quotients on both sides of 2**26, and sometimes a
+    negative time. Quotients from 2**26 and negative times send their
+    block to np.mod; the fast path would get some of them wrong."""
+    period = draw(st.sampled_from([1e-3, 1e-6, 3.7e-6, 1 / 3, 2.0 ** -20,
+                                   math.nextafter(2.0, 0), 2.0 ** -899,
+                                   2.0 ** -901])
+                  | st.floats(1e-12, 1e6))
+    k = (st.integers(0, 60) | st.integers(0, 2 ** 26 + 2)
+         | st.integers(2 ** 26, 2 ** 40))
+    near = st.tuples(k, st.sampled_from([-math.inf, 0.0, math.inf])).map(
+        lambda kd: math.nextafter(kd[0] * period, kd[1]))
+    between = st.tuples(k, st.floats(0.0, 1.0)).map(
+        lambda kf: (kf[0] + kf[1]) * period)
+    times = draw(st.lists(near | between | st.sampled_from([0.0, -0.0]),
+                          min_size=1, max_size=40))
+    if draw(st.booleans()):
+        times.append(-draw(st.floats(0.0, 40 * period)))
+    return np.array([t for t in times if math.isfinite(t)]), period
+
+
+class TestFold:
+    @settings(max_examples=500)
+    @given(fold_cases())
+    def test_equals_np_mod_bit_for_bit(self, case):
+        times, period = case
+        got = kernels.fold(times, period)
+        want = np.mod(times, period)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("period", [1e-3, 5.876065101010647e-06, 0.7])
+    def test_grid_of_quotients(self, period):
+        # Every multiple k * period up to 2**26 in coarse steps, and its
+        # two float neighbours, where the quotient rounds either way.
+        k = np.unique(np.r_[np.arange(0, 2 ** 26, 4099), 2 ** 26 - 1])
+        base = k * period
+        times = np.concatenate([base, np.nextafter(base, -np.inf),
+                                np.nextafter(base, np.inf)])
+        times = times[times >= 0]
+        got = kernels.fold(times, period)
+        want = np.mod(times, period)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("period", [1e-3, 1 / 3])
+    def test_negative_times(self, period):
+        # np.mod rounds period - |t| mod period once; the fast path's last
+        # two steps would round it twice (about 2 % of these at 1/3).
+        times = np.random.default_rng(4).random(10_000) * -period
+        got = kernels.fold(times, period)
+        want = np.mod(times, period)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def reference_bin_counts(times, t0, width, n_bins):
+    """(counts, overflow), one click at a time: bin floor((t - t0) / w)."""
+    counts, overflow = [0] * n_bins, 0
+    for t in times:
+        x = (t - t0) / width
+        if math.isfinite(x) and 0 <= math.floor(x) < n_bins:
+            counts[math.floor(x)] += 1
+        else:
+            overflow += 1
+    return counts, overflow
+
+
+@st.composite
+def binned_streams(draw):
+    """(times, t0, bin_width, n_bins): times on and around every bin edge
+    (t0 + n_bins * w among them), anywhere in the float range, and NaN,
+    +-inf and negative, binned with tiny to huge widths."""
+    t0 = draw(st.sampled_from([0.0, -1.0, 1e-3])
+              | st.floats(-1e6, 1e6, allow_nan=False))
+    width = draw(st.sampled_from([5e-324, 1e-300, 100e-9, 0.1, 1e300])
+                 | st.floats(1e-12, 1e6))
+    n_bins = draw(st.integers(1, 40))
+    edges = [t0 + k * width for k in range(-1, n_bins + 2)]
+    near = st.sampled_from(edges).flatmap(lambda e: st.sampled_from(
+        [e, math.nextafter(e, -math.inf), math.nextafter(e, math.inf)]))
+    times = draw(st.lists(
+        near | st.floats(allow_nan=True, allow_infinity=True)
+        | st.sampled_from([-0.0, -1e-300, math.nan, math.inf, -math.inf]),
+        max_size=60))
+    return np.array(times, dtype=np.float64), t0, width, n_bins
+
+
+class TestBinCountsProperty:
+    @settings(max_examples=500)
+    @given(binned_streams())
+    def test_equals_reference_loop(self, stream):
+        times, t0, width, n_bins = stream
+        with np.errstate(invalid="ignore", over="ignore"):
+            counts, overflow = kernels.bin_counts(times, t0, width, n_bins)
+        want_counts, want_overflow = reference_bin_counts(
+            times.tolist(), t0, width, n_bins)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == want_counts
+        assert overflow == want_overflow
+
+    def test_edges_and_non_finite(self):
+        # The left edge of every bin is in it; t0 + n_bins * w, anything
+        # before t0, NaN and +-inf overflow.
+        t0, width, n_bins = 1.0, 0.25, 4
+        edges = [t0 + k * width for k in range(n_bins + 1)]
+        times = np.array(edges + [0.999, -5.0, math.nan, math.inf,
+                                  -math.inf])
+        counts, overflow = kernels.bin_counts(times, t0, width, n_bins)
+        assert counts.tolist() == [1, 1, 1, 1]
+        assert overflow == 6
+
+
 # Gaps in units of the dead time: equal times, close gaps, the boundary
 # itself and its float neighbours, and far gaps.
 GAPS = (0.0, 0.25, 0.5, 0.999999, 1.0, 1.000001, 1.5, 4.0)
