@@ -1,6 +1,7 @@
 """Check that two source trees write byte-identical result files.
 
 Run:  python benchmarks/compare_outputs.py OLD_SRC NEW_SRC
+      python benchmarks/compare_outputs.py --write-golden
 
 OLD_SRC and NEW_SRC are ``src`` directories (each holding the ``qbuffer``
 package), for example a checkout of the parent commit and this one. Each
@@ -30,10 +31,24 @@ one tree wrote, or a run that failed, and exits 1 if there is any;
 otherwise it exits 0. It also prints each tree's peak RSS (``ru_maxrss`` from
 ``os.wait4``) for the workload runs; that is a report only and never
 changes the exit status. Only the standard library is used.
+
+``--write-golden`` instead rewrites ``tests/golden.json``, the digests
+that ``tests/test_golden.py`` checks in tier-1, from this checkout's
+``src``. It runs in process, importing ``qbuffer`` and so numpy. The
+runs are ``run`` of every preset at seed 0 in both formats, ``validate``
+of every preset, and each perfbench workload's argv, and ``validate`` of
+it, at ``GOLDEN_TRIGGERS`` triggers. Each run records the sha256 of every
+result file, of its manifest without ``duration_s`` and of
+``validate``'s stdout, and the file records the numpy version and CPU
+features the digests were made with. Regenerate it only for a declared
+RNG-stream or format change.
 """
 
+import contextlib
 import filecmp
+import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -44,6 +59,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1, 2)
 FORMATS = ("csv", "json")
+GOLDEN = ROOT / "tests" / "golden.json"
+
+#: Trigger count of the perfbench workloads in the golden digests.
+GOLDEN_TRIGGERS = 20_000
 
 #: ``validate`` runs that exit 0 but print more than "schedule ok".
 VALIDATE_ONLY = {
@@ -179,10 +198,85 @@ def compare(label: str, old: Path, new: Path, procs: list) -> list:
     return problems
 
 
+def golden_environment() -> dict:
+    """The numpy version and the CPU features its SIMD loops may use: a
+    vectorized exp or log can differ in the last bit between them."""
+    import numpy
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    targets = [*umath.__cpu_baseline__, *umath.__cpu_dispatch__]
+    return {"numpy": numpy.__version__,
+            "cpu_features": [f for f in targets
+                             if umath.__cpu_features__.get(f)]}
+
+
+def golden_cases(presets: list, workloads: dict) -> dict:
+    """Label -> argv, without ``--out``, of each golden run."""
+    out = {}
+    for preset in presets:
+        for fmt in FORMATS:
+            out[f"{preset}-seed0-{fmt}"] = [
+                "run", "--preset", preset, "--seed", "0", "--format", fmt]
+        out[f"{preset}-validate"] = ["validate", "--preset", preset]
+    for name, workload in workloads.items():
+        sets = [a for item in (*workload.overrides,
+                               f"experiment.n_triggers={GOLDEN_TRIGGERS}")
+                for a in ("--set", item)]
+        out[f"workload-{name}"] = ["run", "--preset", workload.preset,
+                                   "--seed", "0", *sets]
+        out[f"workload-{name}-validate"] = ["validate", "--preset",
+                                            workload.preset, *sets]
+    return out
+
+
+def digests(argv: list) -> dict:
+    """Exit code and sha256 digests of one in-process CLI run: of each
+    result file and the manifest without ``duration_s`` for ``run``, of
+    stdout for ``validate``."""
+    from qbuffer import cli
+
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    stdout = io.StringIO()
+    with tempfile.TemporaryDirectory(prefix="qbuffer-golden-") as tmp:
+        run = argv[0] == "run"
+        with contextlib.redirect_stdout(stdout):
+            out = {"exit": cli.main([*argv, "--out", tmp] if run else argv)}
+        if not run:
+            out["stdout"] = sha(stdout.getvalue().encode())
+        for path in sorted(Path(tmp).iterdir()):
+            data = path.read_bytes()
+            if path.name == "manifest.json":
+                doc = json.loads(data)
+                doc.pop("duration_s", None)
+                data = json.dumps(doc, sort_keys=True).encode()
+            out[path.name] = sha(data)
+    return out
+
+
+def write_golden() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    from qbuffer.config import PRESETS
+
+    cases = golden_cases(sorted(PRESETS), load_workloads())
+    doc = {"environment": golden_environment(),
+           "cases": {label: {"argv": argv, "digests": digests(argv)}
+                     for label, argv in cases.items()}}
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(cases)} runs to {GOLDEN}")
+    return 0
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if args == ["--write-golden"]:
+        return write_golden()
     if len(args) != 2:
-        print("usage: python benchmarks/compare_outputs.py OLD_SRC NEW_SRC",
+        print("usage: python benchmarks/compare_outputs.py OLD_SRC NEW_SRC\n"
+              "       python benchmarks/compare_outputs.py --write-golden",
               file=sys.stderr)
         return 2
     trees = [Path(a).resolve() for a in args]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -140,17 +140,15 @@ class ClickSet:
     times: np.ndarray
     detector_id: int
     acquisition_s: float
+    #: True on the sets :func:`sample_clicks` draws, in time order.
+    _in_order: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         # A view, so freezing it below leaves the caller's array writeable.
-        t = _array("times", np.ascontiguousarray, self.times,
-                   dtype=np.float64).view()
+        t = kernels._clean_times(self.times).view()
         _checked("detector_id", self.detector_id, ge=-2 ** 63, lt=2 ** 63,
                  integer=True, label="detector id")
         _checked("acquisition_s", self.acquisition_s, ge=0)
-        if t.ndim != 1:
-            raise InputDomainError("click times must be a 1-D array",
-                                   "times")
         # min and max propagate NaN, which fails both comparisons.
         if t.size and not (-_TAG_LIMIT_PS < float(t.min()) * 1e12
                            and float(t.max()) * 1e12 < _TAG_LIMIT_PS):
@@ -229,10 +227,16 @@ def click_probability(mu, det: DetectorModel, window: float):
         raise InputDomainError(
             f"mean photon number {x[~ok][0]} must be finite and >= 0")
     _checked("window", window, ge=0)
-    no_signal = map(math.exp, (x * -det.efficiency).ravel().tolist())
-    p = 1.0 - np.fromiter(no_signal, np.float64, x.size).reshape(x.shape) \
-        * math.exp(-det.dark_rate_hz * window)
+    p = _click_probability(x, det, window)
     return float(p) if p.ndim == 0 else p
+
+
+def _click_probability(x: np.ndarray, det: DetectorModel,
+                       window: float) -> np.ndarray:
+    """:func:`click_probability` of a float64 array it has checked."""
+    no_signal = map(math.exp, (x * -det.efficiency).ravel().tolist())
+    return 1.0 - np.fromiter(no_signal, np.float64, x.size).reshape(x.shape) \
+        * math.exp(-det.dark_rate_hz * window)
 
 
 @dataclass(frozen=True)
@@ -270,9 +274,9 @@ class TriggerTrain:
 
     def _slots(self) -> tuple[np.ndarray, np.ndarray]:
         """(offsets, mus) of the slots in draw order."""
-        offsets = np.array(self.offsets, dtype=np.float64)
-        order = np.argsort(offsets, kind="stable")
-        return offsets[order], np.array(self.mus, dtype=np.float64)[order]
+        order = sorted(range(len(self.offsets)), key=self.offsets.__getitem__)
+        return (np.array([self.offsets[s] for s in order]),
+                np.array([self.mus[s] for s in order]))
 
     def __len__(self) -> int:
         return int(self.n_triggers) * len(self.offsets)
@@ -284,55 +288,49 @@ class TriggerTrain:
         return zip(times.tolist(), itertools.cycle(mus.tolist()))
 
 
-def _fired(n: int, lam: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
-    """(trigger, slot) of each fired pulse of ``n`` triggers on which slot s
-    fires with probability ``1 - exp(-lam[s])``.
+def _fired(n: int, lam: np.ndarray, rng) -> tuple[np.ndarray, list]:
+    """(positions, runs): the triggers, of ``n``, at which slot s fires with
+    probability ``1 - exp(-lam[s])``, and runs of (slot, start, stop), each
+    slot's positions ``positions[start:stop]``.
 
     A slot fires at the partial sums, from -1, of geometric gaps
     ``floor(E / lam) + 1``, E standard exponential (L. Devroye, *Non-Uniform
     Random Variate Generation*, Springer 1986, ch. X): O(slots + fired
     pulses) draws, not one per pulse. In each round, every slot whose last
-    position is below n - 1 (at first, each with lam > 0) draws its
-    expected fires and a few standard deviations, ``min(r, ceil(r*p +
+    position is below n - 1 (at first, each with lam > 0) draws in turn
+    its expected fires and a few standard deviations, ``min(r, ceil(r*p +
     _FIRE_BLOCK_SIGMAS * sqrt(r*p)))`` gaps for r triggers left and p = 1 -
-    exp(-lam), in ``standard_exponential`` draws, slot by slot, into its
-    own segment of one flat array allocated before them; fired positions
-    move to the array's front, and a one-round result is a view of it.
-    Pairs come by round, slot, then trigger, at float64 positions: exact
-    below 2**53 triggers, as float64 times are.
+    exp(-lam), in one ``standard_exponential`` draw. Runs come by round,
+    then slot; positions, float64 and exact below 2**53, by trigger.
     """
-    live = np.flatnonzero(lam > 0)
-    lam, last = lam[live], np.full(live.size, -1.0)
-    triggers, slots = [], []
-    while live.size:
-        r = (n - 1) - last
-        rp = r * -np.expm1(-lam)
-        size = np.minimum(r, np.ceil(rp + _FIRE_BLOCK_SIGMAS * np.sqrt(rp)))
-        size = size.astype(np.intp)  # each at least 1
-        gaps, n_fired = np.empty(size.sum()), np.empty(live.size, np.intp)
-        start = kept = 0
-        with np.errstate(over="ignore"):  # a gap past 1e308 is still past n
-            for i, (k, lam_i) in enumerate(zip(size.tolist(), lam.tolist())):
-                seg = gaps[start:start + k]
-                start += k
+    p = (-np.expm1(-lam)).tolist()
+    end = float(n - 1)  # as numpy compares an int with float64
+    live = [(s, x, p[s], -1.0) for s, x in enumerate(lam.tolist()) if x > 0]
+    parts, runs, size = [], [], 0
+    with np.errstate(over="ignore"):  # a gap past 1e308 is still past n
+        while live:
+            going = []
+            for s, lam_s, p_s, last in live:
+                rp = (end - last) * p_s
+                seg = np.empty(int(min(end - last, math.ceil(
+                    rp + _FIRE_BLOCK_SIGMAS * math.sqrt(rp)))))
                 rng.standard_exponential(out=seg)
-                seg /= lam_i
+                seg /= lam_s
                 np.floor(seg, out=seg)
                 seg += 1.0
-                seg[0] += last[i]
-                np.cumsum(seg, out=seg)
-                last[i] = seg[-1]  # positions never fall
-                n_fired[i] = f = int(np.searchsorted(seg, n))
-                gaps[kept:kept + f] = seg[:f]  # the first slot stays put
-                kept += f
-        triggers.append(gaps[:kept])
-        slots.append(live.repeat(n_fired))
-        going = last < n - 1
-        live, lam, last = live[going], lam[going], last[going]
-    if len(triggers) == 1:  # one round: no copy of its pairs
-        return triggers[0], slots[0]
-    return (np.concatenate(triggers or [np.empty(0)]),
-            np.concatenate(slots or [np.empty(0, np.intp)]))
+                seg[0] += last
+                seg.cumsum(out=seg)
+                f = int(seg.searchsorted(n))
+                parts.append(seg[:f])
+                runs.append((s, size, size + f))
+                size += f
+                last = float(seg[-1])  # positions never fall
+                if last < end:
+                    going.append((s, lam_s, p_s, last))
+            live = going
+    if len(parts) == 1:
+        return parts[0], runs
+    return np.concatenate(parts or [np.empty(0)]), runs
 
 
 def sample_clicks(train: TriggerTrain, det: DetectorModel,
@@ -350,9 +348,8 @@ def sample_clicks(train: TriggerTrain, det: DetectorModel,
 
     Memory: the signal times are built in :func:`_fired`'s output and
     jittered block by block; the dark times are drawn into the tail of one
-    times array, which is sorted and compacted in place. Above the click
-    set it returns, a call holds about its fired pulses' (trigger, slot)
-    pairs and O(block) temporaries.
+    times array, sorted and compacted in place. Above the click set, a
+    call holds its fired pulses' positions and O(block) temporaries.
     """
     if not isinstance(train, TriggerTrain):
         raise InputDomainError(
@@ -373,18 +370,18 @@ def sample_clicks(train: TriggerTrain, det: DetectorModel,
             "pulses exceed the 2**60 click times one array can hold")
     if (n - 1) * period + offsets.max() > acquisition:
         raise InputDomainError("acquisition must cover all pulse times")
-    signal, slot = _fired(n, mus * det.efficiency, rng)
+    signal, runs = _fired(n, mus * det.efficiency, rng)
     # The float operations of arange(n) * period + offsets, fired pulses
-    # only, plus normal(0, sigma) = 0.0 + sigma * standard_normal, whose
-    # draws come in the same order block by block.
-    step = kernels._BLOCK_CLICKS
+    # only, one slot's run at a time, plus normal(0, sigma) = 0.0 + sigma *
+    # standard_normal, whose draws come in the same order block by block.
     signal *= period
-    for start in range(0, signal.size, step):
-        block = signal[start:start + step]
-        block += offsets[slot[start:start + step]]
-        if det.jitter_sigma_s > 0:
+    for s, start, stop in runs:
+        signal[start:stop] += offsets[s]
+    step = kernels._BLOCK_CLICKS
+    if det.jitter_sigma_s > 0:
+        for start in range(0, signal.size, step):
+            block = signal[start:start + step]
             block += det.jitter_sigma_s * rng.standard_normal(block.size)
-    del slot
 
     n_dark = rng.poisson(det.dark_rate_hz * acquisition) \
         if det.dark_rate_hz > 0 else 0
@@ -404,7 +401,9 @@ def sample_clicks(train: TriggerTrain, det: DetectorModel,
             times[n_kept:n_kept + kept.size] = kept
             n_kept += kept.size
         times = times[:n_kept]
-    return ClickSet(times, detector_id, acquisition)
+    clicks = ClickSet(times, detector_id, acquisition)
+    object.__setattr__(clicks, "_in_order", True)  # nobody can write them
+    return clicks
 
 
 def histogram(clicks: ClickSet, t0: float, bin_width: float,
@@ -418,18 +417,18 @@ def count_triggered(clicks: ClickSet, period: float, offset: float,
                     window: float) -> int:
     """Number of distinct trigger periods with a click inside the gate
     [offset - window/2, offset + window/2) relative to the trigger. The
-    clicks are counted in time order; an unordered set is sorted first."""
+    clicks are counted in time order; a set that :func:`sample_clicks` did
+    not draw is checked for it, and sorted if it is out of order."""
     _checked("period", period, gt=0)
     _checked("offset", offset)
     _checked("window", window, ge=0)
     t = clicks.times
-    if not kernels._never_falls(t):
+    if not (clicks._in_order or kernels._never_falls(t)):
         t = np.sort(t)
     lo, hi = offset - window / 2.0, offset + window / 2.0
     # In time order the trigger never falls, nor rel within a trigger, so
     # a trigger's hits are adjacent: a hit counts unless it follows a hit
-    # of the same trigger. Blocks bound the temporaries, which are
-    # computed in place.
+    # of the same trigger. Blocks bound the in-place temporaries.
     count, last = 0, math.nan  # trigger of a hit ending the last block
     step = kernels._BLOCK_CLICKS
     for start in range(0, t.size, step):
@@ -447,4 +446,3 @@ def count_triggered(clicks: ClickSet, period: float, offset: float,
                   - bool(hit[0] and trigger[0] == last))
         last = trigger[-1] if hit[-1] else math.nan
     return int(count)
-

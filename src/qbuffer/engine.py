@@ -30,6 +30,7 @@ sum to one.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -209,23 +210,12 @@ def simulate(topology: BufferTopology, schedule: DriveSchedule,
     log: list = []
     passages: list = []
 
-    next_id = max((p.id for p in inputs), default=-1) + 1
-    seq = 0
+    new_ids = itertools.count(max((p.id for p in inputs), default=-1) + 1)
+    seq = itertools.count()
     heap: list = []  # (time, seq, kind, pulse)
 
     def push(t, kind, pulse):
-        nonlocal seq
-        heapq.heappush(heap, (t, seq, kind, pulse))
-        seq += 1
-
-    def fresh_id():
-        nonlocal next_id
-        i = next_id
-        next_id += 1
-        return i
-
-    def deposit(pulse, reason):
-        discarded.append((pulse, reason))
+        heapq.heappush(heap, (t, next(seq), kind, pulse))
 
     for p in inputs:
         log.append(EventLogEntry(p.t, p.id, "routing", "in", p.mu, p.cycles))
@@ -243,7 +233,7 @@ def simulate(topology: BufferTopology, schedule: DriveSchedule,
             log.append(EventLogEntry(out.t, out.id, "circulator", "out",
                                      out.mu, out.cycles))
             if 0.0 < out.mu < limits.mu_floor:
-                deposit(out, "negligible")
+                discarded.append((out, "negligible"))
             else:
                 log.append(EventLogEntry(out.t, out.id, "measurement", "in",
                                          out.mu, out.cycles))
@@ -261,9 +251,9 @@ def simulate(topology: BufferTopology, schedule: DriveSchedule,
                                pulse.mu * tr_storage_rt, cyc, pulse.root_id,
                                pulse.path_transmission * tr_storage_rt)
             if cyc > limits.max_cycles:
-                deposit(back, "cycle limit")
+                discarded.append((back, "cycle limit"))
             elif 0.0 < back.mu < limits.mu_floor:
-                deposit(back, "negligible")
+                discarded.append((back, "negligible"))
             else:
                 push(t_back, "coupler.b", back)
             continue
@@ -298,7 +288,7 @@ def simulate(topology: BufferTopology, schedule: DriveSchedule,
         for dest, fraction in branches:
             if fraction == 0.0:
                 continue
-            child_id = pulse.id if first_branch else fresh_id()
+            child_id = pulse.id if first_branch else next(new_ids)
             first_branch = False
             child = PulseRecord(child_id, t_rec, pulse.width,
                                 mu_rec * fraction, pulse.cycles,
@@ -306,7 +296,7 @@ def simulate(topology: BufferTopology, schedule: DriveSchedule,
             log.append(EventLogEntry(t_rec, child.id, "coupler",
                                      f"out_{dest}", child.mu, child.cycles))
             if dest == "storage" and 0.0 < child.mu < limits.mu_floor:
-                deposit(child, "negligible")
+                discarded.append((child, "negligible"))
             else:
                 push(t_rec, dest, child)
 

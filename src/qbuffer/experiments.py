@@ -42,6 +42,7 @@ from .detection import (
     DetectorModel,
     Histogram,
     TriggerTrain,
+    _click_probability,
     click_probability,
     count_triggered,
     histogram,
@@ -284,6 +285,12 @@ def linearized_counts(counts, n_triggers: int, det: DetectorModel,
     c = _array("counts", np.asarray, counts, dtype=np.float64)
     if not ((c >= 0) & (c < math.inf)).all():  # both False for NaN
         raise InputDomainError("counts must be finite and >= 0", "counts")
+    return _linearized(c, n_triggers, det, window)
+
+
+def _linearized(c: np.ndarray, n_triggers: int, det: DetectorModel,
+                window: float) -> np.ndarray:
+    """:func:`linearized_counts` of a float64 array it has checked."""
     p = np.clip(c / n_triggers, 0.0, 1.0 - 1e-15)
     return n_triggers * (-np.log1p(-p) - det.dark_rate_hz * window)
 
@@ -338,8 +345,11 @@ def fit_decay(peaks) -> DecayFit:
 
 
 def _substream(seed: int, *key: int) -> np.random.SeedSequence:
-    """Deterministic random substream for one sampling task."""
-    return np.random.SeedSequence([int(seed)] + [int(k) for k in key])
+    """``SeedSequence([seed, *key])`` of one sampling task, given the uint32
+    words numpy splits it into (low first), which convert faster."""
+    words = [k >> w & 0xFFFFFFFF for k in (int(seed), *map(int, key))
+             for w in range(0, max(k.bit_length(), 1), 32)]
+    return np.random.SeedSequence(np.array(words, np.uint32))
 
 
 def _n_distinct(values: np.ndarray) -> int:
@@ -639,10 +649,10 @@ def _bloch_visibility(mu_ret: float, config, det: DetectorModel):
 
     @functools.cache
     def visibility_of(b: float) -> float:
-        p_port0 = (1.0 + b * cos4) / 2.0
-        expected = n * click_probability(
-            mu_ret * np.stack([p_port0, 1.0 - p_port0]), det, window)
-        lin = linearized_counts(expected, n, det, window)
+        p_port0 = (1.0 + b * cos4) / 2.0  # shares of mu_ret: no new check
+        expected = n * _click_probability(
+            mu_ret * np.array([p_port0, 1.0 - p_port0]), det, window)
+        lin = _linearized(expected, n, det, window)
         return (_curve_visibility(design, lin[0])
                 + _curve_visibility(design, lin[1])) / 2.0
     return visibility_of
@@ -700,13 +710,12 @@ def calibrate(targets: dict, topology: BufferTopology,
     prep = 1.0 - bs[0]
 
     if mode == "table":
+        table = [0.0] * max(max(ks), 1)
         for (k0, b0), (k1, b1) in zip(zip(ks, bs), zip(ks[1:], bs[1:])):
             if b1 > b0 + 1e-12:
                 raise CalibrationError(
                     f"targets imply Bloch length growing from cycle {k0} to "
                     f"{k1}; no depolarization table can do that")
-        table = [0.0] * max(max(ks), 1)
-        for (k0, b0), (k1, b1) in zip(zip(ks, bs), zip(ks[1:], bs[1:])):
             retention = (min(b1 / b0, 1.0)) ** (1.0 / (k1 - k0)) \
                 if b0 > 0 else 1.0
             for k in range(k0 + 1, k1 + 1):

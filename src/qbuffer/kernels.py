@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import _checked
+from .errors import InputDomainError, _array, _checked
 
 #: Clicks per block of every full-length pass over a click set: enough to
 #: amortize numpy's per-call cost, few enough that a block's temporaries
@@ -20,7 +20,10 @@ _BLOCK_CLICKS = 1 << 13
 
 
 def _clean_times(times) -> np.ndarray:
-    return np.ascontiguousarray(times, dtype=np.float64)
+    t = _array("times", np.ascontiguousarray, times, dtype=np.float64)
+    if t.ndim != 1:
+        raise InputDomainError("times must be a 1-D array", "times")
+    return t
 
 
 def _never_falls(t: np.ndarray) -> bool:
@@ -38,37 +41,36 @@ def dead_time_filter(times, dead_time: float) -> np.ndarray:
     In a sorted stream, a click at least ``dead_time`` after the previous
     *raw* click is also that far from the previous kept click, so it is
     kept without a scan. Only clicks after a shorter (or NaN) gap go
-    through the sequential scan. Unsorted input is scanned click by click,
-    so the mask is the same as the plain loop for any input. The order and
-    gap tests go block by block, so they add O(block) memory to the mask.
+    through the sequential scan, after an order check (gaps at least
+    ``dead_time`` >= 0 prove the order). Unsorted input is scanned click by
+    click, so the mask is the same as the plain loop for any input. The
+    gap and order tests go block by block: O(block) memory on the mask.
     """
     _checked("dead_time", dead_time, ge=0, label="dead time")
     dead_time = float(dead_time)
     t = _clean_times(times)
     keep = np.ones(t.shape[0], dtype=bool)
-    if _never_falls(t):
-        step = _BLOCK_CLICKS
-        with np.errstate(invalid="ignore"):  # inf - inf is a short gap
-            for s in range(1, t.size, step):
-                w = t[s - 1:s + step]
-                np.greater_equal(w[1:] - w[:-1], dead_time,
-                                 out=keep[s:s + step])
-        if keep.all():  # no gap shorter than the dead time: nothing to scan
-            return keep
-    else:
+    step = _BLOCK_CLICKS
+    # inf - inf is a short gap, one past the float range a long one.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for s in range(1, t.size, step):
+            w = t[s - 1:s + step]
+            np.greater_equal(w[1:] - w[:-1], dead_time, out=keep[s:s + step])
+    if keep.all():  # no gap shorter than the dead time: nothing to scan
+        return keep
+    if not _never_falls(t):
         keep[1:] = False
-    scan = np.flatnonzero(~keep)
+    scan = np.flatnonzero(~keep)  # click 0 is always kept
     # Each run of consecutive scanned clicks follows a kept click.
-    run_start = np.ones(scan.size, dtype=bool)
-    run_start[1:] = scan[1:] != scan[:-1] + 1
-    bounds = np.flatnonzero(run_start).tolist() + [scan.size]
-    values = t[scan].tolist()
+    starts = (np.diff(scan, prepend=-1) != 1).tolist()
     kept = []
-    for r, last in enumerate(t[scan[run_start] - 1].tolist()):
-        for k in range(bounds[r], bounds[r + 1]):
-            if values[k] - last >= dead_time:
-                last = values[k]
-                kept.append(k)
+    for k, (value, prior) in enumerate(zip(t[scan].tolist(),
+                                           t[scan - 1].tolist())):
+        if starts[k]:
+            last = prior
+        if value - last >= dead_time:
+            last = value
+            kept.append(k)
     keep[scan[kept]] = True
     return keep
 
@@ -84,6 +86,7 @@ def fold(times, period: float) -> np.ndarray:
     minus the period, which adding the period back makes exact. Other
     times, and a period out of [2**-900, 2**900], go through np.mod.
     """
+    _checked("period", period, gt=0)
     t = _clean_times(times)
     k = t / period
     np.floor(k, out=k)

@@ -248,7 +248,7 @@ class TestSampleClicks:
 
     @pytest.mark.parametrize("mus", [(0.7, 0.3), (0.7, 0.01)])
     def test_multi_slot_peak_is_within_its_click_set(self, mus):
-        # Each slot's gaps take their own share of one flat array, so a
+        # Each slot draws its gaps into an array of its own, so a
         # slot that fires rarely beside a busy one adds its own fires, not
         # a row as wide as the busy slot's.
         train = TriggerTrain(1e-3, 200_000, (2.35e-5, 5e-5), mus)

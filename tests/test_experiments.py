@@ -399,6 +399,17 @@ class TestStreamedSweep:
                                  experiments._substream(cfg.seed, 0, eta))
             assert sets[eta].times.tolist() == want.times.tolist()
 
+    @settings(max_examples=200)
+    @given(st.integers(0, 2 ** 70) | st.sampled_from([0, 2 ** 32 - 1,
+                                                      2 ** 32, 2 ** 64]),
+           st.lists(st.integers(0, 2 ** 40), max_size=5))
+    def test_substream_is_the_seed_list_stream(self, seed, key):
+        # Its state is that of SeedSequence([seed, *key]), also for
+        # integers of more than one 32-bit word.
+        got = experiments._substream(seed, *key).generate_state(8)
+        want = np.random.SeedSequence([seed, *key]).generate_state(8)
+        assert got.tolist() == want.tolist()
+
     def test_analytic_mode_calls_nothing(self):
         calls = []
         run_retrieval_sweep(analytic_config(), BufferTopology(), DET,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -93,6 +94,31 @@ class TestBinCountsSemantics:
             kernels.bin_counts(np.array([0.0]), 0.0, 0.0, 10)
         with pytest.raises(InputDomainError):
             kernels.bin_counts(np.array([0.0]), 0.0, 0.1, 0)
+
+
+#: Each kernel call outside its domain, and the field its InputDomainError
+#: names: a period that is not > 0, and times that are not a 1-D array of
+#: numbers.
+KERNEL_DOMAIN_CASES = {
+    "fold-period-zero": (lambda: kernels.fold([0.1], 0.0), "period"),
+    "fold-period-nan": (lambda: kernels.fold([0.1], math.nan), "period"),
+    "fold-period-negative": (lambda: kernels.fold([0.1], -1.0), "period"),
+    "fold-str-times": (lambda: kernels.fold(["x"], 1.0), "times"),
+    "dead-time-str-times": (lambda: kernels.dead_time_filter(["a"], 0.1),
+                            "times"),
+    "dead-time-2d-times": (
+        lambda: kernels.dead_time_filter([[0.0, 1.0]], 0.1), "times"),
+    "bin-counts-2d-times": (
+        lambda: kernels.bin_counts([[0.1]], 0.0, 1.0, 4), "times"),
+}
+
+
+@pytest.mark.parametrize("call, field", KERNEL_DOMAIN_CASES.values(),
+                         ids=KERNEL_DOMAIN_CASES)
+def test_kernels_reject_out_of_domain(call, field):
+    with pytest.raises(InputDomainError) as info:
+        call()
+    assert info.value.field == field
 
 
 @st.composite
@@ -362,14 +388,24 @@ def padded_fired(n, lam, rng):
             np.concatenate(slots or [np.empty(0, np.intp)]))
 
 
+def run_slots(runs):
+    """The slot of each position that ``detection._fired`` returns with
+    its (slot, start, stop) runs, which must tile the positions."""
+    stops = [stop for _, _, stop in runs]
+    assert [start for _, start, _ in runs] == [0, *stops][:len(runs)]
+    return np.array([s for s, _, _ in runs], np.intp).repeat(
+        np.array([stop - start for _, start, stop in runs], np.intp))
+
+
 def reference_sample(train, det, acquisition, seed):
     """``sample_clicks``'s times from full-length arrays: one normal draw
     for the jitter, one uniform draw for the darks, a sorted concatenation
     and the reference dead-time loop."""
     rng = np.random.default_rng(seed)
     offsets, mus = train._slots()
-    trigger, slot = detection._fired(train.n_triggers, mus * det.efficiency,
+    trigger, runs = detection._fired(train.n_triggers, mus * det.efficiency,
                                      rng)
+    slot = run_slots(runs)
     signal = trigger * train.period + offsets[slot]
     if det.jitter_sigma_s > 0 and signal.size:
         signal = signal + rng.normal(0.0, det.jitter_sigma_s, signal.size)
@@ -380,9 +416,44 @@ def reference_sample(train, det, acquisition, seed):
     return times[reference_dead_time(times.tolist(), det.dead_time_s)]
 
 
+def plain_sample(train, det, acquisition, seed, block):
+    """``sample_clicks``'s times in its documented draw order, one scalar
+    at a time: :func:`reference_fired`'s rounds, each time ``pos * period
+    + offset``, the jitter ``sigma * z`` drawn ``block`` clicks at a time,
+    a Poisson count of darks and their uniforms times the acquisition,
+    then a sort and the reference dead-time loop."""
+    rng = np.random.default_rng(seed)
+    order = sorted(range(len(train.offsets)), key=train.offsets.__getitem__)
+    lam = [train.mus[s] * det.efficiency for s in order]
+    times = [pos * train.period + train.offsets[order[s]]
+             for pos, s in reference_fired(train.n_triggers, lam, rng)]
+    if det.jitter_sigma_s > 0:
+        for start in range(0, len(times), block):
+            z = rng.standard_normal(len(times[start:start + block]))
+            for k, zk in enumerate(z.tolist(), start):
+                times[k] += det.jitter_sigma_s * zk
+    if det.dark_rate_hz > 0:
+        n_dark = rng.poisson(det.dark_rate_hz * acquisition)
+        times += [u * acquisition for u in rng.random(n_dark).tolist()]
+    times.sort()
+    keep = reference_dead_time(times, det.dead_time_s)
+    return [t for t, kept in zip(times, keep) if kept]
+
+
+@st.composite
+def sample_cases(draw):
+    """(train, detector, seed) of :func:`trains`, with a dead time of 0,
+    within the period or longer than it."""
+    train, det, seed = draw(trains())
+    dead = draw(st.sampled_from([0.0, 50e-9, train.period / 7,
+                                 1.5 * train.period]))
+    return train, replace(det, dead_time_s=dead), seed
+
+
 def fired_pairs(n, lam, seed):
-    trigger, slot = detection._fired(n, np.asarray(lam, dtype=np.float64),
+    trigger, runs = detection._fired(n, np.asarray(lam, dtype=np.float64),
                                      np.random.default_rng(seed))
+    slot = run_slots(runs)
     assert trigger.dtype == np.float64
     return list(zip(trigger.tolist(), slot.tolist()))
 
@@ -416,6 +487,21 @@ class TestTriggerTrainProperty:
         assert got.times.view(np.int64).tolist() \
             == want.view(np.int64).tolist()
 
+    @settings(max_examples=300, deadline=None)
+    @given(sample_cases(), st.sampled_from(BLOCKS),
+           st.sampled_from([0.0, 4.0]))
+    def test_equals_plain_reference(self, case, block, sigmas):
+        # Bit for bit, in the documented draw order; sigmas 0 makes some
+        # slots draw more rounds than others.
+        train, det, seed = case
+        acquisition = (train.n_triggers + 0.5) * train.period
+        with mock.patch.object(kernels, "_BLOCK_CLICKS", block), \
+                mock.patch.object(detection, "_FIRE_BLOCK_SIGMAS", sigmas):
+            got = sample_clicks(train, det, acquisition, seed)
+            want = plain_sample(train, det, acquisition, seed, block)
+        assert got.times.view(np.int64).tolist() \
+            == np.array(want).view(np.int64).tolist()
+
     @settings(max_examples=200, deadline=None)
     @given(trains())
     def test_equals_materialized_stream(self, case):
@@ -430,16 +516,17 @@ class TestTriggerTrainProperty:
         (1e-300, 0.5, 5e-324), (0.1,) * 6, (30.0, 0.02, 0.02)])
     @pytest.mark.parametrize("sigmas", [0.0, 4.0])
     def test_fired_equals_padded_block(self, lam, sigmas):
-        # Each slot's gaps have their own segment of one flat array; the
-        # pairs, their order and their dtypes are those of the padded
-        # block, also when blocks fall short (sigmas 0) and some slots
-        # draw more rounds than others.
+        # Each slot draws its gaps into an array of its own; the pairs,
+        # their order and their dtypes are those of the padded block, also
+        # when blocks fall short (sigmas 0) and some slots draw more rounds
+        # than others.
         lam = np.array(lam)
         with mock.patch.object(detection, "_FIRE_BLOCK_SIGMAS", sigmas):
             for n in (1, 2, 37, 20_000):
                 for seed in range(4):
-                    got = detection._fired(n, lam,
-                                           np.random.default_rng(seed))
+                    trigger, runs = detection._fired(
+                        n, lam, np.random.default_rng(seed))
+                    got = trigger, run_slots(runs)
                     want = padded_fired(n, lam, np.random.default_rng(seed))
                     for a, b in zip(got, want):
                         assert a.dtype == b.dtype
@@ -458,7 +545,8 @@ class TestTriggerTrainProperty:
                 counts = [detection._fired(n, lams[[s]], rng)[0].size
                           for s in range(lams.size)]
             else:
-                trigger, slot = detection._fired(n, lams, rng)
+                trigger, runs = detection._fired(n, lams, rng)
+                slot = run_slots(runs)
                 counts = np.bincount(slot, minlength=lams.size)
                 for s in range(lams.size):
                     t = trigger[slot == s]
