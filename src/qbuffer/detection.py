@@ -309,8 +309,8 @@ def _fired(n: int, lam: np.ndarray, rng) -> tuple[np.ndarray, list]:
     parts, runs, size = [], [], 0
     with np.errstate(over="ignore"):  # a gap past 1e308 is still past n
         while live:
-            going = []
-            for s, lam_s, p_s, last in live:
+            drawing, live = live, []
+            for s, lam_s, p_s, last in drawing:
                 rp = (end - last) * p_s
                 seg = np.empty(int(min(end - last, math.ceil(
                     rp + _FIRE_BLOCK_SIGMAS * math.sqrt(rp)))))
@@ -326,9 +326,8 @@ def _fired(n: int, lam: np.ndarray, rng) -> tuple[np.ndarray, list]:
                 size += f
                 last = float(seg[-1])  # positions never fall
                 if last < end:
-                    going.append((s, lam_s, p_s, last))
-            live = going
-    if len(parts) == 1:
+                    live.append((s, lam_s, p_s, last))
+    if len(parts) == 1:  # a sole run is a view of its draw
         return parts[0], runs
     return np.concatenate(parts or [np.empty(0)]), runs
 
@@ -402,8 +401,16 @@ def sample_clicks(train: TriggerTrain, det: DetectorModel,
             n_kept += kept.size
         times = times[:n_kept]
     clicks = ClickSet(times, detector_id, acquisition)
-    object.__setattr__(clicks, "_in_order", True)  # nobody can write them
+    object.__setattr__(clicks, "_in_order", True)  # only it holds them
     return clicks
+
+
+def _substream(seed: int, *key: int) -> np.random.SeedSequence:
+    """``SeedSequence([seed, *key])`` of one sampling task, given the uint32
+    words numpy splits it into (low first), which convert faster."""
+    words = [k >> w & 0xFFFFFFFF for k in (int(seed), *map(int, key))
+             for w in range(0, max(k.bit_length(), 1), 32)]
+    return np.random.SeedSequence(np.array(words, np.uint32))
 
 
 def histogram(clicks: ClickSet, t0: float, bin_width: float,

@@ -43,6 +43,7 @@ from .detection import (
     Histogram,
     TriggerTrain,
     _click_probability,
+    _substream,
     click_probability,
     count_triggered,
     histogram,
@@ -342,14 +343,6 @@ def fit_decay(peaks) -> DecayFit:
 
 
 # -- engine plumbing --------------------------------------------------------
-
-
-def _substream(seed: int, *key: int) -> np.random.SeedSequence:
-    """``SeedSequence([seed, *key])`` of one sampling task, given the uint32
-    words numpy splits it into (low first), which convert faster."""
-    words = [k >> w & 0xFFFFFFFF for k in (int(seed), *map(int, key))
-             for w in range(0, max(k.bit_length(), 1), 32)]
-    return np.random.SeedSequence(np.array(words, np.uint32))
 
 
 def _n_distinct(values: np.ndarray) -> int:

@@ -34,7 +34,9 @@ def test_outputs_match_golden_digests(label):
         return
     names = sorted(n for n in {*got, *want} if got.get(n) != want.get(n))
     message = (f"{label} (qbuffer {' '.join(case['argv'])}): "
-               f"{', '.join(names)} differ from tests/golden.json")
+               f"{', '.join(names)} "
+               f"{'differs' if len(names) == 1 else 'differ'} from "
+               "tests/golden.json")
     env, recorded = COMPARE.golden_environment(), GOLDEN["environment"]
     if env != recorded:
         message += (
