@@ -261,7 +261,8 @@ class TriggerTrain:
         _checked("n_triggers", self.n_triggers, ge=1, integer=True,
                  label="trigger count")
         _checked("period", self.period, gt=0)
-        offsets, mus = tuple(self.offsets), tuple(self.mus)
+        offsets = _array("offsets", tuple, self.offsets)
+        mus = _array("mus", tuple, self.mus)
         if not offsets or len(offsets) != len(mus):
             raise InputDomainError(
                 "a train needs one or more slots, each with an offset and "
@@ -352,7 +353,11 @@ def sample_clicks(train: TriggerTrain, det: DetectorModel,
     """
     if not isinstance(train, TriggerTrain):
         raise InputDomainError(
-            f"pulses must be a TriggerTrain, not {type(train).__name__}")
+            f"train must be a TriggerTrain, not {type(train).__name__}",
+            "train")
+    if not isinstance(det, DetectorModel):
+        raise InputDomainError(
+            f"det must be a DetectorModel, not {type(det).__name__}", "det")
     _checked("acquisition", acquisition, ge=0)
     if not isinstance(seed, np.random.SeedSequence):
         _checked("seed", seed, ge=0, integer=True)

@@ -42,7 +42,8 @@ from .components import (
     db_to_transmission,
     sagnac_transfer,
 )
-from .errors import ContractViolationError, InputDomainError, _checked
+from .errors import (ContractViolationError, InputDomainError, _array,
+                     _checked)
 
 
 class EventLogEntry(NamedTuple):
@@ -183,8 +184,8 @@ def simulate(topology: BufferTopology, schedule: DriveSchedule,
     elif not isinstance(limits, SimLimits):
         raise InputDomainError("limits must be a SimLimits", "limits")
     if not isinstance(schedule, DriveSchedule):
-        schedule = DriveSchedule(tuple(schedule))
-    inputs = list(inputs)
+        schedule = DriveSchedule(_array("schedule", tuple, schedule))
+    inputs = _array("inputs", list, inputs)
     for i, p in enumerate(inputs):
         if not isinstance(p, PulseRecord):
             raise InputDomainError("input pulses must be PulseRecord",

@@ -122,7 +122,7 @@ class ExperimentConfig:
         _checked("n_triggers", self.n_triggers, ge=1, integer=True,
                  label="trigger count")
         _checked("seed", self.seed, ge=0, integer=True)
-        etas = tuple(self.eta_list)
+        etas = _array("eta_list", tuple, self.eta_list)
         if not etas:
             raise InputDomainError(
                 "eta_list must name at least one retrieval setting",
@@ -136,7 +136,7 @@ class ExperimentConfig:
                     "swept once", f"eta_list[{i}]")
             seen.add(e)
         object.__setattr__(self, "eta_list", tuple(int(e) for e in etas))
-        angles = tuple(self.hwp_angles)
+        angles = _array("hwp_angles", tuple, self.hwp_angles)
         for i, a in enumerate(angles):
             _checked(f"hwp_angles[{i}]", a, ge=-HWP_ANGLE_MAX,
                      le=HWP_ANGLE_MAX, label="HWP angle")
@@ -475,6 +475,9 @@ def run_retrieval_sweep(config: ExperimentConfig, topology: BufferTopology,
     keeps them, e.g. ``on_clicks=sets.__setitem__``. A ``runs`` dict
     shares engine runs with earlier :func:`propagate` calls.
     """
+    if not isinstance(det, DetectorModel):
+        raise InputDomainError(
+            f"det must be a DetectorModel, not {type(det).__name__}", "det")
     limits = limits or SimLimits()
     delta_t = storage_period(topology)
     period = 1.0 / config.rep_rate_hz

@@ -16,11 +16,12 @@ from qbuffer.components import (
     sagnac_transfer,
     stored_states,
 )
-from qbuffer.detection import DetectorModel
+from qbuffer.detection import DetectorModel, TriggerTrain
 from qbuffer.engine import (
     DriveSchedule,
     SimLimits,
     _drive_phases,
+    simulate,
     storage_retrieval_schedule,
 )
 from qbuffer.errors import ContractViolationError, InputDomainError
@@ -414,6 +415,12 @@ class TestConstructorDomain:
         (lambda: projection_probability(STATE_H, [1, 0, 0]), "axis"),
         (lambda: PolState([[1, 0, 0]]), "rho"),
         (lambda: JonesOp([[1, 0, 0], [0, 1, 0]]), "m"),
+        (lambda: ExperimentConfig(eta_list=5), "eta_list"),
+        (lambda: ExperimentConfig(hwp_angles=5), "hwp_angles"),
+        (lambda: TriggerTrain(1.0, 1, 5, 5), "offsets"),
+        (lambda: TriggerTrain(1.0, 1, (0.5,), 5), "mus"),
+        (lambda: simulate(BufferTopology(), 5, [_pulse()]), "schedule"),
+        (lambda: simulate(BufferTopology(), DriveSchedule(), 5), "inputs"),
     ], ids=[
         "topology-inf-loop", "topology-inf-group-index", "topology-nan-v-pi",
         "topology-bool-loss", "topology-str-length", "topology-nan-element",
@@ -435,7 +442,9 @@ class TestConstructorDomain:
         "train-bool-rate", "schedule-nan-guard", "polstate-str-rho",
         "jones-str-vec", "jonesop-str-m", "projection-str-axis",
         "jones-three-vec", "projection-three-axis", "polstate-shape-rho",
-        "jonesop-shape-m"])
+        "jonesop-shape-m", "experiment-int-etas", "experiment-int-angles",
+        "train-int-offsets", "train-int-mus", "simulate-int-schedule",
+        "simulate-int-inputs"])
     def test_rejected_with_field(self, build, field):
         with pytest.raises(InputDomainError) as info:
             build()

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qbuffer import detection, experiments, kernels
+from qbuffer.components import BufferTopology
 from qbuffer.detection import (
     ClickSet,
     DetectorModel,
@@ -449,6 +450,26 @@ class TestOrderAwareCount:
                     assert count_triggered(cs, 1.0, 0.5, 0.25) == want
                 assert want == -(-n // 3)
 
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sampled_sets_equal_sort_path(self, block, seed):
+        # count_triggered trusts the order of a set sample_clicks drew and
+        # skips its order check. Three slots, the last two within the dead
+        # time of each other, with jitter and darks; the wide gates hold
+        # two or three hits of one trigger, which are adjacent only in
+        # time order.
+        train = TriggerTrain(1.0, 200, (0.2, 0.5, 0.505), (2.0, 1.5, 0.8))
+        det = DetectorModel(efficiency=0.9, dark_rate_hz=5.0,
+                            dead_time_s=0.01, jitter_sigma_s=0.002)
+        gates = ((1.0, 0.2, 0.05), (1.0, 0.35, 0.4), (1.0, 0.5, 3.0))
+        with mock.patch.object(kernels, "_BLOCK_CLICKS", block):
+            cs = sample_clicks(train, det, 200.0, seed)
+            assert cs._in_order
+            assert len(cs) > 2 * max(BLOCKS[:-1])
+            for gate in gates:
+                assert count_triggered(cs, *gate) == \
+                    sort_path_count(cs.times, *gate)
+
 
 class TestBlockedPassMemory:
     """Counting and writing a click set add O(block) memory to it, with
@@ -714,6 +735,13 @@ DOMAIN_CASES = {
     "sample-id-fractional": (lambda cs: sample_clicks(
         TriggerTrain(1.0, 1, (0.5,), (0.1,)), QUIET, 1.0, 1,
         detector_id=1.5), "detector_id"),
+    "sample-train-list": (lambda cs: sample_clicks([(0.5, 0.1)], QUIET, 1.0,
+                                                   1), "train"),
+    "sample-det-str": (lambda cs: sample_clicks(
+        TriggerTrain(1.0, 1, (0.5,), (0.1,)), "QUIET", 1.0, 1), "det"),
+    "retrieval-det-str": (lambda cs: experiments.run_retrieval_sweep(
+        experiments.ExperimentConfig(eta_list=(1,)), BufferTopology(),
+        "QUIET"), "det"),
     "sample-acquisition-str": (lambda cs: sample_clicks(
         TriggerTrain(1.0, 1, (0.5,), (0.1,)), QUIET, "x", 0),
         "acquisition"),
