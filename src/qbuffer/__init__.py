@@ -6,84 +6,54 @@ a programmable number of cycles. The package models the optics (Jones
 calculus on density matrices), the event-ordered propagation, single-photon
 detection with dark counts, jitter and dead time, and the built-in
 measurement campaigns with their analysis.
+
+The names below are imported from their modules on first use (PEP 562), so
+``import qbuffer`` loads no numpy and the command line can set numpy's
+environment before numpy starts.
 """
+
+import importlib
 
 __version__ = "0.2.0"
 
-from .components import (
-    BufferTopology,
-    DrivePulse,
-    PulseRecord,
-    fiber_delay,
-    generate_pulse_train,
-    pbs_project,
-    sagnac_transfer,
-    stored_states,
-)
-from .detection import (
-    ClickSet,
-    DetectorModel,
-    Histogram,
-    TriggerTrain,
-    click_probability,
-    histogram,
-    sample_clicks,
-)
-from .engine import (
-    DriveSchedule,
-    SimLimits,
-    SimulationResult,
-    simulate,
-    storage_period,
-    storage_retrieval_schedule,
-    validate_schedule,
-)
-from .errors import (
-    CalibrationError,
-    ConfigError,
-    ContractViolationError,
-    InputDomainError,
-    QBufferError,
-    ScheduleError,
-)
-from .experiments import (
-    Calibration,
-    ExperimentConfig,
-    VisibilityResult,
-    apply_calibration,
-    calibrate,
-    fit_decay,
-    run_hwp_sweep,
-    run_retrieval_sweep,
-    visibility,
-)
-from .polarization import (
-    STATE_D,
-    STATE_H,
-    STATE_V,
-    JonesOp,
-    PolState,
-    apply_depolarizing,
-    apply_unitary,
-    hwp_matrix,
-    projection_probability,
-)
+#: Module -> the public names it defines.
+_EXPORTS = {
+    "components": (
+        "BufferTopology", "DrivePulse", "PulseRecord", "fiber_delay",
+        "generate_pulse_train", "pbs_project",
+        "sagnac_transfer", "stored_states"),
+    "detection": (
+        "ClickSet", "DetectorModel", "Histogram", "TriggerTrain",
+        "click_probability", "histogram", "sample_clicks"),
+    "engine": (
+        "DriveSchedule", "SimLimits", "SimulationResult", "simulate",
+        "storage_period", "storage_retrieval_schedule", "validate_schedule"),
+    "errors": (
+        "CalibrationError", "ConfigError", "ContractViolationError",
+        "InputDomainError", "QBufferError", "ScheduleError"),
+    "experiments": (
+        "Calibration", "ExperimentConfig", "VisibilityResult",
+        "apply_calibration", "calibrate",
+        "fit_decay", "run_hwp_sweep", "run_retrieval_sweep", "visibility"),
+    "polarization": (
+        "JonesOp", "PolState", "STATE_D", "STATE_H", "STATE_V",
+        "apply_depolarizing", "apply_unitary", "hwp_matrix",
+        "projection_probability"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
 
-__all__ = [
-    "__version__",
-    "BufferTopology", "DrivePulse", "PulseRecord", "fiber_delay",
-    "generate_pulse_train", "pbs_project",
-    "sagnac_transfer", "stored_states",
-    "ClickSet", "DetectorModel", "Histogram", "TriggerTrain",
-    "click_probability", "histogram", "sample_clicks",
-    "DriveSchedule", "SimLimits", "SimulationResult", "simulate",
-    "storage_period", "storage_retrieval_schedule", "validate_schedule",
-    "CalibrationError", "ConfigError", "ContractViolationError",
-    "InputDomainError", "QBufferError", "ScheduleError",
-    "Calibration", "ExperimentConfig", "VisibilityResult",
-    "apply_calibration", "calibrate",
-    "fit_decay", "run_hwp_sweep", "run_retrieval_sweep", "visibility",
-    "JonesOp", "PolState", "STATE_D", "STATE_H", "STATE_V",
-    "apply_depolarizing", "apply_unitary", "hwp_matrix",
-    "projection_probability",
-]
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -184,8 +184,9 @@ def simulate(topology: BufferTopology, schedule: DriveSchedule,
     elif not isinstance(limits, SimLimits):
         raise InputDomainError("limits must be a SimLimits", "limits")
     if not isinstance(schedule, DriveSchedule):
-        schedule = DriveSchedule(_array("schedule", tuple, schedule))
-    inputs = _array("inputs", list, inputs)
+        schedule = DriveSchedule(_array("schedule", tuple, schedule,
+                                        "a sequence of DrivePulse"))
+    inputs = _array("inputs", list, inputs, "a sequence of PulseRecord")
     for i, p in enumerate(inputs):
         if not isinstance(p, PulseRecord):
             raise InputDomainError("input pulses must be PulseRecord",

@@ -49,15 +49,15 @@ def _checked(field, value, *, gt=None, ge=None, lt=None, le=None,
         + (f" {rule}" if rule else ""), field)
 
 
-def _array(field, make, value, **kwargs):
+def _array(field, make, value, expected="an array of numbers", **kwargs):
     """``make(value, **kwargs)``, e.g. ``np.asarray(value, dtype=...)``,
-    raising InputDomainError naming ``field`` when an entry does not
-    convert (a string, a ragged list)."""
+    raising InputDomainError naming ``field`` and what it takes,
+    ``expected``, when an entry does not convert (a string, a ragged list)
+    or ``value`` is no sequence."""
     try:
         return make(value, **kwargs)
     except (TypeError, ValueError):
-        raise InputDomainError(f"{field} must be an array of numbers",
-                               field) from None
+        raise InputDomainError(f"{field} must be {expected}", field) from None
 
 
 class ContractViolationError(QBufferError, ValueError):

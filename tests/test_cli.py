@@ -41,6 +41,41 @@ def one_json_error(capsys):
     return json.loads(line)
 
 
+def child(argv, cwd, env_changes=None, stdout=subprocess.PIPE):
+    """Run ``python *argv`` in a fresh interpreter with ``src`` on the path;
+    ``env_changes`` maps a variable to its value, or to None to unset it."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("QBUF_")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    for key, value in (env_changes or {}).items():
+        env.pop(key, None)
+        if value is not None:
+            env[key] = value
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=120)
+
+
+def closed_pipe_child(argv, cwd, unbuffered):
+    """Run ``python -m qbuffer.cli *argv`` with stdout on a pipe whose read
+    end is closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return child(["-m", "qbuffer.cli", *argv], cwd,
+                     {"PYTHONUNBUFFERED": "1" if unbuffered else None},
+                     stdout=write_end)
+    finally:
+        os.close(write_end)
+
+
+def result_bytes(out_dir):
+    """Every file of a run directory; the manifest without ``duration_s``."""
+    files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    manifest = json.loads(files.pop("manifest.json"))
+    assert manifest.pop("duration_s") >= 0
+    return files, manifest
+
+
 #: A config document with one rejected value, keyed by the path reported.
 REJECTED_DOCS = {
     "topology.storage_length_m":
@@ -190,12 +225,7 @@ class TestRun:
             "                 'experiment.n_triggers=2000',\n"
             "                 '--out', sys.argv[1] + preset]) == 0\n"
             f"print({expression})\n")
-        env = {k: v for k, v in os.environ.items()
-               if not k.startswith("QBUF_")}
-        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
-        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
-                              env=env, capture_output=True, text=True,
-                              timeout=120)
+        proc = child(["-c", script, str(tmp_path)], tmp_path)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()[-1]
 
@@ -765,3 +795,123 @@ class TestCliContractFuzz:
             assert code in (2, 3)
             (line,) = err
             assert json.loads(line)["error"]
+
+
+
+class TestScript:
+    """``python -m qbuffer.cli`` runs ``cli.script``, which ends the process
+    without the interpreter's teardown; what it writes and its exit codes
+    are those of ``main``."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_run_equals_in_process_main(self, tmp_path, monkeypatch, capsys,
+                                        preset):
+        argv = ["run", "--preset", preset, "--seed", "5", "--set",
+                "experiment.n_triggers=2000", "--out", "out"]
+        (tmp_path / "script").mkdir()
+        proc = child(["-m", "qbuffer.cli", *argv], tmp_path / "script")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        (tmp_path / "main").mkdir()
+        monkeypatch.chdir(tmp_path / "main")
+        assert run_cli(*argv) == 0
+        assert proc.stdout == capsys.readouterr().out == \
+            f"wrote {len(os.listdir('out'))} files to out\n"
+        assert result_bytes(tmp_path / "script" / "out") \
+            == result_bytes(tmp_path / "main" / "out")
+
+    @pytest.mark.parametrize("argv, code, kind", [
+        (["run", "--preset", "fig2-main", "--seed", "-1"], 2, "schema"),
+        (["validate", "--preset", "fig2-main",
+          "--set", "experiment.drive_width_s=1.2e-6"], 3, "schedule"),
+    ], ids=["schema", "schedule"])
+    def test_error_is_one_json_line(self, tmp_path, argv, code, kind):
+        proc = child(["-m", "qbuffer.cli", *argv], tmp_path)
+        assert proc.returncode == code
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == kind
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("unbuffered", [True, False],
+                             ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [
+        ["presets"], ["presets", "--format", "json"],
+        ["validate", "--preset", "fig2-main"],
+        ["run", "--preset", "fig2-main", "--set",
+         "experiment.n_triggers=2000", "--out", "out"],
+    ], ids=["presets", "presets-json", "validate", "run"])
+    def test_closed_stdout_is_an_output_error(self, tmp_path, argv,
+                                              unbuffered):
+        proc = closed_pipe_child(argv, tmp_path, unbuffered)
+        assert proc.returncode == 2, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        report = json.loads(line)
+        assert report["error"] == "output"
+        assert "Broken pipe" in report["message"]
+        if argv[0] == "run":
+            # The run fails, so it leaves none of its files.
+            assert os.listdir(tmp_path / "out") == []
+
+    def test_main_returns_and_script_exits(self, tmp_path):
+        # A library call of main returns its code and the interpreter ends
+        # as usual; the script ends the process, so atexit handlers do not
+        # run.
+        start = ("import atexit, sys\n"
+                 "from qbuffer import cli\n"
+                 "atexit.register(print, 'atexit')\n")
+        proc = child(["-c", start + "print(cli.main(['presets']) + 7)\n"
+                      "print('after main')"], tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[-3:] == ["7", "after main", "atexit"]
+        proc = child(["-c", start + "sys.argv[1:] = ['presets']\n"
+                      "cli.script()\n"
+                      "print('after script')"], tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[-1].startswith("ideal-system ")
+        assert "after script" not in proc.stdout
+        assert "atexit" not in proc.stdout
+
+
+class TestLazyPackage:
+    """``import qbuffer`` loads no numpy and changes no environment; the
+    command line holds OpenBLAS to one thread unless the user chose."""
+
+    def test_import_loads_no_numpy(self, tmp_path):
+        proc = child(["-c", "import os, sys, qbuffer\n"
+                      "print('numpy' in sys.modules, "
+                      "os.environ.get('OPENBLAS_NUM_THREADS'))"],
+                     tmp_path, {"OPENBLAS_NUM_THREADS": None})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "False None\n"
+
+    def test_public_names_resolve(self, tmp_path):
+        body = (
+            "import importlib, qbuffer\n"
+            "names = [n for n in qbuffer.__all__ if n != '__version__']\n"
+            "assert len(names) == len(set(names))\n"
+            "assert set(qbuffer.__all__) <= set(dir(qbuffer))\n"
+            "for module, defined in qbuffer._EXPORTS.items():\n"
+            "    mod = importlib.import_module('qbuffer.' + module)\n"
+            "    for name in defined:\n"
+            "        assert getattr(qbuffer, name) is getattr(mod, name)\n"
+            "star = {}\n"
+            "exec('from qbuffer import *', star)\n"
+            "assert set(star) - {'__builtins__'} == set(qbuffer.__all__)\n"
+            "try:\n"
+            "    qbuffer.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n")
+        proc = child(["-c", body], tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == \
+            "module 'qbuffer' has no attribute 'no_such_name'\n"
+
+    @pytest.mark.parametrize("user, want", [(None, "1"), ("3", "3")],
+                             ids=["unset", "user-value"])
+    def test_cli_sets_one_blas_thread(self, tmp_path, user, want):
+        proc = child(["-c", "import os, qbuffer\n"
+                      "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+                      "import qbuffer.cli\n"
+                      "print(os.environ['OPENBLAS_NUM_THREADS'])"],
+                     tmp_path, {"OPENBLAS_NUM_THREADS": user})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"{user}\n{want}\n"

@@ -420,6 +420,7 @@ class TestConstructorDomain:
         (lambda: TriggerTrain(1.0, 1, 5, 5), "offsets"),
         (lambda: TriggerTrain(1.0, 1, (0.5,), 5), "mus"),
         (lambda: simulate(BufferTopology(), 5, [_pulse()]), "schedule"),
+        (lambda: simulate(BufferTopology(), 5, []), "schedule"),
         (lambda: simulate(BufferTopology(), DriveSchedule(), 5), "inputs"),
     ], ids=[
         "topology-inf-loop", "topology-inf-group-index", "topology-nan-v-pi",
@@ -444,8 +445,12 @@ class TestConstructorDomain:
         "jones-three-vec", "projection-three-axis", "polstate-shape-rho",
         "jonesop-shape-m", "experiment-int-etas", "experiment-int-angles",
         "train-int-offsets", "train-int-mus", "simulate-int-schedule",
-        "simulate-int-inputs"])
+        "simulate-int-schedule-no-inputs", "simulate-int-inputs"])
     def test_rejected_with_field(self, build, field):
         with pytest.raises(InputDomainError) as info:
             build()
         assert info.value.field == field
+        # A sequence of model objects is not asked to hold numbers.
+        what = {"schedule": "a sequence of DrivePulse",
+                "inputs": "a sequence of PulseRecord"}.get(field)
+        assert what is None or str(info.value) == f"{field} must be {what}"
