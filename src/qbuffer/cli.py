@@ -226,6 +226,7 @@ def cmd_run(args) -> int:
         clicks.write_csv(os.path.join(out_dir, name))
         click_files.append(name)
 
+    ok = False
     try:
         os.makedirs(out_dir, exist_ok=True)
         summary, results = run_plan(
@@ -266,18 +267,22 @@ def cmd_run(args) -> int:
             "config": plan.snapshot,
         }
         emit("manifest.json", lambda p: _write_json(p, manifest))
-        # A stdout that cannot take the report fails the run, too.
+    except _FAILURES as exc:
+        return _failure(exc)
+    else:
+        # A stdout that cannot take the report fails the run, too; main
+        # reports it.
         print(f"wrote {len(outputs)} files to {out_dir}")
         sys.stdout.flush()
-    except _FAILURES as exc:
-        code = _failure(exc)
-        # A failed run leaves none of the files it has written.
-        for name in set(outputs + click_files):
-            try:
-                os.remove(os.path.join(out_dir, name))
-            except OSError:
-                pass
-        return code
+        ok = True
+    finally:
+        if not ok:
+            # A failed run leaves none of the files it has written.
+            for name in set(outputs + click_files):
+                try:
+                    os.remove(os.path.join(out_dir, name))
+                except OSError:
+                    pass
     return 0
 
 
@@ -325,8 +330,20 @@ def cmd_presets(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose ``--help`` and ``--version`` fail on a
+    stdout that cannot be written, as every other output does; argparse
+    itself drops that error."""
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qbuffer",
         description="Fiber-loop buffer simulator for polarization-encoded "
                     "weak coherent pulses")
@@ -362,12 +379,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; its exit code. A stdout that cannot be written
-    (a closed pipe, a full disk) is an ``output`` error, exit 2, unless
-    the command has already failed and reported why."""
-    args = build_parser().parse_args(argv)
+    """Run one command; its exit code, also for ``--help``, ``--version``
+    and a usage error. A stdout that cannot be written (a closed pipe, a
+    full disk) is an ``output`` error, exit 2, unless the command has
+    already failed and reported why."""
     try:
-        code = args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help, --version, a usage error
+            code = exc.code
+        else:
+            code = args.func(args)
         if code == 0:
             sys.stdout.flush()
     except OSError as exc:
@@ -383,19 +405,12 @@ def script() -> None:
     teardown of numpy's and qbuffer's modules saves about 20 ms of CPU per
     run. ``atexit`` handlers do not run.
     """
-    try:
-        code = main()
-    except SystemExit as exc:  # argparse: --help, --version, usage errors
-        code = exc.code
-    try:
-        sys.stdout.flush()
-    except OSError as exc:
-        if code == 0:
-            code = _err("output", 2, message=f"stdout: {exc}")
-    try:
-        sys.stderr.flush()
-    except OSError:
-        pass  # nowhere left to report it; the exit code stands
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            pass  # main has flushed and checked a passed command's stdout
     os._exit(code)
 
 

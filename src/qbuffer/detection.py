@@ -140,7 +140,7 @@ class ClickSet:
     times: np.ndarray
     detector_id: int
     acquisition_s: float
-    #: True on the sets :func:`sample_clicks` draws, in time order.
+    #: Whether no time is below the one before it.
     _in_order: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
@@ -149,13 +149,18 @@ class ClickSet:
         _checked("detector_id", self.detector_id, ge=-2 ** 63, lt=2 ** 63,
                  integer=True, label="detector id")
         _checked("acquisition_s", self.acquisition_s, ge=0)
-        # min and max propagate NaN, which fails both comparisons.
-        if t.size and not (-_TAG_LIMIT_PS < float(t.min()) * 1e12
-                           and float(t.max()) * 1e12 < _TAG_LIMIT_PS):
-            raise InputDomainError(
-                "click times must be finite with |t| < 2**63 ps (~9.22e6 s)")
+        in_order = kernels._never_falls(t)
+        if t.size:
+            # In order, the ends are the extremes; min and max propagate
+            # NaN, which fails both comparisons.
+            lo, hi = (t[0], t[-1]) if in_order else (t.min(), t.max())
+            if not (-_TAG_LIMIT_PS < float(lo) * 1e12
+                    and float(hi) * 1e12 < _TAG_LIMIT_PS):
+                raise InputDomainError("click times must be finite with "
+                                       "|t| < 2**63 ps (~9.22e6 s)")
         t.flags.writeable = False
         object.__setattr__(self, "times", t)
+        object.__setattr__(self, "_in_order", in_order)
 
     def __len__(self) -> int:
         return int(self.times.shape[0])
@@ -405,9 +410,7 @@ def sample_clicks(train: TriggerTrain, det: DetectorModel,
             times[n_kept:n_kept + kept.size] = kept
             n_kept += kept.size
         times = times[:n_kept]
-    clicks = ClickSet(times, detector_id, acquisition)
-    object.__setattr__(clicks, "_in_order", True)  # only it holds them
-    return clicks
+    return ClickSet(times, detector_id, acquisition)
 
 
 def _substream(seed: int, *key: int) -> np.random.SeedSequence:
@@ -429,13 +432,13 @@ def count_triggered(clicks: ClickSet, period: float, offset: float,
                     window: float) -> int:
     """Number of distinct trigger periods with a click inside the gate
     [offset - window/2, offset + window/2) relative to the trigger. The
-    clicks are counted in time order; a set that :func:`sample_clicks` did
-    not draw is checked for it, and sorted if it is out of order."""
+    clicks are counted in time order; a set out of order is sorted
+    first."""
     _checked("period", period, gt=0)
     _checked("offset", offset)
     _checked("window", window, ge=0)
     t = clicks.times
-    if not (clicks._in_order or kernels._never_falls(t)):
+    if not clicks._in_order:
         t = np.sort(t)
     lo, hi = offset - window / 2.0, offset + window / 2.0
     # In time order the trigger never falls, nor rel within a trigger, so

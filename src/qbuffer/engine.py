@@ -20,11 +20,15 @@ the engine applies no depolarization; the state of a record that has
 completed ``k`` cycles is entry ``k`` of
 :func:`qbuffer.components.stored_states`.
 
-Events are processed in strict global time order with a monotonic sequence
-number as tie-breaker, so results are bit-for-bit reproducible. Every pure
-loss factor is folded into ``path_transmission``, and after a run the engine
-audits that, per source pulse, the split fractions over all terminal records
-sum to one.
+The coupler makes every routing decision, so the one kind of event is a
+coupler arrival, and each of its children is finished where the coupler
+routes it: an exit child through the circulator to the measurement stage,
+a storage child down the storage line and back to its next arrival.
+Arrivals are processed in strict global time order with a monotonic
+sequence number as tie-breaker, so results are bit-for-bit reproducible.
+Every pure loss factor is folded into ``path_transmission``, and after a
+run the engine audits that, per source pulse, the split fractions over all
+terminal records sum to one.
 """
 
 from __future__ import annotations
@@ -214,55 +218,18 @@ def simulate(topology: BufferTopology, schedule: DriveSchedule,
 
     new_ids = itertools.count(max((p.id for p in inputs), default=-1) + 1)
     seq = itertools.count()
-    heap: list = []  # (time, seq, kind, pulse)
-
-    def push(t, kind, pulse):
-        heapq.heappush(heap, (t, next(seq), kind, pulse))
+    heap: list = []  # coupler arrivals: (time, seq, entry port, record)
 
     for p in inputs:
         log.append(EventLogEntry(p.t, p.id, "routing", "in", p.mu, p.cycles))
         entered = PulseRecord(p.id, p.t, p.width, p.mu * tr_in, p.cycles,
                               p.root_id, p.path_transmission * tr_in)
-        push(entered.t, "coupler.a", entered)
+        heapq.heappush(heap, (entered.t, next(seq), "a", entered))
 
     while heap:
-        t, _, kind, pulse = heapq.heappop(heap)
-
-        if kind == "exit":
-            out = PulseRecord(pulse.id, pulse.t, pulse.width,
-                              pulse.mu * tr_out, pulse.cycles, pulse.root_id,
-                              pulse.path_transmission * tr_out)
-            log.append(EventLogEntry(out.t, out.id, "circulator", "out",
-                                     out.mu, out.cycles))
-            if 0.0 < out.mu < limits.mu_floor:
-                discarded.append((out, "negligible"))
-            else:
-                log.append(EventLogEntry(out.t, out.id, "measurement", "in",
-                                         out.mu, out.cycles))
-                retrieved.append(out)
-            continue
-
-        if kind == "storage":
-            # Down the storage line, off the grating mirror, and back.
-            t_fbg = t + d_storage
-            log.append(EventLogEntry(t_fbg, pulse.id, "fbg", "reflect",
-                                     pulse.mu, pulse.cycles))
-            t_back = t + 2.0 * d_storage
-            cyc = pulse.cycles + 1
-            back = PulseRecord(pulse.id, t_back, pulse.width,
-                               pulse.mu * tr_storage_rt, cyc, pulse.root_id,
-                               pulse.path_transmission * tr_storage_rt)
-            if cyc > limits.max_cycles:
-                discarded.append((back, "cycle limit"))
-            elif 0.0 < back.mu < limits.mu_floor:
-                discarded.append((back, "negligible"))
-            else:
-                push(t_back, "coupler.b", back)
-            continue
-
-        # Coupler arrival from the external side ("coupler.a") or the
-        # storage side ("coupler.b"): one full loop traversal.
-        entry_port = kind.split(".")[1]
+        # An arrival from the external side ("a") or the storage side
+        # ("b"): one full loop traversal.
+        t, _, entry_port, pulse = heapq.heappop(heap)
         log.append(EventLogEntry(t, pulse.id, "coupler", f"in_{entry_port}",
                                  pulse.mu, pulse.cycles))
         near, far = t + d_near, t + d_far
@@ -286,27 +253,49 @@ def simulate(topology: BufferTopology, schedule: DriveSchedule,
             branches = (("exit", refl), ("storage", trans))
         else:
             branches = (("storage", refl), ("exit", trans))
-        first_branch = True
+        child_ids = itertools.chain((pulse.id,), new_ids)
         for dest, fraction in branches:
             if fraction == 0.0:
                 continue
-            child_id = pulse.id if first_branch else next(new_ids)
-            first_branch = False
-            child = PulseRecord(child_id, t_rec, pulse.width,
-                                mu_rec * fraction, pulse.cycles,
-                                pulse.root_id, tr_rec)
-            log.append(EventLogEntry(t_rec, child.id, "coupler",
-                                     f"out_{dest}", child.mu, child.cycles))
-            if dest == "storage" and 0.0 < child.mu < limits.mu_floor:
-                discarded.append((child, "negligible"))
+            child_id = next(child_ids)
+            mu, cyc = mu_rec * fraction, pulse.cycles
+            log.append(EventLogEntry(t_rec, child_id, "coupler",
+                                     f"out_{dest}", mu, cyc))
+            if dest == "exit":
+                # Through the circulator to the measurement stage.
+                out = PulseRecord(child_id, t_rec, pulse.width, mu * tr_out,
+                                  cyc, pulse.root_id, tr_rec * tr_out)
+                log.append(EventLogEntry(t_rec, child_id, "circulator",
+                                         "out", out.mu, cyc))
+                if 0.0 < out.mu < limits.mu_floor:
+                    discarded.append((out, "negligible"))
+                else:
+                    log.append(EventLogEntry(t_rec, child_id, "measurement",
+                                             "in", out.mu, cyc))
+                    retrieved.append(out)
+            elif 0.0 < mu < limits.mu_floor:
+                discarded.append((PulseRecord(child_id, t_rec, pulse.width,
+                                              mu, cyc, pulse.root_id, tr_rec),
+                                  "negligible"))
             else:
-                push(t_rec, dest, child)
+                # Down the storage line, off the grating mirror, and back.
+                log.append(EventLogEntry(t_rec + d_storage, child_id, "fbg",
+                                         "reflect", mu, cyc))
+                back = PulseRecord(child_id, t_rec + 2.0 * d_storage,
+                                   pulse.width, mu * tr_storage_rt, cyc + 1,
+                                   pulse.root_id, tr_rec * tr_storage_rt)
+                if back.cycles > limits.max_cycles:
+                    discarded.append((back, "cycle limit"))
+                elif 0.0 < back.mu < limits.mu_floor:
+                    discarded.append((back, "negligible"))
+                else:
+                    heapq.heappush(heap, (back.t, next(seq), "b", back))
 
     retrieved.sort(key=lambda p: (p.t, p.id))
     discarded.sort(key=lambda pr: (pr[0].t, pr[0].id))
-    # Same-instant entries of one pulse keep their causal (append) order.
-    log = [e for _, e in sorted(
-        enumerate(log), key=lambda ie: (ie[1].time_s, ie[1].pulse_id, ie[0]))]
+    # A stable sort: same-instant entries of one pulse keep their causal
+    # (append) order.
+    log.sort(key=lambda e: (e.time_s, e.pulse_id))
     result = SimulationResult(retrieved, discarded, log, passages, inputs,
                               schedule)
     _audit_conservation(result)

@@ -838,16 +838,19 @@ class TestScript:
         ["validate", "--preset", "fig2-main"],
         ["run", "--preset", "fig2-main", "--set",
          "experiment.n_triggers=2000", "--out", "out"],
-    ], ids=["presets", "presets-json", "validate", "run"])
+        ["--version"], ["--help"], ["run", "--help"],
+    ], ids=["presets", "presets-json", "validate", "run", "version", "help",
+            "run-help"])
     def test_closed_stdout_is_an_output_error(self, tmp_path, argv,
                                               unbuffered):
+        # argparse drops a failed write of --help or --version; every
+        # command reports the same one line, whatever the buffering.
         proc = closed_pipe_child(argv, tmp_path, unbuffered)
         assert proc.returncode == 2, proc.stderr
         (line,) = proc.stderr.splitlines()
-        report = json.loads(line)
-        assert report["error"] == "output"
-        assert "Broken pipe" in report["message"]
-        if argv[0] == "run":
+        assert json.loads(line) == {
+            "error": "output", "message": "stdout: [Errno 32] Broken pipe"}
+        if argv[0] == "run" and "--help" not in argv:
             # The run fails, so it leaves none of its files.
             assert os.listdir(tmp_path / "out") == []
 
@@ -869,6 +872,16 @@ class TestScript:
         assert proc.stdout.splitlines()[-1].startswith("ideal-system ")
         assert "after script" not in proc.stdout
         assert "atexit" not in proc.stdout
+
+    def test_main_returns_argparse_codes(self, capsys):
+        # argparse ends --help, --version and a usage error with SystemExit;
+        # main returns their codes as it does any command's.
+        assert run_cli("--version") == 0
+        assert capsys.readouterr().out == f"{cli.__version__}\n"
+        assert run_cli("run", "--help") == 0
+        assert capsys.readouterr().out.startswith("usage: qbuffer run")
+        assert run_cli("run", "--no-such-flag") == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestLazyPackage:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -429,6 +430,7 @@ class TestOrderAwareCount:
         with mock.patch.object(kernels, "_BLOCK_CLICKS", block):
             for order in (sorted(times), data.draw(st.permutations(times))):
                 cs = ClickSet(np.array(order, dtype=np.float64), 0, 1.0)
+                assert cs._in_order is (order == sorted(order))
                 assert count_triggered(cs, period, offset, window) == want
 
     @pytest.mark.parametrize("block", BLOCKS[:-1])
@@ -664,6 +666,27 @@ class TestClickSetDomain:
         path = tmp_path / "c.csv"
         ClickSet(np.array([]), 0, 1.0).write_csv(path)
         assert path.read_text() == "time_ps,detector_id\n"
+
+    @pytest.mark.parametrize("times, in_order", [
+        ([0.1, 0.2, 0.2, 0.3], True), ([-0.3, 0.0, 2.0], True),
+        ([0.2, 0.1], False), ([0.1, 0.3, 0.2, 0.4], False),
+        ([], True), ([0.5], True), ([-TAG_MAX_S, TAG_MAX_S], True)])
+    def test_order_flag(self, times, in_order):
+        assert ClickSet(np.array(times), 0, 1.0)._in_order is in_order
+
+    @pytest.mark.parametrize("bad", [
+        math.nan, math.inf, -math.inf, TAG_OVER_S, -TAG_OVER_S, 1e300])
+    @pytest.mark.parametrize("where", ["alone", "first", "last"])
+    def test_untaggable_ends_rejected(self, bad, where):
+        # A set in order is range-checked by its ends, so a bad value where
+        # a sorted set holds its extreme is refused too; a NaN there breaks
+        # the order, unless it stands alone.
+        times = {"alone": [bad], "first": [bad, 0.1, 0.2],
+                 "last": [0.1, 0.2, bad]}[where]
+        with pytest.raises(InputDomainError, match=re.escape(
+                "click times must be finite with |t| < 2**63 ps "
+                "(~9.22e6 s)")):
+            ClickSet(np.array(times), 0, 1.0)
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, strategies as st
 from qbuffer.components import (
     BufferTopology,
     DrivePulse,
+    PulseRecord,
     db_to_transmission,
     fiber_delay,
     generate_pulse_train,
@@ -390,3 +393,65 @@ class TestEventLog:
             per_pulse.setdefault(e.pulse_id, []).append(e.mu)
         for mus in per_pulse.values():
             assert all(a >= b - 1e-15 for a, b in zip(mus, mus[1:]))
+
+
+class TestPinnedRun:
+    """Runs no preset reaches: a partial drive, two source pulses and a mu
+    floor that ends branches at the circulator, at the coupler and on the
+    return from the storage line. The digests were recorded when exit and
+    storage trips were still events of their own, so they pin that
+    finishing each trip where the coupler routes it changes no byte, no
+    record and no order."""
+
+    @staticmethod
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    #: (time, mu) of the second pulse and the cycles before retrieval ->
+    #: digests of the event-log CSV, the retrieved records and the (record,
+    #: reason) discards. 120 ns after the first, the second pulse is under
+    #: part of the drive; at mu 0.006 a storage child is dropped at the
+    #: coupler, at 0.00685 one is dropped on its return. Two pulses at one
+    #: time tie at every event; their retrieval split after one cycle and
+    #: after two tells apart the orders in which tied returns could pop.
+    PINNED = {
+        (120e-9, 0.006, 2): (
+            "cc14f40a247df619b157e1d1978329e2411565ddd115a117451cbf0cfc9b3721",
+            "a88d8af7d1cedd1d6f9305a01bf2432531e9e6601c32f4c20b0f5683e482dfa2",
+            "6ddb550808b6c00f5b468ca8b551e5153f05ca4660ca86ea13a714e5f972f6f6",
+        ),
+        (120e-9, 0.00685, 2): (
+            "a999e22376d144f26eac6952a939612c4ce924011a89e2ffb860df7af4e2b96a",
+            "91b8cb46ce3cab21a9eeb2c3106add5407745c995c80c6ee8bc3a27a002094cb",
+            "74540170951054b0e78ff6d7d7f260a01cc102476831739a2058a67cb80beea8",
+        ),
+        (0.0, 0.006, 2): (
+            "53936d1f07c039870320088f392d0d8953e6e386542616007fcd325d2ebfd24e",
+            "db76e8369996218f295b85f2614f9ab7ad23bfdcd698d05beffff1eef922fce4",
+            "3a9f061969398de919b1b4ebe338d8af0dc76a23ba4c4f9b6c7648e906ce1a85",
+        ),
+        (0.0, 0.006, 1): (
+            "6eda23aaa852f00c957e07286babcf7cfebc8192d55510cdfda37ddab832a089",
+            "f79151696bbf53ad12d72c21367f302ff7dc5e9fd18d35b65dc0a63a653ab6dc",
+            "fed8b2cbb690f5f53ae1b9857d49a2fda72c637816699bf5e7d1843a54cceedf",
+        ),
+    }
+
+    @pytest.mark.parametrize("t, mu, cycles", sorted(PINNED))
+    def test_matches_recorded_digests(self, topo, tmp_path, t, mu, cycles):
+        inputs = [PulseRecord(0, 0.0, 50e-9, 0.02),
+                  PulseRecord(1, t, 50e-9, mu)]
+        sched = storage_retrieval_schedule(topo, inputs[0], cycles,
+                                           voltage=450.0)
+        res = simulate(topo, sched, inputs,
+                       SimLimits(max_cycles=3, mu_floor=1e-3))
+        path = tmp_path / "events.csv"
+        res.write_event_log_csv(path)
+        assert [r for _, r in res.discarded] == \
+            ["negligible", "negligible", "cycle limit"]
+        assert {p.root_id for p in res.retrieved} == {0, 1}
+        got = (self.digest(path.read_text()),
+               self.digest(repr([astuple(p) for p in res.retrieved])),
+               self.digest(repr([(astuple(p), r)
+                                 for p, r in res.discarded])))
+        assert got == self.PINNED[t, mu, cycles]
