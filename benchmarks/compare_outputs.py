@@ -3,49 +3,44 @@
 Run:  python benchmarks/compare_outputs.py OLD_SRC NEW_SRC
       python benchmarks/compare_outputs.py --write-golden
 
-OLD_SRC and NEW_SRC are ``src`` directories (each holding the ``qbuffer``
-package), for example a checkout of the parent commit and this one. Each
-run is a fresh ``python -m qbuffer.cli`` process with PYTHONPATH set to
-one tree. The runs are:
+Both modes run the cases of :func:`cases` and reduce each run to one
+:func:`outcome`: its exit code and the sha256 of its stdout and stderr
+(each run's output directory written as ``OUT``), of every file it wrote,
+and of its ``manifest.json`` without ``duration_s``, the one wall time it
+records. The cases are:
 
-* ``run`` of every preset at seeds 0, 1 and 2, once with ``--format csv``
-  and once with ``--format json``;
-* ``validate`` of every preset;
-* ``run`` and ``validate`` of a custom schedule: a store and a retrieve
-  drive plus one drive that overlaps no passage, so the run's
-  ``summary.json`` carries a warning;
-* the argv of each workload in ``perfbench/run.py`` (seed 0), taken from
+* ``run`` of every preset at each seed, once with ``--format csv`` and
+  once with ``--format json``, and ``validate`` of every preset;
+* ``run`` and ``validate`` of a custom schedule on fig2-main at seed 1: a
+  store and a retrieve drive plus one drive that overlaps no passage, so
+  ``validate`` warns and the run's ``summary.json`` carries the warning;
+* ``run`` of each workload in ``perfbench/run.py`` at seed 0, taken from
   its ``WORKLOADS``, and ``validate`` of its preset with its overrides;
-* ``validate`` of two configs that pass with more than "schedule ok" on
-  stdout: ideal-system with ``eta_list=[1]``, which warns that no drive
-  pulse is sent, and fig2-insets with ``n_triggers=3``, whose all-zero
-  sampled counts only ``run`` sees.
+* ``validate`` of two edge configs: ideal-system with ``eta_list=[1]``,
+  which warns on stdout that no drive pulse is sent, and fig2-insets with
+  ``n_triggers=3``, which passes because its all-zero sampled counts only
+  ``run`` sees.
 
-Every run must exit 0 on both trees, with the same stdout and stderr once
-each run's output directory is written as ``OUT``. Every output file
-except ``manifest.json`` is compared byte for byte. The manifests are
-compared as parsed JSON without ``duration_s``, the one wall time they
-record, so a changed config snapshot or output list is seen too. The
-script prints each run, stream and file that differs, a file that only
-one tree wrote, or a run that failed, and exits 1 if there is any;
-otherwise it exits 0. It also prints each tree's peak RSS (``ru_maxrss`` from
-``os.wait4``) for the workload runs; that is a report only and never
-changes the exit status. Only the standard library is used.
+OLD_SRC and NEW_SRC are ``src`` directories (each holding the ``qbuffer``
+package), for example a checkout of the parent commit and this one. The
+cases use seeds 0, 1 and 2 and the workloads at full size; each run is a
+fresh ``python -m qbuffer.cli`` process with PYTHONPATH set to one tree.
+Every run must exit 0 on both trees with equal outcomes. The script prints
+each run that failed, and each stream and file that differs or that only
+one tree wrote, and exits 1 if there is any; otherwise it exits 0. It also
+prints each tree's peak RSS (``ru_maxrss`` from ``os.wait4``) for the
+workload runs; that is a report only and never changes the exit status.
+Only the standard library is used.
 
-``--write-golden`` instead rewrites ``tests/golden.json``, the digests
+``--write-golden`` instead rewrites ``tests/golden.json``, the outcomes
 that ``tests/test_golden.py`` checks in tier-1, from this checkout's
-``src``. It runs in process, importing ``qbuffer`` and so numpy. The
-runs are ``run`` of every preset at seed 0 in both formats, ``validate``
-of every preset, and each perfbench workload's argv, and ``validate`` of
-it, at ``GOLDEN_TRIGGERS`` triggers. Each run records the sha256 of every
-result file, of its manifest without ``duration_s`` and of
-``validate``'s stdout, and the file records the numpy version and CPU
-features the digests were made with. Regenerate it only for a declared
-RNG-stream or format change.
+``src``. It runs the cases at seed 0 and the workloads at
+``GOLDEN_TRIGGERS`` triggers, in process, importing ``qbuffer`` and so
+numpy, and records the numpy version and CPU features the digests were
+made with. Regenerate it only for a declared RNG-stream or format change.
 """
 
 import contextlib
-import filecmp
 import hashlib
 import importlib.util
 import io
@@ -64,7 +59,11 @@ GOLDEN = ROOT / "tests" / "golden.json"
 #: Trigger count of the perfbench workloads in the golden digests.
 GOLDEN_TRIGGERS = 20_000
 
-#: ``validate`` runs that exit 0 but print more than "schedule ok".
+#: Outcome keys that are not result files.
+NOT_RESULTS = {"exit", "stdout", "stderr", "manifest.json"}
+
+#: ``validate`` runs of edge configs: a warning, and a pass that ``run``
+#: of the same config would not give.
 VALIDATE_ONLY = {
     "ideal-system-one-setting-validate": [
         "--preset", "ideal-system", "--set", "experiment.eta_list=[1]"],
@@ -74,15 +73,11 @@ VALIDATE_ONLY = {
 
 #: Store after one loop traversal, retrieve one storage period later, and
 #: a third drive long after the pulse has left.
-CUSTOM_SCHEDULE = {
-    "preset": "fig2-main",
-    "seed": 1,
-    "schedule": [
-        {"t_start_s": 4.8277e-6, "width_s": 180e-9, "voltage": 900.0},
-        {"t_start_s": 10.7038e-6, "width_s": 180e-9, "voltage": 900.0},
-        {"t_start_s": 0.5e-3, "width_s": 180e-9, "voltage": 900.0},
-    ],
-}
+CUSTOM_SCHEDULE = [
+    {"t_start_s": 4.8277e-6, "width_s": 180e-9, "voltage": 900.0},
+    {"t_start_s": 10.7038e-6, "width_s": 180e-9, "voltage": 900.0},
+    {"t_start_s": 0.5e-3, "width_s": 180e-9, "voltage": 900.0},
+]
 
 
 def load_workloads() -> dict:
@@ -97,6 +92,83 @@ def load_workloads() -> dict:
     return module.WORKLOADS
 
 
+def cases(presets: list, workloads: dict, seeds: tuple,
+          n_triggers: int | None = None) -> dict:
+    """Label -> argv, without ``--out``, of each run. ``n_triggers``, if
+    given, overrides the workloads' trigger count."""
+    out = {}
+    for preset in presets:
+        for seed in seeds:
+            for fmt in FORMATS:
+                out[f"{preset}-seed{seed}-{fmt}"] = [
+                    "run", "--preset", preset, "--seed", str(seed),
+                    "--format", fmt]
+        out[f"{preset}-validate"] = ["validate", "--preset", preset]
+    custom = ["--preset", "fig2-main", "--seed", "1",
+              "--set", "schedule=" + json.dumps(CUSTOM_SCHEDULE)]
+    out["custom-schedule-run"] = ["run", *custom]
+    out["custom-schedule-validate"] = ["validate", *custom]
+    for name, workload in workloads.items():
+        overrides = list(workload.overrides)
+        if n_triggers is not None:
+            overrides.append(f"experiment.n_triggers={n_triggers}")
+        sets = [a for item in overrides for a in ("--set", item)]
+        out[f"workload-{name}"] = ["run", "--preset", workload.preset,
+                                   "--seed", "0", *sets]
+        out[f"workload-{name}-validate"] = ["validate", "--preset",
+                                            workload.preset, *sets]
+    for label, argv in VALIDATE_ONLY.items():
+        out[label] = ["validate", *argv]
+    return out
+
+
+def with_out(argv: list, out_dir: Path) -> list:
+    return [*argv, "--out", str(out_dir)] if argv[0] == "run" else argv
+
+
+def outcome(code: int, stdout: str, stderr: str, out_dir: Path) -> dict:
+    """Exit code and sha256 digests of one run: of stdout and stderr with
+    ``out_dir`` written as ``OUT``, of each file in ``out_dir``, and of
+    ``manifest.json`` without ``duration_s``."""
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    out = {"exit": code}
+    for stream, text in (("stdout", stdout), ("stderr", stderr)):
+        out[stream] = sha(text.replace(str(out_dir), "OUT").encode())
+    for path in sorted(out_dir.iterdir()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            doc = json.loads(data)
+            doc.pop("duration_s", None)
+            data = json.dumps(doc, sort_keys=True).encode()
+        out[path.name] = sha(data)
+    return out
+
+
+def differences(label: str, old: dict, new: dict) -> list:
+    """Problems of one case from its outcomes on the two trees: a run that
+    failed, and each stream or file that differs or only one tree wrote."""
+    if (old["exit"], new["exit"]) != (0, 0):
+        return [f"{label}: exit codes {old['exit']} (old) and "
+                f"{new['exit']} (new)"]
+    problems = []
+    for key in sorted((old.keys() | new.keys()) - {"exit"}):
+        if old.get(key) == new.get(key):
+            continue
+        if key in ("stdout", "stderr"):
+            problems.append(f"{label}: {key} differs")
+        elif key not in new or key not in old:
+            side = "old" if key in old else "new"
+            problems.append(f"{label}/{key}: only in the {side} tree")
+        elif key == "manifest.json":
+            problems.append(f"{label}/manifest.json: differs apart from "
+                            "duration_s")
+        else:
+            problems.append(f"{label}/{key}: differs")
+    return problems
+
+
 def child_env(src: Path) -> dict:
     env = {k: v for k, v in os.environ.items() if not k.startswith("QBUF_")}
     env["PYTHONPATH"] = str(src)
@@ -105,97 +177,27 @@ def child_env(src: Path) -> dict:
 
 
 def qbuffer(src: Path, argv: list) -> tuple:
-    """(completed process, its peak RSS in MB) of one CLI run."""
+    """(exit code, stdout, stderr, peak RSS in MB) of one CLI run in a
+    child process."""
     cmd = [sys.executable, "-m", "qbuffer.cli", *argv]
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         child = subprocess.Popen(cmd, env=child_env(src),
                                  stdin=subprocess.DEVNULL, stdout=out,
                                  stderr=err)
         _, status, usage = os.wait4(child.pid, 0)
-        child.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
         err.seek(0)
-        proc = subprocess.CompletedProcess(
-            cmd, child.returncode, out.read().decode(errors="replace"),
-            err.read().decode(errors="replace"))
-    return proc, usage.ru_maxrss * 1024 / 1e6
+        return (os.waitstatus_to_exitcode(status),
+                out.read().decode(errors="replace"),
+                err.read().decode(errors="replace"),
+                usage.ru_maxrss * 1024 / 1e6)
 
 
 def preset_names(src: Path) -> list:
-    proc, _ = qbuffer(src, ["presets", "--format", "json"])
-    if proc.returncode != 0:
-        raise SystemExit(f"{src}: `qbuffer presets` failed:\n{proc.stderr}")
-    return [entry["name"] for entry in json.loads(proc.stdout)]
-
-
-def cases(presets: list, workloads: dict, custom: Path) -> list:
-    """(label, argv builder taking the output directory, whether to report
-    peak RSS). ``custom`` is the config file of the custom schedule."""
-    out = []
-    for preset in presets:
-        for seed in SEEDS:
-            for fmt in FORMATS:
-                out.append((f"{preset}-seed{seed}-{fmt}",
-                            lambda d, p=preset, s=seed, f=fmt: [
-                                "run", "--preset", p, "--seed", str(s),
-                                "--format", f, "--out", str(d)], False))
-        out.append((f"{preset}-validate",
-                    lambda d, p=preset: ["validate", "--preset", p], False))
-    out.append(("custom-schedule-run", lambda d: [
-        "run", "--config", str(custom), "--out", str(d)], False))
-    out.append(("custom-schedule-validate",
-                lambda d: ["validate", "--config", str(custom)], False))
-    for name, workload in workloads.items():
-        out.append((f"workload-{name}",
-                    lambda d, w=workload: w.argv(0, d), True))
-        out.append((f"workload-{name}-validate", lambda d, w=workload: [
-            "validate", "--preset", w.preset,
-            *(a for item in w.overrides for a in ("--set", item))], False))
-    for label, argv in VALIDATE_ONLY.items():
-        out.append((label, lambda d, a=argv: ["validate", *a], False))
-    return out
-
-
-def result_files(out: Path) -> set:
-    if not out.is_dir():
-        return set()
-    return {p.name for p in out.iterdir()
-            if p.is_file() and p.name != "manifest.json"}
-
-
-def manifest(out: Path):
-    """The run's manifest without its wall time; None if it has none."""
-    path = out / "manifest.json"
-    if not path.is_file():
-        return None
-    doc = json.loads(path.read_text())
-    doc.pop("duration_s", None)
-    return doc
-
-
-def compare(label: str, old: Path, new: Path, procs: list) -> list:
-    """Problems of one run: failed runs, differing stdout or stderr,
-    missing or differing files, and manifests that differ in more than
-    their wall time."""
-    codes = [proc.returncode for proc in procs]
-    if codes != [0, 0]:
-        return [f"{label}: exit codes {codes[0]} (old) and {codes[1]} (new)"]
-    problems = [f"{label}: {stream} differs"
-                for stream in ("stdout", "stderr")
-                if len({getattr(proc, stream).replace(str(out), "OUT")
-                        for proc, out in zip(procs, (old, new))}) > 1]
-    old_files, new_files = result_files(old), result_files(new)
-    problems += [f"{label}/{name}: only in the {side} tree"
-                 for side, names in (("old", old_files - new_files),
-                                     ("new", new_files - old_files))
-                 for name in sorted(names)]
-    for name in sorted(old_files & new_files):
-        if not filecmp.cmp(old / name, new / name, shallow=False):
-            problems.append(f"{label}/{name}: differs")
-    if manifest(old) != manifest(new):
-        problems.append(f"{label}/manifest.json: differs apart from "
-                        "duration_s")
-    return problems
+    code, stdout, stderr, _ = qbuffer(src, ["presets", "--format", "json"])
+    if code != 0:
+        raise SystemExit(f"{src}: `qbuffer presets` failed:\n{stderr}")
+    return [entry["name"] for entry in json.loads(stdout)]
 
 
 def golden_environment() -> dict:
@@ -212,61 +214,28 @@ def golden_environment() -> dict:
                              if umath.__cpu_features__.get(f)]}
 
 
-def golden_cases(presets: list, workloads: dict) -> dict:
-    """Label -> argv, without ``--out``, of each golden run."""
-    out = {}
-    for preset in presets:
-        for fmt in FORMATS:
-            out[f"{preset}-seed0-{fmt}"] = [
-                "run", "--preset", preset, "--seed", "0", "--format", fmt]
-        out[f"{preset}-validate"] = ["validate", "--preset", preset]
-    for name, workload in workloads.items():
-        sets = [a for item in (*workload.overrides,
-                               f"experiment.n_triggers={GOLDEN_TRIGGERS}")
-                for a in ("--set", item)]
-        out[f"workload-{name}"] = ["run", "--preset", workload.preset,
-                                   "--seed", "0", *sets]
-        out[f"workload-{name}-validate"] = ["validate", "--preset",
-                                            workload.preset, *sets]
-    return out
-
-
 def digests(argv: list) -> dict:
-    """Exit code and sha256 digests of one in-process CLI run: of each
-    result file and the manifest without ``duration_s`` for ``run``, of
-    stdout for ``validate``."""
+    """The :func:`outcome` of one in-process CLI run."""
     from qbuffer import cli
 
-    def sha(data: bytes) -> str:
-        return hashlib.sha256(data).hexdigest()
-
-    stdout = io.StringIO()
+    stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory(prefix="qbuffer-golden-") as tmp:
-        run = argv[0] == "run"
-        with contextlib.redirect_stdout(stdout):
-            out = {"exit": cli.main([*argv, "--out", tmp] if run else argv)}
-        if not run:
-            out["stdout"] = sha(stdout.getvalue().encode())
-        for path in sorted(Path(tmp).iterdir()):
-            data = path.read_bytes()
-            if path.name == "manifest.json":
-                doc = json.loads(data)
-                doc.pop("duration_s", None)
-                data = json.dumps(doc, sort_keys=True).encode()
-            out[path.name] = sha(data)
-    return out
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = cli.main(with_out(argv, tmp))
+        return outcome(code, stdout.getvalue(), stderr.getvalue(), Path(tmp))
 
 
 def write_golden() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from qbuffer.config import PRESETS
 
-    cases = golden_cases(sorted(PRESETS), load_workloads())
+    runs = cases(sorted(PRESETS), load_workloads(), (0,), GOLDEN_TRIGGERS)
     doc = {"environment": golden_environment(),
            "cases": {label: {"argv": argv, "digests": digests(argv)}
-                     for label, argv in cases.items()}}
+                     for label, argv in runs.items()}}
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(cases)} runs to {GOLDEN}")
+    print(f"wrote {len(runs)} runs to {GOLDEN}")
     return 0
 
 
@@ -289,28 +258,30 @@ def main(argv=None) -> int:
         print("the two trees list different presets", file=sys.stderr)
         return 1
 
+    workloads = load_workloads()
+    rss_labels = {f"workload-{name}" for name in workloads}
     problems: list = []
     rss: list = []
     n_files = 0
     with tempfile.TemporaryDirectory(prefix="qbuffer-compare-") as tmp:
-        custom = Path(tmp) / "custom-schedule.json"
-        custom.write_text(json.dumps(CUSTOM_SCHEDULE))
-        for label, build, report_rss in cases(presets, load_workloads(),
-                                              custom):
-            dirs = [Path(tmp) / side / label for side in ("old", "new")]
-            procs, peaks = [], []
-            for tree, out in zip(trees, dirs):
-                proc, peak_mb = qbuffer(tree, build(out))
-                procs.append(proc)
+        for label, argv in cases(presets, workloads, SEEDS).items():
+            outcomes, peaks = [], []
+            for tree, side in zip(trees, ("old", "new")):
+                out = Path(tmp) / side / label
+                out.mkdir(parents=True)
+                code, stdout, stderr, peak_mb = qbuffer(
+                    tree, with_out(argv, out))
+                if code != 0:
+                    sys.stderr.write(f"{label} ({tree}):\n{stderr}")
+                outcomes.append(outcome(code, stdout, stderr, out))
                 peaks.append(peak_mb)
-                if proc.returncode != 0:
-                    sys.stderr.write(f"{label} ({tree}):\n{proc.stderr}")
-            found = compare(label, *dirs, procs)
-            n_files += len(result_files(dirs[0]) & result_files(dirs[1]))
+            found = differences(label, *outcomes)
+            n_files += len((outcomes[0].keys() & outcomes[1].keys())
+                           - NOT_RESULTS)
             print(f"{label}: {'ok' if not found else 'DIFFERS'}",
                   flush=True)
             problems += found
-            if report_rss:
+            if label in rss_labels:
                 rss.append((label, *peaks))
     for label, old_mb, new_mb in rss:
         print(f"{label}: peak RSS {old_mb:.1f} MB (old), {new_mb:.1f} MB "

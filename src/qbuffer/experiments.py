@@ -239,7 +239,7 @@ class VisibilityResult:
     visibility_per_port: tuple
     angles: tuple
     curve: list  # (angle_rad, normalized port-0 counts, normalized port-1)
-    counts: np.ndarray  # raw counts, shape (2, n_angles)
+    counts: np.ndarray | None  # sampled, (2, n_angles); None if analytic
     expected: np.ndarray  # raw expectation, same shape
     n_triggers: int
 
@@ -576,9 +576,10 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
         ..., [main.cycles for main, _ in runs]].transpose(3, 0, 2, 1)
     mus *= np.array([main.mu for main, _ in runs])[:, None, None, None]
     expected = n * click_probability(mus, det, window)
-    counts = np.zeros(expected.shape)
-    if config.mode == "monte-carlo":
-        for e, b, i, port in np.ndindex(counts.shape[:2] + (angles.size, 2)):
+    sampled = config.mode == "monte-carlo"
+    raw = np.zeros(expected.shape) if sampled else expected
+    if sampled:
+        for e, b, i, port in np.ndindex(raw.shape[:2] + (angles.size, 2)):
             main, sim = runs[e]
             basis = config.bases[b]
             cs = sample_clicks(
@@ -587,8 +588,7 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
                 _substream(config.seed, 1, config.eta_list[e],
                            BASIS_ORDER.index(basis), i, port),
                 detector_id=port)
-            counts[e, b, port, i] = count_triggered(cs, period, main.t, window)
-    raw = counts if config.mode == "monte-carlo" else expected
+            raw[e, b, port, i] = count_triggered(cs, period, main.t, window)
     lin = linearized_counts(raw, n, det, window)
     # Normalize by the per-angle two-port total, so the two curves are
     # complementary and bounded by [0, 1].
@@ -605,7 +605,7 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
                 try:
                     vis.append(_curve_visibility(design, lin[e, b, port]))
                 except InputDomainError as exc:
-                    if config.mode != "monte-carlo":
+                    if not sampled:
                         raise
                     raise InputDomainError(
                         f"eta {eta}, basis {basis}, port {port}: {exc} in "
@@ -613,8 +613,8 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
                         "needed") from None
             curve = list(zip(angle_tuple, *norm[e, b].tolist()))
             results.append(VisibilityResult(
-                eta, basis, (vis[0] + vis[1]) / 2.0, tuple(vis),
-                angle_tuple, curve, counts[e, b], expected[e, b], n))
+                eta, basis, (vis[0] + vis[1]) / 2.0, tuple(vis), angle_tuple,
+                curve, raw[e, b] if sampled else None, expected[e, b], n))
     return results
 
 
@@ -783,7 +783,7 @@ def _sweep_table(results):
     """``(eta, basis, rows)`` per result; ``rows`` gives (curve point, port-0
     count, port-1 count) per angle: sampled, or expected if none was."""
     for r in results:
-        raw = r.counts if np.any(r.counts) else r.expected
+        raw = r.expected if r.counts is None else r.counts
         yield r.eta, r.basis, zip(r.curve, *raw.tolist())
 
 

@@ -1010,9 +1010,9 @@ class TestCalibration:
 
 def reference_sweep_rows(results):
     """The fringe-sweep rows one tuple per (eta, basis, angle, port), each
-    count read as its own numpy scalar."""
+    count read as its own numpy scalar: sampled, or expected if none was."""
     for r in results:
-        raw = r.counts if np.any(r.counts) else r.expected
+        raw = r.expected if r.counts is None else r.counts
         for i, (angle, n0, n1) in enumerate(r.curve):
             for port, norm in ((0, n0), (1, n1)):
                 yield r.eta, r.basis, angle, port, float(raw[port, i]), norm
@@ -1041,8 +1041,8 @@ class TestSweepWriters:
             analytic_config(mode="monte-carlo", n_triggers=3000,
                             eta_list=(1, 2), hwp_angles=default_hwp_grid(8)),
             topo, DET)
-        # A sampled result whose counts are all zero writes its expected
-        # counts, as an analytic one does.
+        # A sampled result whose counts are all zero writes its zeros; only
+        # an analytic one, which has no counts, writes its expected counts.
         zeroed = sampled[:1] + [dataclasses.replace(
             sampled[1], counts=np.zeros_like(sampled[1].counts))] \
             + sampled[2:]
@@ -1066,17 +1066,22 @@ class TestSweepWriters:
             assert [[type(v) for v in row.values()] for row in rows] == \
                 [[type(v) for v in row.values()] for row in want], name
 
-    def test_zero_counts_write_the_expected_column(self, tmp_path):
+    def test_zero_counts_write_zeros(self, tmp_path):
         results = self.sweeps()["zero-counts"]
         write_sweep_csv(results, tmp_path / "s.csv")
         lines = (tmp_path / "s.csv").read_text().splitlines()[1:]
         n = len(results[0].angles) * 2
         written = [float(line.split(",")[4]) for line in lines[n:2 * n]]
         r = results[1]
-        assert written == [r.expected[port, i]
+        assert written == [0.0] * n
+        assert written != [r.expected[port, i]
                            for i in range(len(r.angles)) for port in (0, 1)]
-        assert written != [r.counts[port, i] for i in range(len(r.angles))
-                           for port in (0, 1)]
+
+    def test_analytic_results_have_no_counts(self):
+        sweeps = self.sweeps()
+        assert all(r.counts is None for r in sweeps["analytic"])
+        assert all(r.counts.shape == r.expected.shape
+                   for r in sweeps["monte-carlo"])
 
 
 class TestMonteCarloInsets:

@@ -1,5 +1,6 @@
-"""Golden digests: the runs in ``tests/golden.json`` must write the result
-files, manifests and ``validate`` reports recorded there, byte for byte.
+"""Golden digests: the runs in ``tests/golden.json`` must exit with the
+codes, print the stdout and stderr and write the result files and
+manifests recorded there, byte for byte.
 
 ``python benchmarks/compare_outputs.py --write-golden`` regenerates the
 file, for a declared RNG-stream or format change only.
@@ -51,3 +52,39 @@ def test_outputs_match_golden_digests(label):
                     "--write-golden` only for a declared RNG-stream or "
                     "format change")
     pytest.fail(message)
+
+
+class TestDifferences:
+    """``compare_outputs.py``'s tree mode reports each run that failed and
+    each stream or file in which two outcomes differ."""
+
+    OUTCOME = {"exit": 0, "stdout": "a", "stderr": "b", "manifest.json": "c",
+               "sweep.csv": "d", "summary.json": "e"}
+
+    def test_equal_outcomes_give_no_problem(self):
+        assert COMPARE.differences("x", self.OUTCOME, dict(self.OUTCOME)) \
+            == []
+
+    @pytest.mark.parametrize("change, line", [
+        ({"sweep.csv": "z"}, "x/sweep.csv: differs"),
+        ({"manifest.json": "z"},
+         "x/manifest.json: differs apart from duration_s"),
+        ({"peaks.csv": "z"}, "x/peaks.csv: only in the new tree"),
+        ({"stdout": "z"}, "x: stdout differs"),
+        ({"stderr": "z"}, "x: stderr differs"),
+    ])
+    def test_one_difference_gives_one_line(self, change, line):
+        new = {**self.OUTCOME, **change}
+        assert COMPARE.differences("x", self.OUTCOME, new) == [line]
+
+    def test_file_only_in_the_old_tree(self):
+        new = {k: v for k, v in self.OUTCOME.items() if k != "summary.json"}
+        assert COMPARE.differences("x", self.OUTCOME, new) \
+            == ["x/summary.json: only in the old tree"]
+
+    @pytest.mark.parametrize("codes", [(2, 2), (0, 3), (2, 0)])
+    def test_failed_run_is_reported(self, codes):
+        # Also when both trees fail alike, so their outcomes are equal.
+        old, new = ({**self.OUTCOME, "exit": code} for code in codes)
+        assert COMPARE.differences("x", old, new) \
+            == [f"x: exit codes {codes[0]} (old) and {codes[1]} (new)"]

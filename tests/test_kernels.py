@@ -356,38 +356,6 @@ def reference_fired(n, lam, rng):
     return pairs
 
 
-def padded_fired(n, lam, rng):
-    """``detection._fired`` as it was when every slot's gaps went into its
-    row of one NaN-padded block as wide as the widest slot's."""
-    live = np.flatnonzero(lam > 0)
-    lam, last = lam[live], np.full(live.size, -1.0)
-    triggers, slots = [], []
-    while live.size:
-        r = (n - 1) - last
-        rp = r * -np.expm1(-lam)
-        size = np.minimum(r, np.ceil(
-            rp + detection._FIRE_BLOCK_SIGMAS * np.sqrt(rp)))
-        width = int(size.max())
-        gaps = np.full((live.size, width), np.nan)
-        for i, k in enumerate(size.tolist()):
-            rng.standard_exponential(out=gaps[i, :int(k)])
-        with np.errstate(over="ignore"):
-            gaps /= lam[:, None]
-        np.floor(gaps, out=gaps)
-        gaps += 1.0
-        gaps[:, 0] += last
-        if width > 1:
-            np.cumsum(gaps, axis=1, out=gaps)
-        fired = gaps < n
-        last = np.fmax.reduce(gaps, axis=1)
-        triggers.append(gaps[fired])
-        slots.append(live.repeat(fired.sum(axis=1)))
-        going = last < n - 1
-        live, lam, last = live[going], lam[going], last[going]
-    return (np.concatenate(triggers or [np.empty(0)]),
-            np.concatenate(slots or [np.empty(0, np.intp)]))
-
-
 def run_slots(runs):
     """The slot of each position that ``detection._fired`` returns with
     its (slot, start, stop) runs, which must tile the positions."""
@@ -516,21 +484,15 @@ class TestTriggerTrainProperty:
         (1e-300, 0.5, 5e-324), (0.1,) * 6, (30.0, 0.02, 0.02)])
     @pytest.mark.parametrize("sigmas", [0.0, 4.0])
     def test_fired_equals_padded_block(self, lam, sigmas):
-        # Each slot draws its gaps into an array of its own; the pairs,
-        # their order and their dtypes are those of the padded block, also
-        # when blocks fall short (sigmas 0) and some slots draw more rounds
-        # than others.
-        lam = np.array(lam)
+        # Edge rates (subnormal, zero, every trigger firing) on a fixed
+        # grid: the pairs and their order are the scalar reference's, and
+        # the positions float64 (``fired_pairs``), also when blocks fall
+        # short (sigmas 0) and some slots draw more rounds than others.
         with mock.patch.object(detection, "_FIRE_BLOCK_SIGMAS", sigmas):
             for n in (1, 2, 37, 20_000):
                 for seed in range(4):
-                    trigger, runs = detection._fired(
+                    assert fired_pairs(n, lam, seed) == reference_fired(
                         n, lam, np.random.default_rng(seed))
-                    got = trigger, run_slots(runs)
-                    want = padded_fired(n, lam, np.random.default_rng(seed))
-                    for a, b in zip(got, want):
-                        assert a.dtype == b.dtype
-                        np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("layout", ["one-slot", "four-slot"])
     def test_fired_counts_match_rate(self, layout):
