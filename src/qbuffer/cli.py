@@ -75,21 +75,9 @@ def _resolve(args) -> dict:
                           preset=args.preset, seed=seed)
 
 
-def _json_default(obj):
-    import numpy as np
-
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _write_json(path, doc) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -211,20 +199,20 @@ def cmd_run(args) -> int:
 
     out_dir = args.out
     started = time.perf_counter()
+    # A name is recorded before its file is written, so a failed run also
+    # removes a file it was partway through. Click files are written as
+    # their settings are sampled, and listed after the histogram.
     outputs: list[str] = []
-    # Each click file is written as soon as its setting is sampled, and
-    # listed after the histogram.
     click_files: list[str] = []
 
     def emit(name, writer):
-        path = os.path.join(out_dir, name)
-        writer(path)
         outputs.append(name)
+        writer(os.path.join(out_dir, name))
 
     def write_clicks(eta, clicks):
         name = f"clicks_eta{eta}.csv"
-        clicks.write_csv(os.path.join(out_dir, name))
         click_files.append(name)
+        clicks.write_csv(os.path.join(out_dir, name))
 
     ok = False
     try:
@@ -235,8 +223,9 @@ def cmd_run(args) -> int:
             doc = {"summary": summary}
             if plan.kind == "retrieval-sweep":
                 doc["peaks"] = [vars(r) for r in results.rows]
-                if results.histogram is not None:
-                    doc["histogram"] = vars(results.histogram)
+                h = results.histogram
+                if h is not None:
+                    doc["histogram"] = {**vars(h), "counts": h.counts.tolist()}
             elif plan.kind == "hwp-sweep":
                 doc["sweep"] = sweep_rows(results)
             emit("results.json", lambda p: _write_json(p, doc))
@@ -253,10 +242,6 @@ def cmd_run(args) -> int:
             else:
                 emit("event_log.csv", results.write_event_log_csv)
             emit("summary.json", lambda p: _write_json(p, summary))
-        for name in outputs:
-            full = os.path.join(out_dir, name)
-            if not os.path.exists(full) or os.path.getsize(full) == 0:
-                raise QBufferError(f"output {name} missing or empty")
         manifest = {
             "artifact_version": __version__,
             "schema_version": cfg["schema_version"],

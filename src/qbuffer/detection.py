@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,8 +140,6 @@ class ClickSet:
     times: np.ndarray
     detector_id: int
     acquisition_s: float
-    #: Whether no time is below the one before it.
-    _in_order: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         # A view, so freezing it below leaves the caller's array writeable.
@@ -149,18 +147,13 @@ class ClickSet:
         _checked("detector_id", self.detector_id, ge=-2 ** 63, lt=2 ** 63,
                  integer=True, label="detector id")
         _checked("acquisition_s", self.acquisition_s, ge=0)
-        in_order = kernels._never_falls(t)
-        if t.size:
-            # In order, the ends are the extremes; min and max propagate
-            # NaN, which fails both comparisons.
-            lo, hi = (t[0], t[-1]) if in_order else (t.min(), t.max())
-            if not (-_TAG_LIMIT_PS < float(lo) * 1e12
-                    and float(hi) * 1e12 < _TAG_LIMIT_PS):
-                raise InputDomainError("click times must be finite with "
-                                       "|t| < 2**63 ps (~9.22e6 s)")
+        # min and max propagate NaN, which fails both comparisons.
+        if t.size and not (-_TAG_LIMIT_PS < float(t.min()) * 1e12
+                           and float(t.max()) * 1e12 < _TAG_LIMIT_PS):
+            raise InputDomainError("click times must be finite with "
+                                   "|t| < 2**63 ps (~9.22e6 s)")
         t.flags.writeable = False
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "_in_order", in_order)
 
     def __len__(self) -> int:
         return int(self.times.shape[0])
@@ -421,9 +414,17 @@ def _substream(seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(np.array(words, np.uint32))
 
 
+def _check_clicks(clicks) -> None:
+    if not isinstance(clicks, ClickSet):
+        raise InputDomainError(
+            f"clicks must be a ClickSet, not {type(clicks).__name__}",
+            "clicks")
+
+
 def histogram(clicks: ClickSet, t0: float, bin_width: float,
               n_bins: int) -> Histogram:
     """Bin click times; out-of-range clicks land in the overflow tally."""
+    _check_clicks(clicks)
     counts, overflow = kernels.bin_counts(clicks.times, t0, bin_width, n_bins)
     return Histogram(t0, bin_width, counts, overflow)
 
@@ -434,11 +435,12 @@ def count_triggered(clicks: ClickSet, period: float, offset: float,
     [offset - window/2, offset + window/2) relative to the trigger. The
     clicks are counted in time order; a set out of order is sorted
     first."""
+    _check_clicks(clicks)
     _checked("period", period, gt=0)
     _checked("offset", offset)
     _checked("window", window, ge=0)
     t = clicks.times
-    if not clicks._in_order:
+    if not kernels._never_falls(t):
         t = np.sort(t)
     lo, hi = offset - window / 2.0, offset + window / 2.0
     # In time order the trigger never falls, nor rel within a trigger, so

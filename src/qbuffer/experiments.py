@@ -219,7 +219,6 @@ class RetrievalSweepResult:
     rows: list
     delta_t_s: float
     n_triggers: int
-    window_s: float
     histogram: object | None
     sim_results: dict = field(default_factory=dict)
 
@@ -256,7 +255,6 @@ class CalibrationResult:
     mode: str
     prep_error_depol: float
     depol_per_cycle: tuple
-    bloch_targets: dict
     residuals: dict
     targets: dict
 
@@ -473,7 +471,9 @@ def run_retrieval_sweep(config: ExperimentConfig, topology: BufferTopology,
     ``on_clicks(eta, clicks)`` (once per setting, in ``eta_list`` order),
     folded into the histogram and dropped. A caller that wants the sets
     keeps them, e.g. ``on_clicks=sets.__setitem__``. A ``runs`` dict
-    shares engine runs with earlier :func:`propagate` calls.
+    shares engine runs with earlier :func:`propagate` calls. It is keyed
+    by eta alone, so share it only among calls with the same topology
+    (apart from depolarization), config and limits.
     """
     if not isinstance(det, DetectorModel):
         raise InputDomainError(
@@ -513,7 +513,7 @@ def run_retrieval_sweep(config: ExperimentConfig, topology: BufferTopology,
         n_bins = int(math.ceil((max(r.exit_time_s for r in rows) + delta_t)
                                / HIST_BIN_S))
         hist = _folded_histogram(sampled_sets(), period, n_bins)
-    return RetrievalSweepResult(rows, delta_t, n, window, hist, sims)
+    return RetrievalSweepResult(rows, delta_t, n, hist, sims)
 
 
 def share_table(topology: BufferTopology, angles, max_cycles: int,
@@ -552,7 +552,9 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
     basis, port, angle) stack, built with one :func:`click_probability`
     and one :func:`linearized_counts` call; each curve is fitted once and
     read into Python once. A ``runs`` dict shares engine runs with
-    :func:`calibrate`.
+    :func:`calibrate`. It is keyed by eta alone, so share it only among
+    calls with the same topology (apart from depolarization), config and
+    limits.
     """
     if not isinstance(det, DetectorModel):
         raise InputDomainError(
@@ -684,7 +686,9 @@ def calibrate(targets: dict, topology: BufferTopology,
     exactly in analytic mode; the eta = 1 entry anchors the preparation
     error. Physical mode fits a single per-cycle probability by
     least squares in the log domain and reports the per-target residuals.
-    A ``runs`` dict shares engine runs with :func:`run_hwp_sweep`.
+    A ``runs`` dict shares engine runs with :func:`run_hwp_sweep`. It is
+    keyed by eta alone, so share it only among calls with the same
+    topology (apart from depolarization), config and limits.
     """
     _hwp_grid(config)
     if mode == "none":
@@ -694,15 +698,13 @@ def calibrate(targets: dict, topology: BufferTopology,
     limits = limits or SimLimits()
 
     runs = {} if runs is None else runs
-    bloch: dict[int, float] = {}
-    vis_of = {}
+    vis_of, bs = {}, []  # bs: the Bloch length of each target, in order
     for eta in sorted(targets):
         main = propagate(runs, topology, config, eta, limits)[0]
         vis_of[eta] = _bloch_visibility(main.mu, config, det)
-        bloch[eta] = _solve_bloch(targets[eta], vis_of[eta])
+        bs.append(_solve_bloch(targets[eta], vis_of[eta]))
 
     ks = [eta - 1 for eta in sorted(targets)]
-    bs = [bloch[eta] for eta in sorted(targets)]
     prep = 1.0 - bs[0]
 
     if mode == "table":
@@ -718,7 +720,7 @@ def calibrate(targets: dict, topology: BufferTopology,
                 table[k - 1] = 1.0 - retention
         depol = tuple(table)
         calibrated = apply_calibration(topology, CalibrationResult(
-            mode, prep, depol, bloch, {}, targets))
+            mode, prep, depol, {}, targets))
         # Bloch length per setting, from the table stored_states reads.
         shrink = {eta: math.prod([1.0 - calibrated.prep_error_depol]
                                  + [1.0 - calibrated.depol_for_cycle(k)
@@ -744,7 +746,7 @@ def calibrate(targets: dict, topology: BufferTopology,
 
     residuals = {eta: vis_of[eta](shrink[eta]) - targets[eta]
                  for eta in sorted(targets)}
-    return CalibrationResult(mode, prep, depol, bloch, residuals, targets)
+    return CalibrationResult(mode, prep, depol, residuals, targets)
 
 
 def apply_calibration(topology: BufferTopology,

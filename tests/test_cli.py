@@ -11,7 +11,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qbuffer import cli, engine, experiments, kernels
+from qbuffer import cli, detection, engine, experiments, kernels
 from qbuffer.cli import main
 from qbuffer.components import BufferTopology, fiber_delay
 from qbuffer.config import PRESETS, plan_from_config, resolve_config
@@ -568,6 +568,23 @@ class TestFailedRunLeavesNoOutputs:
         out = tmp_path / "o"
         assert small_run(out, "--set", "experiment.eta_list=[1]") == 2
         assert "distinct settings" in one_json_error(capsys)["message"]
+        assert os.listdir(out) == []
+
+    def test_file_failed_partway(self, tmp_path, capsys, monkeypatch):
+        # The first click file fails after its header and first block.
+        out, real, calls = tmp_path / "o", detection._csv_rows, []
+
+        def csv_rows(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return real(*args)
+
+        monkeypatch.setattr(kernels, "_BLOCK_CLICKS", 64)
+        monkeypatch.setattr(detection, "_csv_rows", csv_rows)
+        assert small_run(out) == 2
+        assert one_json_error(capsys) == {"error": "output",
+                                          "message": "disk full"}
         assert os.listdir(out) == []
 
     def test_manifest_name_taken_by_a_directory(self, tmp_path, capsys):

@@ -16,7 +16,12 @@ from qbuffer.components import (
     sagnac_transfer,
     stored_states,
 )
-from qbuffer.detection import DetectorModel, TriggerTrain
+from qbuffer.detection import (
+    DetectorModel,
+    TriggerTrain,
+    count_triggered,
+    histogram,
+)
 from qbuffer.engine import (
     DriveSchedule,
     SimLimits,
@@ -422,6 +427,8 @@ class TestConstructorDomain:
         (lambda: simulate(BufferTopology(), 5, [_pulse()]), "schedule"),
         (lambda: simulate(BufferTopology(), 5, []), "schedule"),
         (lambda: simulate(BufferTopology(), DriveSchedule(), 5), "inputs"),
+        (lambda: histogram(np.array([0.1]), 0.0, 1.0, 4), "clicks"),
+        (lambda: count_triggered([0.1], 1.0, 0.5, 0.1), "clicks"),
     ], ids=[
         "topology-inf-loop", "topology-inf-group-index", "topology-nan-v-pi",
         "topology-bool-loss", "topology-str-length", "topology-nan-element",
@@ -445,7 +452,8 @@ class TestConstructorDomain:
         "jones-three-vec", "projection-three-axis", "polstate-shape-rho",
         "jonesop-shape-m", "experiment-int-etas", "experiment-int-angles",
         "train-int-offsets", "train-int-mus", "simulate-int-schedule",
-        "simulate-int-schedule-no-inputs", "simulate-int-inputs"])
+        "simulate-int-schedule-no-inputs", "simulate-int-inputs",
+        "histogram-array-clicks", "count-list-clicks"])
     def test_rejected_with_field(self, build, field):
         with pytest.raises(InputDomainError) as info:
             build()

@@ -430,8 +430,19 @@ class TestOrderAwareCount:
         with mock.patch.object(kernels, "_BLOCK_CLICKS", block):
             for order in (sorted(times), data.draw(st.permutations(times))):
                 cs = ClickSet(np.array(order, dtype=np.float64), 0, 1.0)
-                assert cs._in_order is (order == sorted(order))
                 assert count_triggered(cs, period, offset, window) == want
+
+    @pytest.mark.parametrize("times", [
+        [0.1, 0.2, 0.2, 0.3], [-0.3, 0.0, 2.0], [0.2, 0.1],
+        [0.1, 0.3, 0.2, 0.4], [], [0.5], [-TAG_MAX_S, TAG_MAX_S],
+        # Trigger 0's two hits are split by trigger 1's, so the set is
+        # counted right only once it is sorted.
+        [0.5, 1.5, 0.55]])
+    def test_listed_sets(self, times):
+        cs = ClickSet(np.array(times), 0, 1.0)
+        for gate in self.GATES:
+            assert count_triggered(cs, *gate) == \
+                sort_path_count(times, *gate)
 
     @pytest.mark.parametrize("block", BLOCKS[:-1])
     def test_block_edges(self, block):
@@ -455,18 +466,18 @@ class TestOrderAwareCount:
     @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sampled_sets_equal_sort_path(self, block, seed):
-        # count_triggered trusts the order of a set sample_clicks drew and
-        # skips its order check. Three slots, the last two within the dead
-        # time of each other, with jitter and darks; the wide gates hold
-        # two or three hits of one trigger, which are adjacent only in
-        # time order.
+        # sample_clicks draws a set in time order, which count_triggered
+        # counts without sorting. Three slots, the last two within the
+        # dead time of each other, with jitter and darks; the wide gates
+        # hold two or three hits of one trigger, which are adjacent only
+        # in time order.
         train = TriggerTrain(1.0, 200, (0.2, 0.5, 0.505), (2.0, 1.5, 0.8))
         det = DetectorModel(efficiency=0.9, dark_rate_hz=5.0,
                             dead_time_s=0.01, jitter_sigma_s=0.002)
         gates = ((1.0, 0.2, 0.05), (1.0, 0.35, 0.4), (1.0, 0.5, 3.0))
         with mock.patch.object(kernels, "_BLOCK_CLICKS", block):
             cs = sample_clicks(train, det, 200.0, seed)
-            assert cs._in_order
+            assert (np.diff(cs.times) >= 0).all()
             assert len(cs) > 2 * max(BLOCKS[:-1])
             for gate in gates:
                 assert count_triggered(cs, *gate) == \
@@ -672,15 +683,16 @@ class TestClickSetDomain:
         ([0.2, 0.1], False), ([0.1, 0.3, 0.2, 0.4], False),
         ([], True), ([0.5], True), ([-TAG_MAX_S, TAG_MAX_S], True)])
     def test_order_flag(self, times, in_order):
-        assert ClickSet(np.array(times), 0, 1.0)._in_order is in_order
+        # The order scan count_triggered makes to decide whether to sort.
+        cs = ClickSet(np.array(times), 0, 1.0)
+        assert kernels._never_falls(cs.times) is in_order
 
     @pytest.mark.parametrize("bad", [
         math.nan, math.inf, -math.inf, TAG_OVER_S, -TAG_OVER_S, 1e300])
     @pytest.mark.parametrize("where", ["alone", "first", "last"])
     def test_untaggable_ends_rejected(self, bad, where):
-        # A set in order is range-checked by its ends, so a bad value where
-        # a sorted set holds its extreme is refused too; a NaN there breaks
-        # the order, unless it stands alone.
+        # A bad value is refused also where a sorted set holds its
+        # extremes, and alone.
         times = {"alone": [bad], "first": [bad, 0.1, 0.2],
                  "last": [0.1, 0.2, bad]}[where]
         with pytest.raises(InputDomainError, match=re.escape(
