@@ -20,13 +20,13 @@ depolarization; ``stored_states`` wraps it for one ``PolState``.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, InputDomainError, _checked
+from .errors import (ContractViolationError, InputDomainError, _checked,
+                     _typed)
 from .polarization import JonesOp, PolState, conjugate, depolarize
 
 #: Vacuum speed of light, m/s.
@@ -141,9 +141,7 @@ class BufferTopology:
         _checked("modulator_loss_db", self.modulator_loss_db, ge=0)
         _checked("fbg_reflectivity", self.fbg_reflectivity, ge=0, le=1)
         _checked("prep_error_depol", self.prep_error_depol, ge=0, le=1)
-        if not isinstance(self.per_element_loss_db, Mapping):
-            raise InputDomainError("element losses must be a mapping",
-                                   "per_element_loss_db")
+        _typed("per_element_loss_db", self.per_element_loss_db, Mapping)
         losses = dict(DEFAULT_ELEMENT_LOSS_DB)
         for name, value in self.per_element_loss_db.items():
             key = f"per_element_loss_db.{name}"
@@ -153,16 +151,12 @@ class BufferTopology:
             losses[name] = value
         object.__setattr__(self, "per_element_loss_db", losses)
         depol = self.depol_per_cycle
-        if isinstance(depol, numbers.Real):
-            _checked("depol_per_cycle", depol, ge=0, le=1)
-            depol = (depol,)
-        elif isinstance(depol, (tuple, list)):
+        if isinstance(depol, (tuple, list)):
             for i, p in enumerate(depol):
                 _checked(f"depol_per_cycle[{i}]", p, ge=0, le=1)
-        else:
-            raise InputDomainError(
-                "per-cycle depolarization must be a probability or a "
-                "sequence of them", "depol_per_cycle")
+        else:  # one probability for every cycle
+            _checked("depol_per_cycle", depol, ge=0, le=1)
+            depol = (depol,)
         object.__setattr__(self, "depol_per_cycle",
                            tuple(float(p) for p in depol) or (0.0,))
 
@@ -226,6 +220,7 @@ def stored_rho(topology: BufferTopology, rho: np.ndarray,
     not domain-checked; :func:`qbuffer.polarization.check_density` does
     that.
     """
+    _typed("topology", topology, BufferTopology)
     _checked("max_cycles", max_cycles, ge=0, integer=True,
              label="cycle count")
     out = np.empty(rho.shape[:-2] + (max_cycles + 1, 2, 2),
@@ -240,6 +235,7 @@ def stored_rho(topology: BufferTopology, rho: np.ndarray,
 def stored_states(topology: BufferTopology, pol: PolState,
                   max_cycles: int) -> list:
     """:func:`stored_rho` of one launch state, as a list of ``PolState``."""
+    _typed("pol", pol, PolState)
     return [PolState(r) for r in stored_rho(topology, pol.rho, max_cycles)]
 
 
@@ -287,5 +283,7 @@ def pbs_project(state: PolState, basis_unitary: JonesOp
     [0, 1]; a pulse of mean photon number mu sends mu * P(H) and mu * P(V)
     to the two ports.
     """
+    _typed("state", state, PolState)
+    _typed("basis_unitary", basis_unitary, JonesOp)
     p_h = float(pbs_shares(state.rho, basis_unitary))
     return p_h, 1.0 - p_h

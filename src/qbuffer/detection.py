@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import InputDomainError, _array, _checked
+from .errors import InputDomainError, _array, _checked, _typed
 
 
 @dataclass(frozen=True)
@@ -224,6 +224,7 @@ def click_probability(mu, det: DetectorModel, window: float):
     if not ok.all():
         raise InputDomainError(
             f"mean photon number {x[~ok][0]} must be finite and >= 0")
+    _typed("det", det, DetectorModel)
     _checked("window", window, ge=0)
     p = _click_probability(x, det, window)
     return float(p) if p.ndim == 0 else p
@@ -349,13 +350,8 @@ def sample_clicks(train: TriggerTrain, det: DetectorModel,
     times array, sorted and compacted in place. Above the click set, a
     call holds its fired pulses' positions and O(block) temporaries.
     """
-    if not isinstance(train, TriggerTrain):
-        raise InputDomainError(
-            f"train must be a TriggerTrain, not {type(train).__name__}",
-            "train")
-    if not isinstance(det, DetectorModel):
-        raise InputDomainError(
-            f"det must be a DetectorModel, not {type(det).__name__}", "det")
+    _typed("train", train, TriggerTrain)
+    _typed("det", det, DetectorModel)
     _checked("acquisition", acquisition, ge=0)
     if not isinstance(seed, np.random.SeedSequence):
         _checked("seed", seed, ge=0, integer=True)
@@ -414,17 +410,10 @@ def _substream(seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(np.array(words, np.uint32))
 
 
-def _check_clicks(clicks) -> None:
-    if not isinstance(clicks, ClickSet):
-        raise InputDomainError(
-            f"clicks must be a ClickSet, not {type(clicks).__name__}",
-            "clicks")
-
-
 def histogram(clicks: ClickSet, t0: float, bin_width: float,
               n_bins: int) -> Histogram:
     """Bin click times; out-of-range clicks land in the overflow tally."""
-    _check_clicks(clicks)
+    _typed("clicks", clicks, ClickSet)
     counts, overflow = kernels.bin_counts(clicks.times, t0, bin_width, n_bins)
     return Histogram(t0, bin_width, counts, overflow)
 
@@ -435,7 +424,7 @@ def count_triggered(clicks: ClickSet, period: float, offset: float,
     [offset - window/2, offset + window/2) relative to the trigger. The
     clicks are counted in time order; a set out of order is sorted
     first."""
-    _check_clicks(clicks)
+    _typed("clicks", clicks, ClickSet)
     _checked("period", period, gt=0)
     _checked("offset", offset)
     _checked("window", window, ge=0)

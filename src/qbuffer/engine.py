@@ -47,7 +47,7 @@ from .components import (
     sagnac_transfer,
 )
 from .errors import (ContractViolationError, InputDomainError, _array,
-                     _checked)
+                     _checked, _typed)
 
 
 class EventLogEntry(NamedTuple):
@@ -76,13 +76,12 @@ class DriveSchedule:
     pulses: tuple = ()
 
     def __post_init__(self):
-        pulses = tuple(self.pulses)
+        pulses = _array("pulses", tuple, self.pulses,
+                        "a sequence of DrivePulse")
         prev_end = -math.inf
         prev_start = -math.inf
         for i, d in enumerate(pulses):
-            if not isinstance(d, DrivePulse):
-                raise InputDomainError("schedule entries must be DrivePulse",
-                                       f"pulses[{i}]")
+            _typed(f"pulses[{i}]", d, DrivePulse)
             if d.t_start <= prev_start:
                 raise InputDomainError(
                     "drive start times must be strictly increasing",
@@ -147,6 +146,7 @@ class SimulationResult:
 
 def storage_period(topology: BufferTopology) -> float:
     """Duration of one stored cycle: loop delay plus storage round trip."""
+    _typed("topology", topology, BufferTopology)
     return topology.loop_delay_s() + 2.0 * topology.storage_delay_s()
 
 
@@ -180,21 +180,16 @@ def simulate(topology: BufferTopology, schedule: DriveSchedule,
     discarded by the safety limits, a time-ordered event log, the
     modulator passages and the schedule, for :func:`validate_schedule`.
     """
-    if not isinstance(topology, BufferTopology):
-        raise InputDomainError("topology must be a BufferTopology",
-                               "topology")
+    _typed("topology", topology, BufferTopology)
     if limits is None:
         limits = SimLimits()
-    elif not isinstance(limits, SimLimits):
-        raise InputDomainError("limits must be a SimLimits", "limits")
+    _typed("limits", limits, SimLimits)
     if not isinstance(schedule, DriveSchedule):
         schedule = DriveSchedule(_array("schedule", tuple, schedule,
                                         "a sequence of DrivePulse"))
     inputs = _array("inputs", list, inputs, "a sequence of PulseRecord")
     for i, p in enumerate(inputs):
-        if not isinstance(p, PulseRecord):
-            raise InputDomainError("input pulses must be PulseRecord",
-                                   f"inputs[{i}]")
+        _typed(f"inputs[{i}]", p, PulseRecord)
         if i and p.t < inputs[i - 1].t:
             raise InputDomainError("input pulses must be time-ordered")
 
@@ -343,8 +338,7 @@ def validate_schedule(result: SimulationResult) -> list[Violation]:
     Violations are ordered by drive index, then source pulse, then
     traversal.
     """
-    if not isinstance(result, SimulationResult):
-        raise InputDomainError("result must be a SimulationResult", "result")
+    _typed("result", result, SimulationResult)
     schedule = result.schedule
     # drive index -> source pulse -> traversal -> loop directions covered
     touched: list[dict] = [{} for _ in schedule.pulses]
@@ -377,7 +371,8 @@ def validate_schedule(result: SimulationResult) -> list[Violation]:
     return violations
 
 
-def storage_retrieval_schedule(topology: BufferTopology, input_pulse,
+def storage_retrieval_schedule(topology: BufferTopology,
+                               input_pulse: PulseRecord,
                                cycles: int, drive_width: float = 180e-9,
                                voltage: float | None = None,
                                guard: float = 20e-9) -> DriveSchedule:
@@ -391,9 +386,8 @@ def storage_retrieval_schedule(topology: BufferTopology, input_pulse,
     needs no drive at all: the balanced loop already reflects the pulse to
     the measurement stage.
     """
-    if not isinstance(input_pulse, PulseRecord):
-        raise InputDomainError("input_pulse must be a PulseRecord",
-                               "input_pulse")
+    _typed("topology", topology, BufferTopology)
+    _typed("input_pulse", input_pulse, PulseRecord)
     _checked("cycles", cycles, ge=0, integer=True, label="cycle count")
     _checked("guard", guard, ge=0)
     if cycles == 0:

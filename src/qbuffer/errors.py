@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the value check behind
-every model constructor."""
+"""Exception types shared across the package, and the value and type
+checks behind every model constructor and entry point."""
 
 import math
 import numbers
@@ -47,6 +47,15 @@ def _checked(field, value, *, gt=None, ge=None, lt=None, le=None,
         f"{label or field} {value!r} must be "
         + ("an integer" if integer else "a finite number")
         + (f" {rule}" if rule else ""), field)
+
+
+def _typed(field, value, cls):
+    """Raise InputDomainError naming ``field`` unless ``value`` is a
+    ``cls``: the one check of every model-object argument."""
+    if not isinstance(value, cls):
+        raise InputDomainError(
+            f"{field} must be a {cls.__name__}, not {type(value).__name__}",
+            field)
 
 
 def _array(field, make, value, expected="an array of numbers", **kwargs):

@@ -62,6 +62,7 @@ from .errors import (
     ScheduleError,
     _array,
     _checked,
+    _typed,
 )
 from .polarization import (
     HWP_ANGLE_MAX,
@@ -174,9 +175,7 @@ class Calibration:
             raise InputDomainError(
                 f"calibration mode {self.mode!r} must be none, table or "
                 "physical", "mode")
-        if not isinstance(self.targets, Mapping):
-            raise InputDomainError(
-                "targets must map eta to a visibility", "targets")
+        _typed("targets", self.targets, Mapping)
         targets = {}
         for key, value in self.targets.items():
             name = f"targets.{key}"
@@ -281,6 +280,7 @@ def linearized_counts(counts, n_triggers: int, det: DetectorModel,
     _checked("n_triggers", n_triggers, ge=1, integer=True,
              label="trigger count")
     _checked("window", window, ge=0)
+    _typed("det", det, DetectorModel)
     c = _array("counts", np.asarray, counts, dtype=np.float64)
     if not ((c >= 0) & (c < math.inf)).all():  # both False for NaN
         raise InputDomainError("counts must be finite and >= 0", "counts")
@@ -324,7 +324,9 @@ def fit_decay(peaks) -> DecayFit:
     non-positive counts are excluded.
     """
     pts = []
-    for i, (eta, c) in enumerate(peaks):
+    pairs = _array("peaks", lambda v: [(eta, c) for eta, c in v], peaks,
+                   "a sequence of (eta, counts) pairs")
+    for i, (eta, c) in enumerate(pairs):
         _checked(f"peaks[{i}].eta", eta, ge=1, integer=True, label="eta")
         _checked(f"peaks[{i}].counts", c, label="peak counts")
         if c > 0:
@@ -358,6 +360,7 @@ def _n_distinct(values: np.ndarray) -> int:
 
 def _hwp_grid(config: ExperimentConfig) -> np.ndarray:
     """The HWP angles; at least 4 distinct ones spanning pi/2 are needed."""
+    _typed("config", config, ExperimentConfig)
     angles = np.asarray(config.hwp_angles, dtype=np.float64)
     if _n_distinct(angles) < 4 or \
             angles.max() - angles.min() < math.pi / 2.0 - 1e-9:
@@ -475,9 +478,7 @@ def run_retrieval_sweep(config: ExperimentConfig, topology: BufferTopology,
     by eta alone, so share it only among calls with the same topology
     (apart from depolarization), config and limits.
     """
-    if not isinstance(det, DetectorModel):
-        raise InputDomainError(
-            f"det must be a DetectorModel, not {type(det).__name__}", "det")
+    _typed("config", config, ExperimentConfig)
     limits = limits or SimLimits()
     delta_t = storage_period(topology)
     period = 1.0 / config.rep_rate_hz
@@ -556,9 +557,6 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
     calls with the same topology (apart from depolarization), config and
     limits.
     """
-    if not isinstance(det, DetectorModel):
-        raise InputDomainError(
-            f"det must be a DetectorModel, not {type(det).__name__}", "det")
     angles = _hwp_grid(config)
     design = _fringe_design(angles)
     limits = limits or SimLimits()
@@ -751,6 +749,8 @@ def calibrate(targets: dict, topology: BufferTopology,
 
 def apply_calibration(topology: BufferTopology,
                       cal: CalibrationResult) -> BufferTopology:
+    _typed("topology", topology, BufferTopology)
+    _typed("cal", cal, CalibrationResult)
     return replace(topology, prep_error_depol=cal.prep_error_depol,
                    depol_per_cycle=cal.depol_per_cycle)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ContractViolationError, InputDomainError, _array,
-                     _checked)
+                     _checked, _typed)
 
 # Tolerance applied to user-provided inputs.
 INPUT_TOL = 1e-9
@@ -197,16 +197,20 @@ def hwp_matrix(theta: float) -> JonesOp:
 
 def apply_unitary(state: PolState, u: JonesOp) -> PolState:
     """Conjugate a state by a unitary element: rho -> U rho U+."""
+    _typed("state", state, PolState)
+    _typed("u", u, JonesOp)
     return PolState(rotate(state.rho, u.m))
 
 
 def apply_depolarizing(state: PolState, p: float) -> PolState:
     """Isotropic depolarizing channel rho -> (1-p) rho + p I/2."""
+    _typed("state", state, PolState)
     return PolState(depolarize(state.rho, p))
 
 
 def projection_probability(state: PolState, axis) -> float:
     """Probability <a|rho|a> of projecting onto a unit Jones vector ``axis``."""
+    _typed("state", state, PolState)
     a = _jones("axis", axis)
     if not abs(np.linalg.norm(a) - 1.0) <= INPUT_TOL:  # NaN fails it
         raise InputDomainError("projection axis must be normalized within 1e-9")

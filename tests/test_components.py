@@ -19,6 +19,7 @@ from qbuffer.components import (
 from qbuffer.detection import (
     DetectorModel,
     TriggerTrain,
+    click_probability,
     count_triggered,
     histogram,
 )
@@ -27,10 +28,20 @@ from qbuffer.engine import (
     SimLimits,
     _drive_phases,
     simulate,
+    storage_period,
     storage_retrieval_schedule,
 )
 from qbuffer.errors import ContractViolationError, InputDomainError
-from qbuffer.experiments import ExperimentConfig, fit_decay
+from qbuffer.experiments import (
+    CalibrationResult,
+    ExperimentConfig,
+    apply_calibration,
+    calibrate,
+    fit_decay,
+    linearized_counts,
+    run_hwp_sweep,
+    run_retrieval_sweep,
+)
 from qbuffer.polarization import (
     AXIS_H,
     AXIS_V,
@@ -39,6 +50,7 @@ from qbuffer.polarization import (
     JonesOp,
     PolState,
     apply_depolarizing,
+    apply_unitary,
     hwp_matrix,
     projection_probability,
 )
@@ -354,6 +366,11 @@ def _pulse(**kwargs):
                           **kwargs})
 
 
+#: Valid models for the rows that pass a wrong type to another argument.
+_CONFIG = ExperimentConfig(mode="analytic", eta_list=(1, 2))
+_CAL = CalibrationResult("table", 0.0, (0.0,), {}, {1: 0.9})
+
+
 class TestConstructorDomain:
     """Every model constructor, and each entry point below, rejects a
     non-number, a bool, NaN, inf or an out-of-range value with
@@ -429,6 +446,34 @@ class TestConstructorDomain:
         (lambda: simulate(BufferTopology(), DriveSchedule(), 5), "inputs"),
         (lambda: histogram(np.array([0.1]), 0.0, 1.0, 4), "clicks"),
         (lambda: count_triggered([0.1], 1.0, 0.5, 0.1), "clicks"),
+        (lambda: click_probability(0.1, 5, 1e-7), "det"),
+        (lambda: linearized_counts([1.0], 10, 5, 1e-7), "det"),
+        (lambda: calibrate({1: 0.9}, BufferTopology(), _CONFIG, 5), "det"),
+        (lambda: calibrate({1: 0.9}, BufferTopology(), 5, DetectorModel()),
+         "config"),
+        (lambda: run_hwp_sweep(5, BufferTopology(), DetectorModel()),
+         "config"),
+        (lambda: run_retrieval_sweep(5, BufferTopology(), DetectorModel()),
+         "config"),
+        (lambda: run_retrieval_sweep(_CONFIG, 5, DetectorModel()),
+         "topology"),
+        (lambda: storage_period(5), "topology"),
+        (lambda: storage_retrieval_schedule(5, _pulse(), 2), "topology"),
+        (lambda: storage_retrieval_schedule(5, _pulse(), 0), "topology"),
+        (lambda: stored_states(5, STATE_H, 2), "topology"),
+        (lambda: stored_states(BufferTopology(), 5, 2), "pol"),
+        (lambda: apply_calibration(5, _CAL), "topology"),
+        (lambda: apply_calibration(BufferTopology(), 5), "cal"),
+        (lambda: pbs_project(5, JonesOp.identity()), "state"),
+        (lambda: pbs_project(STATE_H, 5), "basis_unitary"),
+        (lambda: apply_unitary(5, JonesOp.identity()), "state"),
+        (lambda: apply_unitary(STATE_H, 5), "u"),
+        (lambda: apply_depolarizing(5, 0.1), "state"),
+        (lambda: projection_probability(5, AXIS_H), "state"),
+        (lambda: DriveSchedule(5), "pulses"),
+        (lambda: fit_decay(5), "peaks"),
+        (lambda: fit_decay([5, 6]), "peaks"),
+        (lambda: fit_decay([(1,)]), "peaks"),
     ], ids=[
         "topology-inf-loop", "topology-inf-group-index", "topology-nan-v-pi",
         "topology-bool-loss", "topology-str-length", "topology-nan-element",
@@ -453,12 +498,24 @@ class TestConstructorDomain:
         "jonesop-shape-m", "experiment-int-etas", "experiment-int-angles",
         "train-int-offsets", "train-int-mus", "simulate-int-schedule",
         "simulate-int-schedule-no-inputs", "simulate-int-inputs",
-        "histogram-array-clicks", "count-list-clicks"])
+        "histogram-array-clicks", "count-list-clicks",
+        "click-probability-int-det", "linearized-int-det",
+        "calibrate-int-det", "calibrate-int-config", "hwp-sweep-int-config",
+        "retrieval-sweep-int-config", "retrieval-sweep-int-topology",
+        "period-int-topology", "schedule-int-topology",
+        "schedule-int-topology-no-cycles", "stored-int-topology",
+        "stored-int-pol", "apply-calibration-int-topology",
+        "apply-calibration-int-cal", "pbs-int-state", "pbs-int-basis",
+        "unitary-int-state", "unitary-int-u", "depolarizing-int-state",
+        "projection-int-state", "drive-schedule-int",
+        "decay-int-peaks", "decay-int-pairs", "decay-short-pair"])
     def test_rejected_with_field(self, build, field):
         with pytest.raises(InputDomainError) as info:
             build()
         assert info.value.field == field
         # A sequence of model objects is not asked to hold numbers.
         what = {"schedule": "a sequence of DrivePulse",
-                "inputs": "a sequence of PulseRecord"}.get(field)
+                "pulses": "a sequence of DrivePulse",
+                "inputs": "a sequence of PulseRecord",
+                "peaks": "a sequence of (eta, counts) pairs"}.get(field)
         assert what is None or str(info.value) == f"{field} must be {what}"
