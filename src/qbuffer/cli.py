@@ -16,11 +16,14 @@ object on stderr.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
 import re
+import shutil
 import sys
+import tempfile
 import time
 from dataclasses import replace
 
@@ -197,26 +200,22 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         return _err("schema", 2, path=exc.path, message=exc.message)
 
-    out_dir = args.out
+    out_dir, stage, outputs = args.out, None, []
     started = time.perf_counter()
-    # A name is recorded before its file is written, so a failed run also
-    # removes a file it was partway through. Click files are written as
-    # their settings are sampled, and listed after the histogram.
-    outputs: list[str] = []
-    click_files: list[str] = []
 
     def emit(name, writer):
         outputs.append(name)
-        writer(os.path.join(out_dir, name))
+        writer(os.path.join(stage, name))
 
     def write_clicks(eta, clicks):
-        name = f"clicks_eta{eta}.csv"
-        click_files.append(name)
-        clicks.write_csv(os.path.join(out_dir, name))
+        clicks.write_csv(os.path.join(stage, f"clicks_eta{eta}.csv"))
 
-    ok = False
     try:
         os.makedirs(out_dir, exist_ok=True)
+        # Every file is written into a private staging directory and moved
+        # into --out only once the run has succeeded, so a failed run
+        # leaves --out as it found it.
+        stage = tempfile.mkdtemp(prefix=".qbuffer-", dir=out_dir)
         summary, results = run_plan(
             plan, None if args.format == "json" else write_clicks)
         if args.format == "json":
@@ -234,7 +233,9 @@ def cmd_run(args) -> int:
                 emit("peaks.csv", lambda p: write_peaks_csv(results.rows, p))
                 if results.histogram is not None:
                     emit("histogram.csv", results.histogram.write_csv)
-                outputs += click_files
+                # The click files, written as their settings were sampled.
+                outputs += [f"clicks_eta{r.eta}.csv" for r in results.rows
+                            if r.sampled_counts is not None]
                 for eta, sim in results.sim_results.items():
                     emit(f"event_log_eta{eta}.csv", sim.write_event_log_csv)
             elif plan.kind == "hwp-sweep":
@@ -252,22 +253,26 @@ def cmd_run(args) -> int:
             "config": plan.snapshot,
         }
         emit("manifest.json", lambda p: _write_json(p, manifest))
+        for name in outputs:  # before any file moves
+            if os.path.isdir(os.path.join(out_dir, name)):
+                raise IsADirectoryError(errno.EISDIR, "Is a directory",
+                                        os.path.join(out_dir, name))
     except _FAILURES as exc:
         return _failure(exc)
     else:
-        # A stdout that cannot take the report fails the run, too; main
-        # reports it.
+        # A stdout that cannot take the report fails the run before any
+        # file moves; main reports it.
         print(f"wrote {len(outputs)} files to {out_dir}")
         sys.stdout.flush()
-        ok = True
+        try:
+            for name in outputs:
+                os.replace(os.path.join(stage, name),
+                           os.path.join(out_dir, name))
+        except OSError as exc:
+            return _failure(exc)
     finally:
-        if not ok:
-            # A failed run leaves none of the files it has written.
-            for name in set(outputs + click_files):
-                try:
-                    os.remove(os.path.join(out_dir, name))
-                except OSError:
-                    pass
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
     return 0
 
 

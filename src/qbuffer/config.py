@@ -108,10 +108,11 @@ def _check_keys(section, path, allowed):
 
 
 def validate_config(cfg: dict) -> None:
-    """Check the structure of a fully merged configuration document.
+    """Check the structure of a fully merged configuration document: its
+    sections and their keys.
 
     Values are checked where they are used: the model constructors called
-    by :func:`plan_from_config` own every range.
+    by :func:`plan_from_config` own every range and every list.
     """
     _check_keys(cfg, "", _BASE)
     _require(cfg.get("schema_version") == SCHEMA_VERSION, "schema_version",
@@ -120,9 +121,6 @@ def validate_config(cfg: dict) -> None:
     for name in ("experiment", "topology", "detector", "limits",
                  "calibration"):
         _check_keys(cfg.get(name), name, _BASE[name])
-    for key in ("eta_list", "hwp_angles"):
-        _require(isinstance(cfg["experiment"][key], list),
-                 f"experiment.{key}", "expected a list")
 
     sched = cfg.get("schedule")
     if sched is not None:
@@ -163,15 +161,16 @@ def parse_override(item: str) -> tuple:
 
 
 def apply_override(cfg: dict, path: str, value) -> None:
-    keys = path.split(".")
+    """Set the leaf at dotted ``path`` to ``value``, as a config file
+    would; :func:`validate_config` checks the keys, the model constructors
+    the values."""
+    *sections, key = path.split(".")
     node = cfg
-    for key in keys[:-1]:
-        if not isinstance(node.get(key), dict):
+    for name in sections:
+        if not isinstance(node.get(name), dict):
             raise ConfigError(path, "no such configuration section")
-        node = node[key]
-    if keys[-1] not in node and keys[0] != "schedule":
-        raise ConfigError(path, "unknown configuration key")
-    node[keys[-1]] = value
+        node = node[name]
+    node[key] = value
 
 
 def resolve_config(file_cfg: dict | None = None, overrides=(),

@@ -133,6 +133,13 @@ class SimulationResult:
     inputs: list
     schedule: DriveSchedule
 
+    def __post_init__(self):
+        _typed("schedule", self.schedule, DriveSchedule)
+        for name in ("retrieved", "discarded", "event_log", "passages",
+                     "inputs"):
+            setattr(self, name, _array(name, list, getattr(self, name),
+                                       "a sequence"))
+
     def retrieved_with_cycles(self, cycles: int) -> list:
         return [p for p in self.retrieved if p.cycles == cycles]
 
@@ -184,9 +191,7 @@ def simulate(topology: BufferTopology, schedule: DriveSchedule,
     if limits is None:
         limits = SimLimits()
     _typed("limits", limits, SimLimits)
-    if not isinstance(schedule, DriveSchedule):
-        schedule = DriveSchedule(_array("schedule", tuple, schedule,
-                                        "a sequence of DrivePulse"))
+    _typed("schedule", schedule, DriveSchedule)
     inputs = _array("inputs", list, inputs, "a sequence of PulseRecord")
     for i, p in enumerate(inputs):
         _typed(f"inputs[{i}]", p, PulseRecord)

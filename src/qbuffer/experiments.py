@@ -345,24 +345,11 @@ def fit_decay(peaks) -> DecayFit:
 # -- engine plumbing --------------------------------------------------------
 
 
-def _n_distinct(values: np.ndarray) -> int:
-    """Number of distinct values in a float array without NaN; -0.0 and 0.0
-    are one value.
-
-    ``np.unique`` gives the same count, but its first call imports
-    ``numpy.ma``, which costs every run about 16 ms.
-    """
-    s = np.sort(values)
-    if s.size == 0:
-        return 0
-    return 1 + int(np.count_nonzero(s[1:] != s[:-1]))
-
-
 def _hwp_grid(config: ExperimentConfig) -> np.ndarray:
     """The HWP angles; at least 4 distinct ones spanning pi/2 are needed."""
     _typed("config", config, ExperimentConfig)
     angles = np.asarray(config.hwp_angles, dtype=np.float64)
-    if _n_distinct(angles) < 4 or \
+    if len(set(config.hwp_angles)) < 4 or \
             angles.max() - angles.min() < math.pi / 2.0 - 1e-9:
         raise InputDomainError(
             "need at least 4 distinct HWP angles spanning a full fringe "
@@ -479,7 +466,6 @@ def run_retrieval_sweep(config: ExperimentConfig, topology: BufferTopology,
     (apart from depolarization), config and limits.
     """
     _typed("config", config, ExperimentConfig)
-    limits = limits or SimLimits()
     delta_t = storage_period(topology)
     period = 1.0 / config.rep_rate_hz
     n = config.n_triggers
@@ -559,7 +545,6 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
     """
     angles = _hwp_grid(config)
     design = _fringe_design(angles)
-    limits = limits or SimLimits()
 
     period = 1.0 / config.rep_rate_hz
     n = config.n_triggers
@@ -693,7 +678,6 @@ def calibrate(targets: dict, topology: BufferTopology,
         raise InputDomainError("calibrate needs mode table or physical",
                                "mode")
     targets = Calibration(mode, targets).targets
-    limits = limits or SimLimits()
 
     runs = {} if runs is None else runs
     vis_of, bs = {}, []  # bs: the Bloch length of each target, in order

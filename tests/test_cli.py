@@ -587,6 +587,27 @@ class TestFailedRunLeavesNoOutputs:
                                           "message": "disk full"}
         assert os.listdir(out) == []
 
+    def test_failed_rerun_keeps_the_earlier_run(self, tmp_path, capsys):
+        # A failed run into the --out of an earlier one leaves every earlier
+        # file as it was, the manifest included, and no staging directory.
+        out = tmp_path / "o"
+        assert small_run(out) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert small_run(out, "--set", "experiment.eta_list=[1]") == 2
+        assert "distinct settings" in one_json_error(capsys)["message"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_failed_move_is_an_output_error(self, tmp_path, capsys,
+                                            monkeypatch):
+        def replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert small_run(tmp_path / "o") == 2
+        assert one_json_error(capsys) == {"error": "output",
+                                          "message": "disk full"}
+        assert os.listdir(tmp_path / "o") == []
+
     def test_manifest_name_taken_by_a_directory(self, tmp_path, capsys):
         out = tmp_path / "o"
         (out / "manifest.json").mkdir(parents=True)
@@ -769,6 +790,31 @@ def _set_path(doc, path, value):
     for name in sections:
         doc = doc.setdefault(name, {})
     doc[key] = value
+
+
+class TestOverrideEndsAsFile:
+    """A leaf given by ``--set`` ends exactly as the same value given in a
+    config file: same exit code, stdout and error line."""
+
+    @pytest.mark.parametrize("path, value, code", [
+        ("calibration.targets.7", 0.8, 0),
+        ("topology.per_element_loss_db.foo", 1, 2),
+        ("topology.nope", 1, 2),
+        ("experiment.eta_list", "135", 2),
+        ("schedule", [{"t_start_s": 0.0, "bogus": 1}], 2),
+    ])
+    def test_same_end(self, tmp_path, capsys, path, value, code):
+        doc = {}
+        _set_path(doc, path, value)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        ends = []
+        for given in (["--config", str(cfg)],
+                      ["--set", f"{path}={json.dumps(value)}"]):
+            ends.append((run_cli("validate", "--preset", "fig2-insets",
+                                 *given), *capsys.readouterr()))
+        assert ends[0] == ends[1]
+        assert ends[0][0] == code
 
 
 class TestCliContractFuzz:

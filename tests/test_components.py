@@ -514,7 +514,7 @@ class TestConstructorDomain:
             build()
         assert info.value.field == field
         # A sequence of model objects is not asked to hold numbers.
-        what = {"schedule": "a sequence of DrivePulse",
+        what = {"schedule": "a DriveSchedule, not int",
                 "pulses": "a sequence of DrivePulse",
                 "inputs": "a sequence of PulseRecord",
                 "peaks": "a sequence of (eta, counts) pairs"}.get(field)

@@ -401,7 +401,7 @@ def sort_path_count(times, period, offset, window):
     trigger = np.floor(t / period)
     rel = t - trigger * period
     hit = (rel >= offset - window / 2.0) & (rel < offset + window / 2.0)
-    return experiments._n_distinct(trigger[hit])
+    return len(set(trigger[hit].tolist()))
 
 
 class TestOrderAwareCount:

@@ -1,9 +1,10 @@
 """The domain rule as a standing property of the public API.
 
-Every callable in ``qbuffer.__all__`` is probed through its resolved
-annotations: a parameter annotated with a qbuffer class is given ``5`` and
-must raise InputDomainError naming it, with the ``errors._typed`` message;
-a numeric parameter is given NaN, +-inf, a bool and a string and must raise
+Every callable in ``qbuffer.__all__``, and every public function of
+``qbuffer.kernels``, is probed through its resolved annotations: a
+parameter annotated with a qbuffer class is given ``5`` and must raise
+InputDomainError naming it, with the ``errors._typed`` message; a numeric
+parameter is given NaN, +-inf, a bool and a string and must raise
 QBufferError or return a finite result. A new public callable with such a
 parameter needs a row of valid base arguments in ``_base`` below, so it is
 probed from the day it is added.
@@ -11,6 +12,7 @@ probed from the day it is added.
 
 import ast
 import dataclasses
+import importlib
 import inspect
 import math
 import numbers
@@ -29,21 +31,32 @@ SRC = Path(qbuffer.__file__).resolve().parent
 NUMERIC_PROBES = [math.nan, math.inf, -math.inf, True, "x"]
 
 #: Result records the library builds and returns; their fields are not
-#: checked, as no caller passes one in except to ``validate_schedule``,
-#: which checks its type.
-RESULT_RECORDS = {"SimulationResult", "VisibilityResult"}
+#: checked, as no caller passes one in.
+RESULT_RECORDS = {"VisibilityResult"}
 
-#: (callable, parameter) -> why its wrong-type message is not ``_typed``'s.
-OTHER_MESSAGE = {
-    ("simulate", "schedule"): "it also takes a sequence of DrivePulse, so a "
-                              "non-sequence is named as not one",
-}
+#: Modules whose public functions are probed beside ``qbuffer.__all__``.
+MODULES = ("kernels",)
+
+
+def _public():
+    """Name -> public callable of every probed name."""
+    out = {name: getattr(qbuffer, name) for name in qbuffer.__all__}
+    for module in MODULES:
+        mod = importlib.import_module(f"qbuffer.{module}")
+        out.update((name, obj) for name, obj in vars(mod).items()
+                   if inspect.isfunction(obj) and not name.startswith("_")
+                   and obj.__module__ == mod.__name__)
+    return out
+
+
+PUBLIC = _public()
 
 
 def _base():
     """Public name -> keyword arguments of one valid, quick call."""
-    from qbuffer import (BufferTopology, ClickSet, DetectorModel, JonesOp,
-                         PulseRecord, STATE_H, TriggerTrain, simulate)
+    from qbuffer import (BufferTopology, ClickSet, DetectorModel,
+                         DriveSchedule, JonesOp, PulseRecord, STATE_H,
+                         TriggerTrain, simulate)
     from qbuffer.experiments import CalibrationResult, ExperimentConfig
 
     topo, det = BufferTopology(), DetectorModel()
@@ -72,11 +85,16 @@ def _base():
             train=TriggerTrain(1e-3, 2, (1e-6,), (0.1,)), det=det,
             acquisition=2e-3, seed=0),
         "SimLimits": {},
-        "simulate": dict(topology=topo, schedule=(), inputs=[pulse]),
+        "SimulationResult": dict(retrieved=[], discarded=[], event_log=[],
+                                 passages=[], inputs=[],
+                                 schedule=DriveSchedule()),
+        "simulate": dict(topology=topo, schedule=DriveSchedule(),
+                         inputs=[pulse]),
         "storage_period": dict(topology=topo),
         "storage_retrieval_schedule": dict(topology=topo, input_pulse=pulse,
                                            cycles=2),
-        "validate_schedule": dict(result=simulate(topo, (), [pulse])),
+        "validate_schedule": dict(result=simulate(topo, DriveSchedule(),
+                                                  [pulse])),
         "ExperimentConfig": {},
         "apply_calibration": dict(topology=topo, cal=CalibrationResult(
             "table", 0.0, (0.0,), {}, {1: 0.9})),
@@ -88,6 +106,10 @@ def _base():
         "apply_unitary": dict(state=STATE_H, u=JonesOp.identity()),
         "hwp_matrix": dict(theta=0.3),
         "projection_probability": dict(state=STATE_H, axis=[1, 0]),
+        "bin_counts": dict(times=[0.1, 0.7, 3.0], t0=0.0, bin_width=0.5,
+                           n_bins=4),
+        "dead_time_filter": dict(times=[0.0, 0.5, 2.0], dead_time=1.0),
+        "fold": dict(times=[0.5, 2.5], period=1.0),
     }
 
 
@@ -95,8 +117,7 @@ def _parameters():
     """(name, callable, parameter, model class or None for a number) of
     every probed parameter of the public API."""
     out = []
-    for name in qbuffer.__all__:
-        obj = getattr(qbuffer, name)
+    for name, obj in PUBLIC.items():
         if not callable(obj) or isinstance(obj, type) and issubclass(
                 obj, BaseException):
             continue
@@ -146,14 +167,12 @@ def test_every_probed_callable_has_base_arguments(base):
 
 
 def test_allow_lists_name_probed_parameters():
-    names = {n for n, *_ in PARAMETERS}
-    assert RESULT_RECORDS <= names
-    assert set(OTHER_MESSAGE) <= {(n, p) for n, _, p, _ in MODEL_PARAMETERS}
+    assert RESULT_RECORDS <= {n for n, *_ in PARAMETERS}
 
 
 @pytest.mark.parametrize("name", PROBED)
 def test_base_arguments_are_valid(base, name):
-    getattr(qbuffer, name)(**base[name])
+    PUBLIC[name](**base[name])
 
 
 @pytest.mark.parametrize(
@@ -163,8 +182,7 @@ def test_wrong_model_type_named(base, name, fn, param, cls):
     with pytest.raises(InputDomainError) as info:
         fn(**{**base[name], param: 5})
     assert info.value.field == param
-    if (name, param) not in OTHER_MESSAGE:
-        assert str(info.value) == f"{param} must be a {cls.__name__}, not int"
+    assert str(info.value) == f"{param} must be a {cls.__name__}, not int"
 
 
 @pytest.mark.parametrize("value", NUMERIC_PROBES, ids=repr)
