@@ -201,8 +201,10 @@ def preset_names(src: Path) -> list:
 
 
 def golden_environment() -> dict:
-    """The numpy version and the CPU features its SIMD loops may use: a
-    vectorized exp or log can differ in the last bit between them."""
+    """The numpy version and the CPU features its SIMD loops may use: the
+    vectorized log1p, cos and sin of ``experiments._linearized``,
+    ``_fringe_design`` and ``_bloch_visibility`` can differ in the last bit
+    between them."""
     import numpy
     try:
         from numpy._core import _multiarray_umath as umath

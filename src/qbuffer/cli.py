@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
+import importlib.util
 import json
 import os
 import re
@@ -387,6 +388,14 @@ def main(argv=None) -> int:
     return code
 
 
+#: CPython's builtin hash modules, which ``hashlib`` and ``hmac`` use when
+#: OpenSSL's ``_hashlib`` cannot be imported.
+_BUILTIN_HASHES = ("_md5", "_sha1",
+                   *(("_sha2",) if sys.version_info >= (3, 12)
+                     else ("_sha256", "_sha512")),
+                   "_sha3", "_blake2")
+
+
 def script() -> None:
     """The ``qbuffer`` command: ``main``, then end the process at once.
 
@@ -394,7 +403,16 @@ def script() -> None:
     standard streams are left to flush; skipping the interpreter's
     teardown of numpy's and qbuffer's modules saves about 20 ms of CPU per
     run. ``atexit`` handlers do not run.
+
+    A run hashes nothing, but ``numpy.random`` imports ``hashlib`` through
+    ``secrets`` and ``hmac``, and ``hashlib`` loads OpenSSL's ``libcrypto``
+    through ``_hashlib``: about 3.5 MB of peak RSS. So ``_hashlib`` is made
+    unimportable, unless it is loaded already, and ``hashlib`` uses the
+    builtin modules. That is done only if every builtin module exists:
+    without one, ``import hashlib`` logs the hash it lacks on stderr.
     """
+    if all(importlib.util.find_spec(name) for name in _BUILTIN_HASHES):
+        sys.modules.setdefault("_hashlib", None)
     code = main()
     for stream in (sys.stdout, sys.stderr):
         try:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -503,8 +503,8 @@ def run_retrieval_sweep(config: ExperimentConfig, topology: BufferTopology,
     return RetrievalSweepResult(rows, delta_t, n, hist, sims)
 
 
-def share_table(topology: BufferTopology, angles, max_cycles: int,
-                bases) -> dict:
+def share_table(topology: BufferTopology, angles: Iterable[float],
+                max_cycles: int, bases) -> dict:
     """Port shares of an H launch through a HWP at each of ``angles``.
 
     ``table[basis][i, port, k]`` is the share the beamsplitter sends to

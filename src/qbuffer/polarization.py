@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,14 +171,15 @@ class JonesOp:
         return cls(_I2)
 
 
-def hwp_matrices(angles) -> np.ndarray:
+def hwp_matrices(angles: Iterable[float]) -> np.ndarray:
     """``(len(angles), 2, 2)`` stack of half-wave plates, fast axis at each
     angle in radians: [[cos 2t, sin 2t], [sin 2t, -cos 2t]].
 
     Each matrix is unitary by construction, so the stack is not checked
     for passivity here; :func:`rotate` checks its unitarity.
     """
-    rows = [_hwp_rows(f"angles[{i}]", theta) for i, theta in enumerate(angles)]
+    rows = [_hwp_rows(f"angles[{i}]", theta) for i, theta in enumerate(
+        _array("angles", iter, angles, "an iterable of angles"))]
     return np.array(rows, dtype=np.complex128).reshape(-1, 2, 2)
 
 

@@ -373,6 +373,43 @@ class TestRun:
         assert len(calls) == 1
 
 
+class TestSettingIsolation:
+    """A setting's results depend on the config, the seed and its eta alone:
+    retrieval and fringe substreams are keyed by the eta value, so its files
+    and rows are the same bytes alone or beside other settings."""
+
+    @staticmethod
+    def run(out, preset, *extra):
+        assert run_cli("run", "--preset", preset, "--seed", "4", "--set",
+                       "experiment.n_triggers=20000", "--out", str(out),
+                       *extra) == 0
+
+    @staticmethod
+    def rows(path, etas):
+        """The lines of a CSV whose first column is one of ``etas``."""
+        return [line for line in path.read_text().splitlines()
+                if line.split(",")[0] in {str(e) for e in etas}]
+
+    def test_retrieval_settings(self, tmp_path, capsys):
+        full, sub = tmp_path / "full", tmp_path / "sub"
+        self.run(full, "fig2-main")
+        self.run(sub, "fig2-main", "--set", "experiment.eta_list=[3,5,7]")
+        for eta in (3, 5, 7):
+            for name in (f"clicks_eta{eta}.csv", f"event_log_eta{eta}.csv"):
+                assert (full / name).read_bytes() == (sub / name).read_bytes()
+        rows = self.rows(full / "peaks.csv", (3, 5, 7))
+        assert len(rows) == 3
+        assert rows == self.rows(sub / "peaks.csv", (3, 5, 7))
+
+    def test_fringe_setting(self, tmp_path, capsys):
+        full, sub = tmp_path / "full", tmp_path / "sub"
+        self.run(full, "fig2-insets")
+        self.run(sub, "fig2-insets", "--set", "experiment.eta_list=[5]")
+        rows = self.rows(full / "sweep.csv", (5,))
+        assert len(rows) == 64
+        assert rows == self.rows(sub / "sweep.csv", (5,))
+
+
 class TestContractOnBadSweeps:
     """Sweep inputs the run cannot use exit 2 with one JSON line on
     stderr."""
@@ -881,6 +918,61 @@ class TestScript:
             f"wrote {len(os.listdir('out'))} files to out\n"
         assert result_bytes(tmp_path / "script" / "out") \
             == result_bytes(tmp_path / "main" / "out")
+
+    @pytest.mark.parametrize("argv", [
+        *(["run", "--preset", preset, "--format", "json", "--out", "out"]
+          for preset in sorted(PRESETS)),
+        *(["validate", "--preset", preset] for preset in sorted(PRESETS)),
+        ["presets"], ["presets", "--format", "json"],
+    ], ids=" ".join)
+    def test_success_leaves_stderr_empty(self, tmp_path, argv):
+        # As test_run_equals_in_process_main checks for csv runs; also no
+        # log line of a hash that hashlib could not find.
+        proc = child(["-m", "qbuffer.cli", *argv], tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout
+
+    #: Child code that runs ``cli.script`` on ``sys.argv[2:]``, after the
+    #: statement in ``sys.argv[1]``, and as the process ends prints whether
+    #: OpenSSL's ``_hashlib`` is loaded and the sha256 of b"".
+    REPORT_AT_EXIT = (
+        "import os, sys\n"
+        "exec(sys.argv[1])\n"
+        "from qbuffer import cli\n"
+        "def report(code, _exit=os._exit):\n"
+        "    import hashlib\n"
+        "    print(sys.modules.get('_hashlib') is not None,\n"
+        "          hashlib.sha256(b'').hexdigest()[:8], flush=True)\n"
+        "    _exit(code)\n"
+        "os._exit = report\n"
+        "sys.argv[1:] = sys.argv[2:]\n"
+        "cli.script()\n")
+
+    @pytest.mark.parametrize("first, openssl", [
+        ("pass", False), ("sys.modules['_md5'] = None", True)],
+        ids=["builtin-hashes", "md5-missing"])
+    @pytest.mark.parametrize("preset", ["fig2-main", "fig2-insets"])
+    def test_runs_load_no_openssl(self, tmp_path, preset, first, openssl):
+        # numpy.random imports hashlib, which loads OpenSSL's libcrypto
+        # unless the command blocks _hashlib; it does so only when every
+        # builtin hash module exists, since hashlib logs a missing one.
+        proc = child(["-c", self.REPORT_AT_EXIT, first, "run", "--preset",
+                      preset, "--set", "experiment.n_triggers=2000", "--out",
+                      "out"], tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[-1] == f"{openssl} e3b0c442"
+
+    def test_main_keeps_openssl(self, tmp_path):
+        # A library call of main blocks nothing.
+        proc = child(["-c", "import sys\n"
+                      "from qbuffer import cli\n"
+                      "assert cli.main(['run', '--preset', 'fig2-main',\n"
+                      "                 '--set', 'experiment.n_triggers=2000',\n"
+                      "                 '--out', 'out']) == 0\n"
+                      "import _hashlib\n"
+                      "print('_hashlib' in sys.modules)"], tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[-1] == "True"
 
     @pytest.mark.parametrize("argv, code, kind", [
         (["run", "--preset", "fig2-main", "--seed", "-1"], 2, "schema"),

@@ -1,11 +1,16 @@
 """The domain rule as a standing property of the public API.
 
-Every callable in ``qbuffer.__all__``, and every public function of
-``qbuffer.kernels``, is probed through its resolved annotations: a
-parameter annotated with a qbuffer class is given ``5`` and must raise
-InputDomainError naming it, with the ``errors._typed`` message; a numeric
-parameter is given NaN, +-inf, a bool and a string and must raise
-QBufferError or return a finite result. A new public callable with such a
+Every callable in ``qbuffer.__all__``, every public function of
+``qbuffer.kernels`` and the public names in ``EXTRA`` are probed through
+their resolved annotations: a parameter annotated with a qbuffer class is
+given ``5`` and must raise InputDomainError naming it, with the
+``errors._typed`` message; a numeric parameter is given NaN, +-inf, a bool
+and a string and must raise QBufferError or return a finite result; a
+count (``INTEGER_NAMES``) is also given a negative and a non-integer value
+and must raise InputDomainError naming it. A parameter annotated as an
+iterable of numbers is given ``5`` and must raise InputDomainError naming
+it, and a one-entry list of each numeric probe, which must raise
+InputDomainError naming the entry. A new public callable with such a
 parameter needs a row of valid base arguments in ``_base`` below, so it is
 probed from the day it is added.
 """
@@ -17,6 +22,7 @@ import inspect
 import math
 import numbers
 import typing
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +40,22 @@ NUMERIC_PROBES = [math.nan, math.inf, -math.inf, True, "x"]
 #: checked, as no caller passes one in.
 RESULT_RECORDS = {"VisibilityResult"}
 
+#: Values a count is given besides ``NUMERIC_PROBES``.
+COUNT_PROBES = [-1, 2.5]
+
+#: (value, suffix of the field it is reported under) an iterable of
+#: numbers is given.
+ITERABLE_PROBES = [(5, ""), *(([v], "[0]") for v in NUMERIC_PROBES)]
+
+#: The integer parameters that count something.
+INTEGER_NAMES = ("max_cycles", "n_bins", "n_triggers")
+
 #: Modules whose public functions are probed beside ``qbuffer.__all__``.
 MODULES = ("kernels",)
+
+#: Module -> public names outside ``qbuffer.__all__`` that are probed too.
+EXTRA = {"experiments": ("share_table",), "detection": ("count_triggered",),
+         "polarization": ("hwp_matrices",)}
 
 
 def _public():
@@ -46,6 +66,9 @@ def _public():
         out.update((name, obj) for name, obj in vars(mod).items()
                    if inspect.isfunction(obj) and not name.startswith("_")
                    and obj.__module__ == mod.__name__)
+    for module, names in EXTRA.items():
+        mod = importlib.import_module(f"qbuffer.{module}")
+        out.update((name, getattr(mod, name)) for name in names)
     return out
 
 
@@ -110,12 +133,18 @@ def _base():
                            n_bins=4),
         "dead_time_filter": dict(times=[0.0, 0.5, 2.0], dead_time=1.0),
         "fold": dict(times=[0.5, 2.5], period=1.0),
+        "share_table": dict(topology=topo, angles=[0.0, 0.3], max_cycles=2,
+                            bases=("computational",)),
+        "count_triggered": dict(clicks=ClickSet([0.1, 1.2], 0, 2.0),
+                                period=1.0, offset=0.1, window=0.1),
+        "hwp_matrices": dict(angles=[0.0, 0.3]),
     }
 
 
 def _parameters():
-    """(name, callable, parameter, model class or None for a number) of
-    every probed parameter of the public API."""
+    """(name, callable, parameter, model class, or None for a number, or
+    ``Iterable`` for an iterable of numbers) of every probed parameter of
+    the public API."""
     out = []
     for name, obj in PUBLIC.items():
         if not callable(obj) or isinstance(obj, type) and issubclass(
@@ -123,6 +152,9 @@ def _parameters():
             continue
         hints = typing.get_type_hints(obj)
         for param in inspect.signature(obj).parameters:
+            if typing.get_origin(hints.get(param)) is Iterable:
+                out.append((name, obj, param, Iterable))
+                continue
             kinds = typing.get_args(hints.get(param)) or (hints.get(param),)
             models = [k for k in kinds if isinstance(k, type)
                       and k.__module__.startswith("qbuffer.")]
@@ -135,10 +167,16 @@ def _parameters():
 
 PARAMETERS = _parameters()
 MODEL_PARAMETERS = [(n, f, p, cls) for n, f, p, cls in PARAMETERS
-                    if cls is not None and n not in RESULT_RECORDS]
+                    if cls not in (None, Iterable)
+                    and n not in RESULT_RECORDS]
 NUMERIC_PARAMETERS = [(n, f, p) for n, f, p, cls in PARAMETERS
                       if cls is None and n not in RESULT_RECORDS]
-PROBED = sorted({n for n, *_ in MODEL_PARAMETERS + NUMERIC_PARAMETERS})
+COUNT_PARAMETERS = [(n, f, p) for n, f, p in NUMERIC_PARAMETERS
+                    if p in INTEGER_NAMES]
+ITERABLE_PARAMETERS = [(n, f, p) for n, f, p, cls in PARAMETERS
+                       if cls is Iterable]
+PROBED = sorted({n for n, *_ in MODEL_PARAMETERS + NUMERIC_PARAMETERS
+                 + ITERABLE_PARAMETERS})
 
 
 def _finite(value) -> bool:
@@ -168,6 +206,8 @@ def test_every_probed_callable_has_base_arguments(base):
 
 def test_allow_lists_name_probed_parameters():
     assert RESULT_RECORDS <= {n for n, *_ in PARAMETERS}
+    assert set(INTEGER_NAMES) == {p for *_, p in COUNT_PARAMETERS}
+    assert {n for names in EXTRA.values() for n in names} <= set(PROBED)
 
 
 @pytest.mark.parametrize("name", PROBED)
@@ -195,6 +235,27 @@ def test_bad_number_rejected_or_finite(base, name, fn, param, value):
     except QBufferError:
         return
     assert _finite(result)
+
+
+@pytest.mark.parametrize("value", COUNT_PROBES, ids=repr)
+@pytest.mark.parametrize(
+    "name, fn, param", COUNT_PARAMETERS,
+    ids=[f"{n}-{p}" for n, _, p in COUNT_PARAMETERS])
+def test_bad_count_named(base, name, fn, param, value):
+    with pytest.raises(InputDomainError) as info:
+        fn(**{**base[name], param: value})
+    assert info.value.field == param
+
+
+@pytest.mark.parametrize("value, entry", ITERABLE_PROBES,
+                         ids=[repr(v) for v, _ in ITERABLE_PROBES])
+@pytest.mark.parametrize(
+    "name, fn, param", ITERABLE_PARAMETERS,
+    ids=[f"{n}-{p}" for n, _, p in ITERABLE_PARAMETERS])
+def test_bad_iterable_named(base, name, fn, param, value, entry):
+    with pytest.raises(InputDomainError) as info:
+        fn(**{**base[name], param: value})
+    assert info.value.field == param + entry
 
 
 def _typed_by_hand(tree):

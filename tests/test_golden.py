@@ -42,9 +42,11 @@ def test_outputs_match_golden_digests(label):
     if env != recorded:
         message += (
             f". This environment ({env}) is not the one the digests were "
-            f"written in ({recorded}); numpy's SIMD exp and log can differ "
-            "in the last bit between them, so the mismatch may come from "
-            "the environment and not from the program")
+            f"written in ({recorded}); numpy's SIMD log1p, cos and sin "
+            "(in experiments._linearized, _fringe_design and "
+            "_bloch_visibility) can differ in the last bit between them, so "
+            "the mismatch may come from the environment and not from the "
+            "program")
     else:
         message += (". The environment is the one the digests were written "
                     "in, so the program's output changed; regenerate them "
