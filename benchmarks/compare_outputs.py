@@ -14,6 +14,9 @@ records. The cases are:
 * ``run`` and ``validate`` of a custom schedule on fig2-main at seed 1: a
   store and a retrieve drive plus one drive that overlaps no passage, so
   ``validate`` warns and the run's ``summary.json`` carries the warning;
+* ``run`` of fig2-insets at seed 0 in csv with the preset chosen by
+  ``--set preset=fig2-insets`` instead of ``--preset``, which must end as
+  ``fig2-insets-seed0-csv`` does;
 * ``run`` of each workload in ``perfbench/run.py`` at seed 0, taken from
   its ``WORKLOADS``, and ``validate`` of its preset with its overrides;
 * ``validate`` of two edge configs: ideal-system with ``eta_list=[1]``,
@@ -108,6 +111,8 @@ def cases(presets: list, workloads: dict, seeds: tuple,
               "--set", "schedule=" + json.dumps(CUSTOM_SCHEDULE)]
     out["custom-schedule-run"] = ["run", *custom]
     out["custom-schedule-validate"] = ["validate", *custom]
+    out["fig2-insets-set-preset"] = ["run", "--set", "preset=fig2-insets",
+                                     "--seed", "0", "--format", "csv"]
     for name, workload in workloads.items():
         overrides = list(workload.overrides)
         if n_triggers is not None:
@@ -204,7 +209,15 @@ def golden_environment() -> dict:
     """The numpy version and the CPU features its SIMD loops may use: the
     vectorized log1p, cos and sin of ``experiments._linearized``,
     ``_fringe_design`` and ``_bloch_visibility`` can differ in the last bit
-    between them."""
+    between them.
+
+    OpenBLAS's kernel is a second source of last-bit differences that this
+    leaves out. OpenBLAS picks it per CPU (``SkylakeX`` on an AVX-512
+    machine), and ``OPENBLAS_CORETYPE`` overrides it. Under ``Haswell`` or
+    ``Prescott`` the ``np.linalg.lstsq`` of ``experiments._curve_visibility``
+    and the ``np.polyfit`` of ``fit_decay`` change the visibilities and the
+    fitted loss, and under ``Prescott`` so do the logical-basis products of
+    ``share_table``, with numpy's SIMD dispatch held fixed."""
     import numpy
     try:
         from numpy._core import _multiarray_umath as umath

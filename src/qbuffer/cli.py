@@ -38,7 +38,6 @@ from .config import (
     PRESETS,
     load_config_file,
     plan_from_config,
-    preset_listing,
     resolve_config,
 )
 from .engine import storage_period
@@ -65,18 +64,17 @@ def _err(kind: str, exit_code: int, **detail) -> int:
     return exit_code
 
 
-def _resolve(args) -> dict:
+def _plan(args):
+    """The run plan of ``run`` and ``validate``. ``QBUF_SEED`` is the
+    config file's seed when neither the file nor ``--seed`` gives one."""
     file_cfg = load_config_file(args.config) if args.config else {}
-    seed = args.seed
-    if seed is None and "seed" not in file_cfg:
-        env = os.environ.get("QBUF_SEED")
-        if env is not None:
-            if not re.fullmatch(r"-?[0-9]+", env.strip()):
-                raise ConfigError("seed", f"QBUF_SEED={env!r} is not an "
-                                  "integer")
-            seed = int(env)
-    return resolve_config(file_cfg, overrides=args.set or (),
-                          preset=args.preset, seed=seed)
+    env = os.environ.get("QBUF_SEED")
+    if env is not None and args.seed is None and "seed" not in file_cfg:
+        if not re.fullmatch(r"-?[0-9]+", env.strip()):
+            raise ConfigError("seed", f"QBUF_SEED={env!r} is not an integer")
+        file_cfg["seed"] = int(env)
+    return plan_from_config(resolve_config(file_cfg, args.set or (),
+                                           args.preset, args.seed))
 
 
 def _write_json(path, doc) -> None:
@@ -173,6 +171,8 @@ def run_plan(plan, on_clicks=None, *, checks: dict | None = None):
 def _failure(exc) -> int:
     """Report the error that ended ``run`` or ``validate``; its exit
     code."""
+    if isinstance(exc, ConfigError):
+        return _err("schema", 2, path=exc.path, message=exc.message)
     if isinstance(exc, ScheduleError):
         return _err("schedule", 3, message=str(exc),
                     violations=[{"severity": v.severity, "code": v.code,
@@ -195,14 +195,7 @@ _FAILURES = (QBufferError, MemoryError, OSError)
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = _resolve(args)
-        plan = plan_from_config(cfg)
-    except ConfigError as exc:
-        return _err("schema", 2, path=exc.path, message=exc.message)
-
     out_dir, stage, outputs = args.out, None, []
-    started = time.perf_counter()
 
     def emit(name, writer):
         outputs.append(name)
@@ -212,6 +205,8 @@ def cmd_run(args) -> int:
         clicks.write_csv(os.path.join(stage, f"clicks_eta{eta}.csv"))
 
     try:
+        plan = _plan(args)
+        started = time.perf_counter()
         os.makedirs(out_dir, exist_ok=True)
         # Every file is written into a private staging directory and moved
         # into --out only once the run has succeeded, so a failed run
@@ -246,7 +241,7 @@ def cmd_run(args) -> int:
             emit("summary.json", lambda p: _write_json(p, summary))
         manifest = {
             "artifact_version": __version__,
-            "schema_version": cfg["schema_version"],
+            "schema_version": plan.snapshot["schema_version"],
             "preset": plan.experiment.preset,
             "seed": plan.experiment.seed,
             "outputs": list(outputs),
@@ -279,9 +274,9 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        plan = plan_from_config(_resolve(args))
-    except ConfigError as exc:
-        return _err("schema", 2, path=exc.path, message=exc.message)
+        plan = _plan(args)
+    except _FAILURES as exc:
+        return _failure(exc)
 
     checks: dict = {}
     failure = None
@@ -311,7 +306,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_presets(args) -> int:
-    listing = preset_listing()
+    listing = [(name, PRESETS[name][0]) for name in sorted(PRESETS)]
     if args.format == "json":
         print(json.dumps([{"name": n, "description": d}
                           for n, d in listing], indent=2))

@@ -2,15 +2,16 @@
 
 A run is described by one JSON document with a versioned schema. Values are
 resolved in increasing precedence: package defaults (the model constructors'
-own), preset overlay, config file, then ``--set`` command-line overrides. The
-fully merged document is snapshotted into the run manifest so any run can be
-reproduced from its output directory alone.
+own), preset overlay, config file, ``--set`` command-line overrides, then
+``--preset`` and ``--seed``. The fully merged document is snapshotted into the
+run manifest so any run can be reproduced from its output directory alone.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import os
 from dataclasses import MISSING, dataclass, fields
 
 from .components import BufferTopology, DrivePulse
@@ -34,15 +35,16 @@ def _defaults(cls, *skip) -> dict:
     return out
 
 
+#: Section -> the model it builds, besides ``experiment``.
+_MODELS = {"topology": BufferTopology, "detector": DetectorModel,
+           "limits": SimLimits, "calibration": Calibration}
+
 _BASE = {
     "schema_version": SCHEMA_VERSION,
     "preset": "fig2-main",
     "seed": ExperimentConfig.seed,
     "experiment": _defaults(ExperimentConfig, "preset", "seed"),
-    "topology": _defaults(BufferTopology),
-    "detector": _defaults(DetectorModel),
-    "limits": _defaults(SimLimits),
-    "calibration": _defaults(Calibration),
+    **{name: _defaults(cls) for name, cls in _MODELS.items()},
     "schedule": None,
 }
 
@@ -78,12 +80,12 @@ PRESETS = {
 }
 
 
-def preset_listing() -> list:
-    """Stable (name, description) listing of the built-in presets."""
-    return [(name, PRESETS[name][0]) for name in sorted(PRESETS)]
-
-
 # -- validation ---------------------------------------------------------------
+
+
+#: DrivePulse field -> schedule entry key.
+_DRIVE_KEYS = {"t_start": "t_start_s", "width": "width_s",
+               "voltage": "voltage"}
 
 
 def _require(cond, path, msg):
@@ -118,8 +120,7 @@ def validate_config(cfg: dict) -> None:
     _require(cfg.get("schema_version") == SCHEMA_VERSION, "schema_version",
              f"expected {SCHEMA_VERSION}")
     _check_preset(cfg.get("preset"))
-    for name in ("experiment", "topology", "detector", "limits",
-                 "calibration"):
+    for name in ("experiment", *_MODELS):
         _check_keys(cfg.get(name), name, _BASE[name])
 
     sched = cfg.get("schedule")
@@ -127,8 +128,7 @@ def validate_config(cfg: dict) -> None:
         _require(isinstance(sched, list), "schedule",
                  "expected a list of drive windows")
         for i, d in enumerate(sched):
-            _check_keys(d, f"schedule[{i}]",
-                        ("t_start_s", "width_s", "voltage"))
+            _check_keys(d, f"schedule[{i}]", _DRIVE_KEYS.values())
 
 
 # -- merging and overrides ----------------------------------------------------
@@ -147,28 +147,27 @@ def _deep_merge(base: dict, overlay: dict) -> dict:
 def parse_override(item: str) -> tuple:
     """Parse one ``--set path.to.key=value`` item; values are JSON literals
     with bare-string fallback."""
-    if "=" not in item:
-        raise ConfigError("", f"override {item!r} must look like key=value")
+    _require(isinstance(item, str) and "=" in item, "",
+             f"override {item!r} must look like key=value")
     path, raw = item.split("=", 1)
     path = path.strip()
-    if not path:
-        raise ConfigError("", f"override {item!r} has an empty key")
+    _require(path, "", f"override {item!r} has an empty key")
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         value = raw
     return path, value
 
 
 def apply_override(cfg: dict, path: str, value) -> None:
-    """Set the leaf at dotted ``path`` to ``value``, as a config file
-    would; :func:`validate_config` checks the keys, the model constructors
-    the values."""
+    """Set the leaf at dotted ``path`` to ``value`` as a config file would,
+    making each missing or non-object section on the path an object;
+    :func:`validate_config` checks the keys, the constructors the values."""
     *sections, key = path.split(".")
     node = cfg
     for name in sections:
         if not isinstance(node.get(name), dict):
-            raise ConfigError(path, "no such configuration section")
+            node[name] = {}
         node = node[name]
     node[key] = value
 
@@ -176,33 +175,41 @@ def apply_override(cfg: dict, path: str, value) -> None:
 def resolve_config(file_cfg: dict | None = None, overrides=(),
                    preset: str | None = None,
                    seed: int | None = None) -> dict:
-    """Merge defaults, preset overlay, file values and overrides;
-    :func:`plan_from_config` validates the result."""
-    file_cfg = dict(file_cfg or {})
-    chosen = preset or file_cfg.get("preset") or _BASE["preset"]
+    """Merge defaults, preset overlay and file, then set each override,
+    the preset and ``seed`` as a leaf; :func:`plan_from_config` validates
+    the result. The preset is chosen first: ``preset``, else what the
+    overrides set, else the file's, else the default."""
+    file_cfg = {} if file_cfg is None else file_cfg
+    _require(isinstance(file_cfg, dict), "",
+             "config document must be a JSON object")
+    _require(isinstance(overrides, (list, tuple)), "",
+             f"overrides {overrides!r} must be a list of key=value items")
+    items = [parse_override(item) for item in overrides]
+    head = {"preset": file_cfg.get("preset")}
+    for path, value in items:
+        if path.split(".")[0] == "preset":
+            apply_override(head, path, value)
+    chosen = preset or head["preset"] or _BASE["preset"]
     _check_preset(chosen)
-    cfg = _deep_merge(_BASE, PRESETS[chosen][2])
-    cfg["preset"] = chosen
-    cfg = _deep_merge(cfg, file_cfg)
-    cfg["preset"] = chosen
-    for item in overrides:
-        path, value = parse_override(item)
+    cfg = _deep_merge(_deep_merge(_BASE, PRESETS[chosen][2]), file_cfg)
+    for path, value in items:
         apply_override(cfg, path, value)
+    cfg["preset"] = chosen
     if seed is not None:
         cfg["seed"] = seed
     return cfg
 
 
 def load_config_file(path) -> dict:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError("", f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
+    try:  # os.fspath refuses a file descriptor, which open would close
+        with open(os.fspath(path), "rb") as fh:
+            doc = json.load(fh)  # bytes: UTF-8, -16 or -32 in any locale
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError("", f"config file is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise ConfigError("", "config document must be a JSON object")
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError("", f"cannot read config file: {exc}")
+    _require(isinstance(doc, dict), "",
+             "config document must be a JSON object")
     return doc
 
 
@@ -240,15 +247,6 @@ def _build(path_of, cls, *args, **kwargs):
         raise ConfigError(path_of(exc.field), str(exc)) from None
 
 
-def _under(section):
-    return lambda field: f"{section}.{field}"
-
-
-#: DrivePulse field -> schedule entry key.
-_DRIVE_KEYS = {"t_start": "t_start_s", "width": "width_s",
-               "voltage": "voltage"}
-
-
 def plan_from_config(cfg: dict) -> RunPlan:
     """Validate a resolved config and build its run plan.
 
@@ -261,11 +259,8 @@ def plan_from_config(cfg: dict) -> RunPlan:
     experiment = _build(
         lambda field: field if field == "seed" else f"experiment.{field}",
         ExperimentConfig, preset=cfg["preset"], seed=cfg["seed"], **exp)
-    topology = _build(_under("topology"), BufferTopology, **cfg["topology"])
-    detector = _build(_under("detector"), DetectorModel, **cfg["detector"])
-    limits = _build(_under("limits"), SimLimits, **cfg["limits"])
-    calibration = _build(_under("calibration"), Calibration,
-                         **cfg["calibration"])
+    models = {name: _build(f"{name}.{{}}".format, cls, **cfg[name])
+              for name, cls in _MODELS.items()}
     schedule = None
     kind = PRESETS[cfg["preset"]][1]
     if cfg["schedule"] is not None:
@@ -278,12 +273,12 @@ def plan_from_config(cfg: dict) -> RunPlan:
             for i, d in enumerate(cfg["schedule"]))
         schedule = _build(lambda field: "schedule" + field.removeprefix(
             "pulses"), DriveSchedule, drives)
-    plan = RunPlan(kind, experiment, topology, detector, limits, calibration,
-                   schedule, copy.deepcopy(cfg))
+    plan = RunPlan(kind, experiment, schedule=schedule,
+                   snapshot=copy.deepcopy(cfg), **models)
     if schedule is None:
         # A preset sweep stores each pulse for eta - 1 cycles; the cycle
         # limit must let the longest one out.
         need = max(plan.propagated_etas) - 1
-        _require(limits.max_cycles >= need, "limits.max_cycles",
+        _require(plan.limits.max_cycles >= need, "limits.max_cycles",
                  f"must be >= {need}, the storage cycles of eta={need + 1}")
     return plan

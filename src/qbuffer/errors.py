@@ -58,6 +58,15 @@ def _typed(field, value, cls):
             field)
 
 
+def _choice(field, value, choices):
+    """Raise InputDomainError naming ``field`` unless ``value`` is one of
+    the strings ``choices``."""
+    if not (isinstance(value, str) and value in choices):
+        *rest, last = choices
+        raise InputDomainError(f"{field} {value!r} must be "
+                               f"{', '.join(rest)} or {last}", field)
+
+
 def _array(field, make, value, expected="an array of numbers", **kwargs):
     """``make(value, **kwargs)``, e.g. ``np.asarray(value, dtype=...)``,
     raising InputDomainError naming ``field`` and what it takes,

@@ -62,6 +62,7 @@ from .errors import (
     ScheduleError,
     _array,
     _checked,
+    _choice,
     _typed,
 )
 from .polarization import (
@@ -142,13 +143,8 @@ class ExperimentConfig:
             _checked(f"hwp_angles[{i}]", a, ge=-HWP_ANGLE_MAX,
                      le=HWP_ANGLE_MAX, label="HWP angle")
         object.__setattr__(self, "hwp_angles", tuple(float(a) for a in angles))
-        if self.basis not in ("computational", "logical", "both"):
-            raise InputDomainError(
-                f"basis {self.basis!r} must be computational, logical or "
-                "both", "basis")
-        if self.mode not in ("monte-carlo", "analytic"):
-            raise InputDomainError(
-                f"mode {self.mode!r} must be monte-carlo or analytic", "mode")
+        _choice("basis", self.basis, (*BASIS_ORDER, "both"))
+        _choice("mode", self.mode, ("monte-carlo", "analytic"))
 
     @property
     def acquisition_s(self) -> float:
@@ -171,10 +167,7 @@ class Calibration:
     targets: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.mode not in ("none", "table", "physical"):
-            raise InputDomainError(
-                f"calibration mode {self.mode!r} must be none, table or "
-                "physical", "mode")
+        _choice("mode", self.mode, ("none", "table", "physical"))
         _typed("targets", self.targets, Mapping)
         targets = {}
         for key, value in self.targets.items():
@@ -359,6 +352,7 @@ def _hwp_grid(config: ExperimentConfig) -> np.ndarray:
 
 def source_pulses(config: ExperimentConfig) -> list:
     """The one source pulse every run launches."""
+    _typed("config", config, ExperimentConfig)
     return generate_pulse_train(config.rep_rate_hz, config.pulse_width_s,
                                 config.mu_source, 1)
 
@@ -380,7 +374,8 @@ def simulate_checked(topology, schedule, inputs, limits, name: str):
     return result, violations
 
 
-def propagate(runs: dict, topology, config, eta, limits):
+def propagate(runs: dict | None, topology: BufferTopology,
+              config: ExperimentConfig, eta: int, limits: SimLimits | None):
     """The one checked engine run of setting ``eta``: the source pulse
     through the schedule that retrieves it after ``eta - 1`` cycles, made
     once per eta into ``runs``. Returns (retained pulse, result,
@@ -389,13 +384,19 @@ def propagate(runs: dict, topology, config, eta, limits):
     and InputDomainError if its count window ends after the next trigger.
     The engine applies no depolarization, so a run serves every topology
     that differs only in it (a calibrated one), with the same config and
-    limits."""
-    if eta in runs:
-        return runs[eta]
+    limits. Without ``runs``, nothing is shared."""
+    runs = {} if runs is None else runs
+    _typed("runs", runs, dict)
+    _checked("eta", eta, ge=1, integer=True)
+    if limits is not None:
+        _typed("limits", limits, SimLimits)
+    # Built before the cache is read, so that a hit checks its arguments.
     inputs = source_pulses(config)
     sched = storage_retrieval_schedule(
         topology, inputs[0], eta - 1, drive_width=config.drive_width_s,
         guard=config.drive_guard_s)
+    if eta in runs:
+        return runs[eta]
     res, violations = simulate_checked(topology, sched, inputs, limits,
                                        f"schedule for eta={eta}")
     main = res.retrieved_with_cycles(eta - 1)
@@ -471,7 +472,6 @@ def run_retrieval_sweep(config: ExperimentConfig, topology: BufferTopology,
     n = config.n_triggers
     window = config.count_window_s
 
-    runs = {} if runs is None else runs
     rows: list[PeakRow] = []
     sims: dict[int, object] = {}
     for eta in config.eta_list:
@@ -504,7 +504,7 @@ def run_retrieval_sweep(config: ExperimentConfig, topology: BufferTopology,
 
 
 def share_table(topology: BufferTopology, angles: Iterable[float],
-                max_cycles: int, bases) -> dict:
+                max_cycles: int, bases: Iterable[str]) -> dict:
     """Port shares of an H launch through a HWP at each of ``angles``.
 
     ``table[basis][i, port, k]`` is the share the beamsplitter sends to
@@ -518,7 +518,9 @@ def share_table(topology: BufferTopology, angles: Iterable[float],
     states = stored_rho(topology, launch, max_cycles)
     check_density(states)
     table = {}
-    for basis in bases:
+    for i, basis in enumerate(_array("bases", tuple, bases,
+                                     "an iterable of basis names")):
+        _choice(f"bases[{i}]", basis, BASIS_ORDER)
         p_h = pbs_shares(states, BASES[basis])
         table[basis] = np.stack([p_h, 1.0 - p_h], axis=1)
     return table
@@ -550,7 +552,6 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
     n = config.n_triggers
     window = config.count_window_s
 
-    runs = {} if runs is None else runs
     runs = [propagate(runs, topology, config, eta, limits)[:2]
             for eta in config.eta_list]
     max_cycles = max(p.cycles for _, sim in runs for p in sim.retrieved)
@@ -603,10 +604,12 @@ def run_hwp_sweep(config: ExperimentConfig, topology: BufferTopology,
     return results
 
 
-def average_visibility_by_eta(results) -> dict:
+def average_visibility_by_eta(results: Iterable[VisibilityResult]) -> dict:
     """Mean visibility over bases, keyed by retrieval setting."""
     by_eta: dict[int, list] = {}
-    for r in results:
+    for i, r in enumerate(_array("results", tuple, results,
+                                 "an iterable of VisibilityResults")):
+        _typed(f"results[{i}]", r, VisibilityResult)
         by_eta.setdefault(r.eta, []).append(r.visibility)
     return {eta: float(np.mean(v)) for eta, v in sorted(by_eta.items())}
 
@@ -674,12 +677,9 @@ def calibrate(targets: dict, topology: BufferTopology,
     topology (apart from depolarization), config and limits.
     """
     _hwp_grid(config)
-    if mode == "none":
-        raise InputDomainError("calibrate needs mode table or physical",
-                               "mode")
+    _choice("mode", mode, ("table", "physical"))
     targets = Calibration(mode, targets).targets
 
-    runs = {} if runs is None else runs
     vis_of, bs = {}, []  # bs: the Bloch length of each target, in order
     for eta in sorted(targets):
         main = propagate(runs, topology, config, eta, limits)[0]

@@ -14,9 +14,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from qbuffer import cli, detection, engine, experiments, kernels
 from qbuffer.cli import main
 from qbuffer.components import BufferTopology, fiber_delay
-from qbuffer.config import PRESETS, plan_from_config, resolve_config
+from qbuffer.config import (
+    PRESETS,
+    load_config_file,
+    parse_override,
+    plan_from_config,
+    resolve_config,
+)
 from qbuffer.detection import DetectorModel
 from qbuffer.engine import SimLimits
+from qbuffer.errors import ConfigError
 from qbuffer.experiments import Calibration, ExperimentConfig
 
 
@@ -548,6 +555,15 @@ class TestSeedResolution:
         assert small_run(out) == 0
         assert read_manifest(out)["seed"] == 7
 
+    def test_set_beats_env(self, tmp_path, capsys, monkeypatch):
+        # QBUF_SEED stands in for the file's seed, so --set overrides it.
+        monkeypatch.setenv("QBUF_SEED", "777")
+        out = tmp_path / "o"
+        assert run_cli("run", "--set", "seed=3",
+                       "--set", "experiment.n_triggers=500",
+                       "--out", str(out)) == 0
+        assert read_manifest(out)["seed"] == 3
+
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("env", ["\u00b2", "\u0661\u0662", "--5", "+5"])
     def test_non_integer_env_is_a_schema_error(self, tmp_path, capsys,
@@ -833,14 +849,8 @@ class TestOverrideEndsAsFile:
     """A leaf given by ``--set`` ends exactly as the same value given in a
     config file: same exit code, stdout and error line."""
 
-    @pytest.mark.parametrize("path, value, code", [
-        ("calibration.targets.7", 0.8, 0),
-        ("topology.per_element_loss_db.foo", 1, 2),
-        ("topology.nope", 1, 2),
-        ("experiment.eta_list", "135", 2),
-        ("schedule", [{"t_start_s": 0.0, "bogus": 1}], 2),
-    ])
-    def test_same_end(self, tmp_path, capsys, path, value, code):
+    @staticmethod
+    def ends(tmp_path, capsys, path, value, *flags):
         doc = {}
         _set_path(doc, path, value)
         cfg = tmp_path / "c.json"
@@ -848,10 +858,82 @@ class TestOverrideEndsAsFile:
         ends = []
         for given in (["--config", str(cfg)],
                       ["--set", f"{path}={json.dumps(value)}"]):
-            ends.append((run_cli("validate", "--preset", "fig2-insets",
-                                 *given), *capsys.readouterr()))
+            ends.append((run_cli("validate", *flags, *given),
+                         *capsys.readouterr()))
         assert ends[0] == ends[1]
-        assert ends[0][0] == code
+        return ends[0]
+
+    @pytest.mark.parametrize("path, value, code", [
+        ("calibration.targets.7", 0.8, 0),
+        ("topology.per_element_loss_db.foo", 1, 2),
+        ("topology.nope", 1, 2),
+        ("experiment.eta_list", "135", 2),
+        ("schedule", [{"t_start_s": 0.0, "bogus": 1}], 2),
+        ("nope.x", 1, 2),
+        ("experiment.eta_list.0", 5, 2),
+    ])
+    def test_same_end(self, tmp_path, capsys, path, value, code):
+        end = self.ends(tmp_path, capsys, path, value,
+                        "--preset", "fig2-insets")
+        assert end[0] == code
+
+    @pytest.mark.parametrize("path, value, code", [
+        ("preset", "fig2-insets", 0),
+        ("preset", "ideal-system", 0),
+        ("preset", "nope", 2),
+        ("preset.x", 1, 2),
+    ])
+    def test_same_end_choosing_the_preset(self, tmp_path, capsys, path,
+                                          value, code):
+        # Without --preset, the value picks the preset and its overlay. Four
+        # cycles let out eta=5, the last setting of fig2-insets and
+        # ideal-system, but not fig2-main's eta=8.
+        end = self.ends(tmp_path, capsys, path, value,
+                        "--set", "limits.max_cycles=4")
+        assert end[0] == code
+
+    def test_set_preset_takes_its_overlay(self):
+        cfg = resolve_config({}, ["preset=fig2-insets"])
+        assert cfg == resolve_config({}, preset="fig2-insets")
+        assert cfg["experiment"]["eta_list"] == [1, 3, 5]
+
+
+class TestConfigEntryPoints:
+    """The config layer's public functions reject a wrong-type argument or
+    a file they cannot parse with ConfigError."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: resolve_config(5),
+        lambda: resolve_config({}, overrides=5),
+        lambda: resolve_config({}, overrides=[5]),
+        lambda: parse_override(5),
+        lambda: load_config_file(None),
+    ], ids=["file", "overrides", "override-item", "parse", "path"])
+    def test_wrong_type_is_a_config_error(self, call):
+        with pytest.raises(ConfigError):
+            call()
+
+    @pytest.mark.parametrize("data", [
+        b'{"seed": "\xff"}', b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["not-utf-8", "too-deep"])
+    def test_unparsable_file_exits_two(self, tmp_path, capsys, data):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(data)
+        assert run_cli("validate", "--config", str(cfg)) == 2
+        report = one_json_error(capsys)
+        assert report["error"] == "schema"
+        assert report["message"].startswith("config file is not valid JSON")
+
+    def test_too_deep_override_is_a_bare_string(self):
+        raw = "[" * 100_000 + "]" * 100_000
+        assert parse_override(f"x={raw}") == ("x", raw)
+
+    def test_file_descriptor_is_not_opened(self, tmp_path):
+        # open() takes an int as a descriptor and closes it on exit.
+        with open(tmp_path / "c.json", "w") as fh:
+            with pytest.raises(ConfigError):
+                load_config_file(fh.fileno())
+            os.fstat(fh.fileno())  # still open
 
 
 class TestCliContractFuzz:

@@ -8,9 +8,9 @@ given ``5`` and must raise InputDomainError naming it, with the
 and a string and must raise QBufferError or return a finite result; a
 count (``INTEGER_NAMES``) is also given a negative and a non-integer value
 and must raise InputDomainError naming it. A parameter annotated as an
-iterable of numbers is given ``5`` and must raise InputDomainError naming
-it, and a one-entry list of each numeric probe, which must raise
-InputDomainError naming the entry. A new public callable with such a
+iterable (of numbers, basis names or records) is given ``5`` and must raise
+InputDomainError naming it, and a one-entry list of each numeric probe,
+which must raise InputDomainError naming the entry. A new public callable with such a
 parameter needs a row of valid base arguments in ``_base`` below, so it is
 probed from the day it is added.
 """
@@ -54,8 +54,9 @@ INTEGER_NAMES = ("max_cycles", "n_bins", "n_triggers")
 MODULES = ("kernels",)
 
 #: Module -> public names outside ``qbuffer.__all__`` that are probed too.
-EXTRA = {"experiments": ("share_table",), "detection": ("count_triggered",),
-         "polarization": ("hwp_matrices",)}
+EXTRA = {"experiments": ("share_table", "propagate", "source_pulses",
+                         "average_visibility_by_eta"),
+         "detection": ("count_triggered",), "polarization": ("hwp_matrices",)}
 
 
 def _public():
@@ -138,13 +139,17 @@ def _base():
         "count_triggered": dict(clicks=ClickSet([0.1, 1.2], 0, 2.0),
                                 period=1.0, offset=0.1, window=0.1),
         "hwp_matrices": dict(angles=[0.0, 0.3]),
+        "propagate": dict(runs={}, topology=topo, config=config, eta=2,
+                          limits=None),
+        "source_pulses": dict(config=config),
+        "average_visibility_by_eta": dict(results=[]),
     }
 
 
 def _parameters():
     """(name, callable, parameter, model class, or None for a number, or
-    ``Iterable`` for an iterable of numbers) of every probed parameter of
-    the public API."""
+    ``Iterable`` for an iterable) of every probed parameter of the public
+    API."""
     out = []
     for name, obj in PUBLIC.items():
         if not callable(obj) or isinstance(obj, type) and issubclass(
@@ -256,6 +261,14 @@ def test_bad_iterable_named(base, name, fn, param, value, entry):
     with pytest.raises(InputDomainError) as info:
         fn(**{**base[name], param: value})
     assert info.value.field == param + entry
+
+
+def test_propagate_checks_its_cache_argument(base):
+    # ``runs`` is annotated ``dict``, which the model probes leave out.
+    with pytest.raises(InputDomainError) as info:
+        PUBLIC["propagate"](**{**base["propagate"], "runs": 5})
+    assert str(info.value) == "runs must be a dict, not int"
+    assert info.value.field == "runs"
 
 
 def _typed_by_hand(tree):
